@@ -21,10 +21,11 @@ only — absolute timings are hardware-bound and are not targets here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np
+
+from .tensor import maxout_affine, softmax
 
 # Reference per-word figures from a full-scale GPU system (directional
 # context only; this benchmark makes no attempt to reproduce them).
@@ -80,30 +81,16 @@ def make_three_action_layer(
             s = states[b]
             # Copy scores over the source window (additive attention form).
             q = np.tanh(HA + (att_B @ s + att_b))
-            e = q @ att_v
-            e -= e.max()
-            alpha = np.exp(e)
-            alpha /= alpha.sum()
+            alpha = softmax(q @ att_v)
             c = H.T @ alpha
             # Rewrite-tag head (two-piece maxout + readout).
-            u1 = np.concatenate([s, c])
-            a1 = (g1_W @ u1 + g1_b).reshape(2, -1)
-            t_logits = g1_Wo @ a1.max(axis=0)
-            t_logits -= t_logits.max()
-            p_trans = np.exp(t_logits)
-            p_trans /= p_trans.sum()
+            m1, _ = maxout_affine(g1_W, g1_b, np.concatenate([s, c]))
+            p_trans = softmax(g1_Wo @ m1)
             # Question-word head.
-            u2 = np.concatenate([v_answer, s, c])
-            a2 = (g2_W @ u2 + g2_b).reshape(2, -1)
-            q_logits = g2_Wo @ a2.max(axis=0)
-            q_logits -= q_logits.max()
-            p_quest = np.exp(q_logits)
-            p_quest /= p_quest.sum()
+            m2, _ = maxout_affine(g2_W, g2_b, np.concatenate([v_answer, s, c]))
+            p_quest = softmax(g2_Wo @ m2)
             # Switch and mixture over the combined outcome space.
-            sw = sw_W @ np.concatenate([c, s])
-            sw -= sw.max()
-            sw = np.exp(sw)
-            sw /= sw.sum()
+            sw = softmax(sw_W @ np.concatenate([c, s]))
             outcomes = np.concatenate([
                 sw[1] * alpha, sw[0] * p_quest, sw[2] * p_trans,
             ])
@@ -131,10 +118,7 @@ def make_softmax_layer(
     def step() -> np.ndarray:
         top_scores = np.empty((beam, beam), dtype=dt)
         for bm in range(beam):
-            logits = W @ states[bm] + b
-            logits -= logits.max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
+            probs = softmax(W @ states[bm] + b)
             idx = np.argpartition(probs, -beam)[-beam:]
             top_scores[bm] = np.sort(probs[idx])[::-1]
         return top_scores

@@ -150,6 +150,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dropout_rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"expected a rate in [0, 1), got {text!r}")
+    return value
+
+
 def _bool_from_str(raw: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -655,7 +662,7 @@ def _build_parser():
     sub.add_argument("--feat-dim", type=_positive_int, default=32,
                      help="answer/ner/pos feature embedding size "
                           "(default %(default)s)")
-    sub.add_argument("--dropout", type=float, default=0.20,
+    sub.add_argument("--dropout", type=_dropout_rate, default=0.20,
                      help="encoder input dropout rate (default %(default)s)")
     sub.add_argument("--learning-rate", type=float, default=0.002,
                      help="Adam learning rate (default %(default)s)")

@@ -20,6 +20,7 @@ from .errors import (
     CutoffExceeded,
     DanglingTransError,
     EmptyInputError,
+    FileError,
     IndexOutOfVocab,
     LengthMismatch,
     ParseError,
@@ -118,8 +119,11 @@ class Vocab:
     def save(self, encoder_path: str, quest_path: str) -> None:
         for path, toks in ((encoder_path, self.encoder_vocab),
                            (quest_path, self.quest_vocab)):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(toks) + "\n")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(toks) + "\n")
+            except OSError as exc:
+                raise FileError(f"cannot write vocabulary {path}: {exc}") from None
 
     @classmethod
     def load(cls, encoder_path: str, quest_path: str) -> "Vocab":
@@ -132,8 +136,13 @@ class Vocab:
 
 
 def _read_token_file(path: str) -> List[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise FileError(f"cannot read vocabulary {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"vocabulary {path} is not UTF-8: {exc}") from None
 
 
 def _answer_span_from_bio(tokens: Sequence[TaggedToken]) -> Tuple[int, int]:

@@ -11,10 +11,11 @@ marginalises over every action that could have produced it (all copyable
 positions holding that root plus, when the word is in the question-word
 list, the list route).
 
-All gradients are written out by hand from the ops in
-:mod:`morphoqg.tensor`; there is no autodiff graph.  ``grad_check`` in the
-test-suite validates the complete loss gradient against central finite
-differences.
+The forward pass calls the array kernels of :mod:`morphoqg.tensor`
+(sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
+is written out by hand around their backward halves; there is no autodiff
+graph.  ``grad_check`` validates the complete loss gradient against
+central finite differences, in the test suite and in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -25,25 +26,17 @@ dot product against the decoder state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import (
-    EOS_ID,
-    PAD_ID,
-    SOS_ID,
-    UNK_ID,
-    Copy,
-    EncodedExample,
-    Quest,
-    Trans,
-    Vocab,
-)
+from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, Trans, Vocab
 from .errors import DivergenceError, ParseError, ShapeMismatch
-from .morphology import ALL_TYPES, TransformationType
-from .tensor import Array, ParameterStore, load_checkpoint, load_sidecar, save_checkpoint
+from .morphology import ALL_TYPES
+from .tensor import (Array, ParameterStore, dropout_mask, load_checkpoint, load_sidecar,
+                     maxout_affine, maxout_affine_backward, save_checkpoint, sigmoid,
+                     softmax, softmax_backward)
 
 # Switch-head logit order: list-word route, copy route, rewrite-tag route.
 SW_QUEST = 0
@@ -77,10 +70,20 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "HyperParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, Mapping):
+            raise ParseError(f"hyperparameters must be a mapping, got {data!r}")
+        known = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ParseError(f"unknown hyperparameter names: {sorted(unknown)}")
+        for name, value in data.items():
+            want = known[name]
+            # bool is an int subclass, so it only passes where a bool is wanted.
+            ok = (isinstance(value, bool) == (want is bool)
+                  and isinstance(value, (int, float) if want is float else want))
+            if not ok:
+                raise ParseError(f"hyperparameter {name!r} must be {want.__name__}, "
+                                 f"got {value!r}")
         return cls(**dict(data))  # type: ignore[arg-type]
 
     def scaled(self, **overrides) -> "HyperParams":
@@ -161,7 +164,7 @@ class EncoderDecoder:
     def _register(self, store: ParameterStore) -> None:
         hp = self.hyper
         d_w, d_h = hp.word_dim, hp.hidden_size
-        d_in = d_w + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
+        d_in = self._input_dim()
         n_enc = self.vocab.encoder_size
         n_quest = self.vocab.quest_size
         n_types = len(ALL_TYPES)
@@ -283,21 +286,17 @@ class EncoderDecoder:
     # Encoder.
     # ------------------------------------------------------------------
 
-    def make_dropout_masks(self, n_tokens: int, rng: np.random.Generator) -> Array:
-        """Per-token inverted-dropout masks over the concatenated embeddings."""
+    def _input_dim(self) -> int:
+        """Width of one encoder input row: word plus the three feature embeddings."""
         hp = self.hyper
-        d = hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
-        if hp.dropout_rate == 0.0:
-            return np.ones((n_tokens, d), dtype=self.dtype)
-        keep = (rng.random((n_tokens, d)) >= hp.dropout_rate).astype(self.dtype)
-        return keep / self.dtype(1.0 - hp.dropout_rate)
+        return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
 
     def _gru_forward(self, prefix: str, x: Array, h: Array):
         p = self.store
         az = p[f"{prefix}/W_z"] @ x + p[f"{prefix}/U_z"] @ h + p[f"{prefix}/b_z"]
         ar = p[f"{prefix}/W_r"] @ x + p[f"{prefix}/U_r"] @ h + p[f"{prefix}/b_r"]
-        z = _sigmoid(az)
-        r = _sigmoid(ar)
+        z = sigmoid(az)
+        r = sigmoid(ar)
         rh = r * h
         an = p[f"{prefix}/W_n"] @ x + p[f"{prefix}/U_n"] @ rh + p[f"{prefix}/b_n"]
         n = np.tanh(an)
@@ -336,13 +335,11 @@ class EncoderDecoder:
     def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
         """Run the bidirectional encoder; returns state plus backward caches."""
         p = self.store
-        hp = self.hyper
         n = len(prep.roots)
         if n == 0:
             raise ShapeMismatch("encode", (0,))
-        d_h = hp.hidden_size
-        X = np.empty((n, hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim
-                      + hp.pos_feat_dim), dtype=self.dtype)
+        d_h = self.hyper.hidden_size
+        X = np.empty((n, self._input_dim()), dtype=self.dtype)
         for i in range(n):
             X[i] = np.concatenate([
                 p["emb/word"][prep.word_ids[i]],
@@ -435,10 +432,6 @@ class EncoderDecoder:
             grads["emb/ner"][prep.ner_ids[i]] += dX[i, ofs_ner:ofs_pos]
             grads["emb/pos"][prep.pos_ids[i]] += dX[i, ofs_pos:]
 
-    def _input_dim(self) -> int:
-        hp = self.hyper
-        return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
-
     # ------------------------------------------------------------------
     # Decoder step.
     # ------------------------------------------------------------------
@@ -457,8 +450,7 @@ class EncoderDecoder:
         s, gru_cache = self._gru_forward("dec", d_in, s_prev)
         H = enc["H"]
         Q = np.tanh(enc["HA"] + (p["att/B"] @ s + p["att/b"]))
-        e = Q @ p["att/v"]
-        alpha = _softmax(e)
+        alpha = softmax(Q @ p["att/v"])
         c = H.T @ alpha
         state = {
             "input_spec": input_spec,
@@ -470,37 +462,23 @@ class EncoderDecoder:
             "c": c,
         }
         if self.hyper.dot_heads:
-            copy_logits = H @ s
-            p_copy = _softmax(copy_logits)
-            trans_logits = p["dot/type_emb"] @ s
-            p_trans = _softmax(trans_logits)
-            quest_logits = p["dot/quest_emb"] @ s
-            p_quest = _softmax(quest_logits)
-            sw_logits = p["dot/switch_W"] @ s + p["dot/switch_b"]
-            switch = _softmax(sw_logits)
             state.update({
-                "p_copy": p_copy,
-                "p_trans": p_trans,
-                "p_quest": p_quest,
-                "switch": switch,
+                "p_copy": softmax(H @ s),
+                "p_trans": softmax(p["dot/type_emb"] @ s),
+                "p_quest": softmax(p["dot/quest_emb"] @ s),
+                "switch": softmax(p["dot/switch_W"] @ s + p["dot/switch_b"]),
             })
         else:
             u1 = np.concatenate([s, c])
-            m1, max1 = _maxout_affine(p["g1/W"], p["g1/b"], u1)
-            t_logits = p["g1/Wo"] @ m1 + p["g1/bo"]
-            p_trans = _softmax(t_logits)
+            m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], u1)
             u2 = np.concatenate([enc["v_answer"], s, c])
-            m2, max2 = _maxout_affine(p["g2/W"], p["g2/b"], u2)
-            q_logits = p["g2/Wo"] @ m2 + p["g2/bo"]
-            p_quest = _softmax(q_logits)
+            m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], u2)
             u3 = np.concatenate([c, s, w])
-            sw_logits = p["switch/W"] @ u3 + p["switch/b"]
-            switch = _softmax(sw_logits)
             state.update({
                 "p_copy": alpha,
-                "p_trans": p_trans,
-                "p_quest": p_quest,
-                "switch": switch,
+                "p_trans": softmax(p["g1/Wo"] @ m1 + p["g1/bo"]),
+                "p_quest": softmax(p["g2/Wo"] @ m2 + p["g2/bo"]),
+                "switch": softmax(p["switch/W"] @ u3 + p["switch/b"]),
                 "u1": u1, "m1": m1, "max1": max1,
                 "u2": u2, "m2": m2, "max2": max2,
                 "u3": u3,
@@ -534,26 +512,26 @@ class EncoderDecoder:
 
         if self.hyper.dot_heads:
             if d_switch is not None:
-                dlog = _softmax_backward(state["switch"], d_switch)
+                dlog = softmax_backward(state["switch"], d_switch)
                 grads["dot/switch_W"] += np.outer(dlog, s)
                 grads["dot/switch_b"] += dlog
                 ds += p["dot/switch_W"].T @ dlog
             if d_p_quest is not None:
-                dlog = _softmax_backward(state["p_quest"], d_p_quest)
+                dlog = softmax_backward(state["p_quest"], d_p_quest)
                 grads["dot/quest_emb"] += np.outer(dlog, s)
                 ds += p["dot/quest_emb"].T @ dlog
             if d_p_trans is not None:
-                dlog = _softmax_backward(state["p_trans"], d_p_trans)
+                dlog = softmax_backward(state["p_trans"], d_p_trans)
                 grads["dot/type_emb"] += np.outer(dlog, s)
                 ds += p["dot/type_emb"].T @ dlog
             if d_p_copy is not None:
-                dlog = _softmax_backward(state["p_copy"], d_p_copy)
+                dlog = softmax_backward(state["p_copy"], d_p_copy)
                 self._add_dH(enc, np.outer(dlog, s))
                 ds += H.T @ dlog
         else:
             d_h = self.hyper.hidden_size
             if d_switch is not None:
-                dlog = _softmax_backward(state["switch"], d_switch)
+                dlog = softmax_backward(state["switch"], d_switch)
                 grads["switch/W"] += np.outer(dlog, state["u3"])
                 grads["switch/b"] += dlog
                 du3 = p["switch/W"].T @ dlog
@@ -561,11 +539,11 @@ class EncoderDecoder:
                 ds += du3[d_h : 2 * d_h]
                 dw += du3[2 * d_h :]
             if d_p_quest is not None:
-                dlog = _softmax_backward(state["p_quest"], d_p_quest)
+                dlog = softmax_backward(state["p_quest"], d_p_quest)
                 grads["g2/Wo"] += np.outer(dlog, state["m2"])
                 grads["g2/bo"] += dlog
                 dm = p["g2/Wo"].T @ dlog
-                da = _maxout_affine_backward(state["max2"], dm)
+                da = maxout_affine_backward(state["max2"], dm)
                 grads["g2/W"] += np.outer(da, state["u2"])
                 grads["g2/b"] += da
                 du2 = p["g2/W"].T @ da
@@ -573,11 +551,11 @@ class EncoderDecoder:
                 ds += du2[d_h : 2 * d_h]
                 dc += du2[2 * d_h :]
             if d_p_trans is not None:
-                dlog = _softmax_backward(state["p_trans"], d_p_trans)
+                dlog = softmax_backward(state["p_trans"], d_p_trans)
                 grads["g1/Wo"] += np.outer(dlog, state["m1"])
                 grads["g1/bo"] += dlog
                 dm = p["g1/Wo"].T @ dlog
-                da = _maxout_affine_backward(state["max1"], dm)
+                da = maxout_affine_backward(state["max1"], dm)
                 grads["g1/W"] += np.outer(da, state["u1"])
                 grads["g1/b"] += da
                 du1 = p["g1/W"].T @ da
@@ -591,7 +569,7 @@ class EncoderDecoder:
         dalpha += H @ dc
         self._add_dH(enc, np.outer(alpha, dc))
         # Attention softmax and scoring.
-        de = _softmax_backward(alpha, dalpha)
+        de = softmax_backward(alpha, dalpha)
         Q = state["Q"]
         dQ = np.outer(de, p["att/v"]) * (1.0 - Q * Q)
         grads["att/v"] += Q.T @ de
@@ -662,7 +640,8 @@ class EncoderDecoder:
             if masks_list is not None:
                 masks = masks_list[idx]
             elif rng is not None:
-                masks = self.make_dropout_masks(len(prep.roots), rng)
+                masks = dropout_mask((len(prep.roots), self._input_dim()),
+                                     self.hyper.dropout_rate, rng, dtype=self.dtype)
             else:
                 masks = None
             enc = self.encode(prep, masks)
@@ -794,16 +773,22 @@ class EncoderDecoder:
     @classmethod
     def load(cls, path: str, vocab: Vocab) -> "EncoderDecoder":
         meta = load_sidecar(path)
+        if "hyperparams" not in meta:
+            raise ParseError(f"checkpoint sidecar for {path} has no 'hyperparams'")
         hyper = HyperParams.from_dict(meta["hyperparams"])
+        for key in ("pos_tags", "ner_tags"):
+            tags = meta.get(key)
+            if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+                raise ParseError(f"checkpoint sidecar for {path}: {key!r} must be "
+                                 f"a list of strings, got {tags!r}")
+        init_seed = meta.get("init_seed", 0)
+        if isinstance(init_seed, bool) or not isinstance(init_seed, int):
+            raise ParseError(f"checkpoint sidecar for {path}: 'init_seed' must be "
+                             f"an integer, got {init_seed!r}")
         if meta.get("vocab_sha256") != vocab.content_hashes():
             raise ParseError("checkpoint was built with a different vocabulary")
-        model = cls(
-            hyper,
-            vocab,
-            pos_tags=list(meta["pos_tags"]),
-            ner_tags=list(meta["ner_tags"]),
-            init_seed=int(meta.get("init_seed", 0)),
-        )
+        model = cls(hyper, vocab, pos_tags=meta["pos_tags"],
+                    ner_tags=meta["ner_tags"], init_seed=init_seed)
         weights = load_checkpoint(path)
         if set(weights) != set(model.store.names()):
             raise ParseError("checkpoint tensors do not match the model shape")
@@ -812,43 +797,3 @@ class EncoderDecoder:
                 raise ShapeMismatch("load", arr.shape, model.store[name].shape)
             model.store[name] = arr
         return model
-
-
-# ---------------------------------------------------------------------------
-# Small vectorised helpers local to the model (dtype-preserving).
-# ---------------------------------------------------------------------------
-
-
-def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _softmax(x: Array) -> Array:
-    shifted = x - np.max(x)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex)
-
-
-def _softmax_backward(out: Array, d_out: Array) -> Array:
-    return out * (d_out - np.dot(d_out, out))
-
-
-def _maxout_affine(W: Array, b: Array, u: Array):
-    """Two-piece maxout over an affine map; returns (hidden, argmax rows)."""
-    a = W @ u + b
-    pieces = a.reshape(2, -1)
-    winners = np.argmax(pieces, axis=0)
-    hidden = pieces[winners, np.arange(pieces.shape[1])]
-    return hidden, winners
-
-
-def _maxout_affine_backward(winners: Array, d_hidden: Array) -> Array:
-    k = d_hidden.shape[0]
-    da = np.zeros((2, k), dtype=d_hidden.dtype)
-    da[winners, np.arange(k)] = d_hidden
-    return da.reshape(-1)

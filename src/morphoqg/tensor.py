@@ -1,28 +1,26 @@
-"""Numeric building blocks: array ops with hand-written gradients.
+"""Numeric core: array kernels, parameters, gradient checking, Adam, checkpoints.
 
-Every operation in this module comes as a forward/backward pair: the
-forward call returns the output together with a closure that maps the
-gradient of some scalar loss with respect to that output back onto the
-inputs.  Models compose these closures explicitly instead of relying on
-an automatic differentiation graph, which keeps the gradient path
-auditable and lets :func:`grad_check` verify any composition against
-central finite differences.
-
-Training runs in float32; gradient checking promotes everything to
-float64 so the finite-difference comparison is not drowned in rounding
-noise.
+The array kernels are the one implementation of the decoder's numeric
+pieces: the GRU gate ``sigmoid``, the attention and head ``softmax`` with
+its backward, the two-piece ``maxout_affine`` readout with its backward,
+and the inverted-dropout mask.  They are plain functions that keep the
+input dtype, so the same code runs in float32 for training and in float64
+when :func:`grad_check` compares the model's hand-written backward pass
+against central finite differences.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FileError, ParseError, ShapeMismatch
+from .errors import FileError, ParseError
 
 Array = np.ndarray
 
@@ -36,138 +34,52 @@ RECURRENT_INIT_SCALE = 0.08
 
 
 # ---------------------------------------------------------------------------
-# Elementary ops.  Each returns (output, backward) where backward maps the
-# upstream gradient to per-input gradients in input order.
+# Array kernels.  Plain functions over 1-D arrays that keep the input dtype;
+# the model calls them and writes its backward pass around them.
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Array, b: Array) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
-    """Matrix product with gradients for both operands.
-
-    Supports the three layouts the models use: matrix @ matrix,
-    matrix @ vector and vector @ matrix.
-    """
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatch("matmul", a.shape, b.shape)
-        out = a @ b
-
-        def backward(dy: Array) -> tuple[Array, Array]:
-            return dy @ b.T, a.T @ dy
-
-        return out, backward
-
-    if a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatch("matmul", a.shape, b.shape)
-        out = a @ b
-
-        def backward(dy: Array) -> tuple[Array, Array]:
-            return np.outer(dy, b), a.T @ dy
-
-        return out, backward
-
-    if a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeMismatch("matmul", a.shape, b.shape)
-        out = a @ b
-
-        def backward(dy: Array) -> tuple[Array, Array]:
-            return b @ dy, np.outer(a, dy)
-
-        return out, backward
-
-    raise ShapeMismatch("matmul", a.shape, b.shape)
-
-
-def add(a: Array, b: Array) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
-    """Elementwise sum of two same-shape arrays."""
-    if a.shape != b.shape:
-        raise ShapeMismatch("add", a.shape, b.shape)
-    out = a + b
-
-    def backward(dy: Array) -> tuple[Array, Array]:
-        return dy, dy
-
-    return out, backward
-
-
-def concat(parts: Sequence[Array]) -> tuple[Array, Callable[[Array], list[Array]]]:
-    """Concatenate 1-D arrays; the backward pass splits the gradient."""
-    if not parts:
-        raise ShapeMismatch("concat")
-    for p in parts:
-        if p.ndim != 1:
-            raise ShapeMismatch("concat", *[q.shape for q in parts])
-    sizes = [p.shape[0] for p in parts]
-    out = np.concatenate(parts)
-
-    def backward(dy: Array) -> list[Array]:
-        grads = []
-        offset = 0
-        for size in sizes:
-            grads.append(dy[offset : offset + size])
-            offset += size
-        return grads
-
-    return out, backward
-
-
-def tanh(x: Array) -> tuple[Array, Callable[[Array], Array]]:
-    """Hyperbolic tangent."""
-    out = np.tanh(x)
-
-    def backward(dy: Array) -> Array:
-        return dy * (1.0 - out * out)
-
-    return out, backward
-
-
-def sigmoid(x: Array) -> tuple[Array, Callable[[Array], Array]]:
+def sigmoid(x: Array) -> Array:
     """Logistic function, computed in an overflow-safe form."""
-    out = np.empty_like(x, dtype=x.dtype)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def backward(dy: Array) -> Array:
-        return dy * out * (1.0 - out)
-
-    return out, backward
+    return out
 
 
-def softmax(x: Array) -> tuple[Array, Callable[[Array], Array]]:
+def softmax(x: Array) -> Array:
     """Softmax over a 1-D array with max subtraction for stability."""
-    if x.ndim != 1:
-        raise ShapeMismatch("softmax", x.shape)
     shifted = x - np.max(x)
     ex = np.exp(shifted)
-    out = ex / np.sum(ex)
-
-    def backward(dy: Array) -> Array:
-        return out * (dy - np.dot(dy, out))
-
-    return out, backward
+    return ex / np.sum(ex)
 
 
-def maxout(z: Array) -> tuple[Array, Callable[[Array], Array]]:
-    """Per-unit max over pieces; ``z`` has shape (pieces, units).
+def softmax_backward(out: Array, d_out: Array) -> Array:
+    """Gradient at the logits, given the softmax output and its gradient."""
+    return out * (d_out - np.dot(d_out, out))
 
-    Ties route the entire gradient to the first maximal piece, matching
-    the forward choice made by ``argmax``.
+
+def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
+    """Two-piece maxout over an affine map; returns (hidden, argmax rows).
+
+    The affine output ``W @ u + b`` is split into two halves, the pieces,
+    and each hidden unit takes the larger piece.  Ties pick the first.
     """
-    if z.ndim != 2:
-        raise ShapeMismatch("maxout", z.shape)
-    winners = np.argmax(z, axis=0)
-    out = z[winners, np.arange(z.shape[1])]
+    a = W @ u + b
+    pieces = a.reshape(2, -1)
+    winners = np.argmax(pieces, axis=0)
+    hidden = pieces[winners, np.arange(pieces.shape[1])]
+    return hidden, winners
 
-    def backward(dy: Array) -> Array:
-        dz = np.zeros_like(z)
-        dz[winners, np.arange(z.shape[1])] = dy
-        return dz
 
-    return out, backward
+def maxout_affine_backward(winners: Array, d_hidden: Array) -> Array:
+    """Gradient at the affine output: each unit's gradient goes to its winner."""
+    k = d_hidden.shape[0]
+    da = np.zeros((2, k), dtype=d_hidden.dtype)
+    da[winners, np.arange(k)] = d_hidden
+    return da.reshape(-1)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
@@ -182,52 +94,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
         return np.ones(shape, dtype=dtype)
     keep = (rng.random(shape) >= rate).astype(dtype)
     return keep / dtype(1.0 - rate)
-
-
-def dropout(x: Array, mask: Array) -> tuple[Array, Callable[[Array], Array]]:
-    """Apply a precomputed dropout mask; gradient passes through the mask."""
-    if x.shape != mask.shape:
-        raise ShapeMismatch("dropout", x.shape, mask.shape)
-    out = x * mask
-
-    def backward(dy: Array) -> Array:
-        return dy * mask
-
-    return out, backward
-
-
-def mean_rows(x: Array) -> tuple[Array, Callable[[Array], Array]]:
-    """Mean over axis 0 of a 2-D array (used for span pooling)."""
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeMismatch("mean_rows", x.shape)
-    n = x.shape[0]
-    out = np.mean(x, axis=0)
-
-    def backward(dy: Array) -> Array:
-        return np.tile(dy / n, (n, 1))
-
-    return out, backward
-
-
-def embedding_lookup(table: Array, index: int) -> tuple[Array, Callable[[Array], Array]]:
-    """Fetch one row of an embedding table.
-
-    The backward closure returns a full-size gradient with the looked-up
-    row populated; hot loops in the models accumulate rows sparsely
-    instead, but this dense form is what :func:`grad_check` exercises.
-    """
-    if table.ndim != 2:
-        raise ShapeMismatch("embedding_lookup", table.shape)
-    if not 0 <= index < table.shape[0]:
-        raise ShapeMismatch("embedding_lookup", table.shape, (index,))
-    out = table[index].copy()
-
-    def backward(dy: Array) -> Array:
-        grad = np.zeros_like(table)
-        grad[index] = dy
-        return grad
-
-    return out, backward
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +345,7 @@ def load_checkpoint(path: str) -> dict[str, Array]:
     except OSError as exc:
         raise FileError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, path)
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"bad checkpoint magic in {path}: {magic!r}")
@@ -486,12 +353,18 @@ def load_checkpoint(path: str) -> dict[str, Array]:
         params: dict[str, Array] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            name = _read_exact(fh, name_len, path).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"tensor name is not UTF-8 in {path}: {exc}") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path))[0]
                           for _ in range(rank))
-            size = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, size * 4, path)
+            nbytes = math.prod(shape) * 4
+            if nbytes > file_size - fh.tell():
+                raise ParseError(f"tensor {name!r} of shape {shape} needs {nbytes} "
+                                 f"bytes, more than are left in {path}")
+            raw = _read_exact(fh, nbytes, path)
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(TRAIN_DTYPE)
             if name in params:
                 raise ParseError(f"duplicate tensor name in checkpoint: {name!r}")
@@ -506,8 +379,11 @@ def load_sidecar(path: str) -> dict[str, object]:
     """Read the JSON metadata written next to a checkpoint."""
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            meta = json.load(fh)
     except OSError as exc:
         raise FileError(f"cannot read checkpoint sidecar for {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad checkpoint sidecar for {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"checkpoint sidecar for {path} is not a JSON object")
+    return meta

@@ -87,6 +87,17 @@ class TestUsage:
                    "--out", "x", "--split", ratios) == 1
         assert "--split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["1.0", "1.5", "-0.1", "nan"])
+    def test_bad_dropout_is_usage_error(self, workdir, tmp_path, rate, capsys):
+        assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                   "--feat-dim", "3", "--quiet", "--dropout", rate) == 1
+        assert "--dropout" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_vocab_flags_must_come_together(self, workdir, capsys):
         assert run("encode", "--input", str(workdir / "corpus.jsonl"),
                    "--out", str(workdir / "half.jsonl"),
@@ -109,6 +120,25 @@ class TestExitCodes:
     def test_cutoff_violation_is_data_error(self, workdir, tmp_path):
         assert run("encode", "--input", str(workdir / "corpus.jsonl"),
                    "--out", str(tmp_path / "x.jsonl"), "--cutoff", "3") == 2
+
+    @pytest.mark.parametrize("content", [None, b"<pad>\n\xff\xfe\n"])
+    def test_unreadable_vocab_is_data_error(self, workdir, tmp_path, content,
+                                            capsys):
+        vocab = tmp_path / "bad.vocab"
+        if content is not None:
+            vocab.write_bytes(content)
+        assert run("decode", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(vocab),
+                   "--quest-vocab", str(workdir / "q.vocab")) == 2
+        err = capsys.readouterr().err
+        assert "bad.vocab" in err and "Traceback" not in err
+
+    def test_unwritable_vocab_is_data_error(self, workdir, tmp_path, capsys):
+        assert run("build-vocab", "--input", str(workdir / "corpus.jsonl"),
+                   "--encoder-out", str(tmp_path / "no-dir" / "e.vocab"),
+                   "--quest-out", str(tmp_path / "q.vocab")) == 2
+        err = capsys.readouterr().err
+        assert "e.vocab" in err and "Traceback" not in err
 
     def test_out_of_vocab_action_is_runtime_error(self, workdir, tmp_path,
                                                   capsys):
@@ -277,6 +307,17 @@ class TestConfigFile:
         cfg.write_text("[bench]\nsteps = lots\n")
         assert run("bench", "--config", str(cfg)) == 2
         assert "lots" in capsys.readouterr().err
+
+    def test_bad_config_dropout_is_data_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[train]\ndropout = 1.5\n")
+        assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                   "--feat-dim", "3", "--quiet", "--config", str(cfg)) == 2
+        assert "dropout" in capsys.readouterr().err
 
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert run("selftest", "--config", str(tmp_path / "nope.ini")) == 2

@@ -1,5 +1,6 @@
 """Tests for the encoder-decoder: gradients, probability mass, decoding."""
 
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from morphoqg.model import (
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import grad_check
+from morphoqg.tensor import dropout_mask, grad_check
 from morphoqg.train import TrainConfig, evaluate_mean_loss, train
 
 RESERVED = ["<pad>", "<unk>", "<sos>", "<eos>"]
@@ -246,7 +247,8 @@ class TestFullLossGradients:
         model = base.to_check_precision()
         prep = model.prepare(flagship_example())
         mask_rng = np.random.default_rng(3)
-        masks = model.make_dropout_masks(len(prep.roots), mask_rng)
+        masks = dropout_mask((len(prep.roots), model._input_dim()),
+                             model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
         grads = model.zero_grads()
         model.loss_and_grads([prep], grads=grads, masks_list=[masks])
 
@@ -414,3 +416,37 @@ class TestPersistence:
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ParseError):
             HyperParams.from_dict({"word_dim": 8, "bogus": 1})
+
+    @pytest.mark.parametrize("key,value", [
+        ("hyperparams", None),
+        ("hyperparams", [8, 8]),
+        ("hyperparams", {"hidden_size": "8"}),
+        ("hyperparams", {"hidden_size": 8.0}),
+        ("hyperparams", {"dropout_rate": "0.2"}),
+        ("hyperparams", {"dot_heads": 1}),
+        ("hyperparams", {"word_dim": True}),
+        ("pos_tags", None),
+        ("pos_tags", "NN"),
+        ("ner_tags", None),
+        ("ner_tags", ["O", 3]),
+        ("init_seed", "13"),
+    ])
+    def test_bad_sidecar_field_rejected(self, tmp_path, key, value):
+        path = str(tmp_path / "model.ckpt")
+        tiny_model(seed=13).save(path)
+        with open(path + ".json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if value is None:
+            del meta[key]
+        elif isinstance(value, dict):
+            meta[key].update(value)
+        else:
+            meta[key] = value
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        # The message names the field ("hyperparameter ..." for hyperparams).
+        with pytest.raises(ParseError, match=key.removesuffix("s")):
+            EncoderDecoder.load(path, tiny_vocab())
+
+    def test_float_hyperparameter_accepts_integer(self):
+        assert HyperParams.from_dict({"dropout_rate": 0}).dropout_rate == 0
