@@ -157,6 +157,22 @@ def _dropout_rate(text: str) -> float:
     return value
 
 
+def _learning_rate(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _clip_norm(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0 (0 turns clipping off), got {text!r}")
+    return value
+
+
 def _bool_from_str(raw: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -664,12 +680,12 @@ def _build_parser():
                           "(default %(default)s)")
     sub.add_argument("--dropout", type=_dropout_rate, default=0.20,
                      help="encoder input dropout rate (default %(default)s)")
-    sub.add_argument("--learning-rate", type=float, default=0.002,
+    sub.add_argument("--learning-rate", type=_learning_rate, default=0.002,
                      help="Adam learning rate (default %(default)s)")
     sub.add_argument("--batch-size", type=_positive_int, default=32,
                      help="examples per update (default %(default)s)")
-    sub.add_argument("--clip-norm", type=float, default=5.0,
-                     help="global gradient clip (default %(default)s)")
+    sub.add_argument("--clip-norm", type=_clip_norm, default=5.0,
+                     help="global gradient clip, 0 for none (default %(default)s)")
     sub.add_argument("--eval-every", type=_positive_int, default=100,
                      help="steps between dev evaluations (default %(default)s)")
     sub.add_argument("--cutoff", type=_positive_int, default=DEFAULT_CUTOFF,

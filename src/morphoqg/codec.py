@@ -368,26 +368,42 @@ def corpus_example_to_obj(ex: CorpusExample) -> dict:
     }
 
 
+def _dump_jsonl(objs: Iterable[dict], path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for obj in objs:
+                fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc}") from None
+
+
+def _load_jsonl(path: str, from_obj) -> list:
+    """One object per non-blank line, each converted by ``from_obj(obj, line=)``."""
+    out = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"bad JSON: {exc}", line=lineno) from None
+                out.append(from_obj(obj, line=lineno))
+    except OSError as exc:
+        raise FileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    return out
+
+
 def dump_corpus_jsonl(examples: Iterable["CorpusExample"], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(corpus_example_to_obj(ex), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    _dump_jsonl((corpus_example_to_obj(ex) for ex in examples), path)
 
 
 def load_corpus_jsonl(path: str) -> List[CorpusExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=lineno) from None
-            out.append(corpus_example_from_obj(obj, line=lineno))
-    return out
+    return _load_jsonl(path, corpus_example_from_obj)
 
 
 def encode_example(
@@ -455,22 +471,8 @@ def encoded_from_obj(obj: dict, line: Optional[int] = None) -> EncodedExample:
 
 
 def dump_encoded_jsonl(examples: Iterable[EncodedExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(encoded_to_obj(ex), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    _dump_jsonl((encoded_to_obj(ex) for ex in examples), path)
 
 
 def load_encoded_jsonl(path: str) -> List[EncodedExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=lineno) from None
-            out.append(encoded_from_obj(obj, line=lineno))
-    return out
+    return _load_jsonl(path, encoded_from_obj)

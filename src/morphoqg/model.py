@@ -14,7 +14,10 @@ list, the list route).
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
-graph.  ``grad_check`` validates the complete loss gradient against
+graph.  Training runs the decoder step on single state rows; beam search
+runs the same step on a (k, d_h) batch of all live hypotheses and mixes
+the three routes into one probability row per hypothesis
+(:meth:`EncoderDecoder.outcome_mass`).  ``grad_check`` validates the complete loss gradient against
 central finite differences, in the test suite and in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
@@ -132,6 +135,34 @@ class PreparedExample:
     input_specs: tuple[tuple[str, int], ...]  # ("word", enc_id) | ("trans", idx)
     targets: tuple[StepTarget, ...]
     reference: str = ""
+
+
+@dataclass(frozen=True)
+class OutcomeColumns:
+    """Column layout of the outcome mass for one source sentence.
+
+    The columns are ``[unique source roots in first-occurrence order | list
+    words that are not source roots, by id | the tags in ALL_TYPES
+    order]``.  A list word that is also a source root shares the root's
+    column, so the copy and list routes merge there.
+    """
+
+    words: tuple[str, ...]           # the word of each word column
+    positions: tuple[Array, ...]     # source positions of each root column
+    quest_ids: tuple[int, ...]       # list id of each list-only column
+    route_col: Array                 # column of each source position, then each list id
+
+    def action(self, col: int, p_copy: Array):
+        """The action column ``col`` stands for, given one row of copy
+        probabilities: a root copies its most-attended position (the first
+        on ties), a list-only word is that list word, the rest are tags."""
+        n_roots = len(self.positions)
+        if col < n_roots:
+            pos = self.positions[col]
+            return Copy(int(pos[np.argmax(p_copy[pos])]))
+        if col < len(self.words):
+            return Quest(self.quest_ids[col - n_roots])
+        return Trans(ALL_TYPES[col - len(self.words)])
 
 
 class EncoderDecoder:
@@ -292,13 +323,14 @@ class EncoderDecoder:
         return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
 
     def _gru_forward(self, prefix: str, x: Array, h: Array):
+        """One GRU update for a row ``x``, ``h`` or a (k, ·) batch of rows."""
         p = self.store
-        az = p[f"{prefix}/W_z"] @ x + p[f"{prefix}/U_z"] @ h + p[f"{prefix}/b_z"]
-        ar = p[f"{prefix}/W_r"] @ x + p[f"{prefix}/U_r"] @ h + p[f"{prefix}/b_r"]
+        az = x @ p[f"{prefix}/W_z"].T + h @ p[f"{prefix}/U_z"].T + p[f"{prefix}/b_z"]
+        ar = x @ p[f"{prefix}/W_r"].T + h @ p[f"{prefix}/U_r"].T + p[f"{prefix}/b_r"]
         z = sigmoid(az)
         r = sigmoid(ar)
         rh = r * h
-        an = p[f"{prefix}/W_n"] @ x + p[f"{prefix}/U_n"] @ rh + p[f"{prefix}/b_n"]
+        an = x @ p[f"{prefix}/W_n"].T + rh @ p[f"{prefix}/U_n"].T + p[f"{prefix}/b_n"]
         n = np.tanh(an)
         h_new = z * h + (1.0 - z) * n
         cache = (x, h, z, r, rh, n)
@@ -436,22 +468,29 @@ class EncoderDecoder:
     # Decoder step.
     # ------------------------------------------------------------------
 
-    def input_embedding(self, spec: tuple[str, int]) -> Array:
+    def input_embedding(self, spec) -> Array:
+        """Decoder input row for one spec, or stacked rows for a list of specs."""
+        if isinstance(spec, list):
+            return np.stack([self.input_embedding(one) for one in spec])
         kind, idx = spec
         table = self.store["emb/word"] if kind == "word" else self.store["emb/trans"]
         return table[idx]
 
-    def step(self, enc: dict, s_prev: Array, c_prev: Array,
-             input_spec: tuple[str, int]) -> dict:
-        """One decoder step: state update, attention, and all output heads."""
+    def step(self, enc: dict, s_prev: Array, c_prev: Array, input_spec) -> dict:
+        """One decoder step: state update, attention, and all output heads.
+
+        ``s_prev`` and ``c_prev`` are one state row with one
+        ``("word" | "trans", id)`` spec, or (k, d_h) batches with a list of
+        k specs; every entry of the returned state then has a leading k axis.
+        """
         p = self.store
         w = self.input_embedding(input_spec)
-        d_in = np.concatenate([w, c_prev])
+        d_in = np.concatenate([w, c_prev], axis=-1)
         s, gru_cache = self._gru_forward("dec", d_in, s_prev)
         H = enc["H"]
-        Q = np.tanh(enc["HA"] + (p["att/B"] @ s + p["att/b"]))
+        Q = np.tanh(enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :])
         alpha = softmax(Q @ p["att/v"])
-        c = H.T @ alpha
+        c = alpha @ H
         state = {
             "input_spec": input_spec,
             "w": w,
@@ -463,22 +502,23 @@ class EncoderDecoder:
         }
         if self.hyper.dot_heads:
             state.update({
-                "p_copy": softmax(H @ s),
-                "p_trans": softmax(p["dot/type_emb"] @ s),
-                "p_quest": softmax(p["dot/quest_emb"] @ s),
-                "switch": softmax(p["dot/switch_W"] @ s + p["dot/switch_b"]),
+                "p_copy": softmax(s @ H.T),
+                "p_trans": softmax(s @ p["dot/type_emb"].T),
+                "p_quest": softmax(s @ p["dot/quest_emb"].T),
+                "switch": softmax(s @ p["dot/switch_W"].T + p["dot/switch_b"]),
             })
         else:
-            u1 = np.concatenate([s, c])
+            u1 = np.concatenate([s, c], axis=-1)
             m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], u1)
-            u2 = np.concatenate([enc["v_answer"], s, c])
+            v_answer = np.broadcast_to(enc["v_answer"], s.shape)
+            u2 = np.concatenate([v_answer, s, c], axis=-1)
             m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], u2)
-            u3 = np.concatenate([c, s, w])
+            u3 = np.concatenate([c, s, w], axis=-1)
             state.update({
                 "p_copy": alpha,
-                "p_trans": softmax(p["g1/Wo"] @ m1 + p["g1/bo"]),
-                "p_quest": softmax(p["g2/Wo"] @ m2 + p["g2/bo"]),
-                "switch": softmax(p["switch/W"] @ u3 + p["switch/b"]),
+                "p_trans": softmax(m1 @ p["g1/Wo"].T + p["g1/bo"]),
+                "p_quest": softmax(m2 @ p["g2/Wo"].T + p["g2/bo"]),
+                "switch": softmax(u3 @ p["switch/W"].T + p["switch/b"]),
                 "u1": u1, "m1": m1, "max1": max1,
                 "u2": u2, "m2": m2, "max2": max2,
                 "u3": u3,
@@ -709,45 +749,71 @@ class EncoderDecoder:
         return loss
 
     # ------------------------------------------------------------------
-    # Outcome view used by decoding and the probability-mass checks.
+    # Outcome mass: the one mixing of the three routes, used by decoding
+    # and the probability-mass checks.
     # ------------------------------------------------------------------
 
-    def outcome_distribution(self, state: dict, roots: Sequence[str]):
-        """Aggregate step outputs into surface-level outcome probabilities.
+    def outcome_columns(self, roots: Sequence[str]) -> OutcomeColumns:
+        """Column layout of the outcome mass for one source; see
+        :class:`OutcomeColumns`."""
+        col_of: dict[str, int] = {}
+        positions: list[list[int]] = []
+        for i, root in enumerate(roots):
+            if root not in col_of:
+                col_of[root] = len(positions)
+                positions.append([])
+            positions[col_of[root]].append(i)
+        quest_ids = []
+        for qid, word in enumerate(self.vocab.quest_vocab):
+            if word not in col_of:
+                col_of[word] = len(col_of)
+                quest_ids.append(qid)
+        route_col = [col_of[root] for root in roots]
+        route_col += [col_of[word] for word in self.vocab.quest_vocab]
+        return OutcomeColumns(
+            words=tuple(col_of),
+            positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
+            quest_ids=tuple(quest_ids),
+            route_col=np.array(route_col, dtype=np.intp),
+        )
 
-        Returns ``(word_probs, word_actions, tag_probs)`` where word
-        probabilities marginalise the copy and list routes, each word maps
-        to a concrete action (the most-attended copy position when the
-        copy route is open, else the list word), and tags keep their own
-        outcome space.  The three dictionaries' values sum to 1 up to
-        rounding, because every unit of switch mass lands in exactly one
-        bucket.
+    def outcome_mass(self, state: dict, columns: OutcomeColumns) -> Array:
+        """Float64 probability of every surface outcome, shape (k, columns)
+        for a batched state or (columns,) for one row.
+
+        A word's mass adds, in float64 and in this order, the copy mass of
+        each source position holding it and then its list-word mass; every
+        route's mass is the switch weight times the head probability, a
+        product taken in the model dtype.  Each unit of switch mass lands
+        in exactly one column, so a row sums to 1 up to rounding.
         """
         switch = state["switch"]
-        p_copy = state["p_copy"]
-        p_quest = state["p_quest"]
-        p_trans = state["p_trans"]
-        word_probs: dict[str, float] = {}
-        word_actions: dict[str, object] = {}
-        best_pos: dict[str, int] = {}
-        for i, root in enumerate(roots):
-            mass = float(switch[SW_COPY] * p_copy[i])
-            word_probs[root] = word_probs.get(root, 0.0) + mass
-            if root not in best_pos or p_copy[i] > p_copy[best_pos[root]]:
-                best_pos[root] = i
-        for root, pos in best_pos.items():
-            word_actions[root] = Copy(pos)
-        for qid in range(self.vocab.quest_size):
-            word = self.vocab.quest_word(qid)
-            mass = float(switch[SW_QUEST] * p_quest[qid])
-            if word in word_probs:
-                word_probs[word] += mass
-            else:
-                word_probs[word] = mass
-                word_actions[word] = Quest(qid)
-        tag_probs = {
-            t: float(switch[SW_TRANS] * p_trans[t.index]) for t in ALL_TYPES
-        }
+        routes = np.concatenate([switch[..., SW_COPY, None] * state["p_copy"],
+                                 switch[..., SW_QUEST, None] * state["p_quest"]],
+                                axis=-1).astype(np.float64)
+        n_words = len(columns.words)
+        # Column-major, so the scatter-add indexes the first axis.
+        mass = np.zeros((n_words + len(ALL_TYPES),) + switch.shape[:-1])
+        np.add.at(mass, columns.route_col, routes.T)
+        mass[n_words:] = (switch[..., SW_TRANS, None] * state["p_trans"]).T
+        return mass.T
+
+    def outcome_distribution(self, state: dict, roots: Sequence[str]):
+        """Dict view of one row of :meth:`outcome_mass`.
+
+        Returns ``(word_probs, word_actions, tag_probs)``: word
+        probabilities marginalise the copy and list routes, each word maps
+        to the action decoding would emit for it (see
+        :meth:`OutcomeColumns.action`), and tags keep their own outcome
+        space.  The three dictionaries' values sum to 1 up to rounding.
+        """
+        columns = self.outcome_columns(roots)
+        row = self.outcome_mass(state, columns).tolist()
+        n_words = len(columns.words)
+        word_probs = dict(zip(columns.words, row[:n_words]))
+        word_actions = {word: columns.action(col, state["p_copy"])
+                        for col, word in enumerate(columns.words)}
+        tag_probs = dict(zip(ALL_TYPES, row[n_words:]))
         return word_probs, word_actions, tag_probs
 
     # ------------------------------------------------------------------

@@ -34,8 +34,10 @@ RECURRENT_INIT_SCALE = 0.08
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  Plain functions over 1-D arrays that keep the input dtype;
-# the model calls them and writes its backward pass around them.
+# Array kernels.  Plain functions that keep the input dtype.  The forward
+# kernels act on the last axis, so a (k, m) batch gives the same rows as k
+# 1-D calls; training runs them on 1-D rows and writes its backward pass
+# (1-D) around them, and beam search runs them on all live hypotheses.
 # ---------------------------------------------------------------------------
 
 
@@ -50,10 +52,10 @@ def sigmoid(x: Array) -> Array:
 
 
 def softmax(x: Array) -> Array:
-    """Softmax over a 1-D array with max subtraction for stability."""
-    shifted = x - np.max(x)
+    """Softmax over the last axis with max subtraction for stability."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / np.sum(ex)
+    return ex / np.sum(ex, axis=-1, keepdims=True)
 
 
 def softmax_backward(out: Array, d_out: Array) -> Array:
@@ -64,13 +66,14 @@ def softmax_backward(out: Array, d_out: Array) -> Array:
 def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
     """Two-piece maxout over an affine map; returns (hidden, argmax rows).
 
-    The affine output ``W @ u + b`` is split into two halves, the pieces,
-    and each hidden unit takes the larger piece.  Ties pick the first.
+    The affine output ``u @ W.T + b`` is split along its last axis into two
+    halves, the pieces, and each hidden unit takes the larger piece.  Ties
+    pick the first.  ``u`` is one row or a (k, m) batch of rows.
     """
-    a = W @ u + b
-    pieces = a.reshape(2, -1)
-    winners = np.argmax(pieces, axis=0)
-    hidden = pieces[winners, np.arange(pieces.shape[1])]
+    a = u @ W.T + b
+    pieces = a.reshape(a.shape[:-1] + (2, -1))
+    winners = np.argmax(pieces, axis=-2)
+    hidden = np.take_along_axis(pieces, winners[..., None, :], axis=-2)[..., 0, :]
     return hidden, winners
 
 

@@ -98,6 +98,30 @@ class TestUsage:
         assert "--dropout" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "0"), ("--learning-rate", "-1"),
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--clip-norm", "-1"), ("--clip-norm", "nan"), ("--clip-norm", "inf"),
+    ])
+    def test_bad_optimiser_value_is_usage_error(self, workdir, tmp_path, flag, value,
+                                                capsys):
+        assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                   "--feat-dim", "3", "--quiet", f"{flag}={value}") == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_zero_clip_norm_means_no_clipping(self, workdir, tmp_path):
+        assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                   "--feat-dim", "3", "--quiet", "--clip-norm", "0") == 0
+
     def test_vocab_flags_must_come_together(self, workdir, capsys):
         assert run("encode", "--input", str(workdir / "corpus.jsonl"),
                    "--out", str(workdir / "half.jsonl"),
@@ -139,6 +163,38 @@ class TestExitCodes:
                    "--quest-out", str(tmp_path / "q.vocab")) == 2
         err = capsys.readouterr().err
         assert "e.vocab" in err and "Traceback" not in err
+
+    def test_missing_input_is_data_error(self, workdir, tmp_path, capsys):
+        assert run("decode", "--input", str(tmp_path / "missing.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab")) == 2
+        err = capsys.readouterr().err
+        assert "missing.jsonl" in err and "Traceback" not in err
+
+    def test_unwritable_out_is_data_error(self, workdir, tmp_path, capsys):
+        assert run("encode", "--input", str(workdir / "corpus.jsonl"),
+                   "--out", str(tmp_path / "no-dir" / "x.jsonl")) == 2
+        err = capsys.readouterr().err
+        assert "x.jsonl" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["decode", "generate"])
+    def test_non_utf8_input_is_data_error(self, workdir, tmp_path, command,
+                                          capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"tokens": ["\xff"]}\n')
+        args = ["--input", str(bad), "--encoder-vocab", str(workdir / "enc.vocab"),
+                "--quest-vocab", str(workdir / "q.vocab")]
+        if command == "generate":
+            args += ["--model", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "q.txt")]
+            assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                       "--encoder-vocab", str(workdir / "enc.vocab"),
+                       "--quest-vocab", str(workdir / "q.vocab"),
+                       "--model-out", str(tmp_path / "m.ckpt"), "--steps", "1",
+                       "--hidden", "8", "--word-dim", "8", "--feat-dim", "3",
+                       "--quiet") == 0
+        assert run(command, *args) == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl" in err and "Traceback" not in err
 
     def test_out_of_vocab_action_is_runtime_error(self, workdir, tmp_path,
                                                   capsys):
@@ -318,6 +374,20 @@ class TestConfigFile:
                    "--steps", "1", "--hidden", "8", "--word-dim", "8",
                    "--feat-dim", "3", "--quiet", "--config", str(cfg)) == 2
         assert "dropout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["learning-rate = nan", "clip-norm = -1"])
+    def test_bad_config_optimiser_value_is_data_error(self, workdir, tmp_path, line,
+                                                      capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[train]\n{line}\n")
+        assert run("train", "--input", str(workdir / "encoded.jsonl"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                   "--feat-dim", "3", "--quiet", "--config", str(cfg)) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert run("selftest", "--config", str(tmp_path / "nope.ini")) == 2

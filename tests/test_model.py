@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from morphoqg.codec import (
     Vocab,
 )
 from morphoqg.errors import DivergenceError, ParseError, ShapeMismatch
-from morphoqg.generate import beam_search, generate_question, greedy
+from morphoqg.generate import BeamResult, beam_search, generate_question, greedy
 from morphoqg.model import (
     SW_COPY,
     SW_QUEST,
@@ -379,6 +380,170 @@ class TestDecoding:
         text = generate_question(model, example, model.vocab, morph,
                                  beam_size=4)
         assert text == "what did he visit ?"
+
+
+# ---------------------------------------------------------------------------
+# Reference decoder: the dict-based outcome mixing and per-hypothesis beam
+# search that the array form replaced, kept unchanged as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def reference_outcome_distribution(model, state, roots):
+    switch = state["switch"]
+    p_copy = state["p_copy"]
+    p_quest = state["p_quest"]
+    p_trans = state["p_trans"]
+    word_probs = {}
+    word_actions = {}
+    best_pos = {}
+    for i, root in enumerate(roots):
+        mass = float(switch[SW_COPY] * p_copy[i])
+        word_probs[root] = word_probs.get(root, 0.0) + mass
+        if root not in best_pos or p_copy[i] > p_copy[best_pos[root]]:
+            best_pos[root] = i
+    for root, pos in best_pos.items():
+        word_actions[root] = Copy(pos)
+    for qid in range(model.vocab.quest_size):
+        word = model.vocab.quest_word(qid)
+        mass = float(switch[SW_QUEST] * p_quest[qid])
+        if word in word_probs:
+            word_probs[word] += mass
+        else:
+            word_probs[word] = mass
+            word_actions[word] = Quest(qid)
+    tag_probs = {
+        t: float(switch[SW_TRANS] * p_trans[t.index]) for t in ALL_TYPES
+    }
+    return word_probs, word_actions, tag_probs
+
+
+@dataclass
+class _RefHyp:
+    actions: tuple
+    log_sum: float
+    s: np.ndarray
+    c: np.ndarray
+    last_was_word: bool
+
+
+def reference_beam_search(model, prep, beam_size=None, max_len=None):
+    k = beam_size if beam_size is not None else model.hyper.beam_size
+    limit = max_len if max_len is not None else model.hyper.max_decode_len
+    enc = model.encode(prep, masks=None)
+    c0 = np.zeros(model.hyper.hidden_size, dtype=model.dtype)
+    beams = [_RefHyp(actions=(), log_sum=0.0, s=enc["s0"], c=c0, last_was_word=False)]
+    finished = []
+
+    for _ in range(limit):
+        candidates = []
+        for hyp in beams:
+            if hyp.actions:
+                spec = model.input_spec_for_action(hyp.actions[-1], prep.roots)
+            else:
+                spec = ("word", SOS_ID)
+            state = model.step(enc, hyp.s, hyp.c, spec)
+            word_probs, word_actions, tag_probs = reference_outcome_distribution(
+                model, state, prep.roots)
+            s_next, c_next = state["s"], state["c"]
+            for word, prob in word_probs.items():
+                if word in ("<pad>", "<sos>") or prob <= 0.0:
+                    continue
+                logp = hyp.log_sum + math.log(prob)
+                if word == "<eos>":
+                    length = len(hyp.actions) + 1
+                    finished.append(BeamResult(
+                        actions=hyp.actions, score=logp / length, finished=True))
+                    continue
+                candidates.append((logp, _RefHyp(
+                    actions=hyp.actions + (word_actions[word],),
+                    log_sum=logp, s=s_next, c=c_next, last_was_word=True)))
+            if hyp.last_was_word:
+                for ttype, prob in tag_probs.items():
+                    if prob <= 0.0:
+                        continue
+                    logp = hyp.log_sum + math.log(prob)
+                    candidates.append((logp, _RefHyp(
+                        actions=hyp.actions + (Trans(ttype),),
+                        log_sum=logp, s=s_next, c=c_next, last_was_word=False)))
+        if not candidates:
+            break
+        candidates.sort(key=lambda item: item[0], reverse=True)
+        beams = [hyp for _, hyp in candidates[:k]]
+
+    for hyp in beams:
+        length = max(len(hyp.actions), 1)
+        finished.append(BeamResult(
+            actions=hyp.actions, score=hyp.log_sum / length, finished=False))
+    return max(finished, key=lambda r: (r.score, r.finished))
+
+
+def repeated_root_example() -> EncodedExample:
+    """"he" twice (a copy-position tie when attention is flat), and "he"
+    is also a list word, so the copy and list routes merge."""
+    return EncodedExample(
+        source_roots=["he", "visit", "he", "park"],
+        source_features=[("NNP", "PERSON", "O"), ("VBD", "O", "O"),
+                         ("NNP", "PERSON", "O"), ("NN", "O", "B")],
+        answer_span=(3, 3),
+        target_actions=[Quest(WHEN), Copy(0)],
+        reference_question=["when", "he"],
+    )
+
+
+def distinct_roots_example() -> EncodedExample:
+    """Three roots, none of them a list word."""
+    return EncodedExample(
+        source_roots=["visit", "park", "door"],
+        source_features=[("VBD", "O", "O"), ("NN", "O", "O"), ("NN", "O", "B")],
+        answer_span=(2, 2),
+        target_actions=[Copy(1)],
+        reference_question=["park"],
+    )
+
+
+class TestBeamMatchesReference:
+    """Property: the array-form beam search makes the reference's decisions."""
+
+    @staticmethod
+    def _assert_same(model, examples, beam):
+        for example in examples:
+            prep = model.prepare(example)
+            want = reference_beam_search(model, prep, beam_size=beam)
+            got = beam_search(model, prep, beam_size=beam)
+            assert got.actions == want.actions
+            assert got.finished == want.finished
+            assert got.score == pytest.approx(want.score, rel=1e-5)
+
+    @pytest.mark.parametrize("beam", [0, 1, 4, 12])
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_random_models(self, seed, dot_heads, beam):
+        model = tiny_model(dot_heads=dot_heads, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name, arr in model.store.items():
+            model.store[name] = rng.normal(scale=0.6, size=arr.shape).astype(arr.dtype)
+        examples = tiny_corpus()[:4] + [flagship_example(), repeated_root_example()]
+        self._assert_same(model, examples, beam)
+
+    @pytest.mark.parametrize("beam", [1, 4, 12])
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_all_zero_model_pins_tie_order(self, dot_heads, beam):
+        model = tiny_model(dot_heads=dot_heads)
+        for name, arr in model.store.items():
+            model.store[name] = np.zeros_like(arr)
+        examples = [flagship_example(), repeated_root_example(),
+                    distinct_roots_example()]
+        self._assert_same(model, examples, beam)
+        # Every step is the same flat distribution, and the unfinished
+        # length-capped run outscores every early end.  With the repeated
+        # root, "he" leads (two copy positions plus its list word) and the
+        # first of its tied positions is copied.  With distinct roots the
+        # three copies tie: the first column wins within a hypothesis and
+        # the best-ranked hypothesis wins across them.
+        for example in examples[1:]:
+            result = beam_search(model, model.prepare(example), beam_size=beam)
+            assert result.actions == (Copy(0),) * TINY.max_decode_len
+            assert not result.finished
 
 
 class TestPersistence:

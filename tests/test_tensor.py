@@ -55,6 +55,12 @@ class TestPointwise:
         assert [o.dtype for o in outputs] == [np.float32] * len(outputs)
 
 
+    def test_sigmoid_batch_rows_match_1d_calls(self):
+        x = RNG.standard_normal((4, 7)) * 30.0
+        rows = np.stack([sigmoid(row) for row in x])
+        np.testing.assert_array_equal(sigmoid(x), rows)
+
+
 class TestSoftmax:
     """Property: softmax is a stable distribution with the exact Jacobian."""
 
@@ -78,6 +84,16 @@ class TestSoftmax:
             return float(np.sum(weights * softmax(x)))
 
         assert_gradients_match(loss, {"x": x}, {"x": dx})
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_rows_match_1d_calls(self, dtype):
+        x = (RNG.standard_normal((5, 9)) * 10.0).astype(dtype)
+        rows = np.stack([softmax(row) for row in x])
+        np.testing.assert_array_equal(softmax(x), rows)
+        # A 1-D call keeps the plain whole-array formula.
+        ex = np.exp(x[0] - np.max(x[0]))
+        np.testing.assert_array_equal(softmax(x[0]), ex / np.sum(ex))
 
 
 class TestMaxout:
@@ -109,6 +125,23 @@ class TestMaxout:
 
         assert_gradients_match(loss, {"W": W, "b": b, "u": u},
                                {"W": np.outer(da, u), "b": da, "u": W.T @ da})
+
+
+    def test_batch_rows_match_1d_calls(self):
+        # Small integers make every product and sum exact, so BLAS's
+        # matrix-matrix and matrix-vector orders agree and the comparison
+        # checks the piece split, argmax and gather bit for bit.
+        W = RNG.integers(-4, 5, size=(10, 6)).astype(np.float32)
+        b = RNG.integers(-4, 5, size=10).astype(np.float32)
+        U = RNG.integers(-4, 5, size=(3, 6)).astype(np.float32)
+        hidden, winners = maxout_affine(W, b, U)
+        rows = [maxout_affine(W, b, u) for u in U]
+        np.testing.assert_array_equal(hidden, np.stack([h for h, _ in rows]))
+        np.testing.assert_array_equal(winners, np.stack([w for _, w in rows]))
+        # A 1-D call keeps the plain formula: W @ u + b split in two halves.
+        pieces = (W @ U[0] + b).reshape(2, -1)
+        np.testing.assert_array_equal(rows[0][0], pieces.max(axis=0))
+        np.testing.assert_array_equal(rows[0][1], pieces.argmax(axis=0))
 
 
 class TestDropout:
