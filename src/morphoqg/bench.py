@@ -1,21 +1,21 @@
 """Per-word decode-latency benchmark for output-layer designs.
 
-Compares the cost of producing one decoded word under identical beam
-bookkeeping for two output layers:
+Compares the cost of producing one decoded word for every hypothesis of
+a beam, with the same top-k bookkeeping, under two output layers:
 
-* the three-action layer used by the model — copy scores over the source
-  window, a question-word head over the small list vocabulary, the
-  nine-way rewrite-tag head, the three-way switch, and the mixing /
-  top-k bookkeeping across a 12-hypothesis beam.  A root word and the
-  tag attached to it count as a single decoded word, so the tag head's
-  cost is folded into each word step;
+* the three-action decoder the model ships: ``EncoderDecoder.step`` on
+  the (beam, hidden) batch (decoder GRU, attention over the copy window,
+  question-word and nine-way rewrite-tag heads, switch), then
+  ``outcome_mass``.  A root word and the tag attached to it count as one
+  decoded word, so the tag head's cost is folded into each word step;
 * a plain full-vocabulary softmax layer of configurable size.
 
-Only the output-distribution computation plus beam bookkeeping is timed;
-warmup steps are excluded, and the report carries mean and 95th
-percentile per-word latency.  The module also embeds fixed reference
-figures measured on a full-scale GPU system, for directional comparison
-only — absolute timings are hardware-bound and are not targets here.
+The ratio errs against the three-action side: its word also pays for the
+decoder GRU and attention, which the baseline, an output layer alone,
+skips.  Set-up and warmup steps are not timed; the report carries mean
+and 95th percentile per-word latency.  The module also embeds fixed
+reference figures measured on a full-scale GPU system, for directional
+comparison only — absolute timings are hardware-bound, not targets here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .tensor import maxout_affine, softmax
+from .codec import RESERVED_TOKENS, SOS_ID, EncodedExample, Vocab
+from .model import EncoderDecoder, HyperParams, build_tag_list
+from .morphology import ALL_TYPES
+from .tensor import softmax
 
 # Reference per-word figures from a full-scale GPU system (directional
 # context only; this benchmark makes no attempt to reproduce them).
@@ -39,65 +42,50 @@ DEFAULT_BEAM = 12
 DEFAULT_HIDDEN = 512
 DEFAULT_SOURCE_WINDOW = 128
 DEFAULT_QUEST_SIZE = 1004
-DEFAULT_TAG_COUNT = 9
 DEFAULT_BASELINE_VOCAB = 30000
+
+
+def _top_k(probs: np.ndarray, k: int) -> np.ndarray:
+    """One hypothesis's beam bookkeeping: its ``k`` best outcomes, best first."""
+    idx = np.argpartition(probs, -k)[-k:]
+    return np.sort(probs[idx])[::-1]
 
 
 def make_three_action_layer(
     hidden: int = DEFAULT_HIDDEN,
     source_window: int = DEFAULT_SOURCE_WINDOW,
     quest_size: int = DEFAULT_QUEST_SIZE,
-    tag_count: int = DEFAULT_TAG_COUNT,
     beam: int = DEFAULT_BEAM,
     seed: int = 0,
 ) -> Callable[[], np.ndarray]:
-    """One decoded word via the copy / list-word / rewrite-tag layer.
+    """One decoded word via the model's own copy / list-word / rewrite-tag step.
 
-    The returned closure runs the additive copy scoring over the source
-    window, both deep maxout heads, the switch, the three-way mixture,
-    and a top-``beam`` selection over the combined outcome space for
-    every hypothesis in the beam.
+    A seeded :class:`EncoderDecoder` (default shapes but ``hidden``) over
+    ``source_window`` distinct roots and a list of ``quest_size`` words,
+    reserved tokens included, encodes one source of those roots.  The
+    closure runs ``step`` and ``outcome_mass`` on a (``beam``,
+    ``hidden``) batch of seeded random states and keeps each row's top
+    ``beam`` outcomes.
     """
+    roots = [f"root{i}" for i in range(source_window)]
+    quest = [f"quest{i}" for i in range(quest_size - len(RESERVED_TOKENS))]
+    vocab = Vocab(list(RESERVED_TOKENS) + roots, list(RESERVED_TOKENS) + quest)
+    model = EncoderDecoder(HyperParams(hidden_size=hidden), vocab,
+                           build_tag_list([]), build_tag_list([]), init_seed=seed)
+    prep = model.prepare(EncodedExample(
+        source_roots=roots, source_features=[("", "", "O")] * source_window,
+        answer_span=(0, 0), target_actions=[], reference_question=[]))
+    enc = model.encode(prep)
+    columns = model.outcome_columns(prep.roots)
     rng = np.random.default_rng(seed)
-    dt = np.float32
-    H = rng.standard_normal((source_window, hidden)).astype(dt)
-    HA = rng.standard_normal((source_window, hidden)).astype(dt)
-    att_B = rng.standard_normal((hidden, hidden)).astype(dt) * dt(0.05)
-    att_b = np.zeros(hidden, dtype=dt)
-    att_v = rng.standard_normal(hidden).astype(dt) * dt(0.05)
-    g1_W = rng.standard_normal((2 * hidden, 2 * hidden)).astype(dt) * dt(0.05)
-    g1_b = np.zeros(2 * hidden, dtype=dt)
-    g1_Wo = rng.standard_normal((tag_count, hidden)).astype(dt) * dt(0.05)
-    g2_W = rng.standard_normal((2 * hidden, 3 * hidden)).astype(dt) * dt(0.05)
-    g2_b = np.zeros(2 * hidden, dtype=dt)
-    g2_Wo = rng.standard_normal((quest_size, hidden)).astype(dt) * dt(0.05)
-    sw_W = rng.standard_normal((3, 2 * hidden)).astype(dt) * dt(0.05)
-    v_answer = rng.standard_normal(hidden).astype(dt)
-    states = rng.standard_normal((beam, hidden)).astype(dt)
+    states = rng.standard_normal((beam, hidden)).astype(model.dtype)
+    contexts = np.zeros_like(states)
+    specs = [("word", SOS_ID)] * beam
 
     def step() -> np.ndarray:
-        top_scores = np.empty((beam, beam), dtype=dt)
-        for b in range(beam):
-            s = states[b]
-            # Copy scores over the source window (additive attention form).
-            q = np.tanh(HA + (att_B @ s + att_b))
-            alpha = softmax(q @ att_v)
-            c = H.T @ alpha
-            # Rewrite-tag head (two-piece maxout + readout).
-            m1, _ = maxout_affine(g1_W, g1_b, np.concatenate([s, c]))
-            p_trans = softmax(g1_Wo @ m1)
-            # Question-word head.
-            m2, _ = maxout_affine(g2_W, g2_b, np.concatenate([v_answer, s, c]))
-            p_quest = softmax(g2_Wo @ m2)
-            # Switch and mixture over the combined outcome space.
-            sw = softmax(sw_W @ np.concatenate([c, s]))
-            outcomes = np.concatenate([
-                sw[1] * alpha, sw[0] * p_quest, sw[2] * p_trans,
-            ])
-            # Beam bookkeeping: keep this hypothesis's top-k outcomes.
-            idx = np.argpartition(outcomes, -beam)[-beam:]
-            top_scores[b] = np.sort(outcomes[idx])[::-1]
-        return top_scores
+        state = model.step(enc, states, contexts, specs)
+        mass = model.outcome_mass(state, columns)
+        return np.stack([_top_k(row, beam) for row in mass])
 
     return step
 
@@ -116,12 +104,7 @@ def make_softmax_layer(
     states = rng.standard_normal((beam, hidden)).astype(dt)
 
     def step() -> np.ndarray:
-        top_scores = np.empty((beam, beam), dtype=dt)
-        for bm in range(beam):
-            probs = softmax(W @ states[bm] + b)
-            idx = np.argpartition(probs, -beam)[-beam:]
-            top_scores[bm] = np.sort(probs[idx])[::-1]
-        return top_scores
+        return np.stack([_top_k(softmax(W @ s + b), beam) for s in states])
 
     return step
 
@@ -183,7 +166,7 @@ def bench_decode(
         "beam": beam,
         "three_action": {
             "support": {"copy": source_window, "quest": quest_size,
-                        "tags": DEFAULT_TAG_COUNT},
+                        "tags": len(ALL_TYPES)},
             **report_wt,
         },
         "softmax_baseline": {

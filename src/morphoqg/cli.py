@@ -45,11 +45,9 @@ from .codec import (
     DEFAULT_CUTOFF,
     DEFAULT_ENCODER_CAP,
     DEFAULT_QUEST_CAP,
+    RESERVED_TOKENS,
     CorpusExample,
     EncodedExample,
-    Copy,
-    Quest,
-    Trans,
     Vocab,
     build_vocabs,
     dump_encoded_jsonl,
@@ -69,12 +67,13 @@ from .generate import generate_question
 from .metrics import score_report
 from .model import EncoderDecoder, HyperParams, build_tag_list
 from .morphology import (
+    ALL_TYPES,
     TYPE_TO_POS_TAG,
-    TransformationType,
     default_morphology,
     load_regular_lexicon,
 )
 from .tensor import grad_check
+from .toydata import make_corpus, tiny_model_and_example
 from .train import TrainConfig, train
 from .vocab_analysis import analyze_external_vocab
 
@@ -143,11 +142,17 @@ def _split_ratios(text: str) -> List[float]:
     return parts
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type that accepts integers >= ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
+
+
+_positive_int = _int_at_least(1)
 
 
 def _dropout_rate(text: str) -> float:
@@ -435,6 +440,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    outcomes = args.source_window + args.quest_size + len(ALL_TYPES)
+    if args.beam > outcomes:
+        raise _UsageError(
+            f"--beam {args.beam} exceeds the {outcomes} three-action outcomes "
+            f"(--source-window + --quest-size + {len(ALL_TYPES)} tags)")
+    if not args.wt and args.beam > args.vocab_size:
+        raise _UsageError(f"--beam {args.beam} exceeds --vocab-size {args.vocab_size}")
     if args.wt:
         layer = make_three_action_layer(
             hidden=args.hidden, source_window=args.source_window,
@@ -490,8 +502,6 @@ def _check_morphology_irregular(seed: int):
 
 
 def _check_codec_round_trip(seed: int):
-    from .toydata import make_corpus
-
     corpus = make_corpus(60, seed=seed)
     vocab = build_vocabs(corpus)
     morph = default_morphology()
@@ -504,28 +514,8 @@ def _check_codec_round_trip(seed: int):
     return bad == 0, f"{len(corpus) - bad}/{len(corpus)} encode/realize identities"
 
 
-def _tiny_model_and_example(seed: int, hidden: int = 8):
-    vocab = Vocab(
-        ["<pad>", "<unk>", "<sos>", "<eos>", "he", "visit", "park"],
-        ["<pad>", "<unk>", "<sos>", "<eos>", "when", "do", "he", "?"])
-    hyper = HyperParams(
-        word_dim=8, answer_feat_dim=3, ner_feat_dim=3, pos_feat_dim=3,
-        hidden_size=hidden, dropout_rate=0.0)
-    pos_tags = build_tag_list(["PRP", "VB", "NN"])
-    ner_tags = build_tag_list(["O", "LOC"])
-    model = EncoderDecoder(hyper, vocab, pos_tags, ner_tags, init_seed=seed)
-    example = EncodedExample(
-        source_roots=["he", "visit", "park"],
-        source_features=[("PRP", "O", "O"), ("VB", "O", "O"),
-                         ("NN", "LOC", "B")],
-        answer_span=(2, 2),
-        target_actions=[Quest(4), Copy(0), Quest(5), Trans(TransformationType.ED)],
-        reference_question=["when", "he", "did"])
-    return model, example
-
-
 def _check_gradients(seed: int):
-    model, example = _tiny_model_and_example(seed)
+    model, example = tiny_model_and_example(seed)
     check = model.to_check_precision()
     prep = check.prepare(example)
     grads = check.zero_grads()
@@ -543,7 +533,7 @@ def _check_gradients(seed: int):
 def _check_probability_mass(seed: int):
     worst = 0.0
     for offset in range(20):
-        model, example = _tiny_model_and_example(seed + offset)
+        model, example = tiny_model_and_example(seed + offset)
         check = model.to_check_precision()
         prep = check.prepare(example)
         enc = check.encode(prep, masks=None)
@@ -724,8 +714,9 @@ def _build_parser():
     sub.add_argument("--out", help="JSON report path (default stdout)")
 
     sub = add("bench", cmd_bench,
-              "Time the three-action output layer against a full-vocabulary "
-              "softmax under identical beam bookkeeping.")
+              "Time one decoded word of the model's three-action decoder "
+              "(decoder step, outcome mixing and top-k over a beam) against "
+              "a full-vocabulary softmax output layer with the same top-k.")
     sub.add_argument("--vocab-size", type=_positive_int, default=30000,
                      help="baseline softmax vocabulary (default %(default)s)")
     sub.add_argument("--hidden", type=_positive_int, default=512,
@@ -734,14 +725,15 @@ def _build_parser():
                      help="beam width (default %(default)s)")
     sub.add_argument("--source-window", type=_positive_int, default=128,
                      help="copy positions per step (default %(default)s)")
-    sub.add_argument("--quest-size", type=_positive_int, default=1004,
-                     help="question-word list size (default %(default)s)")
+    sub.add_argument("--quest-size", type=_int_at_least(len(RESERVED_TOKENS)), default=1004,
+                     help="question-word list size, reserved tokens included "
+                     "(default %(default)s)")
     sub.add_argument("--steps", type=_positive_int, default=30,
                      help="timed steps per layer (default %(default)s)")
-    sub.add_argument("--warmup", type=int, default=5,
+    sub.add_argument("--warmup", type=_int_at_least(0), default=5,
                      help="untimed warmup steps (default %(default)s)")
     sub.add_argument("--wt", action="store_true",
-                     help="time only the three-action layer")
+                     help="time only the three-action decoder")
     sub.add_argument("--out", help="JSON report path (default stdout)")
 
     add("selftest", cmd_selftest,

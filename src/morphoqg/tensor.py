@@ -43,12 +43,8 @@ RECURRENT_INIT_SCALE = 0.08
 
 def sigmoid(x: Array) -> Array:
     """Logistic function, computed in an overflow-safe form."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(x: Array) -> Array:

@@ -9,7 +9,9 @@ usages appear in the targets.
 
 import random
 
-from morphoqg.codec import CorpusExample
+from morphoqg.codec import Copy, CorpusExample, EncodedExample, Quest, Trans, Vocab
+from morphoqg.model import EncoderDecoder, HyperParams, build_tag_list
+from morphoqg.morphology import TransformationType
 
 PEOPLE = ["kennedy", "lincoln", "einstein", "curie", "darwin", "tesla",
           "newton", "turing"]
@@ -69,3 +71,26 @@ def make_overfit_corpus():
             slot = ["year", "person", "thing"][(i + j) % 3]
             out.append(_example(person, verb_root, verb_past, thing, year, slot))
     return out
+
+
+def tiny_model_and_example(seed, dot_heads=False):
+    """The hidden-size-8 model and 3-token example (a 4-action target using
+    every action kind) of the gradient and probability-mass checks."""
+    vocab = Vocab(
+        ["<pad>", "<unk>", "<sos>", "<eos>", "he", "visit", "park"],
+        ["<pad>", "<unk>", "<sos>", "<eos>", "when", "do", "he", "?"])
+    hyper = HyperParams(
+        word_dim=8, answer_feat_dim=3, ner_feat_dim=3, pos_feat_dim=3,
+        hidden_size=8, dropout_rate=0.0, dot_heads=dot_heads)
+    model = EncoderDecoder(
+        hyper, vocab, build_tag_list(["PRP", "VB", "NN"]),
+        build_tag_list(["O", "LOC"]), init_seed=seed)
+    example = EncodedExample(
+        source_roots=["he", "visit", "park"],
+        source_features=[("PRP", "O", "O"), ("VB", "O", "O"),
+                         ("NN", "LOC", "B")],
+        answer_span=(2, 2),
+        target_actions=[Quest(4), Copy(0), Quest(5),
+                        Trans(TransformationType.ED)],
+        reference_question=["when", "he", "did"])
+    return model, example

@@ -26,12 +26,8 @@ import pytest
 
 from morphoqg.bench import FULL_SCALE_REFERENCE, bench_decode
 from morphoqg.codec import (
-    Copy,
-    EncodedExample,
-    Quest,
     Trans,
     TaggedToken,
-    Vocab,
     build_vocabs,
     encode_example,
     encode_target,
@@ -48,7 +44,7 @@ from morphoqg.morphology import (
     load_regular_lexicon,
 )
 from morphoqg.tensor import grad_check
-from morphoqg.toydata import make_corpus, make_overfit_corpus
+from morphoqg.toydata import make_corpus, make_overfit_corpus, tiny_model_and_example
 from morphoqg.train import TrainConfig, train
 from morphoqg.vocab_analysis import analyze_external_vocab
 
@@ -150,28 +146,7 @@ def test_criterion_2_codec_round_trip_and_tag_adjacency():
     assert with_tags > 0  # the property must not hold vacuously
 
 
-# -- criteria 3 and 4 share a small fixture ----------------------------
-
-
-def _tiny_fixture(seed, dot_heads=False, hidden=8):
-    vocab = Vocab(
-        ["<pad>", "<unk>", "<sos>", "<eos>", "he", "visit", "park"],
-        ["<pad>", "<unk>", "<sos>", "<eos>", "when", "do", "he", "?"])
-    hyper = HyperParams(
-        word_dim=8, answer_feat_dim=3, ner_feat_dim=3, pos_feat_dim=3,
-        hidden_size=hidden, dropout_rate=0.0, dot_heads=dot_heads)
-    model = EncoderDecoder(
-        hyper, vocab, build_tag_list(["PRP", "VB", "NN"]),
-        build_tag_list(["O", "LOC"]), init_seed=seed)
-    example = EncodedExample(
-        source_roots=["he", "visit", "park"],
-        source_features=[("PRP", "O", "O"), ("VB", "O", "O"),
-                         ("NN", "LOC", "B")],
-        answer_span=(2, 2),
-        target_actions=[Quest(4), Copy(0), Quest(5),
-                        Trans(TransformationType.ED)],
-        reference_question=["when", "he", "did"])
-    return model, example
+# -- criteria 3 and 4 run on toydata.tiny_model_and_example ------------
 
 
 def test_criterion_3_full_loss_gradient_check():
@@ -182,7 +157,7 @@ def test_criterion_3_full_loss_gradient_check():
     begin = time.perf_counter()
     worst_overall = ("", 0.0)
     for dot_heads in (False, True):
-        model, example = _tiny_fixture(seed=11, dot_heads=dot_heads)
+        model, example = tiny_model_and_example(seed=11, dot_heads=dot_heads)
         check = model.to_check_precision()
         prep = check.prepare(example)
         grads = check.zero_grads()
@@ -206,7 +181,7 @@ def test_criterion_4_probability_mass():
     probabilities sum to 1 within 1e-6."""
     worst = 0.0
     for seed in range(1_000):
-        model, example = _tiny_fixture(seed=seed, dot_heads=bool(seed % 2))
+        model, example = tiny_model_and_example(seed=seed, dot_heads=bool(seed % 2))
         check = model.to_check_precision()
         prep = check.prepare(example)
         enc = check.encode(prep, masks=None)

@@ -11,6 +11,7 @@ from morphoqg.bench import (
     median_of_medians,
     time_layer,
 )
+from morphoqg.model import EncoderDecoder
 
 
 class TestLayers:
@@ -32,6 +33,45 @@ class TestLayers:
         assert np.all(out > 0) and np.all(out < 1)
         # Rows are sorted best-first.
         assert np.all(np.diff(out, axis=1) <= 0)
+
+
+class TestShippedDecoder:
+    """Property: the three-action layer times the model's own step and mixing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``step`` and ``outcome_mass`` calls, plus every mass returned."""
+        record = {"step": 0, "outcome_mass": 0, "masses": []}
+        real_step, real_mass = EncoderDecoder.step, EncoderDecoder.outcome_mass
+
+        def step(self, *args, **kwargs):
+            record["step"] += 1
+            return real_step(self, *args, **kwargs)
+
+        def outcome_mass(self, *args, **kwargs):
+            record["outcome_mass"] += 1
+            record["masses"].append(real_mass(self, *args, **kwargs))
+            return record["masses"][-1]
+
+        monkeypatch.setattr(EncoderDecoder, "step", step)
+        monkeypatch.setattr(EncoderDecoder, "outcome_mass", outcome_mass)
+        return record
+
+    def test_one_step_and_one_mixing_per_word(self, calls):
+        layer = make_three_action_layer(hidden=16, source_window=8,
+                                        quest_size=20, beam=3, seed=2)
+        assert (calls["step"], calls["outcome_mass"]) == (0, 0)
+        for words in (1, 2, 3):
+            layer()
+            assert (calls["step"], calls["outcome_mass"]) == (words, words)
+
+    def test_rows_are_top_beam_outcome_masses(self, calls):
+        layer = make_three_action_layer(hidden=16, source_window=8,
+                                        quest_size=20, beam=3, seed=2)
+        out = layer()
+        (mass,) = calls["masses"]
+        assert mass.shape == (3, 8 + 20 + 9)
+        np.testing.assert_array_equal(out, -np.sort(-mass, axis=1)[:, :3])
 
 
 class TestTiming:

@@ -114,6 +114,22 @@ class TestUsage:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flag,extra", [
+        ("--beam", ("--vocab-size", "5", "--beam", "12")),
+        ("--beam", ("--wt", "--beam", "40", "--source-window", "4",
+                    "--quest-size", "8")),
+        ("--beam", ("--beam", "22", "--vocab-size", "100", "--source-window", "4",
+                    "--quest-size", "8")),
+        ("--quest-size", ("--wt", "--quest-size", "3")),
+        ("--warmup", ("--wt", "--warmup", "-1")),
+    ])
+    def test_bad_bench_value_is_usage_error(self, tmp_path, flag, extra, capsys):
+        assert run("bench", "--hidden", "8", "--source-window", "8",
+                   "--quest-size", "16", "--steps", "1",
+                   "--out", str(tmp_path / "bench.json"), *extra) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
     def test_zero_clip_norm_means_no_clipping(self, workdir, tmp_path):
         assert run("train", "--input", str(workdir / "encoded.jsonl"),
                    "--encoder-vocab", str(workdir / "enc.vocab"),

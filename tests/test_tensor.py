@@ -55,6 +55,22 @@ class TestPointwise:
         assert [o.dtype for o in outputs] == [np.float32] * len(outputs)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_masked_reference_bit_for_bit(self, dtype):
+        def masked_sigmoid(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.concatenate([RNG.standard_normal(5000) * 20.0,
+                            [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf]]).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == masked_sigmoid(x).tobytes()
+
     def test_sigmoid_batch_rows_match_1d_calls(self):
         x = RNG.standard_normal((4, 7)) * 30.0
         rows = np.stack([sigmoid(row) for row in x])
