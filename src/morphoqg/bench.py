@@ -129,18 +129,6 @@ def time_layer(step: Callable[[], np.ndarray], steps: int = 30,
     }
 
 
-def median_of_medians(step_factory: Callable[[], Callable[[], np.ndarray]],
-                      repetitions: int = 3, steps: int = 20,
-                      warmup: int = 3) -> float:
-    """Noise-robust latency estimate: median of per-repetition medians."""
-    medians = []
-    for _ in range(repetitions):
-        layer = step_factory()
-        medians.append(time_layer(layer, steps=steps,
-                                  warmup=warmup)["per_word_median_s"])
-    return float(np.median(medians))
-
-
 def bench_decode(
     hidden: int = DEFAULT_HIDDEN,
     vocab_size: int = DEFAULT_BASELINE_VOCAB,

@@ -58,10 +58,11 @@ from .codec import (
 )
 from .errors import (
     DataError,
-    FileError,
     MorphoQGError,
     ParseError,
     RuntimeFailure,
+    read_text,
+    write_text,
 )
 from .generate import generate_question
 from .metrics import score_report
@@ -92,24 +93,15 @@ def resolve_path(path: Optional[str]) -> Optional[str]:
     return os.path.join(base, path) if base else path
 
 
-def _read_lines(path: str) -> List[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}") from None
-
-
 def _write_lines(path: Optional[str], lines: Sequence[str]) -> None:
     text = "".join(line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"cannot write output to stdout: {exc}") from None
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from None
+    write_text(path, text, "output")
 
 
 def _write_json(path: Optional[str], obj) -> None:
@@ -231,11 +223,7 @@ def _apply_config(subparsers: dict, path: str, subcmd: Optional[str]) -> None:
     Flags typed on the command line still win: these only replace the
     built-in defaults, they are never treated as explicit arguments.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileError(f"cannot read config {path}: {exc}") from None
+    text = read_text(path, "config")
     cfg = configparser.ConfigParser(interpolation=None)
     try:
         cfg.read_string(text, source=path)
@@ -432,8 +420,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    candidates = _read_lines(resolve_path(args.candidates))
-    references = _read_lines(resolve_path(args.references))
+    candidates = read_text(resolve_path(args.candidates), "candidates").splitlines()
+    references = read_text(resolve_path(args.references), "references").splitlines()
     report = score_report(candidates, references)
     _write_json(resolve_path(args.out), report)
     return 0

@@ -20,11 +20,12 @@ from .errors import (
     CutoffExceeded,
     DanglingTransError,
     EmptyInputError,
-    FileError,
     IndexOutOfVocab,
     LengthMismatch,
     ParseError,
     UnknownRuleError,
+    read_text,
+    write_text,
 )
 from .morphology import Morphology, TransformationType, default_morphology
 
@@ -119,30 +120,17 @@ class Vocab:
     def save(self, encoder_path: str, quest_path: str) -> None:
         for path, toks in ((encoder_path, self.encoder_vocab),
                            (quest_path, self.quest_vocab)):
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(toks) + "\n")
-            except OSError as exc:
-                raise FileError(f"cannot write vocabulary {path}: {exc}") from None
+            write_text(path, "\n".join(toks) + "\n", "vocabulary")
 
     @classmethod
     def load(cls, encoder_path: str, quest_path: str) -> "Vocab":
-        return cls(_read_token_file(encoder_path), _read_token_file(quest_path))
+        return cls(read_text(encoder_path, "vocabulary").splitlines(),
+                   read_text(quest_path, "vocabulary").splitlines())
 
     def content_hashes(self) -> dict:
         def h(tokens):
             return hashlib.sha256(("\n".join(tokens) + "\n").encode("utf-8")).hexdigest()
         return {"encoder_vocab": h(self.encoder_vocab), "quest_vocab": h(self.quest_vocab)}
-
-
-def _read_token_file(path: str) -> List[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise FileError(f"cannot read vocabulary {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"vocabulary {path} is not UTF-8: {exc}") from None
 
 
 def _answer_span_from_bio(tokens: Sequence[TaggedToken]) -> Tuple[int, int]:
@@ -336,14 +324,27 @@ class CorpusExample:
         return [TaggedToken(w, p) for w, p in zip(self.question, self.question_pos)]
 
 
+def _strings(obj: dict, key: str) -> List[str]:
+    """``obj[key]`` itself, which must be a list of strings (TypeError otherwise)."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list, got {type(value).__name__}")
+    try:
+        "".join(value)  # the cheapest check that every item is a string
+    except TypeError:
+        raise TypeError(f"{key} must hold only strings") from None
+    return value
+
+
 def corpus_example_from_obj(obj: dict, line: Optional[int] = None) -> CorpusExample:
     try:
         ex = CorpusExample(
-            tokens=list(obj["tokens"]), pos=list(obj["pos"]), ner=list(obj["ner"]),
+            tokens=_strings(obj, "tokens"), pos=_strings(obj, "pos"),
+            ner=_strings(obj, "ner"),
             answer_start=int(obj["answer_start"]), answer_end=int(obj["answer_end"]),
-            question=list(obj["question"]), question_pos=list(obj["question_pos"]),
+            question=_strings(obj, "question"), question_pos=_strings(obj, "question_pos"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad corpus record: {exc}", line=line) from None
     if not (len(ex.tokens) == len(ex.pos) == len(ex.ner)):
         raise LengthMismatch(
@@ -369,32 +370,26 @@ def corpus_example_to_obj(ex: CorpusExample) -> dict:
 
 
 def _dump_jsonl(objs: Iterable[dict], path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from None
+    write_text(path, "".join(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+                             for obj in objs), "JSONL file")
 
 
 def _load_jsonl(path: str, from_obj) -> list:
-    """One object per non-blank line, each converted by ``from_obj(obj, line=)``."""
+    r"""One object per non-blank line, each converted by ``from_obj(obj, line=)``.
+
+    Lines break at ``\n`` only, as file iteration does: ``splitlines`` would
+    also break at U+2028 inside a JSON string.
+    """
     out = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"bad JSON: {exc}", line=lineno) from None
-                out.append(from_obj(obj, line=lineno))
-    except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    for lineno, raw in enumerate(read_text(path, "JSONL file").split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}", line=lineno) from None
+        out.append(from_obj(obj, line=lineno))
     return out
 
 
@@ -434,6 +429,8 @@ def action_to_obj(action: TargetAction) -> dict:
 
 
 def action_from_obj(obj: dict) -> TargetAction:
+    if not isinstance(obj, dict):
+        raise ParseError(f"action must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "copy":
         return Copy(int(obj["index"]))
@@ -458,15 +455,26 @@ def encoded_to_obj(ex: EncodedExample) -> dict:
 
 def encoded_from_obj(obj: dict, line: Optional[int] = None) -> EncodedExample:
     try:
-        features = list(zip(obj["pos"], obj["ner"], obj["answer_bio"]))
+        roots = _strings(obj, "source_roots")
+        columns = [_strings(obj, key) for key in ("pos", "ner", "answer_bio")]
+        if any(len(column) != len(roots) for column in columns):
+            raise ValueError("pos/ner/answer_bio must be as long as source_roots")
+        left, right = int(obj["answer_span"][0]), int(obj["answer_span"][1])
+        if not 0 <= left <= right < len(roots):
+            raise ValueError(f"answer_span [{left}, {right}] outside {len(roots)} source_roots")
+        actions = [action_from_obj(a) for a in obj["actions"]]
+        for action in actions:
+            if isinstance(action, Copy) and not 0 <= action.index < len(roots):
+                raise ValueError(f"copy index {action.index} in actions outside "
+                                 f"{len(roots)} source_roots")
         return EncodedExample(
-            source_roots=list(obj["source_roots"]),
-            source_features=features,
-            answer_span=(int(obj["answer_span"][0]), int(obj["answer_span"][1])),
-            target_actions=[action_from_obj(a) for a in obj["actions"]],
-            reference_question=list(obj["reference_question"]),
+            source_roots=roots,
+            source_features=list(zip(*columns)),
+            answer_span=(left, right),
+            target_actions=actions,
+            reference_question=_strings(obj, "reference_question"),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParseError) as exc:
         raise ParseError(f"bad encoded record: {exc}", line=line) from None
 
 

@@ -4,6 +4,11 @@ Two broad families matter for the CLI exit codes: ``DataError`` covers
 malformed or out-of-contract input (exit code 2), ``RuntimeFailure``
 covers computational failures such as shape mismatches or divergence
 (exit code 3).
+
+Every text file the toolkit reads or writes goes through ``read_text``
+and ``write_text``, so a missing, unreadable or unwritable file is a
+``FileError`` and a file that is not UTF-8 is a ``ParseError``; both are
+data errors.
 """
 
 
@@ -53,10 +58,41 @@ class DanglingTransError(DataError):
     """A transformation action with no preceding word to modify."""
 
 
-# -- vocab analysis -----------------------------------------------------
+# -- files ------------------------------------------------------------
 
 class FileError(DataError):
-    """A required file could not be read."""
+    """A required file could not be read or written."""
+
+
+def read_text(path: str, what: str) -> str:
+    r"""The whole of the UTF-8 text file ``path``; ``what`` names it in errors.
+
+    Line endings are read as for ``open``: ``\r\n`` and ``\r`` become ``\n``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
+def write_text(path: str, text: str, what: str) -> None:
+    r"""Write ``text`` to ``path`` as UTF-8; ``\n`` is written as is on every platform.
+
+    Text that cannot be encoded (a lone surrogate from a JSON escape) is
+    a ``ParseError`` and leaves the file untouched.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"cannot write {what} {path}: {exc}") from None
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise FileError(f"cannot write {what} {path}: {exc}") from None
 
 
 # -- numeric core / model -----------------------------------------------

@@ -526,11 +526,10 @@ class EncoderDecoder:
         return state
 
     def _step_backward(self, enc: dict, state: dict,
-                       d_alpha_direct: Array | None,
                        d_p_copy: Array | None,
                        d_p_trans: Array | None,
                        d_p_quest: Array | None,
-                       d_switch: Array | None,
+                       d_switch: Array,
                        ds_carry: Array,
                        dc_carry: Array,
                        grads) -> tuple[Array, Array]:
@@ -547,15 +546,12 @@ class EncoderDecoder:
         dc = dc_carry.copy()
         dw = np.zeros_like(state["w"])
         dalpha = np.zeros_like(alpha)
-        if d_alpha_direct is not None:
-            dalpha += d_alpha_direct
 
         if self.hyper.dot_heads:
-            if d_switch is not None:
-                dlog = softmax_backward(state["switch"], d_switch)
-                grads["dot/switch_W"] += np.outer(dlog, s)
-                grads["dot/switch_b"] += dlog
-                ds += p["dot/switch_W"].T @ dlog
+            dlog = softmax_backward(state["switch"], d_switch)
+            grads["dot/switch_W"] += np.outer(dlog, s)
+            grads["dot/switch_b"] += dlog
+            ds += p["dot/switch_W"].T @ dlog
             if d_p_quest is not None:
                 dlog = softmax_backward(state["p_quest"], d_p_quest)
                 grads["dot/quest_emb"] += np.outer(dlog, s)
@@ -570,14 +566,13 @@ class EncoderDecoder:
                 ds += H.T @ dlog
         else:
             d_h = self.hyper.hidden_size
-            if d_switch is not None:
-                dlog = softmax_backward(state["switch"], d_switch)
-                grads["switch/W"] += np.outer(dlog, state["u3"])
-                grads["switch/b"] += dlog
-                du3 = p["switch/W"].T @ dlog
-                dc += du3[:d_h]
-                ds += du3[d_h : 2 * d_h]
-                dw += du3[2 * d_h :]
+            dlog = softmax_backward(state["switch"], d_switch)
+            grads["switch/W"] += np.outer(dlog, state["u3"])
+            grads["switch/b"] += dlog
+            du3 = p["switch/W"].T @ dlog
+            dc += du3[:d_h]
+            ds += du3[d_h : 2 * d_h]
+            dw += du3[2 * d_h :]
             if d_p_quest is not None:
                 dlog = softmax_backward(state["p_quest"], d_p_quest)
                 grads["g2/Wo"] += np.outer(dlog, state["m2"])
@@ -711,7 +706,6 @@ class EncoderDecoder:
                 target = prep.targets[t]
                 dP = self.dtype(-1.0 / probs[t])
                 switch = state["switch"]
-                d_alpha_direct = None
                 d_p_copy = None
                 d_p_trans = None
                 d_p_quest = None
@@ -725,18 +719,14 @@ class EncoderDecoder:
                         pos = list(target.copy_positions)
                         copy_mass = float(np.sum(state["p_copy"][pos]))
                         d_switch[SW_COPY] = dP * copy_mass
-                        d_copy_vec = np.zeros_like(state["p_copy"])
-                        d_copy_vec[pos] = dP * switch[SW_COPY]
-                        if self.hyper.dot_heads:
-                            d_p_copy = d_copy_vec
-                        else:
-                            d_alpha_direct = d_copy_vec
+                        d_p_copy = np.zeros_like(state["p_copy"])
+                        d_p_copy[pos] = dP * switch[SW_COPY]
                     if target.quest_id is not None:
                         d_switch[SW_QUEST] = dP * state["p_quest"][target.quest_id]
                         d_p_quest = np.zeros_like(state["p_quest"])
                         d_p_quest[target.quest_id] = dP * switch[SW_QUEST]
                 ds_carry, dc_carry = self._step_backward(
-                    enc, state, d_alpha_direct, d_p_copy, d_p_trans, d_p_quest,
+                    enc, state, d_p_copy, d_p_trans, d_p_quest,
                     d_switch, ds_carry, dc_carry, grads,
                 )
             enc["ds0"] = ds_carry

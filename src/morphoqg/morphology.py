@@ -15,13 +15,14 @@ The candidate ordering encodes the usual orthographic ambiguities
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional, TextIO, Union
 
-from .errors import DuplicateKeyError, ParseError, UnknownRuleError
+from .errors import DuplicateKeyError, ParseError, UnknownRuleError, read_text
 
 
 class PosClass(Enum):
@@ -511,31 +512,35 @@ class IrregularTable:
         return self._to_inflected.get((root, t))
 
 
-def load_irregular_table(source: Union[str, TextIO]) -> IrregularTable:
-    """Parse a three-column TSV of ``inflected<TAB>root<TAB>type`` rows.
+def _tsv_rows(source: Union[str, TextIO], what: str, tag_column: int):
+    """Yield ``(line number, columns)`` for each row of a three-column TSV.
 
-    ``#``-prefixed lines and blank lines are ignored.
+    ``source`` is a path or an open text file.  Columns are stripped and
+    lowercased, and the one at ``tag_column`` becomes its
+    ``TransformationType``.  ``#``-prefixed lines and blank lines are
+    ignored.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    entries = []
-    for lineno, raw in enumerate(lines, start=1):
+    text = source.read() if hasattr(source, "read") else read_text(source, what)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cols = line.split("\t")
+        cols = [c.strip().lower() for c in line.split("\t")]
         if len(cols) != 3:
             raise ParseError(f"expected 3 tab-separated columns, got {len(cols)}", line=lineno)
-        inflected, root, tag = (c.strip().lower() for c in cols)
-        if not inflected or not root:
-            raise ParseError("empty word field", line=lineno)
         try:
-            t = TransformationType.from_tag(tag)
+            cols[tag_column] = TransformationType.from_tag(cols[tag_column])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        yield lineno, cols
+
+
+def load_irregular_table(source: Union[str, TextIO]) -> IrregularTable:
+    """Parse a three-column TSV of ``inflected<TAB>root<TAB>type`` rows."""
+    entries = []
+    for lineno, (inflected, root, t) in _tsv_rows(source, "irregular table", 2):
+        if not inflected or not root:
+            raise ParseError("empty word field", line=lineno)
         if inflected == root:
             raise ParseError(f"inflected form equals root: {root!r}", line=lineno)
         entries.append(IrregularEntry(inflected, root, t))
@@ -587,30 +592,12 @@ class Morphology:
 
 
 def load_regular_lexicon(source: Union[str, TextIO, None] = None):
-    """Load the bundled reference lexicon of (root, type, inflected) triples."""
+    """Load a reference lexicon of ``root<TAB>type<TAB>inflected`` rows as
+    (root, type, inflected) triples; the bundled one by default."""
     if source is None:
-        text = resources.files("morphoqg.data").joinpath("regular_lexicon.tsv").read_text("utf-8")
-        lines = text.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    triples = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"expected 3 tab-separated columns, got {len(cols)}", line=lineno)
-        root, tag, inflected = (c.strip().lower() for c in cols)
-        try:
-            t = TransformationType.from_tag(tag)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        triples.append((root, t, inflected))
-    return triples
+        source = io.StringIO(resources.files("morphoqg.data")
+                             .joinpath("regular_lexicon.tsv").read_text("utf-8"))
+    return [tuple(cols) for _lineno, cols in _tsv_rows(source, "lexicon", 1)]
 
 
 # Representative Penn-Treebank tag per type, the inverse of POS_TAG_TO_TYPE.
@@ -620,8 +607,6 @@ TYPE_TO_POS_TAG = {t: tag for tag, t in POS_TAG_TO_TYPE.items()}
 @lru_cache(maxsize=1)
 def _bundled_table() -> IrregularTable:
     text = resources.files("morphoqg.data").joinpath("irregular_en.tsv").read_text("utf-8")
-    import io
-
     return load_irregular_table(io.StringIO(text))
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FileError, ParseError
+from .errors import FileError, ParseError, read_text, write_text
 
 Array = np.ndarray
 
@@ -322,12 +322,8 @@ def save_checkpoint(path: str, params: Mapping[str, Array],
     except OSError as exc:
         raise FileError(f"cannot write checkpoint {path}: {exc}") from exc
     if sidecar is not None:
-        try:
-            with open(path + ".json", "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise FileError(f"cannot write checkpoint sidecar for {path}: {exc}") from exc
+        write_text(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
+                   "checkpoint sidecar")
 
 
 def _read_exact(fh, count: int, path: str) -> bytes:
@@ -376,12 +372,10 @@ def load_checkpoint(path: str) -> dict[str, Array]:
 
 def load_sidecar(path: str) -> dict[str, object]:
     """Read the JSON metadata written next to a checkpoint."""
+    text = read_text(path + ".json", "checkpoint sidecar")
     try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise FileError(f"cannot read checkpoint sidecar for {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"bad checkpoint sidecar for {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ParseError(f"checkpoint sidecar for {path} is not a JSON object")

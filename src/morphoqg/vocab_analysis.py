@@ -10,9 +10,9 @@ POS-free guessing (``this`` is not the plural of ``thi``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import FileError
+from .errors import read_text
 from .morphology import (
     ALL_TYPES,
     TYPE_TO_POS_TAG,
@@ -85,11 +85,7 @@ def analyze_external_vocab(
     ``##``-prefixed continuation pieces are excluded from the count and
     reported under ``skipped_pieces``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FileError(f"cannot read vocabulary file {path}: {exc}") from None
+    lines = read_text(path, "vocabulary file").splitlines()
     if top is not None:
         lines = lines[:top]
     words = []

@@ -8,10 +8,16 @@ from morphoqg.bench import (
     bench_decode,
     make_softmax_layer,
     make_three_action_layer,
-    median_of_medians,
     time_layer,
 )
 from morphoqg.model import EncoderDecoder
+
+
+def median_of_medians(step_factory, repetitions=3, steps=20, warmup=3):
+    """Noise-robust latency estimate: median of per-repetition medians."""
+    medians = [time_layer(step_factory(), steps=steps, warmup=warmup)["per_word_median_s"]
+               for _ in range(repetitions)]
+    return float(np.median(medians))
 
 
 class TestLayers:

@@ -13,9 +13,12 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from morphoqg import cli
 from morphoqg.codec import dump_corpus_jsonl, load_encoded_jsonl
+from morphoqg.morphology import TRANS_TAGS
 from morphoqg.toydata import make_corpus
 
 SUBCOMMANDS = ("analyze-vocab", "encode", "decode", "build-vocab", "train",
@@ -193,24 +196,73 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "x.jsonl" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["decode", "generate"])
-    def test_non_utf8_input_is_data_error(self, workdir, tmp_path, command,
+    @pytest.mark.parametrize("command", ["decode", "generate", "score",
+                                         "analyze-vocab", "config"])
+    def test_non_utf8_input_is_data_error(self, workdir, trained, tmp_path, command,
                                           capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b'{"tokens": ["\xff"]}\n')
-        args = ["--input", str(bad), "--encoder-vocab", str(workdir / "enc.vocab"),
-                "--quest-vocab", str(workdir / "q.vocab")]
-        if command == "generate":
-            args += ["--model", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "q.txt")]
-            assert run("train", "--input", str(workdir / "encoded.jsonl"),
-                       "--encoder-vocab", str(workdir / "enc.vocab"),
-                       "--quest-vocab", str(workdir / "q.vocab"),
-                       "--model-out", str(tmp_path / "m.ckpt"), "--steps", "1",
-                       "--hidden", "8", "--word-dim", "8", "--feat-dim", "3",
-                       "--quiet") == 0
-        assert run(command, *args) == 2
+        vocabs = ["--encoder-vocab", str(workdir / "enc.vocab"),
+                  "--quest-vocab", str(workdir / "q.vocab")]
+        argv = {
+            "decode": ["decode", "--input", str(bad), *vocabs],
+            "generate": ["generate", "--input", str(bad), *vocabs,
+                         "--model", str(trained[0]), "--out", str(tmp_path / "q.txt")],
+            "score": ["score", "--candidates", str(bad),
+                      "--references", str(workdir / "enc.vocab")],
+            "analyze-vocab": ["analyze-vocab", str(bad)],
+            "config": ["analyze-vocab", str(workdir / "enc.vocab"),
+                       "--config", str(bad)],
+        }[command]
+        assert run(*argv) == 2
         err = capsys.readouterr().err
         assert "bad.jsonl" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,index,value", [
+        ("build-vocab", "tokens", 1, 7),
+        ("encode", "tokens", 1, None),
+        ("generate", "question_pos", 1, ["VBD"]),
+        ("build-vocab", "tokens", 1, "\ud800"),
+        ("decode", "source_roots", 1, 3),
+        ("train", "actions", None, [{"kind": "copy", "index": 99}]),
+        ("train", "pos", None, ["NNP"]),
+        ("train", "answer_span", None, [2, 9]),
+    ], ids=["build-vocab-int-token", "encode-null-token", "generate-list-pos",
+            "build-vocab-unencodable-token", "decode-int-root", "train-copy-index",
+            "train-short-pos", "train-span"])
+    def test_bad_record_is_data_error(self, workdir, trained, tmp_path, command,
+                                      key, index, value, capsys):
+        """The second record of the input has ``value`` in field ``key``
+        (at ``index`` of it, when that is given)."""
+        corpus_input = command in ("build-vocab", "encode", "generate")
+        source = workdir / ("corpus.jsonl" if corpus_input else "encoded.jsonl")
+        lines = source.read_text(encoding="utf-8").splitlines()[:3]
+        obj = json.loads(lines[1])
+        if index is None:
+            obj[key] = value
+        else:
+            obj[key][index] = value
+        lines[1] = json.dumps(obj)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocabs = ["--encoder-vocab", str(workdir / "enc.vocab"),
+                  "--quest-vocab", str(workdir / "q.vocab")]
+        argv = {
+            "build-vocab": ["--encoder-out", str(tmp_path / "e.vocab"),
+                            "--quest-out", str(tmp_path / "q.vocab")],
+            "encode": ["--out", str(tmp_path / "x.jsonl")],
+            "generate": [*vocabs, "--model", str(trained[0]),
+                         "--out", str(tmp_path / "q.txt")],
+            "decode": [*vocabs, "--out", str(tmp_path / "q.txt")],
+            "train": [*vocabs, "--model-out", str(tmp_path / "m.ckpt"),
+                      "--steps", "1", "--hidden", "8", "--word-dim", "8",
+                      "--feat-dim", "3", "--quiet"],
+        }[command]
+        assert run(command, "--input", str(bad), *argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if "\ud800" not in str(value):
+            assert "line 2" in err and key in err
 
     def test_out_of_vocab_action_is_runtime_error(self, workdir, tmp_path,
                                                   capsys):
@@ -471,3 +523,103 @@ class TestSelftest:
             (("doomed", lambda seed: (False, "injected failure")),))
         assert run("selftest") == 3
         assert "[FAIL] doomed" in capsys.readouterr().out
+
+
+# -- fuzzing: random file contents through the whole CLI ------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+# Mostly well-formed items, so that records get past the first check.  A
+# lone surrogate can arrive through a JSON escape and cannot be written as
+# UTF-8.
+_WORD = st.sampled_from(["walked", "walk", "dogs", "the", "?", "", "B", "I", "O",
+                         "NN", "VBD", "NNS", "\ud800", 7, None, ["NN"]])
+
+
+def _mangled(draw, record):
+    """``record``, half the time with one field replaced by an arbitrary JSON value."""
+    key = draw(st.sampled_from([None] * len(record) + list(record)))
+    if key is not None:
+        record[key] = draw(_JSON)
+    return record
+
+
+@st.composite
+def _corpus_record(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    words, question = (st.lists(_WORD, min_size=k, max_size=k) for k in (n, m))
+    start = draw(st.integers(-1, n))
+    return _mangled(draw, {
+        "tokens": draw(words), "pos": draw(words), "ner": draw(words),
+        "answer_start": start, "answer_end": draw(st.integers(start - 1, n)),
+        "question": draw(question), "question_pos": draw(question)})
+
+
+@st.composite
+def _encoded_record(draw):
+    n = draw(st.integers(1, 4))
+    words = st.lists(_WORD, min_size=n, max_size=n)
+    left = draw(st.integers(-1, n))
+    action = st.fixed_dictionaries({
+        "kind": st.sampled_from(["copy", "quest", "trans", "jump"]),
+        "index": st.integers(-1, n), "id": st.integers(-1, 40),
+        "tag": st.sampled_from(TRANS_TAGS + ("##x",))})
+    return _mangled(draw, {
+        "source_roots": draw(words), "pos": draw(words), "ner": draw(words),
+        "answer_bio": draw(words), "answer_span": [left, draw(st.integers(left - 1, n))],
+        "actions": draw(st.lists(action | _WORD, max_size=4)),
+        "reference_question": draw(st.lists(_WORD, max_size=3))})
+
+
+def _jsonl(record):
+    return st.lists(record | _JSON, min_size=1, max_size=3).map(
+        lambda objs: "".join(json.dumps(o) + "\n" for o in objs).encode("utf-8"))
+
+
+_BYTES = st.binary(max_size=64) | st.text(max_size=64).map(str.encode)
+_CONFIG = st.lists(st.tuples(
+    st.sampled_from(["general", "analyze-vocab", "train", "frobnicate"]),
+    st.sampled_from(["seed", "top", "steps", "dropout", "quiet", "wibble"]),
+    st.text(max_size=6)), max_size=3).map(
+        lambda rows: "".join(f"[{s}]\n{k} = {v}\n" for s, k, v in rows).encode("utf-8"))
+_INPUTS = {
+    "score": _BYTES,
+    "analyze-vocab": _BYTES,
+    "config": _BYTES | _CONFIG,
+    "build-vocab": _BYTES | _jsonl(_corpus_record()),
+    "decode": _BYTES | _jsonl(_encoded_record()),
+    "train": _BYTES | _jsonl(_encoded_record()),
+}
+
+
+class TestFuzz:
+    """Property: whatever a text input holds, ``main`` returns an exit code
+    in 0..3 and never raises."""
+
+    @pytest.mark.parametrize("command", list(_INPUTS))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_main_never_raises(self, workdir, tmp_path, command, data):
+        fuzzed = tmp_path / "input"
+        fuzzed.write_bytes(data.draw(_INPUTS[command], label="input"))
+        out = str(tmp_path / "out")
+        vocabs = ["--encoder-vocab", str(workdir / "enc.vocab"),
+                  "--quest-vocab", str(workdir / "q.vocab")]
+        argv = {
+            "score": ["score", "--candidates", str(fuzzed), "--references", str(fuzzed),
+                      "--out", out],
+            "analyze-vocab": ["analyze-vocab", str(fuzzed), "--out", out],
+            "config": ["analyze-vocab", str(workdir / "enc.vocab"), "--out", out,
+                       "--config", str(fuzzed)],
+            "build-vocab": ["build-vocab", "--input", str(fuzzed), "--encoder-out", out,
+                            "--quest-out", out + ".q"],
+            "decode": ["decode", "--input", str(fuzzed), *vocabs, "--out", out],
+            "train": ["train", "--input", str(fuzzed), *vocabs, "--model-out", out,
+                      "--steps", "1", "--hidden", "4", "--word-dim", "4",
+                      "--feat-dim", "2", "--batch-size", "2", "--quiet"],
+        }[command]
+        assert run(*argv) in (0, 1, 2, 3)

@@ -21,6 +21,7 @@ from morphoqg.codec import (
     action_to_obj,
     build_vocabs,
     corpus_example_from_obj,
+    corpus_example_to_obj,
     dump_encoded_jsonl,
     encode_example,
     encode_source,
@@ -39,6 +40,7 @@ from morphoqg.errors import (
     IndexOutOfVocab,
     LengthMismatch,
     ParseError,
+    write_text,
 )
 from morphoqg.morphology import TransformationType, default_morphology
 
@@ -310,6 +312,14 @@ class TestCorpusFiles:
         with pytest.raises(ParseError):
             load_corpus_jsonl(str(path))
 
+    def test_line_separator_inside_a_string_is_not_a_line_break(self, toy, tmp_path):
+        obj = corpus_example_to_obj(toy[0])
+        obj["tokens"] = ["a\u2028b"] + obj["tokens"][1:]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+        (loaded,) = load_corpus_jsonl(str(path))
+        assert loaded.tokens[0] == "a\u2028b"
+
     def test_encoded_jsonl_round_trip(self, toy, toy_vocab, tmp_path):
         encoded = [encode_example(ex, toy_vocab) for ex in toy[:20]]
         path = tmp_path / "encoded.jsonl"
@@ -334,3 +344,12 @@ class TestCorpusFiles:
             assert action_from_obj(action_to_obj(a)) == a
         with pytest.raises(ParseError):
             action_from_obj({"kind": "jump"})
+
+
+class TestTextFiles:
+    def test_unencodable_text_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"before\n")
+        with pytest.raises(ParseError):
+            write_text(str(path), "lone \ud800 surrogate\n", "output")
+        assert path.read_bytes() == b"before\n"
