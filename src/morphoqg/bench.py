@@ -1,34 +1,41 @@
-"""Per-word decode-latency benchmark for output-layer designs.
+"""Decode-latency benchmark: the shipped beam search at two list sizes.
 
-Compares the cost of producing one decoded word for every hypothesis of
-a beam, with the same top-k bookkeeping, under two output layers:
+The paper's speed claim is that shrinking the set of words the decoder
+predicts cuts decoding time.  ``bench_decode`` builds two seeded
+:class:`EncoderDecoder` models with the same hyperparameters, encoder
+vocabulary, seed and source, which differ only in the size of their
+question-word list: ``quest_size`` words (1,004 by default, the list the
+three-action decoder predicts from) against ``vocab_size`` words (30,000,
+the full-vocabulary head of an RNN question generator with copy such as
+NQG++, Zhou et al. 2017, arXiv:1704.01792).  Each side decodes one source
+of ``source_window`` distinct roots with :func:`generate.beam_search`,
+encoder included.  The search has no early stop, so both sides run
+exactly ``steps`` beam steps per question.
 
-* the three-action decoder the model ships: ``EncoderDecoder.step`` on
-  the (beam, hidden) batch (decoder GRU, attention over the copy window,
-  question-word and nine-way rewrite-tag heads, switch), then
-  ``outcome_mass``.  A root word and the tag attached to it count as one
-  decoded word, so the tag head's cost is folded into each word step;
-* a plain full-vocabulary softmax layer of configurable size.
+Both sides keep the copy route and the nine-way rewrite-tag head, so the
+ratio isolates the list size, the paper's mechanism, rather than
+reproducing the paper's exact baseline.
 
-The ratio errs against the three-action side: its word also pays for the
-decoder GRU and attention, which the baseline, an output layer alone,
-skips.  Set-up and warmup steps are not timed; the report carries mean
-and 95th percentile per-word latency.  The module also embeds fixed
-reference figures measured on a full-scale GPU system, for directional
-comparison only — absolute timings are hardware-bound, not targets here.
+Timing: ``warmup`` untimed pairs, then :data:`PAIRS` timed pairs that
+alternate which side runs first.  The report gives each side's median
+seconds per question and per beam step, and ``speedup_ratio``, the
+median of the per-pair ratios, so a stall on a shared machine spoils one
+pair rather than the result.  Fixed reference figures measured on a
+full-scale GPU system ride along for directional comparison only;
+absolute timings are hardware-bound, not targets here.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List
+from typing import Dict
 
 import numpy as np
 
-from .codec import RESERVED_TOKENS, SOS_ID, EncodedExample, Vocab
-from .model import EncoderDecoder, HyperParams, build_tag_list
+from . import generate
+from .codec import RESERVED_TOKENS, EncodedExample, Vocab
+from .model import EncoderDecoder, HyperParams, PreparedExample, build_tag_list
 from .morphology import ALL_TYPES
-from .tensor import softmax
 
 # Reference per-word figures from a full-scale GPU system (directional
 # context only; this benchmark makes no attempt to reproduce them).
@@ -43,90 +50,26 @@ DEFAULT_HIDDEN = 512
 DEFAULT_SOURCE_WINDOW = 128
 DEFAULT_QUEST_SIZE = 1004
 DEFAULT_BASELINE_VOCAB = 30000
+DEFAULT_STEPS = 16
+DEFAULT_WARMUP = 1
+PAIRS = 5
 
 
-def _top_k(probs: np.ndarray, k: int) -> np.ndarray:
-    """One hypothesis's beam bookkeeping: its ``k`` best outcomes, best first."""
-    idx = np.argpartition(probs, -k)[-k:]
-    return np.sort(probs[idx])[::-1]
-
-
-def make_three_action_layer(
-    hidden: int = DEFAULT_HIDDEN,
-    source_window: int = DEFAULT_SOURCE_WINDOW,
-    quest_size: int = DEFAULT_QUEST_SIZE,
-    beam: int = DEFAULT_BEAM,
-    seed: int = 0,
-) -> Callable[[], np.ndarray]:
-    """One decoded word via the model's own copy / list-word / rewrite-tag step.
-
-    A seeded :class:`EncoderDecoder` (default shapes but ``hidden``) over
-    ``source_window`` distinct roots and a list of ``quest_size`` words,
-    reserved tokens included, encodes one source of those roots.  The
-    closure runs ``step`` and ``outcome_mass`` on a (``beam``,
-    ``hidden``) batch of seeded random states and keeps each row's top
-    ``beam`` outcomes.
-    """
+def _model_and_source(list_size: int, hidden: int, source_window: int,
+                      seed: int) -> tuple[EncoderDecoder, PreparedExample]:
+    """A seeded model (default shapes but ``hidden``) whose question list
+    holds ``list_size`` words, reserved tokens included, and one prepared
+    source of ``source_window`` distinct roots, which are its encoder
+    vocabulary."""
     roots = [f"root{i}" for i in range(source_window)]
-    quest = [f"quest{i}" for i in range(quest_size - len(RESERVED_TOKENS))]
+    quest = [f"quest{i}" for i in range(list_size - len(RESERVED_TOKENS))]
     vocab = Vocab(list(RESERVED_TOKENS) + roots, list(RESERVED_TOKENS) + quest)
     model = EncoderDecoder(HyperParams(hidden_size=hidden), vocab,
                            build_tag_list([]), build_tag_list([]), init_seed=seed)
     prep = model.prepare(EncodedExample(
         source_roots=roots, source_features=[("", "", "O")] * source_window,
         answer_span=(0, 0), target_actions=[], reference_question=[]))
-    enc = model.encode(prep)
-    columns = model.outcome_columns(prep.roots)
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((beam, hidden)).astype(model.dtype)
-    contexts = np.zeros_like(states)
-    specs = [("word", SOS_ID)] * beam
-
-    def step() -> np.ndarray:
-        state = model.step(enc, states, contexts, specs)
-        mass = model.outcome_mass(state, columns)
-        return np.stack([_top_k(row, beam) for row in mass])
-
-    return step
-
-
-def make_softmax_layer(
-    hidden: int = DEFAULT_HIDDEN,
-    vocab_size: int = DEFAULT_BASELINE_VOCAB,
-    beam: int = DEFAULT_BEAM,
-    seed: int = 0,
-) -> Callable[[], np.ndarray]:
-    """One decoded word via a plain full-vocabulary softmax layer."""
-    rng = np.random.default_rng(seed)
-    dt = np.float32
-    W = rng.standard_normal((vocab_size, hidden)).astype(dt) * dt(0.05)
-    b = np.zeros(vocab_size, dtype=dt)
-    states = rng.standard_normal((beam, hidden)).astype(dt)
-
-    def step() -> np.ndarray:
-        return np.stack([_top_k(softmax(W @ s + b), beam) for s in states])
-
-    return step
-
-
-def time_layer(step: Callable[[], np.ndarray], steps: int = 30,
-               warmup: int = 5) -> Dict[str, float]:
-    """Time ``steps`` decoded words after ``warmup`` unrecorded calls."""
-    for _ in range(warmup):
-        step()
-    samples: List[float] = []
-    for _ in range(steps):
-        start = time.perf_counter()
-        step()
-        samples.append(time.perf_counter() - start)
-    arr = np.array(samples)
-    return {
-        "per_word_mean_s": float(arr.mean()),
-        "per_word_p95_s": float(np.percentile(arr, 95)),
-        "per_word_median_s": float(np.median(arr)),
-        "steps": steps,
-        "warmup": warmup,
-    }
+    return model, prep
 
 
 def bench_decode(
@@ -135,32 +78,36 @@ def bench_decode(
     source_window: int = DEFAULT_SOURCE_WINDOW,
     quest_size: int = DEFAULT_QUEST_SIZE,
     beam: int = DEFAULT_BEAM,
-    steps: int = 30,
-    warmup: int = 5,
+    steps: int = DEFAULT_STEPS,
+    warmup: int = DEFAULT_WARMUP,
     seed: int = 0,
 ) -> Dict:
-    """Run both layers and report per-word latency plus their ratio."""
-    three_action = make_three_action_layer(
-        hidden=hidden, source_window=source_window, quest_size=quest_size,
-        beam=beam, seed=seed)
-    baseline = make_softmax_layer(hidden=hidden, vocab_size=vocab_size,
-                                  beam=beam, seed=seed)
-    report_wt = time_layer(three_action, steps=steps, warmup=warmup)
-    report_base = time_layer(baseline, steps=steps, warmup=warmup)
-    ratio = (report_base["per_word_mean_s"] / report_wt["per_word_mean_s"]
-             if report_wt["per_word_mean_s"] > 0 else float("inf"))
-    return {
-        "hidden": hidden,
-        "beam": beam,
-        "three_action": {
-            "support": {"copy": source_window, "quest": quest_size,
-                        "tags": len(ALL_TYPES)},
-            **report_wt,
-        },
-        "softmax_baseline": {
-            "support": {"vocab": vocab_size},
-            **report_base,
-        },
-        "speedup_ratio": ratio,
-        "full_scale_reference": dict(FULL_SCALE_REFERENCE),
-    }
+    """Time one question of ``beam_search`` on both list sizes and report
+    per-side medians plus the median of the per-pair ratios."""
+    sizes = {"three_action": quest_size, "baseline": vocab_size}
+    sides = {name: _model_and_source(size, hidden, source_window, seed)
+             for name, size in sizes.items()}
+    seconds: Dict[str, list] = {name: [] for name in sides}
+    for pair in range(warmup + PAIRS):
+        order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+        for name in order:
+            model, prep = sides[name]
+            start = time.perf_counter()
+            generate.beam_search(model, prep, beam_size=beam, max_len=steps)
+            if pair >= warmup:
+                seconds[name].append(time.perf_counter() - start)
+    ratios = [base / short for short, base
+              in zip(seconds["three_action"], seconds["baseline"])]
+    report: Dict = {"hidden": hidden, "beam": beam, "steps": steps,
+                    "warmup": warmup, "pairs": PAIRS}
+    for name, size in sizes.items():
+        median = float(np.median(seconds[name]))
+        report[name] = {
+            "support": {"copy": source_window, "quest": size, "tags": len(ALL_TYPES)},
+            "per_question_median_s": median,
+            "per_step_median_s": median / steps,
+        }
+    report["pair_ratios"] = ratios
+    report["speedup_ratio"] = float(np.median(ratios))
+    report["full_scale_reference"] = dict(FULL_SCALE_REFERENCE)
+    return report

@@ -278,7 +278,9 @@ def build_vocabs(
 ) -> Vocab:
     """Frequency-ranked vocabularies over root-rewritten training text.
 
-    Ties break lexicographically so rebuilding is deterministic.
+    Ties break lexicographically so rebuilding is deterministic.  A token
+    holding a line break is rejected: the vocabulary file stores one token
+    per line.
     """
     morphology = morphology or default_morphology()
     source_counts: Counter = Counter()
@@ -292,8 +294,12 @@ def build_vocabs(
             quest_counts[morphology.analyze(word, pos).root] += 1
     if not seen:
         raise EmptyInputError("corpus is empty")
-    return Vocab(_top_tokens(source_counts, encoder_cap),
-                 _top_tokens(quest_counts, quest_cap))
+    encoder_tokens = _top_tokens(source_counts, encoder_cap)
+    quest_tokens = _top_tokens(quest_counts, quest_cap)
+    for token in encoder_tokens + quest_tokens:
+        if "".join(token.splitlines()) != token:
+            raise ParseError(f"vocabulary token {token!r} holds a line break")
+    return Vocab(encoder_tokens, quest_tokens)
 
 
 # -- corpus file handling ----------------------------------------------
@@ -336,15 +342,23 @@ def _strings(obj: dict, key: str) -> List[str]:
     return value
 
 
+def _integer(value, field: str) -> int:
+    """``value`` itself, which must be an ``int`` (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def corpus_example_from_obj(obj: dict, line: Optional[int] = None) -> CorpusExample:
     try:
         ex = CorpusExample(
             tokens=_strings(obj, "tokens"), pos=_strings(obj, "pos"),
             ner=_strings(obj, "ner"),
-            answer_start=int(obj["answer_start"]), answer_end=int(obj["answer_end"]),
+            answer_start=_integer(obj["answer_start"], "answer_start"),
+            answer_end=_integer(obj["answer_end"], "answer_end"),
             question=_strings(obj, "question"), question_pos=_strings(obj, "question_pos"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"bad corpus record: {exc}", line=line) from None
     if not (len(ex.tokens) == len(ex.pos) == len(ex.ner)):
         raise LengthMismatch(
@@ -433,9 +447,9 @@ def action_from_obj(obj: dict) -> TargetAction:
         raise ParseError(f"action must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "copy":
-        return Copy(int(obj["index"]))
+        return Copy(_integer(obj["index"], "copy index in actions"))
     if kind == "quest":
-        return Quest(int(obj["id"]))
+        return Quest(_integer(obj["id"], "word id in actions"))
     if kind == "trans":
         return Trans(TransformationType.from_tag(obj["tag"]))
     raise ParseError(f"unknown action kind: {kind!r}")
@@ -459,7 +473,8 @@ def encoded_from_obj(obj: dict, line: Optional[int] = None) -> EncodedExample:
         columns = [_strings(obj, key) for key in ("pos", "ner", "answer_bio")]
         if any(len(column) != len(roots) for column in columns):
             raise ValueError("pos/ner/answer_bio must be as long as source_roots")
-        left, right = int(obj["answer_span"][0]), int(obj["answer_span"][1])
+        span = obj["answer_span"]
+        left, right = _integer(span[0], "answer_span"), _integer(span[1], "answer_span")
         if not 0 <= left <= right < len(roots):
             raise ValueError(f"answer_span [{left}, {right}] outside {len(roots)} source_roots")
         actions = [action_from_obj(a) for a in obj["actions"]]
@@ -474,7 +489,7 @@ def encoded_from_obj(obj: dict, line: Optional[int] = None) -> EncodedExample:
             target_actions=actions,
             reference_question=_strings(obj, "reference_question"),
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"bad encoded record: {exc}", line=line) from None
 
 

@@ -127,12 +127,6 @@ def beam_search(
     return max(finished, key=lambda r: (r.score, r.finished))
 
 
-def greedy(model: EncoderDecoder, prep: PreparedExample,
-           max_len: Optional[int] = None) -> BeamResult:
-    """Greedy decoding: a beam of exactly one."""
-    return beam_search(model, prep, beam_size=1, max_len=max_len)
-
-
 def generate_question(
     model: EncoderDecoder,
     example: EncodedExample,

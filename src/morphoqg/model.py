@@ -29,7 +29,7 @@ dot product against the decoder state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,9 +88,6 @@ class HyperParams:
                 raise ParseError(f"hyperparameter {name!r} must be {want.__name__}, "
                                  f"got {value!r}")
         return cls(**dict(data))  # type: ignore[arg-type]
-
-    def scaled(self, **overrides) -> "HyperParams":
-        return replace(self, **overrides)
 
 
 def build_tag_list(tags: Iterable[str]) -> list[str]:
@@ -732,11 +729,6 @@ class EncoderDecoder:
             enc["ds0"] = ds_carry
             self._encoder_backward(enc, grads)
         return total, tokens
-
-    def loss_only(self, prepared: Sequence[PreparedExample],
-                  masks_list: Sequence[Array | None] | None = None) -> float:
-        loss, _ = self.loss_and_grads(prepared, grads=None, masks_list=masks_list)
-        return loss
 
     # ------------------------------------------------------------------
     # Outcome mass: the one mixing of the three routes, used by decoding

@@ -33,7 +33,7 @@ from morphoqg.codec import (
     encode_target,
     realize,
 )
-from morphoqg.generate import greedy
+from morphoqg.generate import beam_search
 from morphoqg.metrics import bleu, rouge_l
 from morphoqg.model import EncoderDecoder, HyperParams, build_tag_list
 from morphoqg.morphology import (
@@ -163,7 +163,7 @@ def test_criterion_3_full_loss_gradient_check():
         grads = check.zero_grads()
         check.loss_and_grads([prep], grads=grads, masks_list=[None])
         reports = grad_check(
-            lambda: check.loss_only([prep], masks_list=[None]),
+            lambda: check.loss_and_grads([prep], grads=None, masks_list=[None])[0],
             dict(check.store.items()), grads, eps=1e-4, tolerance=1e-4)
         failed = [r for r in reports if not r.passed]
         assert not failed, f"dot_heads={dot_heads}: {failed}"
@@ -202,7 +202,8 @@ def test_criterion_4_probability_mass():
 
 def test_criterion_5_toy_overfit():
     """64 template pairs, hidden size 64, at most 2,000 steps and five
-    minutes: greedy decoding reaches >= 90% exact match and BLEU-4 >= 95."""
+    minutes: greedy decoding (a beam of one) reaches >= 90% exact match
+    and BLEU-4 >= 95."""
     begin = time.perf_counter()
     corpus = make_overfit_corpus()
     assert len(corpus) == 64
@@ -221,8 +222,8 @@ def test_criterion_5_toy_overfit():
     references = [" ".join(ex.reference_question) for ex in encoded]
 
     def decode_all(m):
-        return [realize(list(greedy(m, prep).actions), list(prep.roots),
-                        vocab, morph) for prep in prepared]
+        return [realize(list(beam_search(m, prep, beam_size=1).actions),
+                        list(prep.roots), vocab, morph) for prep in prepared]
 
     def scores(candidates):
         exact = sum(c == r for c, r in zip(candidates, references))
@@ -246,30 +247,34 @@ def test_criterion_5_toy_overfit():
     assert bleu4 >= 95.0
 
 
-# -- criterion 6: output-layer speedup ---------------------------------
+# -- criterion 6: decode speedup from the smaller list ------------------
 
 
 def test_criterion_6_output_layer_speedup():
-    """At hidden size 512 the three-action output layer (copy window 128
-    + 1000-word list + 9 tags, beam 12) beats a 30,000-way softmax under
-    identical beam bookkeeping by at least 1.5x.  The bundled full-scale
-    figures are directional context, not something this CPU run
-    reproduces."""
+    """At hidden size 512 and beam 12, a question of the shipped beam
+    search with the three-action decoder's 1,004-word list (plus copy
+    window 128 and 9 tags) runs at least 1.5x faster than the same model
+    with a 30,000-word list, judged by the median of paired per-question
+    ratios.  The bundled full-scale figures are directional context, not
+    something this CPU run reproduces."""
     report = bench_decode()  # full-scale defaults: 512/30000/128/1004/12
     ratio = report["speedup_ratio"]
     reference = report["full_scale_reference"]
+    short, full = report["three_action"], report["baseline"]
     print(f"criterion 6: measured speedup {ratio:.2f}x "
-          f"(three-action {report['three_action']['per_word_mean_s']*1e3:.2f}ms"
-          f" vs softmax {report['softmax_baseline']['per_word_mean_s']*1e3:.2f}"
-          f"ms per word); directional full-scale reference: "
+          f"(pairs {', '.join(f'{r:.2f}' for r in report['pair_ratios'])}; "
+          f"{short['per_question_median_s']*1e3:.0f}ms vs "
+          f"{full['per_question_median_s']*1e3:.0f}ms per question, "
+          f"{short['per_step_median_s']*1e3:.1f}ms vs "
+          f"{full['per_step_median_s']*1e3:.1f}ms per beam step); "
+          f"directional full-scale reference: "
           f"{reference['baseline_per_word_s']*1e3:.1f}ms -> "
           f"{reference['three_action_per_word_s']*1e3:.1f}ms "
           f"({reference['savings_pct']}% saved)")
     assert report["hidden"] == 512
     assert report["beam"] == 12
-    assert report["softmax_baseline"]["support"] == {"vocab": 30_000}
-    assert report["three_action"]["support"] == {
-        "copy": 128, "quest": 1004, "tags": 9}
+    assert short["support"] == {"copy": 128, "quest": 1004, "tags": 9}
+    assert full["support"] == {"copy": 128, "quest": 30_000, "tags": 9}
     assert reference == FULL_SCALE_REFERENCE
     assert ratio >= 1.5
 

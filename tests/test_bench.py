@@ -1,132 +1,135 @@
-"""Tests for the output-layer latency benchmark."""
+"""Tests for the decode-latency benchmark."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from morphoqg.bench import (
-    FULL_SCALE_REFERENCE,
-    bench_decode,
-    make_softmax_layer,
-    make_three_action_layer,
-    time_layer,
-)
-from morphoqg.model import EncoderDecoder
+from morphoqg import bench, generate
+from morphoqg.bench import FULL_SCALE_REFERENCE, PAIRS, _model_and_source, bench_decode
+
+SMALL = dict(hidden=16, source_window=8, quest_size=20, vocab_size=60, beam=3,
+             steps=2)
 
 
-def median_of_medians(step_factory, repetitions=3, steps=20, warmup=3):
-    """Noise-robust latency estimate: median of per-repetition medians."""
-    medians = [time_layer(step_factory(), steps=steps, warmup=warmup)["per_word_median_s"]
-               for _ in range(repetitions)]
-    return float(np.median(medians))
+class TestModelAndSource:
+    """Property: the builder yields a model whose outcomes are the copy
+    window, the question list and the nine tags."""
 
-
-class TestLayers:
-    """Property: both layer closures produce beam-shaped score tables."""
-
-    def test_three_action_layer_output_shape(self):
-        layer = make_three_action_layer(hidden=64, source_window=16,
-                                        quest_size=40, beam=4, seed=1)
-        out = layer()
-        assert out.shape == (4, 4)
-        assert np.all(np.isfinite(out))
-        # Scores are probabilities scaled by switch mass: within (0, 1).
-        assert np.all(out > 0) and np.all(out < 1)
-
-    def test_softmax_layer_output_shape(self):
-        layer = make_softmax_layer(hidden=64, vocab_size=500, beam=4, seed=1)
-        out = layer()
-        assert out.shape == (4, 4)
-        assert np.all(out > 0) and np.all(out < 1)
-        # Rows are sorted best-first.
-        assert np.all(np.diff(out, axis=1) <= 0)
+    def test_outcomes_cover_copy_window_list_and_tags(self):
+        model, prep = _model_and_source(40, hidden=16, source_window=8, seed=1)
+        assert model.vocab.quest_size == 40
+        assert len(prep.roots) == 8
+        enc = model.encode(prep)
+        state = model.step(enc, enc["s0"][None, :],
+                           np.zeros((1, 16), dtype=model.dtype), [("word", 2)])
+        mass = model.outcome_mass(state, model.outcome_columns(prep.roots))
+        assert mass.shape == (1, 8 + 40 + 9)
+        assert mass.sum() == pytest.approx(1.0, abs=1e-5)
 
 
 class TestShippedDecoder:
-    """Property: the three-action layer times the model's own step and mixing."""
+    """Property: the benchmark times the shipped ``beam_search``, one call
+    per side per pair, on models that differ only in list size."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of ``step`` and ``outcome_mass`` calls, plus every mass returned."""
-        record = {"step": 0, "outcome_mass": 0, "masses": []}
-        real_step, real_mass = EncoderDecoder.step, EncoderDecoder.outcome_mass
+        """Every ``beam_search`` call as (model, prep, beam_size, max_len)."""
+        record = []
+        real = generate.beam_search
 
-        def step(self, *args, **kwargs):
-            record["step"] += 1
-            return real_step(self, *args, **kwargs)
+        def beam_search(model, prep, beam_size=None, max_len=None):
+            record.append((model, prep, beam_size, max_len))
+            return real(model, prep, beam_size=beam_size, max_len=max_len)
 
-        def outcome_mass(self, *args, **kwargs):
-            record["outcome_mass"] += 1
-            record["masses"].append(real_mass(self, *args, **kwargs))
-            return record["masses"][-1]
-
-        monkeypatch.setattr(EncoderDecoder, "step", step)
-        monkeypatch.setattr(EncoderDecoder, "outcome_mass", outcome_mass)
+        monkeypatch.setattr(generate, "beam_search", beam_search)
         return record
 
-    def test_one_step_and_one_mixing_per_word(self, calls):
-        layer = make_three_action_layer(hidden=16, source_window=8,
-                                        quest_size=20, beam=3, seed=2)
-        assert (calls["step"], calls["outcome_mass"]) == (0, 0)
-        for words in (1, 2, 3):
-            layer()
-            assert (calls["step"], calls["outcome_mass"]) == (words, words)
+    def test_each_pair_runs_beam_search_once_per_side(self, calls):
+        bench_decode(**SMALL, warmup=2)
+        assert len(calls) == 2 * (2 + PAIRS)
+        first = calls[0][0]
+        for pair in range(2 + PAIRS):
+            (a, prep_a, beam_a, len_a), (b, prep_b, beam_b, len_b) = calls[2 * pair:2 * pair + 2]
+            sizes = [a.vocab.quest_size, b.vocab.quest_size]
+            # Sides alternate: the short list first on even pairs.
+            assert sizes == ([20, 60] if pair % 2 == 0 else [60, 20])
+            assert a.hyper == b.hyper == first.hyper
+            assert a.vocab.encoder_vocab == b.vocab.encoder_vocab
+            assert prep_a.roots == prep_b.roots
+            assert (beam_a, len_a) == (beam_b, len_b) == (3, 2)
 
-    def test_rows_are_top_beam_outcome_masses(self, calls):
-        layer = make_three_action_layer(hidden=16, source_window=8,
-                                        quest_size=20, beam=3, seed=2)
-        out = layer()
-        (mass,) = calls["masses"]
-        assert mass.shape == (3, 8 + 20 + 9)
-        np.testing.assert_array_equal(out, -np.sort(-mass, axis=1)[:, :3])
+    def test_report_is_medians_of_timed_pairs(self, monkeypatch):
+        """On a fake clock, a warmup call costs 100 s and timed calls cost
+        the listed seconds; the report must follow from the timed ones."""
+        short = iter([1.0, 2.0, 3.0, 4.0, 5.0])
+        full = iter([10.0, 4.0, 9.0, 8.0, 5.0])  # per-pair ratios 10, 2, 3, 2, 1
+        clock = [0.0]
+        seen = []
+
+        def beam_search(model, prep, beam_size=None, max_len=None):
+            seen.append(model.vocab.quest_size)
+            warm = len(seen) <= 2
+            cost = short if model.vocab.quest_size == 20 else full
+            clock[0] += 100.0 if warm else next(cost)
+
+        monkeypatch.setattr(generate, "beam_search", beam_search)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        report = bench_decode(**SMALL, warmup=1)
+        assert PAIRS == 5
+        assert report["three_action"]["per_question_median_s"] == 3.0
+        assert report["baseline"]["per_question_median_s"] == 8.0
+        assert report["baseline"]["per_step_median_s"] == 4.0
+        assert report["pair_ratios"] == [10.0, 2.0, 3.0, 2.0, 1.0]
+        assert report["speedup_ratio"] == 2.0  # not the ratio of medians, 8/3
 
 
 class TestTiming:
-    """Property: timing reports are positive, complete, and warmup-aware."""
+    """Property: timing reports are positive, complete and stable."""
 
     def test_report_fields(self):
-        layer = make_softmax_layer(hidden=32, vocab_size=200, beam=2)
-        report = time_layer(layer, steps=5, warmup=2)
-        assert set(report) >= {"per_word_mean_s", "per_word_p95_s",
-                               "per_word_median_s", "steps", "warmup"}
-        assert report["per_word_mean_s"] > 0
-        assert report["per_word_p95_s"] > 0
-        assert report["steps"] == 5
+        report = bench_decode(**SMALL, warmup=1)
+        assert set(report) == {"hidden", "beam", "steps", "warmup", "pairs",
+                               "three_action", "baseline", "pair_ratios",
+                               "speedup_ratio", "full_scale_reference"}
+        assert (report["steps"], report["warmup"], report["pairs"]) == (2, 1, PAIRS)
+        for name, size in (("three_action", 20), ("baseline", 60)):
+            side = report[name]
+            assert set(side) == {"support", "per_question_median_s", "per_step_median_s"}
+            assert side["support"] == {"copy": 8, "quest": size, "tags": 9}
+            assert side["per_question_median_s"] > 0
+            assert side["per_step_median_s"] == side["per_question_median_s"] / 2
+        assert len(report["pair_ratios"]) == PAIRS
+        assert report["speedup_ratio"] == float(np.median(report["pair_ratios"]))
 
     def test_identical_configs_land_in_the_noise_band(self):
-        a = median_of_medians(
-            lambda: make_softmax_layer(hidden=64, vocab_size=2000, beam=4),
-            repetitions=3, steps=10, warmup=2)
-        b = median_of_medians(
-            lambda: make_softmax_layer(hidden=64, vocab_size=2000, beam=4),
-            repetitions=3, steps=10, warmup=2)
-        assert 0.5 < a / b < 2.0
+        report = bench_decode(hidden=64, vocab_size=500, source_window=16,
+                              quest_size=500, beam=4, steps=4, warmup=1)
+        assert 0.5 < report["speedup_ratio"] < 2.0
 
     def test_latency_monotone_in_vocabulary_size(self):
-        small = median_of_medians(
-            lambda: make_softmax_layer(hidden=128, vocab_size=1000, beam=4),
-            repetitions=3, steps=10, warmup=2)
-        large = median_of_medians(
-            lambda: make_softmax_layer(hidden=128, vocab_size=16000, beam=4),
-            repetitions=3, steps=10, warmup=2)
-        # A 16x larger output vocabulary must not come out faster than the
-        # small one by more than the noise band.
-        assert large >= small * 0.8
+        report = bench_decode(hidden=128, vocab_size=16000, source_window=16,
+                              quest_size=1000, beam=4, steps=4, warmup=1)
+        # A 16x larger list must not come out faster than the small one
+        # by more than the noise band.
+        assert report["baseline"]["per_question_median_s"] >= (
+            0.8 * report["three_action"]["per_question_median_s"])
 
 
 class TestBenchDecode:
-    """Property: the combined report compares both layers on equal terms."""
+    """Property: the combined report compares both sides on equal terms."""
 
     def test_report_structure_and_reference_figures(self):
         report = bench_decode(hidden=64, vocab_size=2000, source_window=16,
-                              quest_size=100, beam=4, steps=5, warmup=2)
+                              quest_size=100, beam=4, steps=3, warmup=1)
         assert report["hidden"] == 64
         assert report["beam"] == 4
-        assert report["three_action"]["per_word_mean_s"] > 0
-        assert report["softmax_baseline"]["per_word_mean_s"] > 0
+        assert report["three_action"]["per_question_median_s"] > 0
+        assert report["baseline"]["per_question_median_s"] > 0
         assert report["speedup_ratio"] > 0
         assert report["full_scale_reference"] == FULL_SCALE_REFERENCE
 
     def test_reduced_scale_speedup_favors_three_action_layer(self):
         report = bench_decode(hidden=256, vocab_size=15000, source_window=64,
-                              quest_size=504, beam=8, steps=10, warmup=3)
+                              quest_size=504, beam=8, steps=6, warmup=1)
         assert report["speedup_ratio"] > 1.0
