@@ -46,7 +46,6 @@ from .codec import (
     DEFAULT_ENCODER_CAP,
     DEFAULT_QUEST_CAP,
     RESERVED_TOKENS,
-    CorpusExample,
     EncodedExample,
     Vocab,
     build_vocabs,
@@ -262,11 +261,6 @@ def cmd_analyze_vocab(args) -> int:
     return 0
 
 
-def _encode_one(raw: CorpusExample, vocab: Vocab, cutoff: int,
-                truncate: bool) -> EncodedExample:
-    return encode_example(raw, vocab, None, cutoff=cutoff, truncate=truncate)
-
-
 def _partition_counts(n: int, ratios: Sequence[float]) -> List[int]:
     counts = [int(math.floor(r * n)) for r in ratios]
     for i in range(n - sum(counts)):
@@ -289,7 +283,7 @@ def cmd_encode(args) -> int:
                            resolve_path(args.quest_vocab))
     else:
         vocab = build_vocabs(corpus)
-    work = partial(_encode_one, vocab=vocab, cutoff=args.cutoff,
+    work = partial(encode_example, vocab=vocab, cutoff=args.cutoff,
                    truncate=args.truncate)
     if args.jobs > 1 and len(corpus) > 1:
         chunk = max(1, math.ceil(len(corpus) / (args.jobs * 4)))
@@ -508,10 +502,8 @@ def _check_probability_mass(seed: int):
         state = check.step(enc, enc["s0"],
                            np.zeros(check.hyper.hidden_size, dtype=check.dtype),
                            ("word", 2))
-        word_probs, _actions, tag_probs = check.outcome_distribution(
-            state, prep.roots)
-        total = sum(word_probs.values()) + sum(tag_probs.values())
-        worst = max(worst, abs(total - 1.0))
+        total = check.outcome_mass(state, check.outcome_columns(prep.roots)).sum()
+        worst = max(worst, abs(float(total) - 1.0))
     return worst < 1e-9, f"20 parameterizations, worst |sum - 1| = {worst:.2e}"
 
 

@@ -14,11 +14,17 @@ list, the list route).
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
-graph.  Training runs the decoder step on single state rows; beam search
-runs the same step on a (k, d_h) batch of all live hypotheses and mixes
-the three routes into one probability row per hypothesis
-(:meth:`EncoderDecoder.outcome_mass`).  ``grad_check`` validates the complete loss gradient against
-central finite differences, in the test suite and in ``selftest``.
+graph.  Training runs the decoder step on single state rows.  Per
+example, the backward pass allocates zero gradient buffers for the
+encoder outputs (H, its attention projection and the answer vector) up
+front, walks the decoder steps in reverse adding into them, then runs the
+two encoder GRUs back and scatters the input-row gradient into the word,
+answer-position, entity and POS tables with one ``np.add.at`` per table.
+Beam search runs the decoder step on a (k, d_h) batch of all live
+hypotheses and mixes the three routes into one probability row per
+hypothesis (:meth:`EncoderDecoder.outcome_mass`).  ``grad_check``
+validates the complete loss gradient against central finite differences,
+in the test suite and in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -181,7 +187,8 @@ class EncoderDecoder:
         self.init_seed = init_seed
         if store is None:
             store = ParameterStore(init_seed=init_seed)
-            self._register(store)
+            for name, shape, init in self._parameters():
+                store.add(name, shape, init=init)
         self.store = store
         self.dtype = store.dtype
 
@@ -189,54 +196,60 @@ class EncoderDecoder:
     # Parameters.
     # ------------------------------------------------------------------
 
-    def _register(self, store: ParameterStore) -> None:
+    def _parameters(self) -> list[tuple[str, tuple[int, ...], str]]:
+        """Name, shape and init scheme of every tensor, in registration order.
+
+        The order pins the seeded initial values and the order of every
+        gradient dict; :meth:`load` checks a checkpoint against the same list.
+        """
         hp = self.hyper
         d_w, d_h = hp.word_dim, hp.hidden_size
         d_in = self._input_dim()
-        n_enc = self.vocab.encoder_size
         n_quest = self.vocab.quest_size
         n_types = len(ALL_TYPES)
-
-        store.add("emb/word", (n_enc, d_w), init="uniform")
-        store.add("emb/bio", (len(BIO_TAGS), hp.answer_feat_dim), init="uniform")
-        store.add("emb/ner", (len(self.ner_tags), hp.ner_feat_dim), init="uniform")
-        store.add("emb/pos", (len(self.pos_tags), hp.pos_feat_dim), init="uniform")
-        store.add("emb/trans", (n_types, d_w), init="uniform")
-
+        specs = [
+            ("emb/word", (self.vocab.encoder_size, d_w), "uniform"),
+            ("emb/bio", (len(BIO_TAGS), hp.answer_feat_dim), "uniform"),
+            ("emb/ner", (len(self.ner_tags), hp.ner_feat_dim), "uniform"),
+            ("emb/pos", (len(self.pos_tags), hp.pos_feat_dim), "uniform"),
+            ("emb/trans", (n_types, d_w), "uniform"),
+        ]
         for prefix, x_dim in (
             ("enc_fwd", d_in),
             ("enc_bwd", d_in),
             ("dec", d_w + d_h),
         ):
             for gate in ("z", "r", "n"):
-                store.add(f"{prefix}/W_{gate}", (d_h, x_dim), init="scaled")
-                store.add(f"{prefix}/U_{gate}", (d_h, d_h), init="uniform")
-                store.add(f"{prefix}/b_{gate}", (d_h,), init="zeros")
-
-        store.add("init/W", (d_h, d_h), init="scaled")
-        store.add("init/b", (d_h,), init="zeros")
-
-        store.add("att/A", (d_h, d_h), init="scaled")
-        store.add("att/B", (d_h, d_h), init="scaled")
-        store.add("att/b", (d_h,), init="zeros")
-        store.add("att/v", (d_h,), init="scaled")
-
+                specs += [(f"{prefix}/W_{gate}", (d_h, x_dim), "scaled"),
+                          (f"{prefix}/U_{gate}", (d_h, d_h), "uniform"),
+                          (f"{prefix}/b_{gate}", (d_h,), "zeros")]
+        specs += [
+            ("init/W", (d_h, d_h), "scaled"),
+            ("init/b", (d_h,), "zeros"),
+            ("att/A", (d_h, d_h), "scaled"),
+            ("att/B", (d_h, d_h), "scaled"),
+            ("att/b", (d_h,), "zeros"),
+            ("att/v", (d_h,), "scaled"),
+        ]
         if hp.dot_heads:
-            store.add("dot/type_emb", (n_types, d_h), init="uniform")
-            store.add("dot/quest_emb", (n_quest, d_h), init="uniform")
-            store.add("dot/switch_W", (3, d_h), init="scaled")
-            store.add("dot/switch_b", (3,), init="zeros")
-        else:
-            store.add("g1/W", (2 * d_h, 2 * d_h), init="scaled")
-            store.add("g1/b", (2 * d_h,), init="zeros")
-            store.add("g1/Wo", (n_types, d_h), init="scaled")
-            store.add("g1/bo", (n_types,), init="zeros")
-            store.add("g2/W", (2 * d_h, 3 * d_h), init="scaled")
-            store.add("g2/b", (2 * d_h,), init="zeros")
-            store.add("g2/Wo", (n_quest, d_h), init="scaled")
-            store.add("g2/bo", (n_quest,), init="zeros")
-            store.add("switch/W", (3, 2 * d_h + d_w), init="scaled")
-            store.add("switch/b", (3,), init="zeros")
+            return specs + [
+                ("dot/type_emb", (n_types, d_h), "uniform"),
+                ("dot/quest_emb", (n_quest, d_h), "uniform"),
+                ("dot/switch_W", (3, d_h), "scaled"),
+                ("dot/switch_b", (3,), "zeros"),
+            ]
+        return specs + [
+            ("g1/W", (2 * d_h, 2 * d_h), "scaled"),
+            ("g1/b", (2 * d_h,), "zeros"),
+            ("g1/Wo", (n_types, d_h), "scaled"),
+            ("g1/bo", (n_types,), "zeros"),
+            ("g2/W", (2 * d_h, 3 * d_h), "scaled"),
+            ("g2/b", (2 * d_h,), "zeros"),
+            ("g2/Wo", (n_quest, d_h), "scaled"),
+            ("g2/bo", (n_quest,), "zeros"),
+            ("switch/W", (3, 2 * d_h + d_w), "scaled"),
+            ("switch/b", (3,), "zeros"),
+        ]
 
     def zero_grads(self) -> dict[str, Array]:
         return self.store.zero_grads()
@@ -319,6 +332,14 @@ class EncoderDecoder:
         hp = self.hyper
         return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
 
+    @staticmethod
+    def _input_ids(prep: PreparedExample) -> tuple[tuple[str, list[int]], ...]:
+        """The encoder input row layout: each token's row joins its word,
+        answer-position, entity and POS embeddings, in this order.  The ids
+        are lists, because a tuple index would read as a multi-axis index."""
+        return (("emb/word", list(prep.word_ids)), ("emb/bio", list(prep.bio_ids)),
+                ("emb/ner", list(prep.ner_ids)), ("emb/pos", list(prep.pos_ids)))
+
     def _gru_forward(self, prefix: str, x: Array, h: Array):
         """One GRU update for a row ``x``, ``h`` or a (k, ·) batch of rows."""
         p = self.store
@@ -368,14 +389,7 @@ class EncoderDecoder:
         if n == 0:
             raise ShapeMismatch("encode", (0,))
         d_h = self.hyper.hidden_size
-        X = np.empty((n, self._input_dim()), dtype=self.dtype)
-        for i in range(n):
-            X[i] = np.concatenate([
-                p["emb/word"][prep.word_ids[i]],
-                p["emb/bio"][prep.bio_ids[i]],
-                p["emb/ner"][prep.ner_ids[i]],
-                p["emb/pos"][prep.pos_ids[i]],
-            ])
+        X = np.concatenate([p[name][ids] for name, ids in self._input_ids(prep)], axis=1)
         if masks is not None:
             X = X * masks
         zero = np.zeros(d_h, dtype=self.dtype)
@@ -408,32 +422,21 @@ class EncoderDecoder:
             "bwd0": bwd_states[0],
             "fwd_caches": fwd_caches,
             "bwd_caches": bwd_caches,
-            "dH": None,
-            "dHA": None,
-            "dv_answer": None,
-            "ds0": None,
         }
 
-    def _encoder_backward(self, enc: dict, grads) -> None:
-        """Propagate accumulated dH / dv_answer / ds0 back to the embeddings."""
+    def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
+                          ds0: Array, grads) -> None:
+        """Propagate the gradients at H, HA, v_answer and s0 back to the embeddings."""
         p = self.store
         prep: PreparedExample = enc["prep"]
         n = len(prep.roots)
-        dH = enc["dH"] if enc["dH"] is not None else np.zeros_like(enc["H"])
-        dHA = enc["dHA"]
-        if dHA is not None:
-            grads["att/A"] += dHA.T @ enc["H"]
-            dH = dH + dHA @ p["att/A"]
-        if enc["dv_answer"] is not None:
-            l, r = prep.span
-            span_len = r - l + 1
-            dH[l : r + 1] += enc["dv_answer"] / span_len
-        dbwd0 = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-        if enc["ds0"] is not None:
-            da0 = enc["ds0"] * (1.0 - enc["s0"] * enc["s0"])
-            grads["init/W"] += np.outer(da0, enc["bwd0"])
-            grads["init/b"] += da0
-            dbwd0 += p["init/W"].T @ da0
+        grads["att/A"] += dHA.T @ enc["H"]
+        dH = dH + dHA @ p["att/A"]
+        l, r = prep.span
+        dH[l : r + 1] += dv_answer / (r - l + 1)
+        da0 = ds0 * (1.0 - enc["s0"] * enc["s0"])
+        grads["init/W"] += np.outer(da0, enc["bwd0"])
+        grads["init/b"] += da0
         dX = np.zeros((n, self._input_dim()), dtype=self.dtype)
         # Forward-direction GRU: reverse through time.
         carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
@@ -443,7 +446,7 @@ class EncoderDecoder:
             dX[i] += dx
         # Backward-direction GRU ran over tokens n-1..0, so its reverse pass
         # walks 0..n-1; its final state (at token 0) also feeds s0.
-        carry = dbwd0
+        carry = p["init/W"].T @ da0
         for i in range(n):
             dx, carry = self._gru_backward("enc_bwd", dH[i] + carry,
                                            enc["bwd_caches"][i], grads)
@@ -451,15 +454,12 @@ class EncoderDecoder:
         masks = enc["masks"]
         if masks is not None:
             dX = dX * masks
-        hp = self.hyper
-        ofs_bio = hp.word_dim
-        ofs_ner = ofs_bio + hp.answer_feat_dim
-        ofs_pos = ofs_ner + hp.ner_feat_dim
-        for i in range(n):
-            grads["emb/word"][prep.word_ids[i]] += dX[i, :ofs_bio]
-            grads["emb/bio"][prep.bio_ids[i]] += dX[i, ofs_bio:ofs_ner]
-            grads["emb/ner"][prep.ner_ids[i]] += dX[i, ofs_ner:ofs_pos]
-            grads["emb/pos"][prep.pos_ids[i]] += dX[i, ofs_pos:]
+        # np.add.at adds a repeated id's rows one after another, in token order.
+        start = 0
+        for name, ids in self._input_ids(prep):
+            width = p[name].shape[1]
+            np.add.at(grads[name], ids, dX[:, start : start + width])
+            start += width
 
     # ------------------------------------------------------------------
     # Decoder step.
@@ -529,11 +529,16 @@ class EncoderDecoder:
                        d_switch: Array,
                        ds_carry: Array,
                        dc_carry: Array,
+                       dH: Array,
+                       dHA: Array,
+                       dv_answer: Array,
                        grads) -> tuple[Array, Array]:
         """Backward through one decoder step.
 
-        Returns (ds_prev, dc_prev): gradients for the previous state and the
-        previous context vector (the latter entered this step's GRU input).
+        Adds this step's gradients at the encoder outputs into ``dH``,
+        ``dHA`` and ``dv_answer``.  Returns (ds_prev, dc_prev): gradients
+        for the previous state and the previous context vector (the latter
+        entered this step's GRU input).
         """
         p = self.store
         H = enc["H"]
@@ -559,7 +564,7 @@ class EncoderDecoder:
                 ds += p["dot/type_emb"].T @ dlog
             if d_p_copy is not None:
                 dlog = softmax_backward(state["p_copy"], d_p_copy)
-                self._add_dH(enc, np.outer(dlog, s))
+                dH += np.outer(dlog, s)
                 ds += H.T @ dlog
         else:
             d_h = self.hyper.hidden_size
@@ -579,7 +584,7 @@ class EncoderDecoder:
                 grads["g2/W"] += np.outer(da, state["u2"])
                 grads["g2/b"] += da
                 du2 = p["g2/W"].T @ da
-                self._add_dv(enc, du2[:d_h])
+                dv_answer += du2[:d_h]
                 ds += du2[d_h : 2 * d_h]
                 dc += du2[2 * d_h :]
             if d_p_trans is not None:
@@ -599,13 +604,13 @@ class EncoderDecoder:
 
         # Context vector: c = H^T alpha.
         dalpha += H @ dc
-        self._add_dH(enc, np.outer(alpha, dc))
+        dH += np.outer(alpha, dc)
         # Attention softmax and scoring.
         de = softmax_backward(alpha, dalpha)
         Q = state["Q"]
         dQ = np.outer(de, p["att/v"]) * (1.0 - Q * Q)
         grads["att/v"] += Q.T @ de
-        self._add_dHA(enc, dQ)
+        dHA += dQ
         dq_sum = dQ.sum(axis=0)
         grads["att/B"] += np.outer(dq_sum, s)
         grads["att/b"] += dq_sum
@@ -619,21 +624,6 @@ class EncoderDecoder:
         table = "emb/word" if kind == "word" else "emb/trans"
         grads[table][idx] += dw
         return ds_prev, dc_prev
-
-    def _add_dH(self, enc: dict, delta: Array) -> None:
-        if enc["dH"] is None:
-            enc["dH"] = np.zeros_like(enc["H"])
-        enc["dH"] += delta
-
-    def _add_dHA(self, enc: dict, delta: Array) -> None:
-        if enc["dHA"] is None:
-            enc["dHA"] = np.zeros_like(enc["HA"])
-        enc["dHA"] += delta
-
-    def _add_dv(self, enc: dict, delta: Array) -> None:
-        if enc["dv_answer"] is None:
-            enc["dv_answer"] = np.zeros_like(enc["v_answer"])
-        enc["dv_answer"] += delta
 
     # ------------------------------------------------------------------
     # Loss.
@@ -698,6 +688,9 @@ class EncoderDecoder:
                 continue
             ds_carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
             dc_carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
+            dH = np.zeros_like(enc["H"])
+            dHA = np.zeros_like(enc["HA"])
+            dv_answer = np.zeros_like(enc["v_answer"])
             for t in range(len(states) - 1, -1, -1):
                 state = states[t]
                 target = prep.targets[t]
@@ -724,10 +717,9 @@ class EncoderDecoder:
                         d_p_quest[target.quest_id] = dP * switch[SW_QUEST]
                 ds_carry, dc_carry = self._step_backward(
                     enc, state, d_p_copy, d_p_trans, d_p_quest,
-                    d_switch, ds_carry, dc_carry, grads,
+                    d_switch, ds_carry, dc_carry, dH, dHA, dv_answer, grads,
                 )
-            enc["ds0"] = ds_carry
-            self._encoder_backward(enc, grads)
+            self._encoder_backward(enc, dH, dHA, dv_answer, ds_carry, grads)
         return total, tokens
 
     # ------------------------------------------------------------------
@@ -835,13 +827,19 @@ class EncoderDecoder:
                              f"an integer, got {init_seed!r}")
         if meta.get("vocab_sha256") != vocab.content_hashes():
             raise ParseError("checkpoint was built with a different vocabulary")
+        store = ParameterStore(init_seed=init_seed)
         model = cls(hyper, vocab, pos_tags=meta["pos_tags"],
-                    ner_tags=meta["ner_tags"], init_seed=init_seed)
+                    ner_tags=meta["ner_tags"], init_seed=init_seed, store=store)
         weights = load_checkpoint(path)
-        if set(weights) != set(model.store.names()):
-            raise ParseError("checkpoint tensors do not match the model shape")
-        for name, arr in weights.items():
-            if arr.shape != model.store[name].shape:
-                raise ShapeMismatch("load", arr.shape, model.store[name].shape)
-            model.store[name] = arr
+        for name, shape, _init in model._parameters():
+            arr = weights.pop(name, None)
+            if arr is None:
+                raise ParseError(f"checkpoint {path} has no tensor {name!r}")
+            if arr.shape != shape:
+                raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, but "
+                                 f"the sidecar's hyperparameters and tags give {shape}")
+            store.add_value(name, arr)
+        if weights:
+            raise ParseError(f"checkpoint {path} has tensors the model lacks: "
+                             f"{sorted(weights)}")
         return model

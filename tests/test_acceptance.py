@@ -189,10 +189,8 @@ def test_criterion_4_probability_mass():
             enc, enc["s0"],
             np.zeros(check.hyper.hidden_size, dtype=check.dtype),
             ("word", 2))
-        word_probs, _actions, tag_probs = check.outcome_distribution(
-            state, prep.roots)
-        total = sum(word_probs.values()) + sum(tag_probs.values())
-        worst = max(worst, abs(total - 1.0))
+        total = check.outcome_mass(state, check.outcome_columns(prep.roots)).sum()
+        worst = max(worst, abs(float(total) - 1.0))
     print(f"criterion 4: 1000 parameterizations, worst |sum-1| = {worst:.2e}")
     assert worst < 1e-6
 

@@ -277,6 +277,23 @@ class TestExitCodes:
         else:
             assert "line 2" in err and key in err
 
+    @pytest.mark.parametrize("hidden", [9, -1])
+    def test_sidecar_shape_mismatch_is_data_error(self, workdir, trained, tmp_path,
+                                                  hidden, capsys):
+        """A sidecar whose hidden size does not fit the tensor pack."""
+        model = tmp_path / "model.ckpt"
+        model.write_bytes(trained[0].read_bytes())
+        meta = json.loads(trained[0].with_suffix(".ckpt.json").read_text(encoding="utf-8"))
+        meta["hyperparams"]["hidden_size"] = hidden
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(meta), encoding="utf-8")
+        assert run("generate", "--input", str(workdir / "corpus.jsonl"),
+                   "--model", str(model),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--out", str(tmp_path / "q.txt")) == 2
+        err = capsys.readouterr().err
+        assert "'enc_fwd/W_z'" in err and "Traceback" not in err
+
     def test_out_of_vocab_action_is_runtime_error(self, workdir, tmp_path,
                                                   capsys):
         lines = (workdir / "encoded.jsonl").read_text().splitlines()

@@ -246,23 +246,25 @@ class TestFullLossGradients:
     def test_full_loss_gradient(self, dot_heads):
         base = tiny_model(dot_heads=dot_heads, seed=11)
         model = base.to_check_precision()
-        prep = model.prepare(flagship_example())
-        mask_rng = np.random.default_rng(3)
-        masks = dropout_mask((len(prep.roots), model._input_dim()),
-                             model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
-        grads = model.zero_grads()
-        model.loss_and_grads([prep], grads=grads, masks_list=[masks])
+        repeated = model.prepare(repeated_root_example())
+        assert repeated.targets[1].copy_positions == (0, 2)
+        for prep in (model.prepare(flagship_example()), repeated):
+            mask_rng = np.random.default_rng(3)
+            masks = dropout_mask((len(prep.roots), model._input_dim()),
+                                 model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
+            grads = model.zero_grads()
+            model.loss_and_grads([prep], grads=grads, masks_list=[masks])
 
-        def loss_fn():
-            return model.loss_and_grads([prep], grads=None, masks_list=[masks])[0]
+            def loss_fn():
+                return model.loss_and_grads([prep], grads=None, masks_list=[masks])[0]
 
-        # eps 1e-4 balances truncation against float64 roundoff for a loss
-        # of this magnitude; smaller eps hits the rounding floor on tensors
-        # whose true gradient is tiny.
-        reports = grad_check(loss_fn, dict(model.store.items()), grads,
-                             eps=1e-4, tolerance=1e-4)
-        failed = [r for r in reports if not r.passed]
-        assert not failed, f"gradient mismatch in: {failed}"
+            # eps 1e-4 balances truncation against float64 roundoff for a loss
+            # of this magnitude; smaller eps hits the rounding floor on tensors
+            # whose true gradient is tiny.
+            reports = grad_check(loss_fn, dict(model.store.items()), grads,
+                                 eps=1e-4, tolerance=1e-4)
+            failed = [r for r in reports if not r.passed]
+            assert not failed, f"gradient mismatch in {prep.roots}: {failed}"
 
     def test_gradients_cover_every_parameter(self):
         model = tiny_model(seed=2).to_check_precision()
@@ -572,6 +574,8 @@ class TestPersistence:
         path = str(tmp_path / "model.ckpt")
         model.save(path, extra={"note": "unit"})
         loaded = EncoderDecoder.load(path, tiny_vocab())
+        # Registration order, which gradient norms sum in.
+        assert loaded.store.names() == model.store.names()
         for name in model.store.names():
             np.testing.assert_array_equal(loaded.store[name], model.store[name])
         assert loaded.hyper == model.hyper
@@ -613,6 +617,8 @@ class TestPersistence:
         ("ner_tags", None),
         ("ner_tags", ["O", 3]),
         ("init_seed", "13"),
+        ("hyperparams", {"hidden_size": 9}),
+        ("hyperparams", {"hidden_size": -1}),
     ])
     def test_bad_sidecar_field_rejected(self, tmp_path, key, value):
         path = str(tmp_path / "model.ckpt")
