@@ -9,22 +9,25 @@ before it.  At every step a three-way switch mixes the three action
 distributions, and the probability of producing a given surface word
 marginalises over every action that could have produced it (all copyable
 positions holding that root plus, when the word is in the question-word
-list, the list route).
+list, the list route).  That mixing has one implementation,
+:meth:`EncoderDecoder.outcome_mass`: training reads each target's column
+of it and seeds the backward pass through the same route-to-column map,
+and beam search ranks its rows.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
-graph.  Training runs the decoder step on single state rows.  Per
-example, the backward pass allocates zero gradient buffers for the
-encoder outputs (H, its attention projection and the answer vector) up
-front, walks the decoder steps in reverse adding into them, then runs the
-two encoder GRUs back and scatters the input-row gradient into the word,
-answer-position, entity and POS tables with one ``np.add.at`` per table.
+graph.  Training runs the decoder step on single state rows, then mixes
+the routes of all teacher-forced steps as one batch.  Per example, the
+backward pass allocates zero gradient buffers for the encoder outputs (H,
+its attention projection and the answer vector) up front, walks the
+decoder steps in reverse adding into them, then runs the two encoder GRUs
+back and scatters the input-row gradient into the word, answer-position,
+entity and POS tables with one ``np.add.at`` per table.
 Beam search runs the decoder step on a (k, d_h) batch of all live
 hypotheses and mixes the three routes into one probability row per
-hypothesis (:meth:`EncoderDecoder.outcome_mass`).  ``grad_check``
-validates the complete loss gradient against central finite differences,
-in the test suite and in ``selftest``.
+hypothesis.  ``grad_check`` validates the complete loss gradient against
+central finite differences, in the test suite and in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -40,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, Trans, Vocab
+from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
 from .errors import DivergenceError, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
 from .tensor import (Array, ParameterStore, dropout_mask, load_checkpoint, load_sidecar,
@@ -51,6 +54,11 @@ from .tensor import (Array, ParameterStore, dropout_mask, load_checkpoint, load_
 SW_QUEST = 0
 SW_COPY = 1
 SW_TRANS = 2
+
+# The routes of the outcome mass, in route order: each source position's
+# copy, each list word, each tag.  A route's mass is its switch weight times
+# its head probability.
+ROUTES = ((SW_COPY, "p_copy"), (SW_QUEST, "p_quest"), (SW_TRANS, "p_trans"))
 
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
@@ -109,25 +117,8 @@ def tag_index(tag_list: Sequence[str], tag: str) -> int:
 
 
 @dataclass(frozen=True)
-class StepTarget:
-    """Supervision for one decoder step.
-
-    ``kind`` is "word" or "tag".  For word targets, ``copy_positions``
-    lists every source index whose root equals the word and ``quest_id``
-    is the word's list id when the list genuinely contains it (None
-    otherwise) — together they define the marginalised probability.
-    """
-
-    kind: str
-    word: str = ""
-    copy_positions: tuple[int, ...] = ()
-    quest_id: int | None = None
-    tag_idx: int = -1
-
-
-@dataclass(frozen=True)
 class PreparedExample:
-    """An encoded example resolved to integer ids and per-step supervision."""
+    """An encoded example resolved to integer ids, decoder inputs and targets."""
 
     roots: tuple[str, ...]
     word_ids: tuple[int, ...]
@@ -136,7 +127,7 @@ class PreparedExample:
     pos_ids: tuple[int, ...]
     span: tuple[int, int]
     input_specs: tuple[tuple[str, int], ...]  # ("word", enc_id) | ("trans", idx)
-    targets: tuple[StepTarget, ...]
+    targets: tuple[TargetAction, ...]  # the target actions, then Quest(EOS_ID)
     reference: str = ""
 
 
@@ -153,7 +144,7 @@ class OutcomeColumns:
     words: tuple[str, ...]           # the word of each word column
     positions: tuple[Array, ...]     # source positions of each root column
     quest_ids: tuple[int, ...]       # list id of each list-only column
-    route_col: Array                 # column of each source position, then each list id
+    route_col: Array                 # column of each route, in ROUTES order
 
     def action(self, col: int, p_copy: Array):
         """The action column ``col`` stands for, given one row of copy
@@ -280,24 +271,6 @@ class EncoderDecoder:
             return ("trans", action.type.index)
         raise ParseError(f"unknown action: {action!r}")
 
-    def target_for_action(self, action, roots: Sequence[str]) -> StepTarget:
-        if isinstance(action, Trans):
-            return StepTarget(kind="tag", tag_idx=action.type.index)
-        if isinstance(action, Copy):
-            word = roots[action.index]
-        elif isinstance(action, Quest):
-            word = self.vocab.quest_word(action.word_id)
-        else:
-            raise ParseError(f"unknown action: {action!r}")
-        positions = tuple(i for i, r in enumerate(roots) if r == word)
-        resolved = self.vocab.quest_id(word) if self.vocab.has_quest_word(word) else None
-        if isinstance(action, Quest):
-            # The list route is always open for a list action, including the
-            # unknown-word bucket.
-            resolved = action.word_id
-        return StepTarget(kind="word", word=word, copy_positions=positions,
-                          quest_id=resolved)
-
     def prepare(self, example: EncodedExample) -> PreparedExample:
         roots = tuple(example.source_roots)
         word_ids = tuple(self.vocab.encoder_id(r) for r in roots)
@@ -306,11 +279,10 @@ class EncoderDecoder:
             bio_ids.append(tag_index(BIO_TAGS, bio))
             ner_ids.append(tag_index(self.ner_tags, ner))
             pos_ids.append(tag_index(self.pos_tags, pos))
-        actions = list(example.target_actions) + [Quest(EOS_ID)]
+        targets = tuple(example.target_actions) + (Quest(EOS_ID),)
         specs: list[tuple[str, int]] = [("word", SOS_ID)]
-        for action in actions[:-1]:
+        for action in targets[:-1]:
             specs.append(self.input_spec_for_action(action, roots))
-        targets = [self.target_for_action(a, roots) for a in actions]
         return PreparedExample(
             roots=roots,
             word_ids=word_ids,
@@ -319,7 +291,7 @@ class EncoderDecoder:
             pos_ids=tuple(pos_ids),
             span=example.answer_span,
             input_specs=tuple(specs),
-            targets=tuple(targets),
+            targets=targets,
             reference=" ".join(example.reference_question),
         )
 
@@ -524,8 +496,8 @@ class EncoderDecoder:
 
     def _step_backward(self, enc: dict, state: dict,
                        d_p_copy: Array | None,
-                       d_p_trans: Array | None,
                        d_p_quest: Array | None,
+                       d_p_trans: Array | None,
                        d_switch: Array,
                        ds_carry: Array,
                        dc_carry: Array,
@@ -629,18 +601,33 @@ class EncoderDecoder:
     # Loss.
     # ------------------------------------------------------------------
 
-    def target_probability(self, state: dict, target: StepTarget) -> float:
-        """Marginalised probability of the supervised outcome at one step."""
-        switch = state["switch"]
-        if target.kind == "tag":
-            return float(switch[SW_TRANS] * state["p_trans"][target.tag_idx])
-        prob = 0.0
-        if target.copy_positions:
-            copy_mass = float(np.sum(state["p_copy"][list(target.copy_positions)]))
-            prob += float(switch[SW_COPY]) * copy_mass
-        if target.quest_id is not None:
-            prob += float(switch[SW_QUEST]) * float(state["p_quest"][target.quest_id])
-        return prob
+    def _target_columns(self, prep: PreparedExample, columns: OutcomeColumns) -> Array:
+        """The outcome column of each target action: the column of the route
+        that emits it (a copied position, a list id or a tag)."""
+        n_roots, n_quest = len(prep.roots), self.vocab.quest_size
+        routes = [a.index if isinstance(a, Copy)
+                  else n_roots + a.word_id if isinstance(a, Quest)
+                  else n_roots + n_quest + a.type.index for a in prep.targets]
+        return columns.route_col[routes]
+
+    def _route_grads(self, steps: dict, hits: Array, dP: Array) -> tuple[Array, list]:
+        """Gradients of ``dP[t]`` times the summed mass of the routes marked
+        in ``hits[t]``, at the switch and at each head of every step ``t``
+        of ``steps``.  Returns the (T, 3) switch gradients and, per step, the
+        head gradients in ROUTES order; a head with no marked route gets
+        None."""
+        d_switch = np.zeros(steps["switch"].shape, dtype=self.dtype)
+        d_heads = []
+        start = 0
+        for sw, head in ROUTES:
+            probs = steps[head]
+            sel = hits[:, start : start + probs.shape[-1]]
+            start += probs.shape[-1]
+            d_switch[:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
+            d_head = np.where(sel, (dP * steps["switch"][:, sw])[:, None], 0)
+            d_heads.append([row if used else None
+                            for row, used in zip(d_head, sel.any(axis=-1).tolist())])
+        return d_switch, list(zip(*d_heads))
 
     def loss_and_grads(
         self,
@@ -667,21 +654,26 @@ class EncoderDecoder:
             else:
                 masks = None
             enc = self.encode(prep, masks)
+            columns = self.outcome_columns(prep.roots)
+            target_cols = self._target_columns(prep, columns)
             s = enc["s0"]
             c = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
             states = []
-            probs = []
-            for spec, target in zip(prep.input_specs, prep.targets):
+            for spec in prep.input_specs:
                 state = self.step(enc, s, c, spec)
                 states.append(state)
-                prob = self.target_probability(state, target)
+                s, c = state["s"], state["c"]
+            # The teacher-forced steps as one (T, ·) batch of the mixing.
+            steps = {key: np.array([state[key] for state in states])
+                     for key in ("switch", "p_copy", "p_quest", "p_trans")}
+            probs = self.outcome_mass(steps, columns)[np.arange(len(states)), target_cols]
+            step_losses = []
+            for t, prob in enumerate(probs.tolist()):
                 if not (math.isfinite(prob) and prob > 0.0):
                     raise DivergenceError(
                         f"target probability {prob!r} at decoder step "
-                        f"{len(states)} is not a positive finite number")
-                probs.append(prob)
-                s, c = state["s"], state["c"]
-            step_losses = [-math.log(p) for p in probs]
+                        f"{t + 1} is not a positive finite number")
+                step_losses.append(-math.log(prob))
             total += sum(step_losses)
             tokens += len(step_losses)
             if grads is None:
@@ -691,40 +683,20 @@ class EncoderDecoder:
             dH = np.zeros_like(enc["H"])
             dHA = np.zeros_like(enc["HA"])
             dv_answer = np.zeros_like(enc["v_answer"])
+            d_switch, d_heads = self._route_grads(
+                steps, columns.route_col == target_cols[:, None],
+                (-1.0 / probs).astype(self.dtype))
             for t in range(len(states) - 1, -1, -1):
-                state = states[t]
-                target = prep.targets[t]
-                dP = self.dtype(-1.0 / probs[t])
-                switch = state["switch"]
-                d_p_copy = None
-                d_p_trans = None
-                d_p_quest = None
-                d_switch = np.zeros(3, dtype=self.dtype)
-                if target.kind == "tag":
-                    d_switch[SW_TRANS] = dP * state["p_trans"][target.tag_idx]
-                    d_p_trans = np.zeros_like(state["p_trans"])
-                    d_p_trans[target.tag_idx] = dP * switch[SW_TRANS]
-                else:
-                    if target.copy_positions:
-                        pos = list(target.copy_positions)
-                        copy_mass = float(np.sum(state["p_copy"][pos]))
-                        d_switch[SW_COPY] = dP * copy_mass
-                        d_p_copy = np.zeros_like(state["p_copy"])
-                        d_p_copy[pos] = dP * switch[SW_COPY]
-                    if target.quest_id is not None:
-                        d_switch[SW_QUEST] = dP * state["p_quest"][target.quest_id]
-                        d_p_quest = np.zeros_like(state["p_quest"])
-                        d_p_quest[target.quest_id] = dP * switch[SW_QUEST]
                 ds_carry, dc_carry = self._step_backward(
-                    enc, state, d_p_copy, d_p_trans, d_p_quest,
-                    d_switch, ds_carry, dc_carry, dH, dHA, dv_answer, grads,
+                    enc, states[t], *d_heads[t], d_switch[t],
+                    ds_carry, dc_carry, dH, dHA, dv_answer, grads,
                 )
             self._encoder_backward(enc, dH, dHA, dv_answer, ds_carry, grads)
         return total, tokens
 
     # ------------------------------------------------------------------
-    # Outcome mass: the one mixing of the three routes, used by decoding
-    # and the probability-mass checks.
+    # Outcome mass: the one mixing of the three routes, used by training,
+    # decoding and the probability-mass checks.
     # ------------------------------------------------------------------
 
     def outcome_columns(self, roots: Sequence[str]) -> OutcomeColumns:
@@ -744,6 +716,7 @@ class EncoderDecoder:
                 quest_ids.append(qid)
         route_col = [col_of[root] for root in roots]
         route_col += [col_of[word] for word in self.vocab.quest_vocab]
+        route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
         return OutcomeColumns(
             words=tuple(col_of),
             positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
@@ -755,21 +728,19 @@ class EncoderDecoder:
         """Float64 probability of every surface outcome, shape (k, columns)
         for a batched state or (columns,) for one row.
 
-        A word's mass adds, in float64 and in this order, the copy mass of
-        each source position holding it and then its list-word mass; every
-        route's mass is the switch weight times the head probability, a
-        product taken in the model dtype.  Each unit of switch mass lands
-        in exactly one column, so a row sums to 1 up to rounding.
+        Every route's mass is the switch weight times the head probability,
+        a product taken in the model dtype; each column adds its routes' mass
+        in float64 and in route order, so a word adds the copy mass of each
+        source position holding it and then its list-word mass.  Each unit
+        of switch mass lands in exactly one column, so a row sums to 1 up to
+        rounding.
         """
         switch = state["switch"]
-        routes = np.concatenate([switch[..., SW_COPY, None] * state["p_copy"],
-                                 switch[..., SW_QUEST, None] * state["p_quest"]],
+        routes = np.concatenate([switch[..., sw, None] * state[head] for sw, head in ROUTES],
                                 axis=-1).astype(np.float64)
-        n_words = len(columns.words)
         # Column-major, so the scatter-add indexes the first axis.
-        mass = np.zeros((n_words + len(ALL_TYPES),) + switch.shape[:-1])
+        mass = np.zeros((len(columns.words) + len(ALL_TYPES),) + switch.shape[:-1])
         np.add.at(mass, columns.route_col, routes.T)
-        mass[n_words:] = (switch[..., SW_TRANS, None] * state["p_trans"]).T
         return mass.T
 
     def outcome_distribution(self, state: dict, roots: Sequence[str]):

@@ -11,6 +11,7 @@ against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FileError, ParseError, read_text, write_text
+from .errors import FileError, ParseError, read_text
 
 Array = np.ndarray
 
@@ -264,9 +265,13 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 5.0
-    _m: dict[str, Array] = field(default_factory=dict)
-    _v: dict[str, Array] = field(default_factory=dict)
+    _m: dict[str, Array] = field(init=False)
+    _v: dict[str, Array] = field(init=False)
     _t: int = 0
+
+    def __post_init__(self) -> None:
+        self._m = {name: np.zeros_like(arr) for name, arr in self.store.items()}
+        self._v = {name: np.zeros_like(arr) for name, arr in self.store.items()}
 
     def step(self, grads: Mapping[str, Array]) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
@@ -278,9 +283,6 @@ class Adam:
         t = self._t
         for name, grad in grads.items():
             g = grad * scale
-            if name not in self._m:
-                self._m[name] = np.zeros_like(g)
-                self._v[name] = np.zeros_like(g)
             m = self._m[name]
             v = self._v[name]
             m += (1.0 - self.beta1) * (g - m)
@@ -304,9 +306,16 @@ CHECKPOINT_MAGIC = b"MQG1"
 
 def save_checkpoint(path: str, params: Mapping[str, Array],
                     sidecar: Mapping[str, object] | None = None) -> None:
-    """Write weights to ``path`` and optional metadata to ``path + '.json'``."""
+    """Write weights to ``path`` and optional metadata to ``path + '.json'``.
+
+    Each file is written whole to a ``.tmp`` sibling and then moved into
+    place with ``os.replace``, so a write that fails part-way (a full disk)
+    raises :class:`FileError` and leaves the previous files as they were.
+    """
+    meta = None if sidecar is None else json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    files = [path] + ([path + ".json"] if meta is not None else [])
     try:
-        with open(path, "wb") as fh:
+        with open(path + ".tmp", "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             names = sorted(params)
             fh.write(struct.pack("<I", len(names)))
@@ -319,11 +328,17 @@ def save_checkpoint(path: str, params: Mapping[str, Array],
                 for dim in arr.shape:
                     fh.write(struct.pack("<I", dim))
                 fh.write(arr.tobytes(order="C"))
+        if meta is not None:
+            with open(path + ".json.tmp", "wb") as fh:
+                fh.write(meta.encode("ascii"))  # json.dumps escapes non-ASCII
+        for name in files:
+            os.replace(name + ".tmp", name)
     except OSError as exc:
         raise FileError(f"cannot write checkpoint {path}: {exc}") from exc
-    if sidecar is not None:
-        write_text(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                   "checkpoint sidecar")
+    finally:
+        for name in files:  # only a failed write leaves one behind
+            with contextlib.suppress(OSError):
+                os.remove(name + ".tmp")
 
 
 def _read_exact(fh, count: int, path: str) -> bytes:

@@ -1,8 +1,8 @@
 """Training loop: teacher forcing, per-token mean loss, Adam with clipping.
 
-The loss at each decoder step is the negative log of the marginalised
-probability of the supervised outcome (see
-:meth:`morphoqg.model.EncoderDecoder.target_probability`); gradients are
+The loss at each decoder step is the negative log of the supervised
+outcome's column of :meth:`morphoqg.model.EncoderDecoder.outcome_mass`,
+the mixing of the three routes that beam search ranks; gradients are
 averaged over every target token in the batch.  All randomness — example
 order and dropout — flows from a single seed, so runs are reproducible.
 """

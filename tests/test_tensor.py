@@ -1,5 +1,7 @@
 """Tests for the numeric core: array kernels, parameters, Adam, checkpoints."""
 
+import builtins
+import errno
 import os
 import struct
 
@@ -409,6 +411,22 @@ class TestCheckpoint:
         assert os.path.exists(path + ".json")
         assert load_sidecar(path) == meta
 
+    @pytest.mark.parametrize("fail_in", ["pack", "sidecar"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_in):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, self._params(), sidecar={"version": 1})
+        old = {name: (tmp_path / name).read_bytes()
+               for name in ("model.ckpt", "model.ckpt.json")}
+        newer = {name: arr + 1 for name, arr in self._params().items()}
+        # The disk fills 10 bytes into the pack, or 5 bytes into the sidecar.
+        budget = 10 if fail_in == "pack" else len(old["model.ckpt"]) + 5
+        monkeypatch.setattr(builtins, "open", _FullDisk(budget, builtins.open).open)
+        with pytest.raises(FileError, match="No space left"):
+            save_checkpoint(path, newer, sidecar={"version": 2})
+        monkeypatch.undo()
+        assert {name: (tmp_path / name).read_bytes() for name in old} == old
+        assert sorted(os.listdir(tmp_path)) == sorted(old)  # no temporary file left
+
     def test_unwritable_path_raises_file_error(self):
         with pytest.raises(FileError):
             save_checkpoint("/nonexistent-dir/x.ckpt", self._params())
@@ -416,3 +434,36 @@ class TestCheckpoint:
     def test_missing_file_raises_file_error(self):
         with pytest.raises(FileError):
             load_checkpoint("/nonexistent-dir/x.ckpt")
+
+
+class _FullDisk:
+    """An ``open`` whose writable files share ``budget`` bytes, after which
+    a write stores what fits and raises ENOSPC, as a full disk does."""
+
+    def __init__(self, budget: int, real_open):
+        self.budget = budget
+        self.real_open = real_open
+
+    def open(self, file, mode="r", *args, **kwargs):
+        fh = self.real_open(file, mode, *args, **kwargs)
+        return _FullDiskFile(fh, self) if "w" in mode else fh
+
+
+class _FullDiskFile:
+    def __init__(self, fh, disk: _FullDisk):
+        self.fh = fh
+        self.disk = disk
+
+    def write(self, data):
+        if len(data) > self.disk.budget:
+            self.fh.write(data[: self.disk.budget])
+            self.disk.budget = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.disk.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
