@@ -17,13 +17,17 @@ and beam search ranks its rows.
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
-graph.  Training runs the decoder step on single state rows, then mixes
-the routes of all teacher-forced steps as one batch.  Per example, the
-backward pass allocates zero gradient buffers for the encoder outputs (H,
-its attention projection and the answer vector) up front, walks the
-decoder steps in reverse adding into them, then runs the two encoder GRUs
-back and scatters the input-row gradient into the word, answer-position,
-entity and POS tables with one ``np.add.at`` per table.
+graph.  Each encoder GRU reads a whole source as one sequence: the input
+projections of all tokens are one matrix product taken before the
+recurrence, which then does one product per token with the stacked update
+and reset weights and one with the candidate weights.  Training runs the
+decoder step on single state rows, then mixes the routes of all
+teacher-forced steps as one batch.  Per example, the backward pass takes
+the switch and head gradients of all steps back as one (T, ·) batch.  Only
+the attention and the GRU carries walk the steps in reverse, and they
+store each step's gate gradients, so that every weight gradient is one
+matrix product per sequence.  The input-row gradient goes into the word,
+answer-position, entity and POS tables with one ``np.add.at`` per table.
 Beam search runs the decoder step on a (k, d_h) batch of all live
 hypotheses and mixes the three routes into one probability row per
 hypothesis.  ``grad_check`` validates the complete loss gradient against
@@ -46,9 +50,9 @@ import numpy as np
 from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
 from .errors import DivergenceError, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
-from .tensor import (Array, ParameterStore, dropout_mask, load_checkpoint, load_sidecar,
-                     maxout_affine, maxout_affine_backward, save_checkpoint, sigmoid,
-                     softmax, softmax_backward)
+from .tensor import (Array, ParameterStore, check_checkpoint, dropout_mask, load_checkpoint,
+                     load_sidecar, maxout_affine, maxout_affine_backward, save_checkpoint,
+                     sigmoid, softmax, softmax_backward)
 
 # Switch-head logit order: list-word route, copy route, rewrite-tag route.
 SW_QUEST = 0
@@ -313,7 +317,13 @@ class EncoderDecoder:
                 ("emb/ner", list(prep.ner_ids)), ("emb/pos", list(prep.pos_ids)))
 
     def _gru_forward(self, prefix: str, x: Array, h: Array):
-        """One GRU update for a row ``x``, ``h`` or a (k, ·) batch of rows."""
+        """One GRU update for a row ``x``, ``h`` or a (k, ·) batch of rows.
+
+        The decoder step's recurrence, and the token-by-token reference for
+        :meth:`_gru_sequence`.  The cache holds the input, the previous
+        state, the gates, ``r * h`` and the candidate under the keys that
+        :meth:`_gru_sequence` uses.
+        """
         p = self.store
         az = x @ p[f"{prefix}/W_z"].T + h @ p[f"{prefix}/U_z"].T + p[f"{prefix}/b_z"]
         ar = x @ p[f"{prefix}/W_r"].T + h @ p[f"{prefix}/U_r"].T + p[f"{prefix}/b_r"]
@@ -323,36 +333,94 @@ class EncoderDecoder:
         an = x @ p[f"{prefix}/W_n"].T + rh @ p[f"{prefix}/U_n"].T + p[f"{prefix}/b_n"]
         n = np.tanh(an)
         h_new = z * h + (1.0 - z) * n
-        cache = (x, h, z, r, rh, n)
-        return h_new, cache
+        return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n}
 
-    def _gru_backward(self, prefix: str, dh_new: Array, cache, grads) -> tuple[Array, Array]:
+    def _gru_sequence(self, prefix: str, X: Array, order: range) -> tuple[Array, dict]:
+        """Run one GRU from a zero state over the rows of ``X`` in ``order``.
+
+        The input projections of all rows are one matrix product per gate,
+        taken before the recurrence; each step then does one product with
+        ``[U_z; U_r]`` and one with ``U_n``.  Row ``i`` of the returned
+        (n, d_h) states is the state after reading ``X[i]``.  The cache
+        stacks :meth:`_gru_forward`'s entries the same way, row ``i`` for
+        ``X[i]``, and keeps ``order`` for the backward walk.
+        """
         p = self.store
-        x, h, z, r, rh, n = cache
-        dz = dh_new * (h - n)
-        dn = dh_new * (1.0 - z)
-        dh = dh_new * z
-        dan = dn * (1.0 - n * n)
-        grads[f"{prefix}/W_n"] += np.outer(dan, x)
-        grads[f"{prefix}/U_n"] += np.outer(dan, rh)
-        grads[f"{prefix}/b_n"] += dan
-        dx = p[f"{prefix}/W_n"].T @ dan
-        drh = p[f"{prefix}/U_n"].T @ dan
-        dr = drh * h
-        dh += drh * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        grads[f"{prefix}/W_z"] += np.outer(daz, x)
-        grads[f"{prefix}/U_z"] += np.outer(daz, h)
-        grads[f"{prefix}/b_z"] += daz
-        dx += p[f"{prefix}/W_z"].T @ daz
-        dh += p[f"{prefix}/U_z"].T @ daz
-        grads[f"{prefix}/W_r"] += np.outer(dar, x)
-        grads[f"{prefix}/U_r"] += np.outer(dar, h)
-        grads[f"{prefix}/b_r"] += dar
-        dx += p[f"{prefix}/W_r"].T @ dar
-        dh += p[f"{prefix}/U_r"].T @ dar
-        return dx, dh
+        n, d_h = len(X), self.hyper.hidden_size
+        A_zr, A_n = (np.concatenate([X @ p[f"{prefix}/W_{g}"].T + p[f"{prefix}/b_{g}"]
+                                     for g in gates], axis=1) for gates in ("zr", "n"))
+        U_zr = np.concatenate([p[f"{prefix}/U_z"], p[f"{prefix}/U_r"]])
+        U_n = p[f"{prefix}/U_n"]
+        prev, zr, rh, cand, states = (np.empty((n, width), dtype=self.dtype)
+                                      for width in (d_h, 2 * d_h, d_h, d_h, d_h))
+        h = np.zeros(d_h, dtype=self.dtype)
+        for i in order:
+            prev[i] = h
+            zr[i] = sigmoid(A_zr[i] + U_zr @ h)
+            z, r = zr[i, :d_h], zr[i, d_h:]
+            rh[i] = r * h
+            cand[i] = np.tanh(A_n[i] + U_n @ rh[i])
+            h = z * h + (1.0 - z) * cand[i]
+            states[i] = h
+        return states, {"x": X, "h": prev, "z": zr[:, :d_h], "r": zr[:, d_h:], "rh": rh,
+                        "n": cand, "order": order}
+
+    def _gru_backward_steps(self, prefix: str, cache: dict):
+        """The per-step backward of a GRU run whose cache rows are stacked
+        as :meth:`_gru_sequence` keeps them.
+
+        Returns ``(DA, step)``.  ``step(i, dh)`` takes the gradient at the
+        state after row ``i``, writes that row's gate pre-activation
+        gradients ``[da_z | da_r | da_n]`` into ``DA[i]`` and returns the
+        gradient at the previous state.  The elementwise gate derivatives of
+        all rows are taken up front, so a step is three products with the
+        recurrent weights.
+        """
+        p = self.store
+        d_h = self.hyper.hidden_size
+        U_z, U_r, U_n = (p[f"{prefix}/U_{g}"] for g in "zrn")
+        h, z, r, n = cache["h"], cache["z"], cache["r"], cache["n"]
+        k_z = (h - n) * z * (1.0 - z)
+        k_r = h * r * (1.0 - r)
+        k_n = (1.0 - z) * (1.0 - n * n)
+        DA = np.empty((len(h), 3 * d_h), dtype=self.dtype)
+
+        def step(i: int, dh: Array) -> Array:
+            da_z, da_r, da_n = DA[i, :d_h], DA[i, d_h : 2 * d_h], DA[i, 2 * d_h :]
+            np.multiply(dh, k_n[i], out=da_n)
+            drh = da_n @ U_n
+            np.multiply(dh, k_z[i], out=da_z)
+            np.multiply(drh, k_r[i], out=da_r)
+            return dh * z[i] + drh * r[i] + da_z @ U_z + da_r @ U_r
+
+        return DA, step
+
+    def _gru_weight_grads(self, prefix: str, DA: Array, cache: dict, grads,
+                          x_cols: slice = slice(None)) -> Array:
+        """Add a GRU run's weight gradients, one matrix product per tensor,
+        from the stacked gate gradients ``DA`` of all its steps; returns the
+        gradient at the ``x_cols`` columns of its inputs."""
+        p = self.store
+        D = dict(zip("zrn", np.split(DA, 3, axis=1)))
+        for g in "zrn":
+            grads[f"{prefix}/W_{g}"] += D[g].T @ cache["x"]
+            grads[f"{prefix}/U_{g}"] += D[g].T @ cache["rh" if g == "n" else "h"]
+            grads[f"{prefix}/b_{g}"] += D[g].sum(axis=0)
+        return sum(D[g] @ p[f"{prefix}/W_{g}"][:, x_cols] for g in "zrn")
+
+    def _gru_sequence_backward(self, prefix: str, cache: dict, dS: Array, carry: Array,
+                               grads) -> Array:
+        """Backward through :meth:`_gru_sequence`.
+
+        ``dS[i]`` is the gradient reaching the state after row ``i`` from
+        outside the recurrence, and ``carry`` the gradient at the last state
+        of the run.  Walks the rows in reverse order, then adds the weight
+        gradients; returns the gradient at ``X``.
+        """
+        DA, step = self._gru_backward_steps(prefix, cache)
+        for i in reversed(cache["order"]):
+            carry = step(i, dS[i] + carry)
+        return self._gru_weight_grads(prefix, DA, cache, grads)
 
     def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
         """Run the bidirectional encoder; returns state plus backward caches."""
@@ -360,25 +428,11 @@ class EncoderDecoder:
         n = len(prep.roots)
         if n == 0:
             raise ShapeMismatch("encode", (0,))
-        d_h = self.hyper.hidden_size
         X = np.concatenate([p[name][ids] for name, ids in self._input_ids(prep)], axis=1)
         if masks is not None:
             X = X * masks
-        zero = np.zeros(d_h, dtype=self.dtype)
-        fwd_states = np.empty((n, d_h), dtype=self.dtype)
-        fwd_caches = []
-        h = zero
-        for i in range(n):
-            h, cache = self._gru_forward("enc_fwd", X[i], h)
-            fwd_states[i] = h
-            fwd_caches.append(cache)
-        bwd_states = np.empty((n, d_h), dtype=self.dtype)
-        bwd_caches: list = [None] * n
-        h = zero
-        for i in range(n - 1, -1, -1):
-            h, cache = self._gru_forward("enc_bwd", X[i], h)
-            bwd_states[i] = h
-            bwd_caches[i] = cache
+        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, range(n))
+        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, range(n - 1, -1, -1))
         H = fwd_states + bwd_states
         l, r = prep.span
         v_answer = np.mean(H[l : r + 1], axis=0)
@@ -392,8 +446,8 @@ class EncoderDecoder:
             "v_answer": v_answer,
             "s0": s0,
             "bwd0": bwd_states[0],
-            "fwd_caches": fwd_caches,
-            "bwd_caches": bwd_caches,
+            "fwd_cache": fwd_cache,
+            "bwd_cache": bwd_cache,
         }
 
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
@@ -401,7 +455,6 @@ class EncoderDecoder:
         """Propagate the gradients at H, HA, v_answer and s0 back to the embeddings."""
         p = self.store
         prep: PreparedExample = enc["prep"]
-        n = len(prep.roots)
         grads["att/A"] += dHA.T @ enc["H"]
         dH = dH + dHA @ p["att/A"]
         l, r = prep.span
@@ -409,20 +462,11 @@ class EncoderDecoder:
         da0 = ds0 * (1.0 - enc["s0"] * enc["s0"])
         grads["init/W"] += np.outer(da0, enc["bwd0"])
         grads["init/b"] += da0
-        dX = np.zeros((n, self._input_dim()), dtype=self.dtype)
-        # Forward-direction GRU: reverse through time.
-        carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-        for i in range(n - 1, -1, -1):
-            dx, carry = self._gru_backward("enc_fwd", dH[i] + carry,
-                                           enc["fwd_caches"][i], grads)
-            dX[i] += dx
-        # Backward-direction GRU ran over tokens n-1..0, so its reverse pass
-        # walks 0..n-1; its final state (at token 0) also feeds s0.
-        carry = p["init/W"].T @ da0
-        for i in range(n):
-            dx, carry = self._gru_backward("enc_bwd", dH[i] + carry,
-                                           enc["bwd_caches"][i], grads)
-            dX[i] += dx
+        # The backward-direction GRU ends at token 0, whose state also feeds s0.
+        dX = (self._gru_sequence_backward("enc_fwd", enc["fwd_cache"], dH,
+                                          np.zeros_like(da0), grads)
+              + self._gru_sequence_backward("enc_bwd", enc["bwd_cache"], dH,
+                                            p["init/W"].T @ da0, grads))
         masks = enc["masks"]
         if masks is not None:
             dX = dX * masks
@@ -494,108 +538,104 @@ class EncoderDecoder:
             })
         return state
 
-    def _step_backward(self, enc: dict, state: dict,
-                       d_p_copy: Array | None,
-                       d_p_quest: Array | None,
-                       d_p_trans: Array | None,
-                       d_switch: Array,
-                       ds_carry: Array,
-                       dc_carry: Array,
-                       dH: Array,
-                       dHA: Array,
-                       dv_answer: Array,
-                       grads) -> tuple[Array, Array]:
-        """Backward through one decoder step.
+    def _decoder_backward(self, enc: dict, states: Sequence[dict], d_switch: Array,
+                          d_heads: Sequence[Array | None], grads) -> tuple[Array, ...]:
+        """Backward through the T teacher-forced decoder steps of one example.
 
-        Adds this step's gradients at the encoder outputs into ``dH``,
-        ``dHA`` and ``dv_answer``.  Returns (ds_prev, dc_prev): gradients
-        for the previous state and the previous context vector (the latter
-        entered this step's GRU input).
+        ``d_switch`` and ``d_heads`` are :meth:`_route_grads`' gradients at
+        the switch and at each head.  The switch and the heads go back for
+        all steps as one (T, ·) batch; only the attention and the decoder
+        GRU's carry walk the steps in reverse.  Each weight then gets one
+        matrix product over the steps.  Returns the gradients at the encoder
+        outputs ``H``, ``HA`` and ``v_answer`` and at the first state ``s0``.
         """
         p = self.store
-        H = enc["H"]
-        s = state["s"]
-        alpha = state["alpha"]
-        ds = ds_carry.copy()
-        dc = dc_carry.copy()
-        dw = np.zeros_like(state["w"])
-        dalpha = np.zeros_like(alpha)
+        d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
+        keys = [key for key in states[0] if key not in ("input_spec", "gru_cache")]
+        steps = {key: np.array([state[key] for state in states]) for key in keys}
+        gru = {key: np.array([state["gru_cache"][key] for state in states])
+               for key in states[0]["gru_cache"]}
+        H, S = enc["H"], steps["s"]
+        T = len(states)
+        # Gradients from the switch and heads at each step's s, c, input word
+        # and attention weights, before the recurrence adds its share.
+        dS = np.zeros((T, d_h), dtype=self.dtype)
+        dC = np.zeros((T, d_h), dtype=self.dtype)
+        dW_in = np.zeros((T, d_w), dtype=self.dtype)
+        dAlpha = np.zeros(steps["alpha"].shape, dtype=self.dtype)
+        dH = np.zeros_like(H)
+        dv_answer = np.zeros(d_h, dtype=self.dtype)
+        d_copy, d_quest, d_trans = d_heads
 
         if self.hyper.dot_heads:
-            dlog = softmax_backward(state["switch"], d_switch)
-            grads["dot/switch_W"] += np.outer(dlog, s)
-            grads["dot/switch_b"] += dlog
-            ds += p["dot/switch_W"].T @ dlog
-            if d_p_quest is not None:
-                dlog = softmax_backward(state["p_quest"], d_p_quest)
-                grads["dot/quest_emb"] += np.outer(dlog, s)
-                ds += p["dot/quest_emb"].T @ dlog
-            if d_p_trans is not None:
-                dlog = softmax_backward(state["p_trans"], d_p_trans)
-                grads["dot/type_emb"] += np.outer(dlog, s)
-                ds += p["dot/type_emb"].T @ dlog
-            if d_p_copy is not None:
-                dlog = softmax_backward(state["p_copy"], d_p_copy)
-                dH += np.outer(dlog, s)
-                ds += H.T @ dlog
+            dlog = softmax_backward(steps["switch"], d_switch)
+            grads["dot/switch_W"] += dlog.T @ S
+            grads["dot/switch_b"] += dlog.sum(axis=0)
+            dS += dlog @ p["dot/switch_W"]
+            # Each head scores s against the rows of a matrix; copy uses H.
+            for probs, d_probs, rows, d_rows in (
+                    ("p_quest", d_quest, p["dot/quest_emb"], grads["dot/quest_emb"]),
+                    ("p_trans", d_trans, p["dot/type_emb"], grads["dot/type_emb"]),
+                    ("p_copy", d_copy, H, dH)):
+                if d_probs is not None:
+                    dlog = softmax_backward(steps[probs], d_probs)
+                    d_rows += dlog.T @ S
+                    dS += dlog @ rows
         else:
-            d_h = self.hyper.hidden_size
-            dlog = softmax_backward(state["switch"], d_switch)
-            grads["switch/W"] += np.outer(dlog, state["u3"])
-            grads["switch/b"] += dlog
-            du3 = p["switch/W"].T @ dlog
-            dc += du3[:d_h]
-            ds += du3[d_h : 2 * d_h]
-            dw += du3[2 * d_h :]
-            if d_p_quest is not None:
-                dlog = softmax_backward(state["p_quest"], d_p_quest)
-                grads["g2/Wo"] += np.outer(dlog, state["m2"])
-                grads["g2/bo"] += dlog
-                dm = p["g2/Wo"].T @ dlog
-                da = maxout_affine_backward(state["max2"], dm)
-                grads["g2/W"] += np.outer(da, state["u2"])
-                grads["g2/b"] += da
-                du2 = p["g2/W"].T @ da
-                dv_answer += du2[:d_h]
-                ds += du2[d_h : 2 * d_h]
-                dc += du2[2 * d_h :]
-            if d_p_trans is not None:
-                dlog = softmax_backward(state["p_trans"], d_p_trans)
-                grads["g1/Wo"] += np.outer(dlog, state["m1"])
-                grads["g1/bo"] += dlog
-                dm = p["g1/Wo"].T @ dlog
-                da = maxout_affine_backward(state["max1"], dm)
-                grads["g1/W"] += np.outer(da, state["u1"])
-                grads["g1/b"] += da
-                du1 = p["g1/W"].T @ da
-                ds += du1[:d_h]
-                dc += du1[d_h:]
-            if d_p_copy is not None:
+            dlog = softmax_backward(steps["switch"], d_switch)
+            grads["switch/W"] += dlog.T @ steps["u3"]
+            grads["switch/b"] += dlog.sum(axis=0)
+            du3 = dlog @ p["switch/W"]  # u3 = [c, s, w]
+            dC += du3[:, :d_h]
+            dS += du3[:, d_h : 2 * d_h]
+            dW_in += du3[:, 2 * d_h :]
+            for g, probs, d_probs, k in (("g2", "p_quest", d_quest, "2"),
+                                         ("g1", "p_trans", d_trans, "1")):
+                if d_probs is None:
+                    continue
+                dlog = softmax_backward(steps[probs], d_probs)
+                grads[f"{g}/Wo"] += dlog.T @ steps["m" + k]
+                grads[f"{g}/bo"] += dlog.sum(axis=0)
+                da = maxout_affine_backward(steps["max" + k], dlog @ p[f"{g}/Wo"])
+                grads[f"{g}/W"] += da.T @ steps["u" + k]
+                grads[f"{g}/b"] += da.sum(axis=0)
+                du = da @ p[f"{g}/W"]  # u2 = [v_answer, s, c], u1 = [s, c]
+                if g == "g2":
+                    dv_answer += du[:, :d_h].sum(axis=0)
+                dS += du[:, -2 * d_h : -d_h]
+                dC += du[:, -d_h:]
+            if d_copy is not None:
                 # In the additive regime the copy distribution IS alpha.
-                dalpha += d_p_copy
+                dAlpha += d_copy
 
-        # Context vector: c = H^T alpha.
-        dalpha += H @ dc
-        dH += np.outer(alpha, dc)
-        # Attention softmax and scoring.
-        de = softmax_backward(alpha, dalpha)
-        Q = state["Q"]
-        dQ = np.outer(de, p["att/v"]) * (1.0 - Q * Q)
-        grads["att/v"] += Q.T @ de
-        dHA += dQ
-        dq_sum = dQ.sum(axis=0)
-        grads["att/B"] += np.outer(dq_sum, s)
-        grads["att/b"] += dq_sum
-        ds += p["att/B"].T @ dq_sum
-        # Decoder GRU.
-        dd_in, ds_prev = self._gru_backward("dec", ds, state["gru_cache"], grads)
-        d_w_dim = self.hyper.word_dim
-        dw += dd_in[:d_w_dim]
-        dc_prev = dd_in[d_w_dim:]
-        kind, idx = state["input_spec"]
-        table = "emb/word" if kind == "word" else "emb/trans"
-        grads[table][idx] += dw
-        return ds_prev, dc_prev
+        # The recurrence: c_t = alpha_t @ H feeds step t+1's GRU input, and
+        # alpha_t comes from s_t through Q_t = tanh(HA + s_t @ B.T + b).
+        alpha, Q, v = steps["alpha"], steps["Q"], p["att/v"]
+        dQ_dpre = 1.0 - Q * Q
+        dC_all = np.empty((T, d_h), dtype=self.dtype)
+        dE = np.empty(alpha.shape, dtype=self.dtype)
+        dQ_sum = np.empty((T, d_h), dtype=self.dtype)
+        DA, gru_step = self._gru_backward_steps("dec", gru)
+        W_c = [p[f"dec/W_{g}"][:, d_w:] for g in "zrn"]
+        ds_carry = np.zeros(d_h, dtype=self.dtype)
+        dc_carry = np.zeros(d_h, dtype=self.dtype)
+        for t in range(T - 1, -1, -1):
+            dC_all[t] = dc = dC[t] + dc_carry
+            dE[t] = de = softmax_backward(alpha[t], dAlpha[t] + H @ dc)
+            dQ_sum[t] = dq_sum = v * (de @ dQ_dpre[t])
+            ds_carry = gru_step(t, dS[t] + ds_carry + dq_sum @ p["att/B"])
+            dc_carry = sum(da @ W for da, W in zip(np.split(DA[t], 3), W_c))
+        dH += alpha.T @ dC_all
+        dHA = v * np.einsum("tn,tnd->nd", dE, dQ_dpre)
+        grads["att/v"] += np.einsum("tnd,tn->d", Q, dE)
+        grads["att/B"] += dQ_sum.T @ S
+        grads["att/b"] += dQ_sum.sum(axis=0)
+        dW_in += self._gru_weight_grads("dec", DA, gru, grads, x_cols=slice(None, d_w))
+        is_word = np.array([state["input_spec"][0] == "word" for state in states])
+        ids = np.array([state["input_spec"][1] for state in states], dtype=np.intp)
+        np.add.at(grads["emb/word"], ids[is_word], dW_in[is_word])
+        np.add.at(grads["emb/trans"], ids[~is_word], dW_in[~is_word])
+        return dH, dHA, dv_answer, ds_carry
 
     # ------------------------------------------------------------------
     # Loss.
@@ -613,9 +653,9 @@ class EncoderDecoder:
     def _route_grads(self, steps: dict, hits: Array, dP: Array) -> tuple[Array, list]:
         """Gradients of ``dP[t]`` times the summed mass of the routes marked
         in ``hits[t]``, at the switch and at each head of every step ``t``
-        of ``steps``.  Returns the (T, 3) switch gradients and, per step, the
-        head gradients in ROUTES order; a head with no marked route gets
-        None."""
+        of ``steps``.  Returns the (T, 3) switch gradients and, in ROUTES
+        order, each head's (T, n) gradients, or None for a head with no
+        marked route at any step."""
         d_switch = np.zeros(steps["switch"].shape, dtype=self.dtype)
         d_heads = []
         start = 0
@@ -624,10 +664,9 @@ class EncoderDecoder:
             sel = hits[:, start : start + probs.shape[-1]]
             start += probs.shape[-1]
             d_switch[:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
-            d_head = np.where(sel, (dP * steps["switch"][:, sw])[:, None], 0)
-            d_heads.append([row if used else None
-                            for row, used in zip(d_head, sel.any(axis=-1).tolist())])
-        return d_switch, list(zip(*d_heads))
+            d_heads.append(np.where(sel, (dP * steps["switch"][:, sw])[:, None], 0)
+                           if sel.any() else None)
+        return d_switch, d_heads
 
     def loss_and_grads(
         self,
@@ -678,20 +717,11 @@ class EncoderDecoder:
             tokens += len(step_losses)
             if grads is None:
                 continue
-            ds_carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-            dc_carry = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-            dH = np.zeros_like(enc["H"])
-            dHA = np.zeros_like(enc["HA"])
-            dv_answer = np.zeros_like(enc["v_answer"])
             d_switch, d_heads = self._route_grads(
                 steps, columns.route_col == target_cols[:, None],
                 (-1.0 / probs).astype(self.dtype))
-            for t in range(len(states) - 1, -1, -1):
-                ds_carry, dc_carry = self._step_backward(
-                    enc, states[t], *d_heads[t], d_switch[t],
-                    ds_carry, dc_carry, dH, dHA, dv_answer, grads,
-                )
-            self._encoder_backward(enc, dH, dHA, dv_answer, ds_carry, grads)
+            self._encoder_backward(
+                enc, *self._decoder_backward(enc, states, d_switch, d_heads, grads), grads)
         return total, tokens
 
     # ------------------------------------------------------------------
@@ -765,9 +795,16 @@ class EncoderDecoder:
     # Persistence.
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _sidecar_format(hyper: HyperParams) -> str:
+        """The sidecar's "format": the head design, and since checkpoints
+        carry a checksum, "+sha256".  A sidecar whose format lacks it was
+        written before, and is the only kind loaded without the check."""
+        return ("wt-dot" if hyper.dot_heads else "wt-additive") + "+sha256"
+
     def sidecar(self, extra: Mapping[str, object] | None = None) -> dict:
         meta = {
-            "format": "wt-dot" if self.hyper.dot_heads else "wt-additive",
+            "format": self._sidecar_format(self.hyper),
             "hyperparams": self.hyper.to_dict(),
             "init_seed": self.init_seed,
             "vocab_sha256": self.vocab.content_hashes(),
@@ -787,6 +824,10 @@ class EncoderDecoder:
         if "hyperparams" not in meta:
             raise ParseError(f"checkpoint sidecar for {path} has no 'hyperparams'")
         hyper = HyperParams.from_dict(meta["hyperparams"])
+        checked = cls._sidecar_format(hyper)
+        if meta.get("format") not in (checked, checked.removesuffix("+sha256")):
+            raise ParseError(f"checkpoint sidecar for {path}: 'format' must be "
+                             f"{checked!r} for its hyperparameters, got {meta.get('format')!r}")
         for key in ("pos_tags", "ner_tags"):
             tags = meta.get(key)
             if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
@@ -803,14 +844,15 @@ class EncoderDecoder:
                     ner_tags=meta["ner_tags"], init_seed=init_seed, store=store)
         weights = load_checkpoint(path)
         for name, shape, _init in model._parameters():
-            arr = weights.pop(name, None)
+            arr = weights.get(name)
             if arr is None:
                 raise ParseError(f"checkpoint {path} has no tensor {name!r}")
             if arr.shape != shape:
                 raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, but "
                                  f"the sidecar's hyperparameters and tags give {shape}")
             store.add_value(name, arr)
-        if weights:
+        if len(weights) > len(store):
             raise ParseError(f"checkpoint {path} has tensors the model lacks: "
-                             f"{sorted(weights)}")
+                             f"{sorted(set(weights) - set(store.names()))}")
+        check_checkpoint(path, weights, required=meta["format"] == checked)
         return model

@@ -4,14 +4,18 @@ The array kernels are the one implementation of the decoder's numeric
 pieces: the GRU gate ``sigmoid``, the attention and head ``softmax`` with
 its backward, the two-piece ``maxout_affine`` readout with its backward,
 and the inverted-dropout mask.  They are plain functions that keep the
-input dtype, so the same code runs in float32 for training and in float64
-when :func:`grad_check` compares the model's hand-written backward pass
-against central finite differences.
+input dtype and act on the last axis, so one row and a batch of rows run
+the same code, in float32 for training and in float64 when
+:func:`grad_check` compares the model's hand-written backward pass
+against central finite differences.  :class:`Adam` updates in place
+through buffers allocated once.  Checkpoints carry a SHA-256 checksum
+that loading verifies.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -35,10 +39,11 @@ RECURRENT_INIT_SCALE = 0.08
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  Plain functions that keep the input dtype.  The forward
-# kernels act on the last axis, so a (k, m) batch gives the same rows as k
-# 1-D calls; training runs them on 1-D rows and writes its backward pass
-# (1-D) around them, and beam search runs them on all live hypotheses.
+# Array kernels.  Plain functions that keep the input dtype.  Every kernel
+# acts on the last axis, so a (k, m) batch gives the same rows as k 1-D
+# calls.  The decoder step runs the forward kernels on one row in training
+# and on all live hypotheses in beam search; training's backward pass runs
+# the backward kernels on all teacher-forced steps of an example at once.
 # ---------------------------------------------------------------------------
 
 
@@ -57,7 +62,7 @@ def softmax(x: Array) -> Array:
 
 def softmax_backward(out: Array, d_out: Array) -> Array:
     """Gradient at the logits, given the softmax output and its gradient."""
-    return out * (d_out - np.dot(d_out, out))
+    return out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
 
 
 def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
@@ -75,11 +80,11 @@ def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
 
 
 def maxout_affine_backward(winners: Array, d_hidden: Array) -> Array:
-    """Gradient at the affine output: each unit's gradient goes to its winner."""
-    k = d_hidden.shape[0]
-    da = np.zeros((2, k), dtype=d_hidden.dtype)
-    da[winners, np.arange(k)] = d_hidden
-    return da.reshape(-1)
+    """Gradient at the affine output: each unit's gradient goes to its
+    winning piece, and the other piece gets zero."""
+    pieces = np.where(winners[..., None, :] == np.arange(2)[:, None],
+                      d_hidden[..., None, :], 0)
+    return pieces.reshape(d_hidden.shape[:-1] + (-1,))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
@@ -101,20 +106,36 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
+# Elements per float64 block that the initialisers draw at a time.
+INIT_BLOCK = 1 << 18
+
+
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
-                 scale: float = RECURRENT_INIT_SCALE) -> Array:
-    """Uniform(-scale, scale) sample; default scale suits recurrent weights."""
-    return rng.uniform(-scale, scale, size=shape)
+                 scale: float = RECURRENT_INIT_SCALE, dtype=np.float64) -> Array:
+    """Uniform(-scale, scale) sample; default scale suits recurrent weights.
+
+    Values are drawn in float64 and stored as ``dtype``.  The draws go in
+    blocks of rows, so a float32 tensor needs no float64 copy of its whole
+    size; the values equal one whole draw cast to ``dtype``.
+    """
+    out = np.empty(shape, dtype=dtype)
+    rows = out.reshape(-1, shape[-1]) if out.ndim and out.size else out.reshape(1, -1)
+    step = max(1, INIT_BLOCK // max(1, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        block[...] = rng.uniform(-scale, scale, size=block.shape)
+    return out
 
 
-def scaled_uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
+def scaled_uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
+                        dtype=np.float64) -> Array:
     """Fan-scaled uniform init for projection matrices: U(±sqrt(6/(fan_in+fan_out)))."""
     if len(shape) == 2:
         fan_in, fan_out = shape[1], shape[0]
     else:
         fan_in = fan_out = int(np.prod(shape))
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return uniform_init(rng, shape, limit, dtype)
 
 
 @dataclass
@@ -139,14 +160,13 @@ class ParameterStore:
         if name in self._params:
             raise ParseError(f"duplicate parameter name: {name!r}")
         if init == "uniform":
-            value = uniform_init(self._rng, shape)
+            arr = uniform_init(self._rng, shape, dtype=self.dtype)
         elif init == "scaled":
-            value = scaled_uniform_init(self._rng, shape)
+            arr = scaled_uniform_init(self._rng, shape, dtype=self.dtype)
         elif init == "zeros":
-            value = np.zeros(shape)
+            arr = np.zeros(shape, dtype=self.dtype)
         else:
             raise ValueError(f"unknown init scheme: {init!r}")
-        arr = value.astype(self.dtype)
         self._params[name] = arr
         return arr
 
@@ -267,14 +287,24 @@ class Adam:
     clip_norm: float = 5.0
     _m: dict[str, Array] = field(init=False)
     _v: dict[str, Array] = field(init=False)
+    _scratch: Array = field(init=False)
     _t: int = 0
 
     def __post_init__(self) -> None:
         self._m = {name: np.zeros_like(arr) for name, arr in self.store.items()}
         self._v = {name: np.zeros_like(arr) for name, arr in self.store.items()}
+        # Three temporaries the size of the largest tensor, shared by all.
+        size = max((arr.size for _name, arr in self.store.items()), default=0)
+        self._scratch = np.empty((3, size), dtype=self.store.dtype)
 
     def step(self, grads: Mapping[str, Array]) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+        """Apply one update; returns the pre-clip global gradient norm.
+
+        The update runs in place through preallocated buffers, in the order
+        ``g = grad * scale``, ``m += (1 - beta1) * (g - m)``,
+        ``v += (1 - beta2) * (g * g - v)``, then
+        ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected moments.
+        """
         norm = self.store.global_norm(grads)
         scale = 1.0
         if self.clip_norm > 0 and norm > self.clip_norm:
@@ -282,15 +312,25 @@ class Adam:
         self._t += 1
         t = self._t
         for name, grad in grads.items():
-            g = grad * scale
+            arr = self.store[name]
+            g, a, b = (buf[: arr.size].reshape(arr.shape) for buf in self._scratch)
             m = self._m[name]
             v = self._v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            arr = self.store[name]
-            arr -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(arr.dtype)
+            np.multiply(grad, scale, out=g)
+            np.subtract(g, m, out=a)
+            a *= 1.0 - self.beta1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1 ** t, out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - self.beta2 ** t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            arr -= a
         return norm
 
 
@@ -298,39 +338,64 @@ class Adam:
 # Checkpoint format: "MQG1" magic, little-endian u32 tensor count, then per
 # tensor a u32 name length, UTF-8 name, u32 rank, u32 dims, and the raw
 # float32 row-major payload.  Tensors are written sorted by name so the file
-# bytes are a pure function of the weights.
+# bytes are a pure function of the weights.  The JSON sidecar next to it
+# holds CHECKSUM_KEY: the SHA-256 of the pack's bytes followed by the text
+# of the rest of the sidecar, so a pack and sidecar that were not written
+# together, or a changed byte in either, are caught on load.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MQG1"
+CHECKSUM_KEY = "checkpoint_sha256"
+
+
+def _pack_chunks(params: Mapping[str, Array]) -> Iterator[bytes | Array]:
+    """The pack's bytes, as byte strings and contiguous little-endian float32
+    arrays (read through the buffer protocol, without a copy)."""
+    names = sorted(params)
+    yield CHECKPOINT_MAGIC + struct.pack("<I", len(names))
+    for name in names:
+        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        encoded = name.encode("utf-8")
+        yield struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                          len(encoded), encoded, arr.ndim, *arr.shape)
+        yield arr
+
+
+def _sidecar_text(meta: Mapping[str, object]) -> str:
+    """The sidecar's JSON text as :func:`save_checkpoint` writes it."""
+    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
+def _checksum(params: Mapping[str, Array], rest: Mapping[str, object]) -> str:
+    """CHECKSUM_KEY's value for a pack of ``params`` and the rest of its sidecar."""
+    digest = hashlib.sha256()
+    for chunk in _pack_chunks(params):
+        digest.update(chunk)
+    digest.update(_sidecar_text(rest).encode("ascii"))  # json.dumps escapes non-ASCII
+    return digest.hexdigest()
 
 
 def save_checkpoint(path: str, params: Mapping[str, Array],
                     sidecar: Mapping[str, object] | None = None) -> None:
     """Write weights to ``path`` and optional metadata to ``path + '.json'``.
 
+    The sidecar gets :data:`CHECKSUM_KEY` (see the format note above).
     Each file is written whole to a ``.tmp`` sibling and then moved into
     place with ``os.replace``, so a write that fails part-way (a full disk)
     raises :class:`FileError` and leaves the previous files as they were.
     """
-    meta = None if sidecar is None else json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    meta = None
+    if sidecar is not None:
+        meta = {key: value for key, value in sidecar.items() if key != CHECKSUM_KEY}
+        meta[CHECKSUM_KEY] = _checksum(params, meta)
     files = [path] + ([path + ".json"] if meta is not None else [])
     try:
         with open(path + ".tmp", "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            names = sorted(params)
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                arr = np.ascontiguousarray(params[name], dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.tobytes(order="C"))
+            for chunk in _pack_chunks(params):
+                fh.write(chunk)
         if meta is not None:
             with open(path + ".json.tmp", "wb") as fh:
-                fh.write(meta.encode("ascii"))  # json.dumps escapes non-ASCII
+                fh.write(_sidecar_text(meta).encode("ascii"))
         for name in files:
             os.replace(name + ".tmp", name)
     except OSError as exc:
@@ -341,11 +406,15 @@ def save_checkpoint(path: str, params: Mapping[str, Array],
                 os.remove(name + ".tmp")
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, count: int, path: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # Checked before reading: a corrupt length field must not size a buffer.
+    if count > _bytes_left(fh):
         raise ParseError(f"truncated checkpoint: {path}")
-    return data
+    return fh.read(count)
 
 
 def load_checkpoint(path: str) -> dict[str, Array]:
@@ -355,7 +424,6 @@ def load_checkpoint(path: str) -> dict[str, Array]:
     except OSError as exc:
         raise FileError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
-        file_size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, path)
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"bad checkpoint magic in {path}: {magic!r}")
@@ -368,26 +436,24 @@ def load_checkpoint(path: str) -> dict[str, Array]:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"tensor name is not UTF-8 in {path}: {exc}") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path))[0]
-                          for _ in range(rank))
+            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
             nbytes = math.prod(shape) * 4
-            if nbytes > file_size - fh.tell():
+            if nbytes > _bytes_left(fh):
                 raise ParseError(f"tensor {name!r} of shape {shape} needs {nbytes} "
                                  f"bytes, more than are left in {path}")
-            raw = _read_exact(fh, nbytes, path)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(TRAIN_DTYPE)
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr) != nbytes:
+                raise ParseError(f"truncated checkpoint: {path}")
             if name in params:
                 raise ParseError(f"duplicate tensor name in checkpoint: {name!r}")
-            params[name] = arr
+            params[name] = arr.astype(TRAIN_DTYPE, copy=False)
         trailing = fh.read(1)
         if trailing:
             raise ParseError(f"trailing bytes after last tensor in {path}")
     return params
 
 
-def load_sidecar(path: str) -> dict[str, object]:
-    """Read the JSON metadata written next to a checkpoint."""
-    text = read_text(path + ".json", "checkpoint sidecar")
+def _parse_sidecar(text: str, path: str) -> dict[str, object]:
     try:
         meta = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -395,3 +461,32 @@ def load_sidecar(path: str) -> dict[str, object]:
     if not isinstance(meta, dict):
         raise ParseError(f"checkpoint sidecar for {path} is not a JSON object")
     return meta
+
+
+def load_sidecar(path: str) -> dict[str, object]:
+    """Read the JSON metadata written next to a checkpoint, less the
+    checksum that :func:`save_checkpoint` adds."""
+    meta = _parse_sidecar(read_text(path + ".json", "checkpoint sidecar"), path)
+    meta.pop(CHECKSUM_KEY, None)
+    return meta
+
+
+def check_checkpoint(path: str, params: Mapping[str, Array], required: bool) -> None:
+    """Raise :class:`ParseError` unless the sidecar of ``path`` is byte for
+    byte the one :func:`save_checkpoint` writes with ``params``, the
+    tensors read from the pack: the text as written, with a checksum that
+    matches.  A sidecar without a checksum passes unless ``required``."""
+    try:
+        with open(path + ".json", "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FileError(f"cannot read checkpoint sidecar {path}.json: {exc}") from None
+    meta = _parse_sidecar(raw.decode("ascii", "replace"), path)
+    if CHECKSUM_KEY not in meta and not required:
+        return
+    rest = {key: value for key, value in meta.items() if key != CHECKSUM_KEY}
+    if (raw != _sidecar_text(meta).encode("ascii")
+            or meta.get(CHECKSUM_KEY) != _checksum(params, rest)):
+        raise ParseError(f"checkpoint {path} does not match the {CHECKSUM_KEY!r} of its "
+                         f"sidecar: the pack or the sidecar was changed, or the two "
+                         f"were not written together")

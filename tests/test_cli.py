@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morphoqg import cli
-from morphoqg.codec import dump_corpus_jsonl, load_encoded_jsonl
+from morphoqg.codec import Vocab, dump_corpus_jsonl, load_encoded_jsonl
+from morphoqg.errors import FileError
+from morphoqg.model import EncoderDecoder
 from morphoqg.morphology import TRANS_TAGS
 from morphoqg.toydata import make_corpus
 
@@ -395,6 +397,8 @@ class TestTrainGenerate:
                 for a in args]
         assert run(*redo) == 0
         assert (tmp_path / "redo.ckpt").read_bytes() == model.read_bytes()
+        assert (tmp_path / "redo.ckpt.json").read_bytes() == \
+            model.with_suffix(".ckpt.json").read_bytes()
 
     def test_generate_writes_questions_and_timing(self, workdir, trained,
                                                   tmp_path):
@@ -415,6 +419,66 @@ class TestTrainGenerate:
         first = out.read_bytes()
         assert run(*argv) == 0
         assert out.read_bytes() == first
+
+
+class TestCheckpointIntegrity:
+    """Property: a checkpoint whose pack or sidecar is not what ``train``
+    wrote ends ``generate`` in exit 2, never a traceback."""
+
+    NAMES = ("model.ckpt", "model.ckpt.json")
+
+    @staticmethod
+    def _generate(workdir, tmp_path):
+        return run("generate", "--input", str(workdir / "corpus.jsonl"),
+                   "--model", str(tmp_path / "model.ckpt"),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--out", str(tmp_path / "q.txt"))
+
+    def test_new_pack_with_previous_sidecar_is_data_error(self, workdir, trained, tmp_path,
+                                                          monkeypatch, capsys):
+        """A crash between the pack's rename and the sidecar's leaves the
+        new pack next to the previous sidecar."""
+        for name in self.NAMES:
+            (tmp_path / name).write_bytes((trained[0].parent / name).read_bytes())
+        path = str(tmp_path / "model.ckpt")
+        model = EncoderDecoder.load(path, Vocab.load(str(workdir / "enc.vocab"),
+                                                     str(workdir / "q.vocab")))
+        model.store["init/b"] = model.store["init/b"] + 1.0
+        replace = os.replace
+
+        def crash_before_sidecar(src, dst):
+            if dst.endswith(".json"):
+                raise OSError("crash")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_before_sidecar)
+        with pytest.raises(FileError):
+            model.save(path)
+        monkeypatch.undo()
+        assert (tmp_path / "model.ckpt").read_bytes() != trained[0].read_bytes()
+        assert self._generate(workdir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint_sha256" in err and "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_changed_or_truncated_bytes_are_data_errors(self, workdir, trained, tmp_path,
+                                                        capsys, data):
+        files = {name: (trained[0].parent / name).read_bytes() for name in self.NAMES}
+        name = data.draw(st.sampled_from(self.NAMES), label="file")
+        raw = files[name]
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            files[name] = raw[:at]
+        else:
+            flipped = raw[at] ^ data.draw(st.integers(1, 255), label="xor")
+            files[name] = raw[:at] + bytes([flipped]) + raw[at + 1 :]
+        for each, content in files.items():
+            (tmp_path / each).write_bytes(content)
+        assert self._generate(workdir, tmp_path) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConfigFile:

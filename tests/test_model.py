@@ -28,7 +28,7 @@ from morphoqg.model import (
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import dropout_mask, grad_check
+from morphoqg.tensor import CHECKSUM_KEY, dropout_mask, grad_check
 from morphoqg.train import TrainConfig, evaluate_mean_loss, train
 
 RESERVED = ["<pad>", "<unk>", "<sos>", "<eos>"]
@@ -259,6 +259,99 @@ class TestProbabilityMass:
             assert loss == pytest.approx(want, rel=1e-12)
 
 
+def edge_case_examples() -> list[EncodedExample]:
+    """A one-token source whose copied word feeds the decoder twice (a
+    repeated input row), and a target that is the end marker alone (a
+    single decoder step)."""
+    one_token = EncodedExample(
+        source_roots=["he"], source_features=[("NNP", "PERSON", "B")],
+        answer_span=(0, 0), target_actions=[Copy(0), Copy(0)],
+        reference_question=["he", "he"])
+    return [one_token, replace(flagship_example(), target_actions=[])]
+
+
+def train_h512_batch(n_examples: int, seed: int = 0):
+    """A model at the full-scale shape (hidden 512, 1,004 list words) and
+    examples shaped like the benchmark's training batch: sources of 28-32
+    tokens and 13 target actions, so 14 decoder steps."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(300)]
+    vocab = Vocab(RESERVED + words, RESERVED + [f"q{i}" for i in range(1_000)])
+    model = EncoderDecoder(HyperParams(), vocab, POS_TAGS, NER_TAGS, init_seed=seed)
+    examples = []
+    for _ in range(n_examples):
+        n = int(rng.integers(28, 33))
+        left = int(rng.integers(0, n - 2))
+        actions, last_was_word = [], False
+        while len(actions) < 13:
+            kind = rng.integers(0, 3)
+            if kind == 0 and last_was_word:
+                actions.append(Trans(ALL_TYPES[int(rng.integers(0, len(ALL_TYPES)))]))
+            else:
+                actions.append(Copy(int(rng.integers(0, n))) if kind == 1
+                               else Quest(int(rng.integers(4, vocab.quest_size))))
+            last_was_word = not isinstance(actions[-1], Trans)
+        examples.append(EncodedExample(
+            source_roots=[words[i] for i in rng.integers(0, len(words), size=n)],
+            source_features=[(POS_TAGS[int(p)], NER_TAGS[int(e)], "O")
+                             for p, e in zip(rng.integers(0, len(POS_TAGS), size=n),
+                                             rng.integers(0, len(NER_TAGS), size=n))],
+            answer_span=(left, left + 2), target_actions=actions,
+            reference_question=[]))
+    return model, examples
+
+
+class TestSequenceRecurrences:
+    """Property: the sequence-level encoder computes the token-by-token GRU,
+    and the float32 training pass stays within float32 rounding of the
+    float64 one at the full-scale shape."""
+
+    @pytest.mark.parametrize("example", [flagship_example, lambda: repeated_root_example(),
+                                         lambda: edge_case_examples()[0]])
+    def test_encoder_matches_token_by_token_reference(self, example):
+        model = tiny_model(seed=5).to_check_precision()
+        prep = model.prepare(example())
+        masks = dropout_mask((len(prep.roots), model._input_dim()), 0.2,
+                             np.random.default_rng(1), dtype=model.dtype)
+        X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids(prep)],
+                           axis=1) * masks
+        n = len(prep.roots)
+        total = 0.0
+        for prefix, order in (("enc_fwd", range(n)), ("enc_bwd", range(n - 1, -1, -1))):
+            want, h = np.empty((n, TINY.hidden_size)), np.zeros(TINY.hidden_size)
+            for i in order:
+                h, _cache = model._gru_forward(prefix, X[i], h)
+                want[i] = h
+            got, _cache = model._gru_sequence(prefix, X, order)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            total = total + want
+        H = model.encode(prep, masks)["H"]
+        np.testing.assert_allclose(H, total, rtol=0, atol=1e-12 * np.abs(total).max())
+
+    def test_float32_training_pass_matches_float64_at_full_scale(self):
+        """Tolerance: the loss within 1e-6 relative and every gradient
+        tensor within 1e-4 of its largest entry.  Float32 rounding alone
+        reads about 2e-5 on the worst tensor (att/b, a sum with much
+        cancellation) at this shape."""
+        model, examples = train_h512_batch(2)
+        check = model.to_check_precision()
+        masks = [dropout_mask((len(ex.source_roots), model._input_dim()), 0.2,
+                              np.random.default_rng(i), dtype=model.dtype)
+                 for i, ex in enumerate(examples)]
+        results = []
+        for m, mask_dtype in ((model, np.float32), (check, np.float64)):
+            grads = m.zero_grads()
+            loss, tokens = m.loss_and_grads([m.prepare(ex) for ex in examples], grads=grads,
+                                            masks_list=[k.astype(mask_dtype) for k in masks])
+            assert tokens == 28
+            results.append((loss, grads))
+        (loss32, grads32), (loss64, grads64) = results
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        for name, want in grads64.items():
+            worst = float(np.abs(grads32[name] - want).max())
+            assert worst <= 1e-4 * float(np.abs(want).max()), name
+
+
 class TestFullLossGradients:
     """Property: the hand-written backward pass matches finite differences
     for every parameter tensor of the complete loss."""
@@ -271,7 +364,8 @@ class TestFullLossGradients:
         columns = model.outcome_columns(repeated.roots)
         assert repeated.targets[1] == Copy(0)
         assert columns.positions[columns.words.index("he")].tolist() == [0, 2]
-        for prep in (model.prepare(flagship_example()), repeated):
+        for prep in (model.prepare(flagship_example()), repeated,
+                     *map(model.prepare, edge_case_examples())):
             mask_rng = np.random.default_rng(3)
             masks = dropout_mask((len(prep.roots), model._input_dim()),
                                  model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
@@ -626,6 +720,31 @@ class TestPersistence:
         a = evaluate_mean_loss(model, prepared)
         b = evaluate_mean_loss(loaded, prepared)
         assert a == pytest.approx(b, rel=1e-6)
+
+    def test_sidecar_written_before_checksums_still_loads(self, tmp_path):
+        model = tiny_model(seed=13)
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        with open(path + ".json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        del meta[CHECKSUM_KEY]
+        meta["format"] = "wt-additive"
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        loaded = EncoderDecoder.load(path, tiny_vocab())
+        for name in model.store.names():
+            np.testing.assert_array_equal(loaded.store[name], model.store[name])
+        # The format of a checksummed sidecar requires the checksum.
+        meta["format"] = "wt-additive+sha256"
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+        with pytest.raises(ParseError, match=CHECKSUM_KEY):
+            EncoderDecoder.load(path, tiny_vocab())
+        meta["format"] = "wt-dot"
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ParseError, match="format"):
+            EncoderDecoder.load(path, tiny_vocab())
 
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ParseError):

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import json
 import os
 import struct
 
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from morphoqg.errors import FileError, ParseError
 from morphoqg.tensor import (
+    CHECKSUM_KEY,
+    INIT_BLOCK,
     Adam,
     ParameterStore,
+    check_checkpoint,
     dropout_mask,
     grad_check,
     load_checkpoint,
@@ -113,6 +117,15 @@ class TestSoftmax:
         ex = np.exp(x[0] - np.max(x[0]))
         np.testing.assert_array_equal(softmax(x[0]), ex / np.sum(ex))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_batch_rows_match_1d_calls(self, dtype):
+        out = softmax((RNG.standard_normal((5, 9)) * 10.0).astype(dtype))
+        d_out = RNG.standard_normal((5, 9)).astype(dtype)
+        batch = softmax_backward(out, d_out)
+        assert batch.dtype == dtype
+        rows = np.stack([softmax_backward(o, d) for o, d in zip(out, d_out)])
+        assert batch.tobytes() == rows.tobytes()
+
 
 class TestMaxout:
     """Property: two-piece maxout takes per-unit maxima and ties pick the
@@ -160,6 +173,19 @@ class TestMaxout:
         pieces = (W @ U[0] + b).reshape(2, -1)
         np.testing.assert_array_equal(rows[0][0], pieces.max(axis=0))
         np.testing.assert_array_equal(rows[0][1], pieces.argmax(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_batch_rows_match_1d_calls(self, dtype):
+        winners = RNG.integers(0, 2, size=(4, 7))
+        d_hidden = RNG.standard_normal((4, 7)).astype(dtype)
+        batch = maxout_affine_backward(winners, d_hidden)
+        assert batch.shape == (4, 14) and batch.dtype == dtype
+        rows = np.stack([maxout_affine_backward(w, d) for w, d in zip(winners, d_hidden)])
+        assert batch.tobytes() == rows.tobytes()
+        # Each row holds the gradient at its winning piece and zero at the other.
+        np.testing.assert_array_equal(batch.reshape(4, 2, 7).sum(axis=1), d_hidden)
+        np.testing.assert_array_equal(np.take_along_axis(
+            batch.reshape(4, 2, 7), winners[:, None, :], axis=1)[:, 0], d_hidden)
 
 
 class TestDropout:
@@ -270,6 +296,14 @@ class TestParameterStore:
         grads = {"a": np.array([3.0, 4.0])}
         assert store.global_norm(grads) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("shape", [(2 * INIT_BLOCK // 7 + 3, 7), (INIT_BLOCK + 5,), (),
+                                       (3, 0)])
+    def test_block_draws_equal_one_whole_draw(self, shape):
+        want = np.random.default_rng(5).uniform(-0.08, 0.08, size=shape).astype(np.float32)
+        got = uniform_init(np.random.default_rng(5), shape, dtype=np.float32)
+        assert got.shape == shape and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
     def test_init_helpers_are_seed_deterministic(self):
         a = uniform_init(np.random.default_rng(5), (3, 3))
         b = uniform_init(np.random.default_rng(5), (3, 3))
@@ -305,6 +339,37 @@ class TestAdam:
         store.add_value("x", np.zeros(1))
         opt = Adam(store, clip_norm=5.0)
         assert opt.step({"x": np.array([12.0])}) == pytest.approx(12.0)
+
+    def test_in_place_update_matches_allocating_formula_bit_for_bit(self):
+        """The preallocated buffers keep the textbook formula's operation
+        order, so float32 weights come out byte-identical to it."""
+
+        def reference_step(state, grads, t, scale, lr=0.002, b1=0.9, b2=0.999, eps=1e-8):
+            for name, grad in grads.items():
+                g = grad * scale
+                m, v = state["m"][name], state["v"][name]
+                m += (1.0 - b1) * (g - m)
+                v += (1.0 - b2) * (g * g - v)
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                arr = state["w"][name]
+                arr -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(arr.dtype)
+
+        shapes = {"big": (7, 5), "small": (3,), "scalar": ()}
+        store = ParameterStore(init_seed=0)
+        for name, shape in shapes.items():
+            store.add(name, shape)
+        state = {"w": {name: arr.copy() for name, arr in store.items()},
+                 "m": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()},
+                 "v": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}}
+        opt = Adam(store, clip_norm=3.0)
+        for t in range(1, 6):
+            grads = {name: (RNG.standard_normal(shape) * t).astype(np.float32)
+                     for name, shape in shapes.items()}
+            norm = opt.step(grads)
+            reference_step(state, grads, t, min(1.0, 3.0 / norm))
+            for name in shapes:
+                assert store[name].tobytes() == state["w"][name].tobytes()
 
 
 class TestCheckpoint:
@@ -396,6 +461,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [
+        b"MQG1" + struct.pack("<II", 1, 2 ** 32 - 1),            # name length
+        b"MQG1" + struct.pack("<II", 1, 1) + b"w" + struct.pack("<I", 2 ** 30),  # rank
+    ])
+    def test_length_field_larger_than_file_rejected(self, tmp_path, header):
+        # Checked before the read, so no buffer of that size is allocated.
+        path = tmp_path / "forged.ckpt"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("content", [b"[1, 2]\n", b"{\"a\": \"\xff\"}\n"])
     def test_malformed_sidecar_rejected(self, tmp_path, content):
         path = str(tmp_path / "model.ckpt")
@@ -410,6 +486,31 @@ class TestCheckpoint:
         save_checkpoint(path, self._params(), sidecar=meta)
         assert os.path.exists(path + ".json")
         assert load_sidecar(path) == meta
+
+    def test_checksum_covers_pack_and_sidecar(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        params = self._params()
+        save_checkpoint(path, params, sidecar={"version": 1})
+        raw = json.loads((tmp_path / "model.ckpt.json").read_text())
+        assert len(raw[CHECKSUM_KEY]) == 64
+        check_checkpoint(path, load_checkpoint(path), required=True)
+        # Other weights, a changed sidecar value, or the sidecar re-spaced.
+        with pytest.raises(ParseError, match=CHECKSUM_KEY):
+            check_checkpoint(path, {name: arr + 1 for name, arr in params.items()},
+                             required=True)
+        for text in (json.dumps({**raw, "version": 2}, indent=2, sort_keys=True) + "\n",
+                     json.dumps(raw, sort_keys=True) + "\n"):
+            (tmp_path / "model.ckpt.json").write_text(text)
+            with pytest.raises(ParseError, match=CHECKSUM_KEY):
+                check_checkpoint(path, params, required=False)
+
+    def test_sidecar_without_checksum_is_checked_only_when_required(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, self._params())
+        (tmp_path / "model.ckpt.json").write_text('{"version": 1}\n')
+        check_checkpoint(path, self._params(), required=False)
+        with pytest.raises(ParseError, match=CHECKSUM_KEY):
+            check_checkpoint(path, self._params(), required=True)
 
     @pytest.mark.parametrize("fail_in", ["pack", "sidecar"])
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_in):
