@@ -432,35 +432,28 @@ def cmd_bench(args) -> int:
 # -- selftest ----------------------------------------------------------
 
 
-def _check_morphology_regular(seed: int):
+def _round_trips(triples) -> tuple[int, int]:
+    """How many (root, type, inflected) triples inflect to their form and
+    analyse back to their root and type, out of how many."""
     morph = default_morphology()
-    lexicon = load_regular_lexicon()
-    bad = 0
-    for root, ttype, inflected in lexicon:
-        if morph.apply_transform(root, ttype) != inflected:
-            bad += 1
-            continue
-        analysis = morph.analyze(inflected, TYPE_TO_POS_TAG[ttype])
-        if (analysis.root, analysis.transform) != (root, ttype):
-            bad += 1
-    ok = len(lexicon) - bad
-    ratio = ok / len(lexicon)
-    return ratio >= 0.99, f"{ok}/{len(lexicon)} regular round trips ({ratio:.2%})"
+    ok = 0
+    for root, ttype, inflected in triples:
+        if morph.apply_transform(root, ttype) == inflected:
+            analysis = morph.analyze(inflected, TYPE_TO_POS_TAG[ttype])
+            ok += (analysis.root, analysis.transform) == (root, ttype)
+    return ok, len(triples)
+
+
+def _check_morphology_regular(seed: int):
+    ok, total = _round_trips(load_regular_lexicon())
+    ratio = ok / total
+    return ratio >= 0.99, f"{ok}/{total} regular round trips ({ratio:.2%})"
 
 
 def _check_morphology_irregular(seed: int):
-    morph = default_morphology()
-    bad = 0
-    total = 0
-    for entry in morph.table:
-        total += 1
-        if morph.apply_transform(entry.root, entry.type) != entry.inflected:
-            bad += 1
-            continue
-        analysis = morph.analyze(entry.inflected, TYPE_TO_POS_TAG[entry.type])
-        if (analysis.root, analysis.transform) != (entry.root, entry.type):
-            bad += 1
-    return bad == 0, f"{total - bad}/{total} irregular round trips"
+    ok, total = _round_trips([(e.root, e.type, e.inflected)
+                              for e in default_morphology().table])
+    return ok == total, f"{ok}/{total} irregular round trips"
 
 
 def _check_codec_round_trip(seed: int):

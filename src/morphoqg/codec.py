@@ -107,9 +107,6 @@ class Vocab:
     def quest_id(self, word: str) -> int:
         return self._quest_ids.get(word, UNK_ID)
 
-    def has_quest_word(self, word: str) -> bool:
-        return word in self._quest_ids
-
     def quest_word(self, word_id: int) -> str:
         if not 0 <= word_id < len(self.quest_vocab):
             raise IndexOutOfVocab(
@@ -201,7 +198,8 @@ def encode_target(
 
     Each word analyzes to (root, type); the root becomes Copy when it
     occurs in the source (occurrence nearest the answer span, leftmost
-    on ties), else Quest, else Quest(UNK); a present type appends Trans.
+    on ties), else Quest of its list id (UNK off the list); a present
+    type appends Trans.
     """
     if not question:
         raise EmptyInputError("question token sequence is empty")
@@ -215,10 +213,8 @@ def encode_target(
         root = analysis.root
         if root in positions:
             actions.append(Copy(_best_source_index(positions[root], answer_span)))
-        elif vocab.has_quest_word(root):
-            actions.append(Quest(vocab.quest_id(root)))
         else:
-            actions.append(Quest(UNK_ID))
+            actions.append(Quest(vocab.quest_id(root)))
         if analysis.transform is not None:
             actions.append(Trans(analysis.transform))
     return actions

@@ -20,13 +20,14 @@ is written out by hand around their backward halves; there is no autodiff
 graph.  Each encoder GRU reads a whole source as one sequence: the input
 projections of all tokens are one matrix product taken before the
 recurrence, which then does one product per token with the stacked update
-and reset weights and one with the candidate weights.  Training runs the
-decoder step on single state rows, then mixes the routes of all
-teacher-forced steps as one batch.  Per example, the backward pass takes
-the switch and head gradients of all steps back as one (T, ·) batch.  Only
-the attention and the GRU carries walk the steps in reverse, and they
-store each step's gate gradients, so that every weight gradient is one
-matrix product per sequence.  The input-row gradient goes into the word,
+and reset weights and one with the candidate weights.  A decoder step
+has a recurrent half (the GRU, then attention) and a non-recurrent half
+(the switch and the heads).  In training only the recurrent half walks an
+example's teacher-forced steps; the heads and the mixing run once on the
+(T, ·) stack of the walk, and the backward pass takes them back the same
+way.  Only the attention and the GRU carries walk the steps in reverse,
+and they store each step's gate gradients, so that every weight gradient
+is one matrix product per sequence.  The input-row gradient goes into the word,
 answer-position, entity and POS tables with one ``np.add.at`` per table.
 Beam search runs the decoder step on a (k, d_h) batch of all live
 hypotheses and mixes the three routes into one probability row per
@@ -496,67 +497,60 @@ class EncoderDecoder:
         ``("word" | "trans", id)`` spec, or (k, d_h) batches with a list of
         k specs; every entry of the returned state then has a leading k axis.
         """
+        return self._heads(enc, self._recurrence(enc, s_prev, c_prev,
+                                                 self.input_embedding(input_spec)))
+
+    def _recurrence(self, enc: dict, s_prev: Array, c_prev: Array, w: Array) -> dict:
+        """The recurrent half of a step: the GRU reads ``x = [w, c_prev]``,
+        then attention.  Returns ``s``, ``c``, ``alpha`` and ``Q`` beside
+        :meth:`_gru_forward`'s cache."""
         p = self.store
-        w = self.input_embedding(input_spec)
-        d_in = np.concatenate([w, c_prev], axis=-1)
-        s, gru_cache = self._gru_forward("dec", d_in, s_prev)
-        H = enc["H"]
+        s, state = self._gru_forward("dec", np.concatenate([w, c_prev], axis=-1), s_prev)
         Q = np.tanh(enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :])
         alpha = softmax(Q @ p["att/v"])
-        c = alpha @ H
-        state = {
-            "input_spec": input_spec,
-            "w": w,
-            "gru_cache": gru_cache,
-            "s": s,
-            "Q": Q,
-            "alpha": alpha,
-            "c": c,
-        }
-        if self.hyper.dot_heads:
-            state.update({
-                "p_copy": softmax(s @ H.T),
-                "p_trans": softmax(s @ p["dot/type_emb"].T),
-                "p_quest": softmax(s @ p["dot/quest_emb"].T),
-                "switch": softmax(s @ p["dot/switch_W"].T + p["dot/switch_b"]),
-            })
-        else:
-            u1 = np.concatenate([s, c], axis=-1)
-            m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], u1)
-            v_answer = np.broadcast_to(enc["v_answer"], s.shape)
-            u2 = np.concatenate([v_answer, s, c], axis=-1)
-            m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], u2)
-            u3 = np.concatenate([c, s, w], axis=-1)
-            state.update({
-                "p_copy": alpha,
-                "p_trans": softmax(m1 @ p["g1/Wo"].T + p["g1/bo"]),
-                "p_quest": softmax(m2 @ p["g2/Wo"].T + p["g2/bo"]),
-                "switch": softmax(u3 @ p["switch/W"].T + p["switch/b"]),
-                "u1": u1, "m1": m1, "max1": max1,
-                "u2": u2, "m2": m2, "max2": max2,
-                "u3": u3,
-            })
+        state.update(s=s, Q=Q, alpha=alpha, c=alpha @ enc["H"])
         return state
 
-    def _decoder_backward(self, enc: dict, states: Sequence[dict], d_switch: Array,
+    def _heads(self, enc: dict, state: dict) -> dict:
+        """The non-recurrent half of a step: adds the switch and the three
+        heads to a :meth:`_recurrence` state with any leading batch axis,
+        a beam's (k, ·) rows or an example's (T, ·) teacher-forced steps."""
+        p = self.store
+        s, c, H = state["s"], state["c"], enc["H"]
+        if self.hyper.dot_heads:
+            state.update(p_copy=softmax(s @ H.T), p_trans=softmax(s @ p["dot/type_emb"].T),
+                         p_quest=softmax(s @ p["dot/quest_emb"].T),
+                         switch=softmax(s @ p["dot/switch_W"].T + p["dot/switch_b"]))
+            return state
+        w = state["x"][..., : self.hyper.word_dim]
+        u1 = np.concatenate([s, c], axis=-1)
+        m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], u1)
+        v_answer = np.broadcast_to(enc["v_answer"], s.shape)
+        u2 = np.concatenate([v_answer, s, c], axis=-1)
+        m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], u2)
+        u3 = np.concatenate([c, s, w], axis=-1)
+        state.update(p_copy=state["alpha"], p_trans=softmax(m1 @ p["g1/Wo"].T + p["g1/bo"]),
+                     p_quest=softmax(m2 @ p["g2/Wo"].T + p["g2/bo"]),
+                     switch=softmax(u3 @ p["switch/W"].T + p["switch/b"]),
+                     u1=u1, m1=m1, max1=max1, u2=u2, m2=m2, max2=max2, u3=u3)
+        return state
+
+    def _decoder_backward(self, enc: dict, steps: dict, d_switch: Array,
                           d_heads: Sequence[Array | None], grads) -> tuple[Array, ...]:
         """Backward through the T teacher-forced decoder steps of one example.
 
-        ``d_switch`` and ``d_heads`` are :meth:`_route_grads`' gradients at
-        the switch and at each head.  The switch and the heads go back for
-        all steps as one (T, ·) batch; only the attention and the decoder
-        GRU's carry walk the steps in reverse.  Each weight then gets one
-        matrix product over the steps.  Returns the gradients at the encoder
-        outputs ``H``, ``HA`` and ``v_answer`` and at the first state ``s0``.
+        ``steps`` is the forward pass's (T, ·) stack, decoder GRU cache
+        included; ``d_switch`` and ``d_heads`` are :meth:`_route_grads`'
+        gradients at the switch and at each head.  As in the forward pass,
+        the switch and the heads take all steps as one batch, and only the
+        attention and the GRU carry walk them, in reverse.  Each weight then
+        gets one matrix product over the steps.  Returns the gradients at
+        the encoder outputs ``H``, ``HA`` and ``v_answer`` and at ``s0``.
         """
         p = self.store
         d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
-        keys = [key for key in states[0] if key not in ("input_spec", "gru_cache")]
-        steps = {key: np.array([state[key] for state in states]) for key in keys}
-        gru = {key: np.array([state["gru_cache"][key] for state in states])
-               for key in states[0]["gru_cache"]}
         H, S = enc["H"], steps["s"]
-        T = len(states)
+        T = len(S)
         # Gradients from the switch and heads at each step's s, c, input word
         # and attention weights, before the recurrence adds its share.
         dS = np.zeros((T, d_h), dtype=self.dtype)
@@ -615,7 +609,7 @@ class EncoderDecoder:
         dC_all = np.empty((T, d_h), dtype=self.dtype)
         dE = np.empty(alpha.shape, dtype=self.dtype)
         dQ_sum = np.empty((T, d_h), dtype=self.dtype)
-        DA, gru_step = self._gru_backward_steps("dec", gru)
+        DA, gru_step = self._gru_backward_steps("dec", steps)
         W_c = [p[f"dec/W_{g}"][:, d_w:] for g in "zrn"]
         ds_carry = np.zeros(d_h, dtype=self.dtype)
         dc_carry = np.zeros(d_h, dtype=self.dtype)
@@ -630,9 +624,10 @@ class EncoderDecoder:
         grads["att/v"] += np.einsum("tnd,tn->d", Q, dE)
         grads["att/B"] += dQ_sum.T @ S
         grads["att/b"] += dQ_sum.sum(axis=0)
-        dW_in += self._gru_weight_grads("dec", DA, gru, grads, x_cols=slice(None, d_w))
-        is_word = np.array([state["input_spec"][0] == "word" for state in states])
-        ids = np.array([state["input_spec"][1] for state in states], dtype=np.intp)
+        dW_in += self._gru_weight_grads("dec", DA, steps, grads, x_cols=slice(None, d_w))
+        specs = enc["prep"].input_specs
+        is_word = np.array([kind == "word" for kind, _ in specs])
+        ids = np.array([idx for _, idx in specs], dtype=np.intp)
         np.add.at(grads["emb/word"], ids[is_word], dW_in[is_word])
         np.add.at(grads["emb/trans"], ids[~is_word], dW_in[~is_word])
         return dH, dHA, dv_answer, ds_carry
@@ -695,17 +690,17 @@ class EncoderDecoder:
             enc = self.encode(prep, masks)
             columns = self.outcome_columns(prep.roots)
             target_cols = self._target_columns(prep, columns)
+            # Only the recurrence walks the teacher-forced steps; the heads
+            # and the mixing take all T steps as one (T, ·) batch.
             s = enc["s0"]
             c = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-            states = []
-            for spec in prep.input_specs:
-                state = self.step(enc, s, c, spec)
-                states.append(state)
-                s, c = state["s"], state["c"]
-            # The teacher-forced steps as one (T, ·) batch of the mixing.
-            steps = {key: np.array([state[key] for state in states])
-                     for key in ("switch", "p_copy", "p_quest", "p_trans")}
-            probs = self.outcome_mass(steps, columns)[np.arange(len(states)), target_cols]
+            walk = []
+            for w in self.input_embedding(list(prep.input_specs)):
+                walk.append(self._recurrence(enc, s, c, w))
+                s, c = walk[-1]["s"], walk[-1]["c"]
+            steps = self._heads(enc, {key: np.array([state[key] for state in walk])
+                                      for key in walk[0]})
+            probs = self.outcome_mass(steps, columns)[np.arange(len(walk)), target_cols]
             step_losses = []
             for t, prob in enumerate(probs.tolist()):
                 if not (math.isfinite(prob) and prob > 0.0):
@@ -721,7 +716,7 @@ class EncoderDecoder:
                 steps, columns.route_col == target_cols[:, None],
                 (-1.0 / probs).astype(self.dtype))
             self._encoder_backward(
-                enc, *self._decoder_backward(enc, states, d_switch, d_heads, grads), grads)
+                enc, *self._decoder_backward(enc, steps, d_switch, d_heads, grads), grads)
         return total, tokens
 
     # ------------------------------------------------------------------

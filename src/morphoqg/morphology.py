@@ -25,13 +25,6 @@ from typing import Iterator, Optional, TextIO, Union
 from .errors import DuplicateKeyError, ParseError, UnknownRuleError, read_text
 
 
-class PosClass(Enum):
-    VERB = "verb"
-    NOUN = "noun"
-    ADJECTIVE = "adjective"
-    ADVERB = "adverb"
-
-
 class TransformationType(Enum):
     """The nine inflection tags.
 
@@ -58,10 +51,6 @@ class TransformationType(Enum):
     def index(self) -> int:
         return _TYPE_INDEX[self]
 
-    @property
-    def pos_class(self) -> PosClass:
-        return _TYPE_POS_CLASS[self]
-
     @classmethod
     def from_tag(cls, tag: str) -> "TransformationType":
         try:
@@ -73,17 +62,6 @@ class TransformationType(Enum):
 ALL_TYPES = tuple(TransformationType)
 TRANS_TAGS = tuple(t.value for t in ALL_TYPES)
 _TYPE_INDEX = {t: i for i, t in enumerate(ALL_TYPES)}
-_TYPE_POS_CLASS = {
-    TransformationType.ING: PosClass.VERB,
-    TransformationType.VS: PosClass.VERB,
-    TransformationType.ED: PosClass.VERB,
-    TransformationType.EDP: PosClass.VERB,
-    TransformationType.NS: PosClass.NOUN,
-    TransformationType.JER: PosClass.ADJECTIVE,
-    TransformationType.JEST: PosClass.ADJECTIVE,
-    TransformationType.VER: PosClass.ADVERB,
-    TransformationType.VEST: PosClass.ADVERB,
-}
 
 # Penn-Treebank tags that select a transformation type during analysis;
 # every other tag means "already in root form".

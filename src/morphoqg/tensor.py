@@ -41,9 +41,10 @@ RECURRENT_INIT_SCALE = 0.08
 # ---------------------------------------------------------------------------
 # Array kernels.  Plain functions that keep the input dtype.  Every kernel
 # acts on the last axis, so a (k, m) batch gives the same rows as k 1-D
-# calls.  The decoder step runs the forward kernels on one row in training
-# and on all live hypotheses in beam search; training's backward pass runs
-# the backward kernels on all teacher-forced steps of an example at once.
+# calls.  The decoder's recurrence runs the forward kernels on one row per
+# teacher-forced step in training and on all live hypotheses in beam
+# search; in training the switch and heads run them, and their backward
+# halves, on all teacher-forced steps of an example at once.
 # ---------------------------------------------------------------------------
 
 
@@ -185,9 +186,6 @@ class ParameterStore:
         if name not in self._params:
             raise KeyError(name)
         self._params[name] = np.asarray(value, dtype=self.dtype)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)

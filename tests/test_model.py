@@ -230,11 +230,13 @@ class TestProbabilityMass:
                     + sw[SW_QUEST] * state["p_quest"][HE_Q])
         assert words["he"] == pytest.approx(float(expected), rel=1e-9)
 
-    def test_loss_is_outcome_mass_at_target_columns(self):
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_loss_is_outcome_mass_at_target_columns(self, dot_heads):
         """The loss is -sum log of the mass the beam ranks, read at the
         column of each target's surface word or tag, over a teacher-forced
-        walk."""
-        model = tiny_model().to_check_precision()
+        walk of ``step``: training's heads, run once on the stacked walk,
+        score as the step does for both head designs."""
+        model = tiny_model(dot_heads=dot_heads).to_check_precision()
         rng = np.random.default_rng(17)
         for name, arr in model.store.items():
             model.store[name] = rng.normal(scale=0.5, size=arr.shape)

@@ -13,7 +13,6 @@ from morphoqg.morphology import (
     TYPE_TO_POS_TAG,
     IrregularTable,
     Morphology,
-    PosClass,
     TransformationType,
     default_morphology,
     load_irregular_table,
@@ -43,15 +42,6 @@ class TestTransformationType:
         for t in ALL_TYPES:
             assert t.tag.startswith("##")
             assert not t.tag.isalpha()
-
-    def test_pos_classes(self):
-        by_class = {}
-        for t in ALL_TYPES:
-            by_class.setdefault(t.pos_class, []).append(t.tag)
-        assert by_class[PosClass.VERB] == ["##ing", "##vs", "##ed", "##edp"]
-        assert by_class[PosClass.NOUN] == ["##ns"]
-        assert by_class[PosClass.ADJECTIVE] == ["##jer", "##jest"]
-        assert by_class[PosClass.ADVERB] == ["##ver", "##vest"]
 
     def test_from_tag(self):
         assert TransformationType.from_tag("##ed") is TransformationType.ED
