@@ -17,10 +17,10 @@ and beam search ranks its rows.
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
-graph.  Each encoder GRU reads a whole source as one sequence: the input
-projections of all tokens are one matrix product taken before the
-recurrence, which then does one product per token with the stacked update
-and reset weights and one with the candidate weights.  A decoder step
+graph.  One GRU cell, fed input projections taken beforehand, serves the
+encoder's tokens, the decoder's teacher-forced steps and the beam's live
+hypotheses; each encoder GRU projects all tokens of its source before the
+recurrence.  A decoder step
 has a recurrent half (the GRU, then attention) and a non-recurrent half
 (the switch and the heads).  In training only the recurrent half walks an
 example's teacher-forced steps; the heads and the mixing run once on the
@@ -317,51 +317,41 @@ class EncoderDecoder:
         return (("emb/word", list(prep.word_ids)), ("emb/bio", list(prep.bio_ids)),
                 ("emb/ner", list(prep.ner_ids)), ("emb/pos", list(prep.pos_ids)))
 
-    def _gru_forward(self, prefix: str, x: Array, h: Array):
-        """One GRU update for a row ``x``, ``h`` or a (k, ·) batch of rows.
-
-        The decoder step's recurrence, and the token-by-token reference for
-        :meth:`_gru_sequence`.  The cache holds the input, the previous
-        state, the gates, ``r * h`` and the candidate under the keys that
-        :meth:`_gru_sequence` uses.
-        """
+    def _gru_inputs(self, prefix: str, X: Array) -> Array:
+        """The input projections ``[a_z | a_r | a_n] = X @ W_g.T + b_g`` of a
+        row or of stacked rows, one matrix product per gate."""
         p = self.store
-        az = x @ p[f"{prefix}/W_z"].T + h @ p[f"{prefix}/U_z"].T + p[f"{prefix}/b_z"]
-        ar = x @ p[f"{prefix}/W_r"].T + h @ p[f"{prefix}/U_r"].T + p[f"{prefix}/b_r"]
-        z = sigmoid(az)
-        r = sigmoid(ar)
+        return np.concatenate([X @ p[f"{prefix}/W_{g}"].T + p[f"{prefix}/b_{g}"]
+                               for g in "zrn"], axis=-1)
+
+    def _gru_cell(self, prefix: str, a: Array, h: Array):
+        """The one GRU update, on input projections ``a`` (see :meth:`_gru_inputs`)
+        and a state ``h`` of one row or a (k, ·) batch.  Returns the new state,
+        ``[z | r]``, ``r * h`` and the candidate.  Each recurrent weight is its
+        own product: a stacked ``[U_z; U_r]`` would be copied on every call."""
+        p = self.store
+        d_h = h.shape[-1]
+        zr = sigmoid(a[..., : 2 * d_h] + np.concatenate(
+            [h @ p[f"{prefix}/U_z"].T, h @ p[f"{prefix}/U_r"].T], axis=-1))
+        z, r = zr[..., :d_h], zr[..., d_h:]
         rh = r * h
-        an = x @ p[f"{prefix}/W_n"].T + rh @ p[f"{prefix}/U_n"].T + p[f"{prefix}/b_n"]
-        n = np.tanh(an)
-        h_new = z * h + (1.0 - z) * n
-        return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n}
+        n = np.tanh(a[..., 2 * d_h :] + rh @ p[f"{prefix}/U_n"].T)
+        return z * h + (1.0 - z) * n, zr, rh, n
 
     def _gru_sequence(self, prefix: str, X: Array, order: range) -> tuple[Array, dict]:
-        """Run one GRU from a zero state over the rows of ``X`` in ``order``.
-
-        The input projections of all rows are one matrix product per gate,
-        taken before the recurrence; each step then does one product with
-        ``[U_z; U_r]`` and one with ``U_n``.  Row ``i`` of the returned
-        (n, d_h) states is the state after reading ``X[i]``.  The cache
-        stacks :meth:`_gru_forward`'s entries the same way, row ``i`` for
-        ``X[i]``, and keeps ``order`` for the backward walk.
-        """
-        p = self.store
+        """Run one GRU from a zero state over the rows of ``X`` in ``order``:
+        the input projections of all rows, then one :meth:`_gru_cell` per row.
+        Row ``i`` of the returned (n, d_h) states, and of each stacked cache
+        entry (input, previous state, gates, ``r * h``, candidate), belongs to
+        ``X[i]``; the cache keeps ``order`` for the backward walk."""
         n, d_h = len(X), self.hyper.hidden_size
-        A_zr, A_n = (np.concatenate([X @ p[f"{prefix}/W_{g}"].T + p[f"{prefix}/b_{g}"]
-                                     for g in gates], axis=1) for gates in ("zr", "n"))
-        U_zr = np.concatenate([p[f"{prefix}/U_z"], p[f"{prefix}/U_r"]])
-        U_n = p[f"{prefix}/U_n"]
+        A = self._gru_inputs(prefix, X)
         prev, zr, rh, cand, states = (np.empty((n, width), dtype=self.dtype)
                                       for width in (d_h, 2 * d_h, d_h, d_h, d_h))
         h = np.zeros(d_h, dtype=self.dtype)
         for i in order:
             prev[i] = h
-            zr[i] = sigmoid(A_zr[i] + U_zr @ h)
-            z, r = zr[i, :d_h], zr[i, d_h:]
-            rh[i] = r * h
-            cand[i] = np.tanh(A_n[i] + U_n @ rh[i])
-            h = z * h + (1.0 - z) * cand[i]
+            h, zr[i], rh[i], cand[i] = self._gru_cell(prefix, A[i], h)
             states[i] = h
         return states, {"x": X, "h": prev, "z": zr[:, :d_h], "r": zr[:, d_h:], "rh": rh,
                         "n": cand, "order": order}
@@ -501,15 +491,18 @@ class EncoderDecoder:
                                                  self.input_embedding(input_spec)))
 
     def _recurrence(self, enc: dict, s_prev: Array, c_prev: Array, w: Array) -> dict:
-        """The recurrent half of a step: the GRU reads ``x = [w, c_prev]``,
-        then attention.  Returns ``s``, ``c``, ``alpha`` and ``Q`` beside
-        :meth:`_gru_forward`'s cache."""
+        """The recurrent half of a step: one :meth:`_gru_cell` on the input
+        projections of ``x = [w, c_prev]``, then attention.  Returns ``s``,
+        ``c``, ``alpha`` and ``Q`` beside the GRU cache under
+        :meth:`_gru_sequence`'s keys."""
         p = self.store
-        s, state = self._gru_forward("dec", np.concatenate([w, c_prev], axis=-1), s_prev)
+        d_h = self.hyper.hidden_size
+        x = np.concatenate([w, c_prev], axis=-1)
+        s, zr, rh, n = self._gru_cell("dec", self._gru_inputs("dec", x), s_prev)
         Q = np.tanh(enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :])
         alpha = softmax(Q @ p["att/v"])
-        state.update(s=s, Q=Q, alpha=alpha, c=alpha @ enc["H"])
-        return state
+        return {"x": x, "h": s_prev, "z": zr[..., :d_h], "r": zr[..., d_h:], "rh": rh,
+                "n": n, "s": s, "Q": Q, "alpha": alpha, "c": alpha @ enc["H"]}
 
     def _heads(self, enc: dict, state: dict) -> dict:
         """The non-recurrent half of a step: adds the switch and the three

@@ -41,10 +41,11 @@ RECURRENT_INIT_SCALE = 0.08
 # ---------------------------------------------------------------------------
 # Array kernels.  Plain functions that keep the input dtype.  Every kernel
 # acts on the last axis, so a (k, m) batch gives the same rows as k 1-D
-# calls.  The decoder's recurrence runs the forward kernels on one row per
-# teacher-forced step in training and on all live hypotheses in beam
-# search; in training the switch and heads run them, and their backward
-# halves, on all teacher-forced steps of an example at once.
+# calls.  The model's one GRU cell runs the forward kernels on one row per
+# encoder token and per teacher-forced decoder step, and on all live
+# hypotheses at once in beam search; in training the switch and heads run
+# them, and their backward halves, on all teacher-forced steps of an
+# example at once.
 # ---------------------------------------------------------------------------
 
 

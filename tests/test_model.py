@@ -303,32 +303,76 @@ def train_h512_batch(n_examples: int, seed: int = 0):
     return model, examples
 
 
+def reference_gru(store, prefix, x, h):
+    """One GRU update of one row, written from the equations in float64 and
+    independent of the model's cell: the update gate z mixes the previous
+    state with a candidate that reads the reset-gated state r * h."""
+    W, U, b = ({g: store[f"{prefix}/{kind}_{g}"].astype(np.float64) for g in "zrn"}
+               for kind in "WUb")
+    z = 1.0 / (1.0 + np.exp(-(W["z"] @ x + U["z"] @ h + b["z"])))
+    r = 1.0 / (1.0 + np.exp(-(W["r"] @ x + U["r"] @ h + b["r"])))
+    n = np.tanh(W["n"] @ x + U["n"] @ (r * h) + b["n"])
+    return z * h + (1.0 - z) * n
+
+
 class TestSequenceRecurrences:
     """Property: the sequence-level encoder computes the token-by-token GRU,
-    and the float32 training pass stays within float32 rounding of the
-    float64 one at the full-scale shape."""
+    one GRU cell serves every recurrence, and the float32 training pass
+    stays within float32 rounding of the float64 one at the full-scale
+    shape."""
 
     @pytest.mark.parametrize("example", [flagship_example, lambda: repeated_root_example(),
                                          lambda: edge_case_examples()[0]])
     def test_encoder_matches_token_by_token_reference(self, example):
         model = tiny_model(seed=5).to_check_precision()
+        # Biases start at zero; random ones make the reference check them too.
+        bias_rng = np.random.default_rng(2)
+        for prefix in ("enc_fwd", "enc_bwd"):
+            for g in "zrn":
+                model.store[f"{prefix}/b_{g}"][:] = bias_rng.uniform(-0.5, 0.5,
+                                                                     TINY.hidden_size)
         prep = model.prepare(example())
         masks = dropout_mask((len(prep.roots), model._input_dim()), 0.2,
                              np.random.default_rng(1), dtype=model.dtype)
         X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids(prep)],
                            axis=1) * masks
-        n = len(prep.roots)
+        n, d_h = len(prep.roots), TINY.hidden_size
         total = 0.0
         for prefix, order in (("enc_fwd", range(n)), ("enc_bwd", range(n - 1, -1, -1))):
-            want, h = np.empty((n, TINY.hidden_size)), np.zeros(TINY.hidden_size)
+            want, prev, h = np.empty((n, d_h)), np.empty((n, d_h)), np.zeros(d_h)
             for i in order:
-                h, _cache = model._gru_forward(prefix, X[i], h)
-                want[i] = h
+                prev[i] = h
+                h = want[i] = reference_gru(model.store, prefix, X[i], h)
             got, _cache = model._gru_sequence(prefix, X, order)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            # The cell on an (n, ·) batch of (input, state) pairs gives the
+            # rows of n one-row updates.
+            batch, *_ = model._gru_cell(prefix, model._gru_inputs(prefix, X), prev)
+            np.testing.assert_allclose(batch, want, rtol=0, atol=1e-12 * np.abs(want).max())
             total = total + want
         H = model.encode(prep, masks)["H"]
         np.testing.assert_allclose(H, total, rtol=0, atol=1e-12 * np.abs(total).max())
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_one_gru_cell_serves_encoder_training_and_beam(self, monkeypatch, dot_heads):
+        """An example of n tokens and T targets takes 2n cell calls in the
+        two encoder directions, then one per teacher-forced step in training
+        and one per step in beam search."""
+        model = tiny_model(dot_heads)
+        prep = model.prepare(flagship_example())
+        calls = {"_gru_cell": 0, "step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        n, T = len(prep.roots), len(prep.targets)
+        model.loss_and_grads([prep], grads=model.zero_grads())
+        assert calls == {"_gru_cell": 2 * n + T, "step": 0}
+        calls.update(_gru_cell=0)
+        beam_search(model, prep, beam_size=4)
+        assert calls["step"] > 0
+        assert calls["_gru_cell"] == 2 * n + calls["step"]
 
     def test_float32_training_pass_matches_float64_at_full_scale(self):
         """Tolerance: the loss within 1e-6 relative and every gradient
