@@ -40,7 +40,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bench import DEFAULT_STEPS, DEFAULT_WARMUP, bench_decode
+from .bench import (DEFAULT_BASELINE_VOCAB, DEFAULT_BEAM, DEFAULT_HIDDEN, DEFAULT_QUEST_SIZE,
+                    DEFAULT_SOURCE_WINDOW, DEFAULT_STEPS, DEFAULT_WARMUP, bench_decode)
 from .codec import (
     DEFAULT_CUTOFF,
     DEFAULT_ENCODER_CAP,
@@ -612,30 +613,30 @@ def _build_parser():
     sub.add_argument("--quest-vocab", required=True)
     sub.add_argument("--dev", help="encoded dev JSONL; keeps the best weights")
     sub.add_argument("--model-out", required=True, help="checkpoint path")
-    sub.add_argument("--steps", type=_positive_int, default=2000,
+    sub.add_argument("--steps", type=_positive_int, default=TrainConfig.max_steps,
                      help="optimiser updates (default %(default)s)")
-    sub.add_argument("--hidden", type=_positive_int, default=512,
+    sub.add_argument("--hidden", type=_positive_int, default=HyperParams.hidden_size,
                      help="recurrent state size (default %(default)s)")
-    sub.add_argument("--word-dim", type=_positive_int, default=300,
+    sub.add_argument("--word-dim", type=_positive_int, default=HyperParams.word_dim,
                      help="word embedding size (default %(default)s)")
-    sub.add_argument("--feat-dim", type=_positive_int, default=32,
+    sub.add_argument("--feat-dim", type=_positive_int, default=HyperParams.answer_feat_dim,
                      help="answer/ner/pos feature embedding size "
                           "(default %(default)s)")
-    sub.add_argument("--dropout", type=_dropout_rate, default=0.20,
+    sub.add_argument("--dropout", type=_dropout_rate, default=HyperParams.dropout_rate,
                      help="encoder input dropout rate (default %(default)s)")
-    sub.add_argument("--learning-rate", type=_learning_rate, default=0.002,
+    sub.add_argument("--learning-rate", type=_learning_rate, default=TrainConfig.learning_rate,
                      help="Adam learning rate (default %(default)s)")
-    sub.add_argument("--batch-size", type=_positive_int, default=32,
+    sub.add_argument("--batch-size", type=_positive_int, default=TrainConfig.batch_size,
                      help="examples per update (default %(default)s)")
-    sub.add_argument("--clip-norm", type=_clip_norm, default=5.0,
+    sub.add_argument("--clip-norm", type=_clip_norm, default=TrainConfig.clip_norm,
                      help="global gradient clip, 0 for none (default %(default)s)")
-    sub.add_argument("--eval-every", type=_positive_int, default=100,
+    sub.add_argument("--eval-every", type=_positive_int, default=TrainConfig.eval_every,
                      help="steps between dev evaluations (default %(default)s)")
     sub.add_argument("--cutoff", type=_positive_int, default=DEFAULT_CUTOFF,
                      help="source length bound stored with the model")
-    sub.add_argument("--beam", type=_positive_int, default=12,
+    sub.add_argument("--beam", type=_positive_int, default=HyperParams.beam_size,
                      help="beam width stored with the model")
-    sub.add_argument("--max-decode-len", type=_positive_int, default=32,
+    sub.add_argument("--max-decode-len", type=_positive_int, default=HyperParams.max_decode_len,
                      help="decode length bound stored with the model")
     sub.add_argument("--dot-heads", action="store_true",
                      help="use the dot-product output heads instead of the "
@@ -670,17 +671,19 @@ def _build_parser():
               "Time one question of the shipped beam search on two models that "
               "differ only in question-list size: the three-action decoder's "
               "list against a full-vocabulary list. Reports paired medians.")
-    sub.add_argument("--vocab-size", type=_int_at_least(len(RESERVED_TOKENS)), default=30000,
+    sub.add_argument("--vocab-size", type=_int_at_least(len(RESERVED_TOKENS)),
+                     default=DEFAULT_BASELINE_VOCAB,
                      help="baseline list size, reserved tokens included "
                      "(default %(default)s)")
-    sub.add_argument("--hidden", type=_positive_int, default=512,
+    sub.add_argument("--hidden", type=_positive_int, default=DEFAULT_HIDDEN,
                      help="decoder state size (default %(default)s)")
-    sub.add_argument("--beam", type=_positive_int, default=12,
+    sub.add_argument("--beam", type=_positive_int, default=DEFAULT_BEAM,
                      help="beam width (default %(default)s)")
-    sub.add_argument("--source-window", type=_positive_int, default=128,
+    sub.add_argument("--source-window", type=_positive_int, default=DEFAULT_SOURCE_WINDOW,
                      help="source length, the copy positions per step "
                      "(default %(default)s)")
-    sub.add_argument("--quest-size", type=_int_at_least(len(RESERVED_TOKENS)), default=1004,
+    sub.add_argument("--quest-size", type=_int_at_least(len(RESERVED_TOKENS)),
+                     default=DEFAULT_QUEST_SIZE,
                      help="question-word list size, reserved tokens included "
                      "(default %(default)s)")
     sub.add_argument("--steps", type=_positive_int, default=DEFAULT_STEPS,

@@ -13,8 +13,10 @@ another tag).
 
 Each step advances every live hypothesis at once, as one (k, d_h) batch
 through :meth:`EncoderDecoder.step`, and scores all of its outcomes as one
-row of :meth:`EncoderDecoder.outcome_mass`.  Log-probabilities are taken
-with ``math.log`` and summed in float64.  Tie-break order: candidates with
+row of :meth:`EncoderDecoder.outcome_mass`.  A kept outcome's column gives
+both the action it appends and the next step's decoder input
+(:attr:`OutcomeColumns.inputs`).  Log-probabilities are taken with
+``math.log`` and summed in float64.  Tie-break order: candidates with
 equal sums keep the rank of the hypothesis they extend, then the column
 order ``[source roots in first-occurrence order | other list words by id |
 tags]``; a root copies its most-attended source position, the first on
@@ -78,6 +80,7 @@ def beam_search(
     s = enc["s0"][None, :]
     c = np.zeros((1, model.hyper.hidden_size), dtype=model.dtype)
     actions: list[tuple] = [()]
+    inputs = [("word", SOS_ID)]
     log_sum = np.zeros(1)
     last_was_word = np.zeros(1, dtype=bool)
     finished: list[BeamResult] = []
@@ -85,9 +88,7 @@ def beam_search(
     for _ in range(limit):
         if not actions:  # a beam of width 0 keeps nothing after step one
             break
-        specs = [model.input_spec_for_action(a[-1], prep.roots) if a
-                 else ("word", SOS_ID) for a in actions]
-        state = model.step(enc, s, c, specs)
+        state = model.step(enc, s, c, inputs)
         mass = model.outcome_mass(state, columns)
         for h in np.flatnonzero(mass[:, eos_col] > 0.0).tolist():
             logp = float(log_sum[h]) + math.log(mass[h, eos_col])
@@ -119,6 +120,7 @@ def beam_search(
                    for h, col in zip(keep_hyp.tolist(), keep_col)]
         log_sum = np.array([exact[j] for j in keep])
         last_was_word = word_cols[keep_col]
+        inputs = [columns.inputs[col] for col in keep_col]
         s, c = state["s"][keep_hyp], state["c"][keep_hyp]
 
     for h, acts in enumerate(actions):

@@ -12,7 +12,9 @@ positions holding that root plus, when the word is in the question-word
 list, the list route).  That mixing has one implementation,
 :meth:`EncoderDecoder.outcome_mass`: training reads each target's column
 of it and seeds the backward pass through the same route-to-column map,
-and beam search ranks its rows.
+and beam search ranks its rows.  A column also names the decoder input
+of the next step (a word row or a tag row), so training's teacher-forced
+inputs and the beam's next inputs are both read from the chosen columns.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
@@ -51,8 +53,8 @@ import numpy as np
 from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
 from .errors import DivergenceError, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
-from .tensor import (Array, ParameterStore, check_checkpoint, dropout_mask, load_checkpoint,
-                     load_sidecar, maxout_affine, maxout_affine_backward, save_checkpoint,
+from .tensor import (Array, ParameterStore, check_sidecar, dropout_mask, load_checkpoint,
+                     maxout_affine, maxout_affine_backward, read_sidecar, save_checkpoint,
                      sigmoid, softmax, softmax_backward)
 
 # Switch-head logit order: list-word route, copy route, rewrite-tag route.
@@ -123,7 +125,7 @@ def tag_index(tag_list: Sequence[str], tag: str) -> int:
 
 @dataclass(frozen=True)
 class PreparedExample:
-    """An encoded example resolved to integer ids, decoder inputs and targets."""
+    """An encoded example resolved to integer ids and target actions."""
 
     roots: tuple[str, ...]
     word_ids: tuple[int, ...]
@@ -131,7 +133,6 @@ class PreparedExample:
     ner_ids: tuple[int, ...]
     pos_ids: tuple[int, ...]
     span: tuple[int, int]
-    input_specs: tuple[tuple[str, int], ...]  # ("word", enc_id) | ("trans", idx)
     targets: tuple[TargetAction, ...]  # the target actions, then Quest(EOS_ID)
     reference: str = ""
 
@@ -143,10 +144,13 @@ class OutcomeColumns:
     The columns are ``[unique source roots in first-occurrence order | list
     words that are not source roots, by id | the tags in ALL_TYPES
     order]``.  A list word that is also a source root shares the root's
-    column, so the copy and list routes merge there.
+    column, so the copy and list routes merge there.  Each column also
+    names the decoder input that follows it: the encoder row of its word,
+    or its tag's row.
     """
 
     words: tuple[str, ...]           # the word of each word column
+    inputs: tuple[tuple[str, int], ...]  # ("word", enc_id) | ("trans", idx), per column
     positions: tuple[Array, ...]     # source positions of each root column
     quest_ids: tuple[int, ...]       # list id of each list-only column
     route_col: Array                 # column of each route, in ROUTES order
@@ -265,17 +269,6 @@ class EncoderDecoder:
     # Example preparation.
     # ------------------------------------------------------------------
 
-    def input_spec_for_action(self, action, roots: Sequence[str]) -> tuple[str, int]:
-        """Decoder-input embedding choice for the action just emitted."""
-        if isinstance(action, Copy):
-            return ("word", self.vocab.encoder_id(roots[action.index]))
-        if isinstance(action, Quest):
-            word = self.vocab.quest_word(action.word_id)
-            return ("word", self.vocab.encoder_id(word))
-        if isinstance(action, Trans):
-            return ("trans", action.type.index)
-        raise ParseError(f"unknown action: {action!r}")
-
     def prepare(self, example: EncodedExample) -> PreparedExample:
         roots = tuple(example.source_roots)
         word_ids = tuple(self.vocab.encoder_id(r) for r in roots)
@@ -284,10 +277,10 @@ class EncoderDecoder:
             bio_ids.append(tag_index(BIO_TAGS, bio))
             ner_ids.append(tag_index(self.ner_tags, ner))
             pos_ids.append(tag_index(self.pos_tags, pos))
-        targets = tuple(example.target_actions) + (Quest(EOS_ID),)
-        specs: list[tuple[str, int]] = [("word", SOS_ID)]
-        for action in targets[:-1]:
-            specs.append(self.input_spec_for_action(action, roots))
+        for action in example.target_actions:
+            if isinstance(action, Quest):
+                # An id past the list would index a tag's route in _target_columns.
+                self.vocab.quest_word(action.word_id)
         return PreparedExample(
             roots=roots,
             word_ids=word_ids,
@@ -295,8 +288,7 @@ class EncoderDecoder:
             ner_ids=tuple(ner_ids),
             pos_ids=tuple(pos_ids),
             span=example.answer_span,
-            input_specs=tuple(specs),
-            targets=targets,
+            targets=tuple(example.target_actions) + (Quest(EOS_ID),),
             reference=" ".join(example.reference_question),
         )
 
@@ -528,17 +520,18 @@ class EncoderDecoder:
                      u1=u1, m1=m1, max1=max1, u2=u2, m2=m2, max2=max2, u3=u3)
         return state
 
-    def _decoder_backward(self, enc: dict, steps: dict, d_switch: Array,
+    def _decoder_backward(self, enc: dict, steps: dict, inputs, d_switch: Array,
                           d_heads: Sequence[Array | None], grads) -> tuple[Array, ...]:
         """Backward through the T teacher-forced decoder steps of one example.
 
         ``steps`` is the forward pass's (T, ·) stack, decoder GRU cache
-        included; ``d_switch`` and ``d_heads`` are :meth:`_route_grads`'
-        gradients at the switch and at each head.  As in the forward pass,
-        the switch and the heads take all steps as one batch, and only the
-        attention and the GRU carry walk them, in reverse.  Each weight then
-        gets one matrix product over the steps.  Returns the gradients at
-        the encoder outputs ``H``, ``HA`` and ``v_answer`` and at ``s0``.
+        included, and ``inputs`` the T input specs it read; ``d_switch`` and
+        ``d_heads`` are :meth:`_route_grads`' gradients at the switch and at
+        each head.  As in the forward pass, the switch and the heads take all
+        steps as one batch, and only the attention and the GRU carry walk
+        them, in reverse.  Each weight then gets one matrix product over the
+        steps.  Returns the gradients at the encoder outputs ``H``, ``HA``
+        and ``v_answer`` and at ``s0``.
         """
         p = self.store
         d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
@@ -618,9 +611,8 @@ class EncoderDecoder:
         grads["att/B"] += dQ_sum.T @ S
         grads["att/b"] += dQ_sum.sum(axis=0)
         dW_in += self._gru_weight_grads("dec", DA, steps, grads, x_cols=slice(None, d_w))
-        specs = enc["prep"].input_specs
-        is_word = np.array([kind == "word" for kind, _ in specs])
-        ids = np.array([idx for _, idx in specs], dtype=np.intp)
+        is_word = np.array([kind == "word" for kind, _ in inputs])
+        ids = np.array([idx for _, idx in inputs], dtype=np.intp)
         np.add.at(grads["emb/word"], ids[is_word], dW_in[is_word])
         np.add.at(grads["emb/trans"], ids[~is_word], dW_in[~is_word])
         return dH, dHA, dv_answer, ds_carry
@@ -683,12 +675,15 @@ class EncoderDecoder:
             enc = self.encode(prep, masks)
             columns = self.outcome_columns(prep.roots)
             target_cols = self._target_columns(prep, columns)
+            # Each step reads the input of the previous target's column.
+            inputs = [("word", SOS_ID)] + [columns.inputs[col]
+                                           for col in target_cols[:-1].tolist()]
             # Only the recurrence walks the teacher-forced steps; the heads
             # and the mixing take all T steps as one (T, ·) batch.
             s = enc["s0"]
             c = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
             walk = []
-            for w in self.input_embedding(list(prep.input_specs)):
+            for w in self.input_embedding(inputs):
                 walk.append(self._recurrence(enc, s, c, w))
                 s, c = walk[-1]["s"], walk[-1]["c"]
             steps = self._heads(enc, {key: np.array([state[key] for state in walk])
@@ -708,8 +703,8 @@ class EncoderDecoder:
             d_switch, d_heads = self._route_grads(
                 steps, columns.route_col == target_cols[:, None],
                 (-1.0 / probs).astype(self.dtype))
-            self._encoder_backward(
-                enc, *self._decoder_backward(enc, steps, d_switch, d_heads, grads), grads)
+            grad_in = self._decoder_backward(enc, steps, inputs, d_switch, d_heads, grads)
+            self._encoder_backward(enc, *grad_in, grads)
         return total, tokens
 
     # ------------------------------------------------------------------
@@ -737,6 +732,8 @@ class EncoderDecoder:
         route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
         return OutcomeColumns(
             words=tuple(col_of),
+            inputs=tuple([("word", self.vocab.encoder_id(word)) for word in col_of]
+                         + [("trans", t.index) for t in ALL_TYPES]),
             positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
             quest_ids=tuple(quest_ids),
             route_col=np.array(route_col, dtype=np.intp),
@@ -808,7 +805,8 @@ class EncoderDecoder:
 
     @classmethod
     def load(cls, path: str, vocab: Vocab) -> "EncoderDecoder":
-        meta = load_sidecar(path)
+        # One read: the checksum is checked on the bytes whose metadata built the model.
+        meta, sidecar = read_sidecar(path)
         if "hyperparams" not in meta:
             raise ParseError(f"checkpoint sidecar for {path} has no 'hyperparams'")
         hyper = HyperParams.from_dict(meta["hyperparams"])
@@ -842,5 +840,5 @@ class EncoderDecoder:
         if len(weights) > len(store):
             raise ParseError(f"checkpoint {path} has tensors the model lacks: "
                              f"{sorted(set(weights) - set(store.names()))}")
-        check_checkpoint(path, weights, required=meta["format"] == checked)
+        check_sidecar(sidecar, path, weights, required=meta["format"] == checked)
         return model

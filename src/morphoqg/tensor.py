@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FileError, ParseError, read_text
+from .errors import FileError, ParseError
 
 Array = np.ndarray
 
@@ -452,9 +452,25 @@ def load_checkpoint(path: str) -> dict[str, Array]:
     return params
 
 
-def _parse_sidecar(text: str, path: str) -> dict[str, object]:
+def read_sidecar(path: str) -> tuple[dict[str, object], bytes]:
+    """Read the JSON sidecar written next to a checkpoint once: its
+    metadata, less the checksum that :func:`save_checkpoint` adds, and the
+    bytes as read, which :func:`check_sidecar` verifies."""
     try:
-        meta = json.loads(text)
+        with open(path + ".json", "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FileError(f"cannot read checkpoint sidecar {path}.json: {exc}") from None
+    meta = _parse_sidecar(raw, path)
+    meta.pop(CHECKSUM_KEY, None)
+    return meta, raw
+
+
+def _parse_sidecar(raw: bytes, path: str) -> dict[str, object]:
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"checkpoint sidecar for {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad checkpoint sidecar for {path}: {exc}") from exc
     if not isinstance(meta, dict):
@@ -463,24 +479,17 @@ def _parse_sidecar(text: str, path: str) -> dict[str, object]:
 
 
 def load_sidecar(path: str) -> dict[str, object]:
-    """Read the JSON metadata written next to a checkpoint, less the
-    checksum that :func:`save_checkpoint` adds."""
-    meta = _parse_sidecar(read_text(path + ".json", "checkpoint sidecar"), path)
-    meta.pop(CHECKSUM_KEY, None)
-    return meta
+    """The metadata of :func:`read_sidecar`."""
+    return read_sidecar(path)[0]
 
 
-def check_checkpoint(path: str, params: Mapping[str, Array], required: bool) -> None:
-    """Raise :class:`ParseError` unless the sidecar of ``path`` is byte for
-    byte the one :func:`save_checkpoint` writes with ``params``, the
-    tensors read from the pack: the text as written, with a checksum that
-    matches.  A sidecar without a checksum passes unless ``required``."""
-    try:
-        with open(path + ".json", "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FileError(f"cannot read checkpoint sidecar {path}.json: {exc}") from None
-    meta = _parse_sidecar(raw.decode("ascii", "replace"), path)
+def check_sidecar(raw: bytes, path: str, params: Mapping[str, Array], required: bool) -> None:
+    """Raise :class:`ParseError` unless ``raw``, the sidecar of ``path`` as
+    read, is byte for byte the one :func:`save_checkpoint` writes with
+    ``params``, the tensors read from the pack: the text as written, with a
+    checksum that matches.  A sidecar without a checksum passes unless
+    ``required``."""
+    meta = _parse_sidecar(raw, path)
     if CHECKSUM_KEY not in meta and not required:
         return
     rest = {key: value for key, value in meta.items() if key != CHECKSUM_KEY}
@@ -489,3 +498,8 @@ def check_checkpoint(path: str, params: Mapping[str, Array], required: bool) -> 
         raise ParseError(f"checkpoint {path} does not match the {CHECKSUM_KEY!r} of its "
                          f"sidecar: the pack or the sidecar was changed, or the two "
                          f"were not written together")
+
+
+def check_checkpoint(path: str, params: Mapping[str, Array], required: bool) -> None:
+    """:func:`check_sidecar` on the sidecar of ``path`` as it is on disk now."""
+    check_sidecar(read_sidecar(path)[1], path, params, required)

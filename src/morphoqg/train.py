@@ -87,11 +87,13 @@ def train(
                      clip_norm=config.clip_norm)
     result = TrainResult(steps=0)
     batch_stream = _batches(len(train_examples), config.batch_size, rng)
+    grads = model.zero_grads()  # allocated once, zeroed in place every step
 
     for step in range(1, config.max_steps + 1):
         indices = next(batch_stream)
         batch = [train_examples[i] for i in indices]
-        grads = model.zero_grads()
+        for grad in grads.values():
+            grad.fill(0)
         loss_sum, tokens = model.loss_and_grads(batch, grads=grads,
                                                 rng=dropout_rng)
         mean_loss = loss_sum / tokens

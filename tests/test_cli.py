@@ -9,6 +9,7 @@ Commands run in-process through ``cli.main`` so exit codes and streams
 can be asserted without subprocesses.
 """
 
+import inspect
 import json
 import os
 
@@ -17,11 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morphoqg import cli
-from morphoqg.codec import Vocab, dump_corpus_jsonl, load_encoded_jsonl
+from morphoqg.bench import bench_decode
+from morphoqg.codec import (Vocab, build_vocabs, dump_corpus_jsonl, encode_example,
+                            load_encoded_jsonl)
 from morphoqg.errors import FileError
-from morphoqg.model import EncoderDecoder
+from morphoqg.model import EncoderDecoder, HyperParams
 from morphoqg.morphology import TRANS_TAGS
 from morphoqg.toydata import make_corpus
+from morphoqg.train import TrainConfig
 
 SUBCOMMANDS = ("analyze-vocab", "encode", "decode", "build-vocab", "train",
                "generate", "score", "bench", "selftest")
@@ -147,6 +151,55 @@ class TestUsage:
                    "--out", str(workdir / "half.jsonl"),
                    "--encoder-vocab", str(workdir / "enc.vocab")) == 1
         assert "--quest-vocab" in capsys.readouterr().err
+
+
+def parsed_defaults(name, *required):
+    """The parsed arguments of subcommand ``name`` given only ``required``."""
+    parser, _ = cli._build_parser()
+    return vars(parser.parse_args([name, *required]))
+
+
+def signature_defaults(func, *names):
+    params = inspect.signature(func).parameters
+    return {name: params[name].default for name in names}
+
+
+class TestFlagDefaults:
+    """Property: a flag's default is the default of what it sets, read from
+    the dataclass or function that defines it."""
+
+    def test_train_flags_default_to_hyperparams_and_train_config(self):
+        args = parsed_defaults("train", "--input", "e", "--encoder-vocab", "v",
+                               "--quest-vocab", "q", "--model-out", "m")
+        # The mapping of cmd_train.
+        assert HyperParams(
+            word_dim=args["word_dim"], answer_feat_dim=args["feat_dim"],
+            ner_feat_dim=args["feat_dim"], pos_feat_dim=args["feat_dim"],
+            hidden_size=args["hidden"], dropout_rate=args["dropout"],
+            learning_rate=args["learning_rate"], batch_size=args["batch_size"],
+            source_cutoff=args["cutoff"], beam_size=args["beam"],
+            max_decode_len=args["max_decode_len"], dot_heads=args["dot_heads"],
+        ) == HyperParams()
+        assert TrainConfig(
+            max_steps=args["steps"], batch_size=args["batch_size"],
+            learning_rate=args["learning_rate"], clip_norm=args["clip_norm"],
+            seed=args["seed"], eval_every=args["eval_every"],
+        ) == TrainConfig()
+
+    def test_bench_flags_default_to_bench_decode(self):
+        args = parsed_defaults("bench")
+        want = signature_defaults(bench_decode, "hidden", "vocab_size", "source_window",
+                                  "quest_size", "beam", "steps", "warmup")
+        assert {name: args[name] for name in want} == want
+
+    def test_encode_and_build_vocab_flags_default_to_the_codec(self):
+        args = parsed_defaults("encode", "--input", "c", "--out", "o")
+        want = signature_defaults(encode_example, "cutoff", "truncate")
+        assert {name: args[name] for name in want} == want
+        args = parsed_defaults("build-vocab", "--input", "c", "--encoder-out", "v",
+                               "--quest-out", "q")
+        want = signature_defaults(build_vocabs, "encoder_cap", "quest_cap")
+        assert {name: args[name] for name in want} == want
 
 
 class TestExitCodes:

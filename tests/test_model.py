@@ -2,11 +2,13 @@
 
 import json
 import math
+import shutil
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from morphoqg import model as model_mod
 from morphoqg.codec import (
     EOS_ID,
     SOS_ID,
@@ -17,7 +19,7 @@ from morphoqg.codec import (
     Trans,
     Vocab,
 )
-from morphoqg.errors import DivergenceError, ParseError, ShapeMismatch
+from morphoqg.errors import DivergenceError, IndexOutOfVocab, ParseError, ShapeMismatch
 from morphoqg.generate import BeamResult, beam_search, generate_question
 from morphoqg.model import (
     SW_COPY,
@@ -99,25 +101,59 @@ def target_columns(model, prep):
     return columns, model._target_columns(prep, columns)
 
 
-class TestPrepare:
-    """Property: preparation resolves ids, inputs, and each target's outcome column."""
+def reference_input_spec(model, action, roots):
+    """The decoder input that follows ``action``, written from the
+    definition and independent of the outcome columns: the encoder row of
+    the word a copy or a list word emits, or the tag's row."""
+    if isinstance(action, Copy):
+        return ("word", model.vocab.encoder_id(roots[action.index]))
+    if isinstance(action, Quest):
+        return ("word", model.vocab.encoder_id(model.vocab.quest_word(action.word_id)))
+    return ("trans", action.type.index)
 
-    def test_input_specs_start_with_sos(self):
+
+def column_input(model, prep, t):
+    """The decoder input named by target ``t``'s outcome column."""
+    columns, cols = target_columns(model, prep)
+    return columns.inputs[cols[t]]
+
+
+class TestPrepare:
+    """Property: preparation resolves ids and each target's outcome column,
+    and that column names the next decoder input."""
+
+    def test_input_specs_start_with_sos(self, monkeypatch):
+        """Training's teacher-forced inputs are <sos>, then the input of
+        each target's column but the last."""
         model = tiny_model()
         prep = model.prepare(flagship_example())
-        assert prep.input_specs[0] == ("word", SOS_ID)
+        seen = []
+        embed = model.input_embedding
+
+        def recorded(spec):  # the list call, not the per-spec calls it makes
+            if isinstance(spec, list):
+                seen.append(spec)
+            return embed(spec)
+
+        monkeypatch.setattr(model, "input_embedding", recorded)
+        model.loss_and_grads([prep], grads=None)
+        columns, cols = target_columns(model, prep)
+        assert seen == [[("word", SOS_ID)] + [columns.inputs[c] for c in cols[:-1]]]
 
     def test_quest_word_missing_from_encoder_vocab_feeds_unk(self):
         model = tiny_model()
         prep = model.prepare(flagship_example())
         # Input for step 2 embeds the previously emitted "when", which the
         # source-side vocabulary does not contain.
-        assert prep.input_specs[1] == ("word", UNK_ID)
+        assert column_input(model, prep, 0) == ("word", UNK_ID)
+        assert reference_input_spec(model, prep.targets[0], prep.roots) == ("word", UNK_ID)
 
     def test_copy_input_uses_source_root_row(self):
         model = tiny_model()
         prep = model.prepare(flagship_example())
-        assert prep.input_specs[2] == ("word", model.vocab.encoder_id("he"))
+        want = ("word", model.vocab.encoder_id("he"))
+        assert column_input(model, prep, 1) == want
+        assert reference_input_spec(model, prep.targets[1], prep.roots) == want
 
     def test_trans_target_and_input(self):
         model = tiny_model()
@@ -125,7 +161,42 @@ class TestPrepare:
         columns, cols = target_columns(model, prep)
         assert prep.targets[3] == Trans(TransformationType.ED)
         assert cols[3] == len(columns.words) + TransformationType.ED.index
-        assert prep.input_specs[4] == ("trans", TransformationType.ED.index)
+        want = ("trans", TransformationType.ED.index)
+        assert column_input(model, prep, 3) == want
+        assert reference_input_spec(model, prep.targets[3], prep.roots) == want
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_every_target_column_names_its_reference_input(self, seed):
+        """On the edge cases and on random sources and targets (roots
+        outside the encoder vocabulary, roots that are list words, repeated
+        roots), each target's column reads the reference input: a copy and
+        a list word that land in one column read the same row."""
+        model = tiny_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        words = ENC_WORDS[4:] + QUEST_WORDS[4:] + ["zebra"]
+        examples = edge_case_examples()
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            actions = [Copy(int(rng.integers(0, n))),
+                       Quest(int(rng.integers(0, model.vocab.quest_size)))]
+            actions += [Trans(ALL_TYPES[int(rng.integers(0, len(ALL_TYPES)))]),
+                        actions[int(rng.integers(0, 2))]]
+            examples.append(EncodedExample(
+                source_roots=[str(w) for w in rng.choice(words, size=n)],
+                source_features=[("NN", "O", "O")] * n, answer_span=(0, 0),
+                target_actions=actions, reference_question=[]))
+        for example in examples:
+            prep = model.prepare(example)
+            columns, cols = target_columns(model, prep)
+            got = [columns.inputs[c] for c in cols]
+            assert got == [reference_input_spec(model, a, prep.roots) for a in prep.targets]
+
+    def test_list_id_past_the_list_rejected(self):
+        model = tiny_model()
+        example = replace(flagship_example(),
+                          target_actions=[Copy(0), Quest(model.vocab.quest_size)])
+        with pytest.raises(IndexOutOfVocab):
+            model.prepare(example)
 
     def test_copy_target_merges_list_route_when_word_is_listed(self):
         model = tiny_model()
@@ -246,7 +317,9 @@ class TestProbabilityMass:
             enc = model.encode(prep)
             s, c = enc["s0"], np.zeros(8, dtype=model.dtype)
             want = 0.0
-            for spec, action in zip(prep.input_specs, prep.targets):
+            specs = [("word", SOS_ID)] + [reference_input_spec(model, a, prep.roots)
+                                          for a in prep.targets[:-1]]
+            for spec, action in zip(specs, prep.targets):
                 state = model.step(enc, s, c, spec)
                 if isinstance(action, Trans):
                     col = len(columns.words) + action.type.index
@@ -465,6 +538,21 @@ class TestTraining:
             losses.append(result.train_losses)
         assert losses[0] == losses[1]
 
+    def test_gradient_buffers_are_allocated_once(self, monkeypatch):
+        model = tiny_model(seed=21)
+        prepared = [model.prepare(ex) for ex in tiny_corpus()]
+        calls = []
+        zero_grads = model.zero_grads
+
+        def counted():
+            calls.append(1)
+            return zero_grads()
+
+        monkeypatch.setattr(model, "zero_grads", counted)
+        result = train(model, prepared, TrainConfig(max_steps=6, batch_size=4, seed=5))
+        assert result.steps == 6
+        assert len(calls) == 1
+
     def test_divergence_raises(self):
         model = tiny_model(seed=3)
         model.store["emb/word"] = np.full_like(model.store["emb/word"], 1e30)
@@ -511,7 +599,7 @@ class TestDecoding:
             s, c = enc["s0"][None, :], np.zeros((1, TINY.hidden_size), dtype=model.dtype)
             walk = ()
             for _ in result.actions:
-                spec = (model.input_spec_for_action(walk[-1], prep.roots) if walk
+                spec = (reference_input_spec(model, walk[-1], prep.roots) if walk
                         else ("word", SOS_ID))
                 state = model.step(enc, s, c, [spec])
                 mass = model.outcome_mass(state, columns)[0].copy()
@@ -625,7 +713,7 @@ def reference_beam_search(model, prep, beam_size=None, max_len=None):
         candidates = []
         for hyp in beams:
             if hyp.actions:
-                spec = model.input_spec_for_action(hyp.actions[-1], prep.roots)
+                spec = reference_input_spec(model, hyp.actions[-1], prep.roots)
             else:
                 spec = ("word", SOS_ID)
             state = model.step(enc, hyp.s, hyp.c, spec)
@@ -766,6 +854,24 @@ class TestPersistence:
         a = evaluate_mean_loss(model, prepared)
         b = evaluate_mean_loss(loaded, prepared)
         assert a == pytest.approx(b, rel=1e-6)
+
+    def test_checkpoint_swapped_during_load_rejected(self, tmp_path, monkeypatch):
+        """The sidecar is read once: when another checkpoint replaces both
+        files after the sidecar's metadata built the model and before the
+        pack is read, the checksum of the bytes read first fails."""
+        path, other = str(tmp_path / "model.ckpt"), str(tmp_path / "other.ckpt")
+        tiny_model(seed=1).save(path)
+        tiny_model(seed=2).save(other)
+        load_pack = model_mod.load_checkpoint
+
+        def swapped(pack_path):
+            for suffix in ("", ".json"):
+                shutil.copyfile(other + suffix, path + suffix)
+            return load_pack(pack_path)
+
+        monkeypatch.setattr(model_mod, "load_checkpoint", swapped)
+        with pytest.raises(ParseError, match=CHECKSUM_KEY):
+            EncoderDecoder.load(path, tiny_vocab())
 
     def test_sidecar_written_before_checksums_still_loads(self, tmp_path):
         model = tiny_model(seed=13)
