@@ -21,20 +21,26 @@ The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 is written out by hand around their backward halves; there is no autodiff
 graph.  One GRU cell, fed input projections taken beforehand, serves the
 encoder's tokens, the decoder's teacher-forced steps and the beam's live
-hypotheses; each encoder GRU projects all tokens of its source before the
-recurrence.  A decoder step
-has a recurrent half (the GRU, then attention) and a non-recurrent half
-(the switch and the heads).  In training only the recurrent half walks an
-example's teacher-forced steps; the heads and the mixing run once on the
-(T, ·) stack of the walk, and the backward pass takes them back the same
-way.  Only the attention and the GRU carries walk the steps in reverse,
-and they store each step's gate gradients, so that every weight gradient
-is one matrix product per sequence.  The input-row gradient goes into the word,
-answer-position, entity and POS tables with one ``np.add.at`` per table.
-Beam search runs the decoder step on a (k, d_h) batch of all live
-hypotheses and mixes the three routes into one probability row per
-hypothesis.  ``grad_check`` validates the complete loss gradient against
-central finite differences, in the test suite and in ``selftest``.
+hypotheses.  Training runs a batch as one padded pass: each encoder GRU
+projects all tokens of the batch at once and then walks an (n, B, ·)
+stack, and the decoder's recurrent half (the GRU, then attention) walks
+the teacher-forced steps as (T, B, ·) rows.  Padding is exact: a padded
+encoder step keeps its state, a padded source position gets a ``-inf``
+attention logit, and padded decoder steps come after the real ones and
+get no gradient.  The non-recurrent half (the switch and the heads), the
+mixing and the loss run per example, on that example's (T, ·) rows of the
+walk, and their backward pass goes the same way.  Only the attention and
+the GRU carries walk the steps in reverse; they recompute each step's
+attention pre-activations instead of keeping them and store each step's
+gate gradients, so that every weight gradient is one matrix product over
+the batch's rows.  The input-row gradient goes into the word,
+answer-position, entity and POS tables with one ``np.add.at`` per table,
+example by example.  :meth:`EncoderDecoder.encode` is the batch of one,
+which beam search uses; beam search runs the decoder step on a (k, d_h)
+batch of all live hypotheses and mixes the three routes into one
+probability row per hypothesis.  ``grad_check`` validates the complete
+loss gradient against central finite differences, in the test suite and
+in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -70,6 +76,11 @@ ROUTES = ((SW_COPY, "p_copy"), (SW_QUEST, "p_quest"), (SW_TRANS, "p_trans"))
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
 UNKNOWN_TAG = "<unk>"
+
+
+def _rows(a: Array) -> Array:
+    """``a`` as a 2-D stack of its last-axis rows."""
+    return a.reshape(-1, a.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -319,75 +330,81 @@ class EncoderDecoder:
     def _gru_cell(self, prefix: str, a: Array, h: Array):
         """The one GRU update, on input projections ``a`` (see :meth:`_gru_inputs`)
         and a state ``h`` of one row or a (k, ·) batch.  Returns the new state,
-        ``[z | r]``, ``r * h`` and the candidate.  Each recurrent weight is its
-        own product: a stacked ``[U_z; U_r]`` would be copied on every call."""
+        ``[z | r]`` and the candidate.  Each recurrent weight is its own
+        product: a stacked ``[U_z; U_r]`` would be copied on every call."""
         p = self.store
         d_h = h.shape[-1]
         zr = sigmoid(a[..., : 2 * d_h] + np.concatenate(
             [h @ p[f"{prefix}/U_z"].T, h @ p[f"{prefix}/U_r"].T], axis=-1))
         z, r = zr[..., :d_h], zr[..., d_h:]
-        rh = r * h
-        n = np.tanh(a[..., 2 * d_h :] + rh @ p[f"{prefix}/U_n"].T)
-        return z * h + (1.0 - z) * n, zr, rh, n
+        n = np.tanh(a[..., 2 * d_h :] + (r * h) @ p[f"{prefix}/U_n"].T)
+        return z * h + (1.0 - z) * n, zr, n
 
-    def _gru_sequence(self, prefix: str, X: Array, order: range) -> tuple[Array, dict]:
-        """Run one GRU from a zero state over the rows of ``X`` in ``order``:
-        the input projections of all rows, then one :meth:`_gru_cell` per row.
-        Row ``i`` of the returned (n, d_h) states, and of each stacked cache
-        entry (input, previous state, gates, ``r * h``, candidate), belongs to
-        ``X[i]``; the cache keeps ``order`` for the backward walk."""
-        n, d_h = len(X), self.hyper.hidden_size
-        A = self._gru_inputs(prefix, X)
-        prev, zr, rh, cand, states = (np.empty((n, width), dtype=self.dtype)
-                                      for width in (d_h, 2 * d_h, d_h, d_h, d_h))
-        h = np.zeros(d_h, dtype=self.dtype)
+    def _gru_sequence(self, prefix: str, X: Array, valid: Array,
+                      order: range) -> tuple[Array, dict]:
+        """Run one GRU from a zero state over the steps of a padded (n, B, ·)
+        batch ``X`` in ``order``: the input projections of all n·B rows, then
+        one :meth:`_gru_cell` per step on its (B, ·) rows.  Where
+        ``valid[i, b]`` is False, row ``b`` is padding at step ``i`` and keeps
+        its state, so the reverse direction starts at each example's own last
+        token.  Step ``i`` of the returned (n, B, d_h) states, and of each
+        stacked cache entry (input, previous state, gates, candidate),
+        belongs to ``X[i]``; the cache keeps ``valid`` and ``order`` for the
+        backward walk."""
+        n, B = valid.shape
+        d_h = self.hyper.hidden_size
+        A = self._gru_inputs(prefix, _rows(X)).reshape(n, B, 3 * d_h)
+        prev, zr, cand, states = (np.empty((n, B, width), dtype=self.dtype)
+                                  for width in (d_h, 2 * d_h, d_h, d_h))
+        h = np.zeros((B, d_h), dtype=self.dtype)
         for i in order:
             prev[i] = h
-            h, zr[i], rh[i], cand[i] = self._gru_cell(prefix, A[i], h)
-            states[i] = h
-        return states, {"x": X, "h": prev, "z": zr[:, :d_h], "r": zr[:, d_h:], "rh": rh,
-                        "n": cand, "order": order}
+            new, zr[i], cand[i] = self._gru_cell(prefix, A[i], h)
+            h = states[i] = np.where(valid[i, :, None], new, h)
+        return states, {"x": X, "h": prev, "z": zr[..., :d_h], "r": zr[..., d_h:], "n": cand,
+                        "valid": valid, "order": order}
 
     def _gru_backward_steps(self, prefix: str, cache: dict):
-        """The per-step backward of a GRU run whose cache rows are stacked
-        as :meth:`_gru_sequence` keeps them.
+        """The per-step backward of a GRU run whose cache entries are stacked
+        as :meth:`_gru_sequence` keeps them, with any batch axes after the
+        step axis.
 
         Returns ``(DA, step)``.  ``step(i, dh)`` takes the gradient at the
-        state after row ``i``, writes that row's gate pre-activation
+        state after step ``i``, writes that step's gate pre-activation
         gradients ``[da_z | da_r | da_n]`` into ``DA[i]`` and returns the
-        gradient at the previous state.  The elementwise gate derivatives of
-        all rows are taken up front, so a step is three products with the
-        recurrent weights.
+        gradient at the previous state: the step's elementwise gate
+        derivatives, then three products with the recurrent weights.
         """
         p = self.store
         d_h = self.hyper.hidden_size
         U_z, U_r, U_n = (p[f"{prefix}/U_{g}"] for g in "zrn")
-        h, z, r, n = cache["h"], cache["z"], cache["r"], cache["n"]
-        k_z = (h - n) * z * (1.0 - z)
-        k_r = h * r * (1.0 - r)
-        k_n = (1.0 - z) * (1.0 - n * n)
-        DA = np.empty((len(h), 3 * d_h), dtype=self.dtype)
+        DA = np.empty(cache["h"].shape[:-1] + (3 * d_h,), dtype=self.dtype)
 
         def step(i: int, dh: Array) -> Array:
-            da_z, da_r, da_n = DA[i, :d_h], DA[i, d_h : 2 * d_h], DA[i, 2 * d_h :]
-            np.multiply(dh, k_n[i], out=da_n)
+            h, z, r, n = (cache[key][i] for key in "hzrn")
+            da_z, da_r, da_n = (DA[i][..., j * d_h : (j + 1) * d_h] for j in range(3))
+            np.multiply(dh, (1.0 - z) * (1.0 - n * n), out=da_n)
             drh = da_n @ U_n
-            np.multiply(dh, k_z[i], out=da_z)
-            np.multiply(drh, k_r[i], out=da_r)
-            return dh * z[i] + drh * r[i] + da_z @ U_z + da_r @ U_r
+            np.multiply(dh, (h - n) * z * (1.0 - z), out=da_z)
+            np.multiply(drh, h * r * (1.0 - r), out=da_r)
+            return dh * z + drh * r + da_z @ U_z + da_r @ U_r
 
         return DA, step
 
     def _gru_weight_grads(self, prefix: str, DA: Array, cache: dict, grads,
                           x_cols: slice = slice(None)) -> Array:
-        """Add a GRU run's weight gradients, one matrix product per tensor,
-        from the stacked gate gradients ``DA`` of all its steps; returns the
-        gradient at the ``x_cols`` columns of its inputs."""
+        """Add a GRU run's weight gradients, one matrix product per tensor
+        over the rows of all its steps, from the stacked gate gradients
+        ``DA``; ``r * h`` is taken again here, not kept from the forward
+        pass.  Returns the gradient at the ``x_cols`` columns of its input
+        rows."""
         p = self.store
-        D = dict(zip("zrn", np.split(DA, 3, axis=1)))
+        D = dict(zip("zrn", np.split(_rows(DA), 3, axis=1)))
+        h = _rows(cache["h"])
+        rows = {"x": _rows(cache["x"]), "h": h, "rh": _rows(cache["r"]) * h}
         for g in "zrn":
-            grads[f"{prefix}/W_{g}"] += D[g].T @ cache["x"]
-            grads[f"{prefix}/U_{g}"] += D[g].T @ cache["rh" if g == "n" else "h"]
+            grads[f"{prefix}/W_{g}"] += D[g].T @ rows["x"]
+            grads[f"{prefix}/U_{g}"] += D[g].T @ rows["rh" if g == "n" else "h"]
             grads[f"{prefix}/b_{g}"] += D[g].sum(axis=0)
         return sum(D[g] @ p[f"{prefix}/W_{g}"][:, x_cols] for g in "zrn")
 
@@ -395,68 +412,95 @@ class EncoderDecoder:
                                grads) -> Array:
         """Backward through :meth:`_gru_sequence`.
 
-        ``dS[i]`` is the gradient reaching the state after row ``i`` from
-        outside the recurrence, and ``carry`` the gradient at the last state
-        of the run.  Walks the rows in reverse order, then adds the weight
-        gradients; returns the gradient at ``X``.
+        ``dS[i]`` is the (B, d_h) gradient reaching the state after step
+        ``i`` from outside the recurrence, and ``carry`` the gradient at the
+        last state of the run.  Walks the steps in reverse order; a padded
+        row carries its gradient through the step unchanged and gets zero
+        gate gradients.  Then adds the weight gradients; returns the
+        gradient at ``X`` as its n·B rows.
         """
         DA, step = self._gru_backward_steps(prefix, cache)
+        valid = cache["valid"][..., None]
         for i in reversed(cache["order"]):
-            carry = step(i, dS[i] + carry)
+            dh = dS[i] + carry
+            carry = np.where(valid[i], step(i, np.where(valid[i], dh, 0)), dh)
         return self._gru_weight_grads(prefix, DA, cache, grads)
 
-    def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
-        """Run the bidirectional encoder; returns state plus backward caches."""
+    def _encode(self, prepared: Sequence[PreparedExample],
+                masks_list: Sequence[Array | None]) -> dict:
+        """Run the bidirectional encoder on a batch of sources padded to the
+        longest, each direction walking one (n, B, ·) stack.
+
+        Returns the example-major (B, n, d_h) outputs ``H`` and ``HA``, the
+        (B, n) ``valid`` source mask, each example's answer vector
+        ``v_answer`` and initial decoder state ``s0`` as (B, d_h) rows, and
+        the backward caches.
+        """
         p = self.store
-        n = len(prep.roots)
-        if n == 0:
+        lengths = np.array([len(prep.roots) for prep in prepared])
+        if not lengths.all():
             raise ShapeMismatch("encode", (0,))
-        X = np.concatenate([p[name][ids] for name, ids in self._input_ids(prep)], axis=1)
-        if masks is not None:
-            X = X * masks
-        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, range(n))
-        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, range(n - 1, -1, -1))
-        H = fwd_states + bwd_states
-        l, r = prep.span
-        v_answer = np.mean(H[l : r + 1], axis=0)
-        a0 = p["init/W"] @ bwd_states[0] + p["init/b"]
-        s0 = np.tanh(a0)
+        n, B = int(lengths.max()), len(prepared)
+        X = np.zeros((n, B, self._input_dim()), dtype=self.dtype)
+        for b, (prep, masks) in enumerate(zip(prepared, masks_list)):
+            x = np.concatenate([p[name][ids] for name, ids in self._input_ids(prep)], axis=1)
+            X[: len(x), b] = x if masks is None else x * masks
+        valid = np.arange(n)[:, None] < lengths
+        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, valid, range(n))
+        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid, range(n - 1, -1, -1))
+        H = (fwd_states + bwd_states).transpose(1, 0, 2).copy()
+        bwd0 = bwd_states[0].copy()
         return {
-            "prep": prep,
-            "masks": masks,
+            "prepared": prepared,
+            "masks": masks_list,
+            "valid": valid.T,
             "H": H,
-            "HA": H @ p["att/A"].T,
-            "v_answer": v_answer,
-            "s0": s0,
-            "bwd0": bwd_states[0],
+            "HA": (_rows(H) @ p["att/A"].T).reshape(H.shape),
+            "v_answer": np.array([np.mean(H[b, l : r + 1], axis=0)
+                                  for b, (l, r) in enumerate(prep.span for prep in prepared)]),
+            "s0": np.tanh(bwd0 @ p["init/W"].T + p["init/b"]),
+            "bwd0": bwd0,
             "fwd_cache": fwd_cache,
             "bwd_cache": bwd_cache,
         }
 
+    def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
+        """Encode one source: the batch-of-one :meth:`_encode`, as that
+        example's ``H``, ``HA``, ``valid``, ``v_answer`` and ``s0``."""
+        enc = self._encode([prep], [masks])
+        return {key: enc[key][0] for key in ("H", "HA", "valid", "v_answer", "s0")}
+
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
                           ds0: Array, grads) -> None:
-        """Propagate the gradients at H, HA, v_answer and s0 back to the embeddings."""
+        """Propagate the (B, n, ·) gradients at H and HA and the (B, ·) ones
+        at v_answer and s0 back to the embeddings.  Each direction's cache
+        leaves ``enc`` as its walk starts, and is freed when it ends."""
         p = self.store
-        prep: PreparedExample = enc["prep"]
-        grads["att/A"] += dHA.T @ enc["H"]
-        dH = dH + dHA @ p["att/A"]
-        l, r = prep.span
-        dH[l : r + 1] += dv_answer / (r - l + 1)
+        grads["att/A"] += _rows(dHA).T @ _rows(enc["H"])
+        dH += (_rows(dHA) @ p["att/A"]).reshape(dH.shape)
+        prepared = enc["prepared"]
+        for b, prep in enumerate(prepared):
+            l, r = prep.span
+            dH[b, l : r + 1] += dv_answer[b] / (r - l + 1)
         da0 = ds0 * (1.0 - enc["s0"] * enc["s0"])
-        grads["init/W"] += np.outer(da0, enc["bwd0"])
-        grads["init/b"] += da0
+        grads["init/W"] += da0.T @ enc["bwd0"]
+        grads["init/b"] += da0.sum(axis=0)
+        dS = dH.transpose(1, 0, 2)  # step-major, as the GRUs walk
         # The backward-direction GRU ends at token 0, whose state also feeds s0.
-        dX = (self._gru_sequence_backward("enc_fwd", enc["fwd_cache"], dH,
-                                          np.zeros_like(da0), grads)
-              + self._gru_sequence_backward("enc_bwd", enc["bwd_cache"], dH,
-                                            p["init/W"].T @ da0, grads))
-        masks = enc["masks"]
-        if masks is not None:
-            dX = dX * masks
-        # np.add.at adds a repeated id's rows one after another, in token order.
+        dX = self._gru_sequence_backward("enc_fwd", enc.pop("fwd_cache"), dS,
+                                         np.zeros_like(da0), grads)
+        dX += self._gru_sequence_backward("enc_bwd", enc.pop("bwd_cache"), dS,
+                                          da0 @ p["init/W"], grads)
+        dX = dX.reshape(dS.shape[:2] + (-1,))
+        # Only the valid rows, example-major: np.add.at adds a repeated id's
+        # rows one after another, in that order.
+        dX = np.concatenate([dX[: len(prep.roots), b] * (1 if masks is None else masks)
+                             for b, (prep, masks) in enumerate(zip(prepared, enc["masks"]))])
+        tables = [self._input_ids(prep) for prep in prepared]
         start = 0
-        for name, ids in self._input_ids(prep):
+        for k, (name, _ids) in enumerate(tables[0]):
             width = p[name].shape[1]
+            ids = [i for example in tables for i in example[k][1]]
             np.add.at(grads[name], ids, dX[:, start : start + width])
             start += width
 
@@ -482,19 +526,56 @@ class EncoderDecoder:
         return self._heads(enc, self._recurrence(enc, s_prev, c_prev,
                                                  self.input_embedding(input_spec)))
 
+    def _attention_q(self, enc: dict, s: Array) -> Array:
+        """The attention pre-activations ``Q = tanh(HA + s @ B.T + b)``: for
+        each state row, one (n, d_h) block against its source."""
+        p = self.store
+        Q = enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :]
+        return np.tanh(Q, out=Q)
+
     def _recurrence(self, enc: dict, s_prev: Array, c_prev: Array, w: Array) -> dict:
         """The recurrent half of a step: one :meth:`_gru_cell` on the input
-        projections of ``x = [w, c_prev]``, then attention.  Returns ``s``,
-        ``c``, ``alpha`` and ``Q`` beside the GRU cache under
-        :meth:`_gru_sequence`'s keys."""
+        projections of ``x = [w, c_prev]``, then attention.  ``enc`` is one
+        source, which every state row attends (:meth:`encode`), or a batch
+        of B sources with one state row each (:meth:`_encode`); a padded
+        source position gets a ``-inf`` logit, so exactly zero weight.
+        Returns ``s``, ``c`` and ``alpha`` beside the input ``x`` and the
+        gates under :meth:`_gru_sequence`'s keys.  ``Q`` is not kept: the
+        backward pass recomputes it (:meth:`_attention_q`)."""
         p = self.store
         d_h = self.hyper.hidden_size
         x = np.concatenate([w, c_prev], axis=-1)
-        s, zr, rh, n = self._gru_cell("dec", self._gru_inputs("dec", x), s_prev)
-        Q = np.tanh(enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :])
-        alpha = softmax(Q @ p["att/v"])
-        return {"x": x, "h": s_prev, "z": zr[..., :d_h], "r": zr[..., d_h:], "rh": rh,
-                "n": n, "s": s, "Q": Q, "alpha": alpha, "c": alpha @ enc["H"]}
+        s, zr, n = self._gru_cell("dec", self._gru_inputs("dec", x), s_prev)
+        alpha = softmax(np.where(enc["valid"], self._attention_q(enc, s) @ p["att/v"],
+                                 -np.inf))
+        H = enc["H"]
+        c = alpha @ H if H.ndim == 2 else (alpha[:, None, :] @ H)[:, 0]
+        return {"x": x, "z": zr[..., :d_h], "r": zr[..., d_h:], "n": n, "s": s, "alpha": alpha,
+                "c": c}
+
+    def _walk(self, enc: dict, inputs: Sequence[list]) -> dict:
+        """The recurrence over a batch's teacher-forced steps: step ``t``
+        runs :meth:`_recurrence` on the (B, ·) rows of every example's
+        ``t``-th input, a zero row past an example's last step.  Returns
+        (T, B, ·) stacks of every entry of the step state, and of each
+        step's previous state ``h``."""
+        T, B = max(map(len, inputs)), len(inputs)
+        W = np.zeros((T, B, self.hyper.word_dim), dtype=self.dtype)
+        for b, specs in enumerate(inputs):
+            W[: len(specs), b] = self.input_embedding(specs)
+        # One stack of T + 1 states: each step's previous state is the one before.
+        states = np.empty((T + 1,) + enc["s0"].shape, dtype=self.dtype)
+        states[0] = enc["s0"]
+        walk = {"h": states[:-1], "s": states[1:]}
+        c = np.zeros_like(enc["s0"])
+        for t in range(T):
+            state = self._recurrence(enc, states[t], c, W[t])
+            for key, value in state.items():
+                if key not in walk:
+                    walk[key] = np.empty((T,) + value.shape, dtype=self.dtype)
+                walk[key][t] = value
+            c = state["c"]
+        return walk
 
     def _heads(self, enc: dict, state: dict) -> dict:
         """The non-recurrent half of a step: adds the switch and the three
@@ -520,102 +601,117 @@ class EncoderDecoder:
                      u1=u1, m1=m1, max1=max1, u2=u2, m2=m2, max2=max2, u3=u3)
         return state
 
-    def _decoder_backward(self, enc: dict, steps: dict, inputs, d_switch: Array,
-                          d_heads: Sequence[Array | None], grads) -> tuple[Array, ...]:
-        """Backward through the T teacher-forced decoder steps of one example.
+    def _heads_backward(self, enc: dict, steps: dict, d_switch: Array,
+                        d_heads: Sequence[Array | None], grads, d: dict) -> None:
+        """Backward through :meth:`_heads` on one example's (T, ·) steps.
 
-        ``steps`` is the forward pass's (T, ·) stack, decoder GRU cache
-        included, and ``inputs`` the T input specs it read; ``d_switch`` and
-        ``d_heads`` are :meth:`_route_grads`' gradients at the switch and at
-        each head.  As in the forward pass, the switch and the heads take all
-        steps as one batch, and only the attention and the GRU carry walk
-        them, in reverse.  Each weight then gets one matrix product over the
-        steps.  Returns the gradients at the encoder outputs ``H``, ``HA``
-        and ``v_answer`` and at ``s0``.
+        ``d_switch`` and ``d_heads`` are :meth:`_route_grads`' gradients at
+        the switch and at each head.  Adds the head weights' gradients to
+        ``grads``, and adds the gradients at each step's ``s``, ``c``, input
+        word ``w`` and attention weights ``alpha``, and at the example's
+        ``H`` and ``v_answer``, to the arrays of those names in ``d``.
         """
         p = self.store
-        d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
-        H, S = enc["H"], steps["s"]
-        T = len(S)
-        # Gradients from the switch and heads at each step's s, c, input word
-        # and attention weights, before the recurrence adds its share.
-        dS = np.zeros((T, d_h), dtype=self.dtype)
-        dC = np.zeros((T, d_h), dtype=self.dtype)
-        dW_in = np.zeros((T, d_w), dtype=self.dtype)
-        dAlpha = np.zeros(steps["alpha"].shape, dtype=self.dtype)
-        dH = np.zeros_like(H)
-        dv_answer = np.zeros(d_h, dtype=self.dtype)
+        d_h = self.hyper.hidden_size
+        S = steps["s"]
         d_copy, d_quest, d_trans = d_heads
-
+        dlog = softmax_backward(steps["switch"], d_switch)
         if self.hyper.dot_heads:
-            dlog = softmax_backward(steps["switch"], d_switch)
             grads["dot/switch_W"] += dlog.T @ S
             grads["dot/switch_b"] += dlog.sum(axis=0)
-            dS += dlog @ p["dot/switch_W"]
+            d["s"] += dlog @ p["dot/switch_W"]
             # Each head scores s against the rows of a matrix; copy uses H.
             for probs, d_probs, rows, d_rows in (
                     ("p_quest", d_quest, p["dot/quest_emb"], grads["dot/quest_emb"]),
                     ("p_trans", d_trans, p["dot/type_emb"], grads["dot/type_emb"]),
-                    ("p_copy", d_copy, H, dH)):
+                    ("p_copy", d_copy, enc["H"], d["H"])):
                 if d_probs is not None:
                     dlog = softmax_backward(steps[probs], d_probs)
                     d_rows += dlog.T @ S
-                    dS += dlog @ rows
-        else:
-            dlog = softmax_backward(steps["switch"], d_switch)
-            grads["switch/W"] += dlog.T @ steps["u3"]
-            grads["switch/b"] += dlog.sum(axis=0)
-            du3 = dlog @ p["switch/W"]  # u3 = [c, s, w]
-            dC += du3[:, :d_h]
-            dS += du3[:, d_h : 2 * d_h]
-            dW_in += du3[:, 2 * d_h :]
-            for g, probs, d_probs, k in (("g2", "p_quest", d_quest, "2"),
-                                         ("g1", "p_trans", d_trans, "1")):
-                if d_probs is None:
-                    continue
-                dlog = softmax_backward(steps[probs], d_probs)
-                grads[f"{g}/Wo"] += dlog.T @ steps["m" + k]
-                grads[f"{g}/bo"] += dlog.sum(axis=0)
-                da = maxout_affine_backward(steps["max" + k], dlog @ p[f"{g}/Wo"])
-                grads[f"{g}/W"] += da.T @ steps["u" + k]
-                grads[f"{g}/b"] += da.sum(axis=0)
-                du = da @ p[f"{g}/W"]  # u2 = [v_answer, s, c], u1 = [s, c]
-                if g == "g2":
-                    dv_answer += du[:, :d_h].sum(axis=0)
-                dS += du[:, -2 * d_h : -d_h]
-                dC += du[:, -d_h:]
-            if d_copy is not None:
-                # In the additive regime the copy distribution IS alpha.
-                dAlpha += d_copy
+                    d["s"] += dlog @ rows
+            return
+        grads["switch/W"] += dlog.T @ steps["u3"]
+        grads["switch/b"] += dlog.sum(axis=0)
+        du3 = dlog @ p["switch/W"]  # u3 = [c, s, w]
+        d["c"] += du3[:, :d_h]
+        d["s"] += du3[:, d_h : 2 * d_h]
+        d["w"] += du3[:, 2 * d_h :]
+        for g, probs, d_probs, k in (("g2", "p_quest", d_quest, "2"),
+                                     ("g1", "p_trans", d_trans, "1")):
+            if d_probs is None:
+                continue
+            dlog = softmax_backward(steps[probs], d_probs)
+            grads[f"{g}/Wo"] += dlog.T @ steps["m" + k]
+            grads[f"{g}/bo"] += dlog.sum(axis=0)
+            da = maxout_affine_backward(steps["max" + k], dlog @ p[f"{g}/Wo"])
+            grads[f"{g}/W"] += da.T @ steps["u" + k]
+            grads[f"{g}/b"] += da.sum(axis=0)
+            du = da @ p[f"{g}/W"]  # u2 = [v_answer, s, c], u1 = [s, c]
+            if g == "g2":
+                d["v_answer"] += du[:, :d_h].sum(axis=0)
+            d["s"] += du[:, -2 * d_h : -d_h]
+            d["c"] += du[:, -d_h:]
+        if d_copy is not None:
+            # In the additive regime the copy distribution IS alpha.
+            d["alpha"] += d_copy
 
-        # The recurrence: c_t = alpha_t @ H feeds step t+1's GRU input, and
-        # alpha_t comes from s_t through Q_t = tanh(HA + s_t @ B.T + b).
-        alpha, Q, v = steps["alpha"], steps["Q"], p["att/v"]
-        dQ_dpre = 1.0 - Q * Q
-        dC_all = np.empty((T, d_h), dtype=self.dtype)
-        dE = np.empty(alpha.shape, dtype=self.dtype)
-        dQ_sum = np.empty((T, d_h), dtype=self.dtype)
-        DA, gru_step = self._gru_backward_steps("dec", steps)
+    def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[list], d: dict,
+                             grads) -> tuple[Array, Array]:
+        """Backward through a batch's teacher-forced walk (:meth:`_walk`).
+
+        ``inputs`` are each example's input specs, and ``d`` holds the
+        gradients the heads sent to every step's ``s``, ``c``, ``w`` and
+        ``alpha`` (zero at padded steps) and to ``H``.  Only the attention
+        and the GRU carry walk the steps, in reverse, on (B, ·) rows; each
+        step's ``Q`` is recomputed from ``HA`` and ``s``, bit for bit as
+        the forward pass had it.  Each weight then gets one matrix product
+        over all T·B rows, and the input rows go into ``emb/word`` and
+        ``emb/trans`` example-major, padded steps left out.  Returns the
+        gradients at ``HA`` and at ``s0``; the one at ``H`` is added to
+        ``d["H"]``.
+        """
+        p = self.store
+        d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
+        H, S, alpha, v = enc["H"], walk["s"], walk["alpha"], p["att/v"]
+        T = len(S)
+        dC = d["c"]  # becomes each step's whole gradient at c
+        dQ_sum = np.empty_like(d["s"])
+        dHA = np.zeros_like(H)
+        dv = np.zeros_like(S[0])
+        DA, gru_step = self._gru_backward_steps("dec", walk)
         W_c = [p[f"dec/W_{g}"][:, d_w:] for g in "zrn"]
-        ds_carry = np.zeros(d_h, dtype=self.dtype)
-        dc_carry = np.zeros(d_h, dtype=self.dtype)
+        ds_carry = np.zeros_like(S[0])
+        dc_carry = np.zeros_like(S[0])
+        # c_t = alpha_t @ H feeds step t+1's GRU input, and alpha_t comes
+        # from s_t through Q_t = tanh(HA + s_t @ B.T + b).
         for t in range(T - 1, -1, -1):
-            dC_all[t] = dc = dC[t] + dc_carry
-            dE[t] = de = softmax_backward(alpha[t], dAlpha[t] + H @ dc)
-            dQ_sum[t] = dq_sum = v * (de @ dQ_dpre[t])
-            ds_carry = gru_step(t, dS[t] + ds_carry + dq_sum @ p["att/B"])
-            dc_carry = sum(da @ W for da, W in zip(np.split(DA[t], 3), W_c))
-        dH += alpha.T @ dC_all
-        dHA = v * np.einsum("tn,tnd->nd", dE, dQ_dpre)
-        grads["att/v"] += np.einsum("tnd,tn->d", Q, dE)
-        grads["att/B"] += dQ_sum.T @ S
-        grads["att/b"] += dQ_sum.sum(axis=0)
-        dW_in += self._gru_weight_grads("dec", DA, steps, grads, x_cols=slice(None, d_w))
-        is_word = np.array([kind == "word" for kind, _ in inputs])
-        ids = np.array([idx for _, idx in inputs], dtype=np.intp)
-        np.add.at(grads["emb/word"], ids[is_word], dW_in[is_word])
-        np.add.at(grads["emb/trans"], ids[~is_word], dW_in[~is_word])
-        return dH, dHA, dv_answer, ds_carry
+            dc = dC[t] = dC[t] + dc_carry
+            Q = self._attention_q(enc, S[t])
+            de = softmax_backward(alpha[t], d["alpha"][t] + (H @ dc[:, :, None])[..., 0])
+            dv += (de[:, None, :] @ Q)[:, 0]
+            Q *= Q
+            dQ_dpre = np.subtract(1.0, Q, out=Q)
+            dQ_sum[t] = dq_sum = v * (de[:, None, :] @ dQ_dpre)[:, 0]
+            dQ_dpre *= de[..., None]
+            dHA += dQ_dpre
+            ds_carry = gru_step(t, d["s"][t] + ds_carry + dq_sum @ p["att/B"])
+            dc_carry = sum(da @ W for da, W in zip(np.split(DA[t], 3, axis=-1), W_c))
+        del gru_step, Q, dQ_dpre, walk["z"], walk["n"]
+        dW_in = d["w"]
+        dW_in += self._gru_weight_grads("dec", DA, walk, grads,
+                                        x_cols=slice(None, d_w)).reshape(dW_in.shape)
+        del DA, walk["x"], walk["r"]
+        dHA *= v
+        d["H"] += np.matmul(alpha.transpose(1, 2, 0), dC.transpose(1, 0, 2))
+        grads["att/v"] += dv.sum(axis=0)
+        grads["att/B"] += _rows(dQ_sum).T @ _rows(S)
+        grads["att/b"] += _rows(dQ_sum).sum(axis=0)
+        rows = np.concatenate([dW_in[: len(specs), b] for b, specs in enumerate(inputs)])
+        is_word = np.array([kind == "word" for specs in inputs for kind, _ in specs])
+        ids = np.array([idx for specs in inputs for _, idx in specs], dtype=np.intp)
+        np.add.at(grads["emb/word"], ids[is_word], rows[is_word])
+        np.add.at(grads["emb/trans"], ids[~is_word], rows[~is_word])
+        return dHA, ds_carry
 
     # ------------------------------------------------------------------
     # Loss.
@@ -648,6 +744,33 @@ class EncoderDecoder:
                            if sel.any() else None)
         return d_switch, d_heads
 
+    def _example_loss(self, enc: dict, walk: dict, b: int, columns: OutcomeColumns,
+                      target_cols: Array, d: dict | None, grads) -> float:
+        """Example ``b``'s summed loss, from its (T_b, ·) rows of the walk:
+        the heads, the outcome mass at its target columns, and with ``d``
+        the heads' backward pass into ``grads`` and ``d``'s rows of it."""
+        T, n = len(target_cols), len(enc["prepared"][b].roots)
+        one = {"H": enc["H"][b, :n], "v_answer": enc["v_answer"][b]}
+        steps = self._heads(one, {"s": walk["s"][:T, b], "c": walk["c"][:T, b],
+                                  "x": walk["x"][:T, b], "alpha": walk["alpha"][:T, b, :n]})
+        probs = self.outcome_mass(steps, columns)[np.arange(T), target_cols]
+        step_losses = []
+        for t, prob in enumerate(probs.tolist()):
+            if not (math.isfinite(prob) and prob > 0.0):
+                raise DivergenceError(
+                    f"target probability {prob!r} at decoder step "
+                    f"{t + 1} is not a positive finite number")
+            step_losses.append(-math.log(prob))
+        if d is not None:
+            d_switch, d_heads = self._route_grads(
+                steps, columns.route_col == target_cols[:, None],
+                (-1.0 / probs).astype(self.dtype))
+            self._heads_backward(one, steps, d_switch, d_heads, grads, {
+                "s": d["s"][:T, b], "c": d["c"][:T, b], "w": d["w"][:T, b],
+                "alpha": d["alpha"][:T, b, :n], "H": d["H"][b, :n],
+                "v_answer": d["v_answer"][b]})
+        return sum(step_losses)
+
     def loss_and_grads(
         self,
         prepared: Sequence[PreparedExample],
@@ -657,54 +780,45 @@ class EncoderDecoder:
     ) -> tuple[float, int]:
         """Total negative log-likelihood and token count over the examples.
 
-        When ``grads`` is given, parameter gradients of the summed loss are
-        accumulated into it.  Dropout masks come from ``masks_list`` when
-        provided (grad-check freezing), else are sampled from ``rng``
-        (training), else dropout is off (evaluation).
+        The examples run as one padded batch: the encoder and the decoder
+        recurrence step all of them as (B, ·) rows, and the heads, the loss
+        and the heads' backward pass take each example's own (T, ·) rows,
+        in batch order.  When ``grads`` is given, parameter gradients of the
+        summed loss are accumulated into it.  Dropout masks come from
+        ``masks_list`` when provided (grad-check freezing), else are
+        sampled from ``rng``, one per example in batch order (training),
+        else dropout is off (evaluation).
         """
+        if masks_list is None:
+            # A zero rate draws nothing, so its all-ones masks are left out.
+            masks_list = [None if rng is None or self.hyper.dropout_rate == 0.0 else
+                          dropout_mask((len(prep.roots), self._input_dim()),
+                                       self.hyper.dropout_rate, rng, dtype=self.dtype)
+                          for prep in prepared]
+        enc = self._encode(prepared, masks_list)
+        columns = [self.outcome_columns(prep.roots) for prep in prepared]
+        target_cols = [self._target_columns(prep, cols)
+                       for prep, cols in zip(prepared, columns)]
+        # Each step reads the input of the previous target's column.
+        inputs = [[("word", SOS_ID)] + [cols.inputs[col] for col in tc[:-1].tolist()]
+                  for cols, tc in zip(columns, target_cols)]
+        walk = self._walk(enc, inputs)
+        d = None
+        if grads is not None:
+            d = {key: np.zeros(walk[key].shape, dtype=self.dtype) for key in ("s", "c", "alpha")}
+            d.update(w=np.zeros(walk["x"].shape[:-1] + (self.hyper.word_dim,), dtype=self.dtype),
+                     H=np.zeros_like(enc["H"]), v_answer=np.zeros_like(enc["v_answer"]))
         total = 0.0
-        tokens = 0
-        for idx, prep in enumerate(prepared):
-            if masks_list is not None:
-                masks = masks_list[idx]
-            elif rng is not None:
-                masks = dropout_mask((len(prep.roots), self._input_dim()),
-                                     self.hyper.dropout_rate, rng, dtype=self.dtype)
-            else:
-                masks = None
-            enc = self.encode(prep, masks)
-            columns = self.outcome_columns(prep.roots)
-            target_cols = self._target_columns(prep, columns)
-            # Each step reads the input of the previous target's column.
-            inputs = [("word", SOS_ID)] + [columns.inputs[col]
-                                           for col in target_cols[:-1].tolist()]
-            # Only the recurrence walks the teacher-forced steps; the heads
-            # and the mixing take all T steps as one (T, ·) batch.
-            s = enc["s0"]
-            c = np.zeros(self.hyper.hidden_size, dtype=self.dtype)
-            walk = []
-            for w in self.input_embedding(inputs):
-                walk.append(self._recurrence(enc, s, c, w))
-                s, c = walk[-1]["s"], walk[-1]["c"]
-            steps = self._heads(enc, {key: np.array([state[key] for state in walk])
-                                      for key in walk[0]})
-            probs = self.outcome_mass(steps, columns)[np.arange(len(walk)), target_cols]
-            step_losses = []
-            for t, prob in enumerate(probs.tolist()):
-                if not (math.isfinite(prob) and prob > 0.0):
-                    raise DivergenceError(
-                        f"target probability {prob!r} at decoder step "
-                        f"{t + 1} is not a positive finite number")
-                step_losses.append(-math.log(prob))
-            total += sum(step_losses)
-            tokens += len(step_losses)
-            if grads is None:
-                continue
-            d_switch, d_heads = self._route_grads(
-                steps, columns.route_col == target_cols[:, None],
-                (-1.0 / probs).astype(self.dtype))
-            grad_in = self._decoder_backward(enc, steps, inputs, d_switch, d_heads, grads)
-            self._encoder_backward(enc, *grad_in, grads)
+        for b, (cols, tc) in enumerate(zip(columns, target_cols)):
+            total += self._example_loss(enc, walk, b, cols, tc, d, grads)
+        tokens = sum(map(len, target_cols))
+        if d is None:
+            return total, tokens
+        del columns, target_cols, walk["c"]  # read by the heads only
+        dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads)
+        dH, dv_answer = d["H"], d["v_answer"]
+        del walk, d
+        self._encoder_backward(enc, dH, dHA, dv_answer, ds0, grads)
         return total, tokens
 
     # ------------------------------------------------------------------

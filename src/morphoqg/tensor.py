@@ -7,9 +7,10 @@ and the inverted-dropout mask.  They are plain functions that keep the
 input dtype and act on the last axis, so one row and a batch of rows run
 the same code, in float32 for training and in float64 when
 :func:`grad_check` compares the model's hand-written backward pass
-against central finite differences.  :class:`Adam` updates in place
-through buffers allocated once.  Checkpoints carry a SHA-256 checksum
-that loading verifies.
+against central finite differences.  :class:`Adam` scales the
+gradients it is given, clips them and updates in place through one
+buffer the size of the largest tensor.  Checkpoints carry a SHA-256
+checksum that loading verifies.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ RECURRENT_INIT_SCALE = 0.08
 # ---------------------------------------------------------------------------
 # Array kernels.  Plain functions that keep the input dtype.  Every kernel
 # acts on the last axis, so a (k, m) batch gives the same rows as k 1-D
-# calls.  The model's one GRU cell runs the forward kernels on one row per
-# encoder token and per teacher-forced decoder step, and on all live
-# hypotheses at once in beam search; in training the switch and heads run
-# them, and their backward halves, on all teacher-forced steps of an
-# example at once.
+# calls.  The model's one GRU cell runs the forward kernels on the (B, ·)
+# rows of a training batch at each encoder token and teacher-forced decoder
+# step, and on all live hypotheses at once in beam search; in training the
+# switch and heads run them, and their backward halves, on all
+# teacher-forced steps of one example at once.
 # ---------------------------------------------------------------------------
 
 
@@ -68,17 +69,18 @@ def softmax_backward(out: Array, d_out: Array) -> Array:
 
 
 def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
-    """Two-piece maxout over an affine map; returns (hidden, argmax rows).
+    """Two-piece maxout over an affine map; returns (hidden, winners).
 
     The affine output ``u @ W.T + b`` is split along its last axis into two
     halves, the pieces, and each hidden unit takes the larger piece.  Ties
-    pick the first.  ``u`` is one row or a (k, m) batch of rows.
+    pick the first.  ``winners`` is True where the second piece won, which
+    is the index of the winning piece.  ``u`` is one row or a (k, m) batch
+    of rows.
     """
     a = u @ W.T + b
     pieces = a.reshape(a.shape[:-1] + (2, -1))
-    winners = np.argmax(pieces, axis=-2)
-    hidden = np.take_along_axis(pieces, winners[..., None, :], axis=-2)[..., 0, :]
-    return hidden, winners
+    winners = pieces[..., 1, :] > pieces[..., 0, :]
+    return np.where(winners, pieces[..., 1, :], pieces[..., 0, :]), winners
 
 
 def maxout_affine_backward(winners: Array, d_hidden: Array) -> Array:
@@ -146,7 +148,8 @@ class ParameterStore:
 
     Parameters must be registered in a fixed order for a given
     ``init_seed`` to reproduce the same values; the models register
-    everything in their constructors, which pins that order.
+    everything in their constructors, which pins that order.  Tensors are
+    kept C-contiguous, so :class:`Adam` can update them through flat views.
     """
 
     init_seed: int
@@ -176,7 +179,7 @@ class ParameterStore:
         """Register an externally produced tensor (e.g. loaded weights)."""
         if name in self._params:
             raise ParseError(f"duplicate parameter name: {name!r}")
-        arr = np.asarray(value, dtype=self.dtype)
+        arr = np.ascontiguousarray(value, dtype=self.dtype)
         self._params[name] = arr
         return arr
 
@@ -186,7 +189,7 @@ class ParameterStore:
     def __setitem__(self, name: str, value: Array) -> None:
         if name not in self._params:
             raise KeyError(name)
-        self._params[name] = np.asarray(value, dtype=self.dtype)
+        self._params[name] = np.ascontiguousarray(value, dtype=self.dtype)
 
     def __len__(self) -> int:
         return len(self._params)
@@ -208,8 +211,22 @@ class ParameterStore:
             clone._params[name] = arr.astype(dtype)
         return clone
 
-    def global_norm(self, grads: Mapping[str, Array]) -> float:
-        return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    def global_norm(self, grads: Mapping[str, Array], scale: float = 1.0,
+                    scratch: Array | None = None) -> float:
+        """The L2 norm of all of ``grads`` times ``scale``.  Each tensor's
+        scaled square is taken in ``scratch``, a flat buffer at least the
+        size of the largest tensor (one is allocated when none is given),
+        so no temporary the size of a gradient is made per tensor."""
+        if scratch is None:
+            scratch = np.empty(max((g.size for g in grads.values()), default=0),
+                               dtype=self.dtype)
+        total = 0.0
+        for g in grads.values():
+            sq = scratch[: g.size].reshape(g.shape)
+            np.multiply(g, scale, out=sq)
+            np.multiply(sq, sq, out=sq)
+            total += float(np.sum(sq))
+        return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -292,44 +309,51 @@ class Adam:
     def __post_init__(self) -> None:
         self._m = {name: np.zeros_like(arr) for name, arr in self.store.items()}
         self._v = {name: np.zeros_like(arr) for name, arr in self.store.items()}
-        # Three temporaries the size of the largest tensor, shared by all.
+        # One buffer the size of the largest tensor, shared by all: the norm
+        # squares a whole tensor in it, and the update splits it into g and
+        # a temporary for blocks of half that size.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
-        self._scratch = np.empty((3, size), dtype=self.store.dtype)
+        self._scratch = np.empty(max(size, 2), dtype=self.store.dtype)
 
-    def step(self, grads: Mapping[str, Array]) -> float:
-        """Apply one update; returns the pre-clip global gradient norm.
+    def step(self, grads: Mapping[str, Array], scale: float = 1.0) -> float:
+        """Apply one update to the gradients ``grads`` times ``scale`` (the
+        trainer's 1/tokens); returns their pre-clip global norm.
 
         The update runs in place through preallocated buffers, in the order
-        ``g = grad * scale``, ``m += (1 - beta1) * (g - m)``,
+        ``g = grad * scale * clip``, ``m += (1 - beta1) * (g - m)``,
         ``v += (1 - beta2) * (g * g - v)``, then
         ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected moments.
+        The clip factor comes from the norm of the scaled gradients.
         """
-        norm = self.store.global_norm(grads)
-        scale = 1.0
+        norm = self.store.global_norm(grads, scale, self._scratch)
+        clip = 1.0
         if self.clip_norm > 0 and norm > self.clip_norm:
-            scale = self.clip_norm / norm
+            clip = self.clip_norm / norm
         self._t += 1
         t = self._t
+        half = self._scratch.size // 2
         for name, grad in grads.items():
-            arr = self.store[name]
-            g, a, b = (buf[: arr.size].reshape(arr.shape) for buf in self._scratch)
-            m = self._m[name]
-            v = self._v[name]
-            np.multiply(grad, scale, out=g)
-            np.subtract(g, m, out=a)
-            a *= 1.0 - self.beta1
-            m += a
-            np.multiply(g, g, out=a)
-            a -= v
-            a *= 1.0 - self.beta2
-            v += a
-            np.divide(m, 1.0 - self.beta1 ** t, out=a)
-            a *= self.lr
-            np.divide(v, 1.0 - self.beta2 ** t, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            arr -= a
+            tensors = (grad, self.store[name], self._m[name], self._v[name])
+            for start in range(0, grad.size, half):
+                grad_b, arr, m, v = (x.reshape(-1)[start : start + half] for x in tensors)
+                g, a = self._scratch[: len(arr)], self._scratch[half : half + len(arr)]
+                np.multiply(grad_b, scale, out=g)
+                if clip != 1.0:
+                    g *= clip
+                np.subtract(g, m, out=a)
+                a *= 1.0 - self.beta1
+                m += a
+                np.multiply(g, g, out=a)
+                a -= v
+                a *= 1.0 - self.beta2
+                v += a
+                np.divide(m, 1.0 - self.beta1 ** t, out=a)
+                a *= self.lr
+                denom = np.divide(v, 1.0 - self.beta2 ** t, out=g)  # g is spent
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                a /= denom
+                arr -= a
         return norm
 
 

@@ -2,8 +2,10 @@
 
 The loss at each decoder step is the negative log of the supervised
 outcome's column of :meth:`morphoqg.model.EncoderDecoder.outcome_mass`,
-the mixing of the three routes that beam search ranks; gradients are
-averaged over every target token in the batch.  All randomness — example
+the mixing of the three routes that beam search ranks.  Each batch, and
+each dev chunk of the same size, runs as one padded pass; gradients are
+averaged over every target token in the batch by the scale that
+:meth:`morphoqg.tensor.Adam.step` applies.  All randomness — example
 order and dropout — flows from a single seed, so runs are reproducible.
 """
 
@@ -45,12 +47,18 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def evaluate_mean_loss(model: EncoderDecoder,
-                       prepared: Sequence[PreparedExample]) -> float:
-    """Per-token mean negative log-likelihood with dropout off."""
+def evaluate_mean_loss(model: EncoderDecoder, prepared: Sequence[PreparedExample],
+                       batch_size: int = TrainConfig.batch_size) -> float:
+    """Per-token mean negative log-likelihood with dropout off.  The
+    examples run as padded batches of at most ``batch_size``, in order, so
+    a large dev set never becomes one batch."""
     if not prepared:
         raise EmptyInputError("no examples to evaluate")
-    loss, tokens = model.loss_and_grads(prepared, grads=None)
+    loss = tokens = 0
+    for start in range(0, len(prepared), batch_size):
+        chunk_loss, chunk_tokens = model.loss_and_grads(prepared[start : start + batch_size])
+        loss += chunk_loss
+        tokens += chunk_tokens
     return loss / tokens
 
 
@@ -100,10 +108,7 @@ def train(
         if not math.isfinite(mean_loss):
             raise DivergenceError(
                 f"non-finite loss {mean_loss!r} at step {step}")
-        inv = model.dtype(1.0 / tokens)
-        for name in grads:
-            grads[name] *= inv
-        optimizer.step(grads)
+        optimizer.step(grads, scale=1.0 / tokens)
         result.steps = step
         result.train_losses.append(mean_loss)
         if log and step % config.eval_every == 0:
@@ -111,7 +116,7 @@ def train(
 
         due = step % config.eval_every == 0 or step == config.max_steps
         if due and dev_examples:
-            dev_loss = evaluate_mean_loss(model, dev_examples)
+            dev_loss = evaluate_mean_loss(model, dev_examples, config.batch_size)
             result.eval_losses.append((step, dev_loss))
             if log:
                 log(f"step {step}: dev loss {dev_loss:.4f}")

@@ -444,8 +444,15 @@ class TestTrainGenerate:
         assert sidecar["final_train_loss"] > 0.0
         assert "best_eval_loss" not in sidecar
 
-    def test_train_rerun_is_byte_identical(self, trained, tmp_path):
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_train_rerun_is_byte_identical(self, trained, tmp_path, dot_heads):
         model, args = trained
+        if dot_heads:
+            model = tmp_path / "dot.ckpt"
+            args = [a if a != str(trained[0]) else str(model) for a in args]
+            args.append("--dot-heads")
+            assert run(*args) == 0
+            assert model.read_bytes() != trained[0].read_bytes()
         redo = [a if a != str(model) else str(tmp_path / "redo.ckpt")
                 for a in args]
         assert run(*redo) == 0

@@ -3,6 +3,7 @@
 import json
 import math
 import shutil
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from morphoqg import model as model_mod
 from morphoqg.codec import (
+    build_vocabs,
+    encode_example,
     EOS_ID,
     SOS_ID,
     UNK_ID,
@@ -31,6 +34,7 @@ from morphoqg.model import (
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
 from morphoqg.tensor import CHECKSUM_KEY, dropout_mask, grad_check
+from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, evaluate_mean_loss, train
 
 RESERVED = ["<pad>", "<unk>", "<sos>", "<eos>"]
@@ -416,8 +420,9 @@ class TestSequenceRecurrences:
             for i in order:
                 prev[i] = h
                 h = want[i] = reference_gru(model.store, prefix, X[i], h)
-            got, _cache = model._gru_sequence(prefix, X, order)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            got, _cache = model._gru_sequence(prefix, X[:, None], np.ones((n, 1), bool), order)
+            np.testing.assert_allclose(got[:, 0], want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
             # The cell on an (n, ·) batch of (input, state) pairs gives the
             # rows of n one-row updates.
             batch, *_ = model._gru_cell(prefix, model._gru_inputs(prefix, X), prev)
@@ -511,6 +516,157 @@ class TestFullLossGradients:
         untouched = set(model.store.names()) - touched
         # Unused embedding rows aside, every tensor must receive gradient.
         assert untouched == set(), f"no gradient reached: {sorted(untouched)}"
+
+
+def longer_example() -> EncodedExample:
+    """Six source tokens and eight target actions: longer than the flagship
+    example on both sides."""
+    return EncodedExample(
+        source_roots=["he", "visit", "the", "park", "open", "door"],
+        source_features=[("NNP", "PERSON", "O"), ("VBD", "O", "O"), ("DT", "O", "O"),
+                         ("NN", "O", "B"), ("VBD", "O", "O"), ("NN", "O", "O")],
+        answer_span=(3, 3),
+        target_actions=[Quest(WHEN), Quest(DO), Copy(0), Copy(1), Trans(TransformationType.ED),
+                        Copy(2), Copy(3), Quest(QMARK)],
+        reference_question=["when", "did", "he", "visit", "the", "park", "?"],
+    )
+
+
+def toy_batch():
+    """The benchmark's toy shape: hidden 64, word 32, vocabularies built
+    from the 64 overfit pairs, and the first 16 pairs as one batch."""
+    morph = default_morphology()
+    corpus = make_overfit_corpus()
+    vocab = build_vocabs(corpus, morph)
+    encoded = [encode_example(ex, vocab, morph) for ex in corpus]
+    feats = [f for ex in encoded for f in ex.source_features]
+    hyper = HyperParams(word_dim=32, answer_feat_dim=8, ner_feat_dim=8, pos_feat_dim=8,
+                        hidden_size=64, dropout_rate=0.0)
+    model = EncoderDecoder(hyper, vocab, build_tag_list(p for p, _n, _b in feats),
+                           build_tag_list(n for _p, n, _b in feats), init_seed=42)
+    return model, [model.prepare(ex) for ex in encoded[:16]]
+
+
+class TestPaddedBatch:
+    """Property: ``loss_and_grads`` runs a batch as one padded pass whose
+    padding is inert, so an example's loss and gradient do not depend on
+    its batchmates, and its working set stays small."""
+
+    @staticmethod
+    def _masks(model, preps):
+        return [dropout_mask((len(p.roots), model._input_dim()), model.hyper.dropout_rate,
+                             np.random.default_rng(3 + i), dtype=model.dtype)
+                for i, p in enumerate(preps)]
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_padded_batch_gradient(self, dot_heads):
+        model = tiny_model(dot_heads=dot_heads, seed=11).to_check_precision()
+        preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
+                                               edge_case_examples()[0])]
+        assert len({len(p.roots) for p in preps}) == len({len(p.targets) for p in preps}) == 3
+        masks = self._masks(model, preps)
+        grads = model.zero_grads()
+        model.loss_and_grads(preps, grads=grads, masks_list=masks)
+
+        def loss_fn():
+            return model.loss_and_grads(preps, grads=None, masks_list=masks)[0]
+
+        reports = grad_check(loss_fn, dict(model.store.items()), grads, eps=1e-4,
+                             tolerance=1e-4)
+        failed = [r for r in reports if not r.passed]
+        assert not failed, f"gradient mismatch on a padded batch: {failed}"
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_padding_is_inert(self, dot_heads):
+        """The flagship example's loss and gradient, alone and beside a
+        shorter and a longer neighbour less that neighbour's own, agree to
+        1e-12 of the largest entry involved."""
+        model = tiny_model(dot_heads=dot_heads, seed=11).to_check_precision()
+        flagship, shorter, longer = (model.prepare(ex) for ex in (
+            flagship_example(), edge_case_examples()[0], longer_example()))
+        # Each example keeps its own dropout mask wherever it sits.
+        masks = dict(zip((flagship, shorter, longer),
+                         self._masks(model, [flagship, shorter, longer])))
+
+        def run(preps):
+            grads = model.zero_grads()
+            loss, _ = model.loss_and_grads(preps, grads=grads,
+                                           masks_list=[masks[p] for p in preps])
+            return loss, grads
+
+        loss_a, grads_a = run([flagship])
+        for neighbour in (shorter, longer):
+            loss_n, grads_n = run([neighbour])
+            loss_pair, grads_pair = run([flagship, neighbour])
+            assert loss_pair - loss_n == pytest.approx(loss_a, rel=1e-12)
+            for name, want in grads_a.items():
+                scale = max(np.abs(want).max(), np.abs(grads_n[name]).max())
+                got = grads_pair[name] - grads_n[name]
+                assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+    def test_padded_source_positions_get_zero_attention(self):
+        model = tiny_model(seed=5)
+        preps = [model.prepare(ex) for ex in (longer_example(), edge_case_examples()[0])]
+        enc = model._encode(preps, [None, None])
+        walk = model._walk(enc, [[("word", SOS_ID)] * 4, [("word", SOS_ID)] * 2])
+        alpha = walk["alpha"]
+        assert alpha.shape == (4, 2, 6)
+        assert np.all(alpha[:, 1, 1:] == 0.0)
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, rtol=1e-6)
+
+    def test_batch_steps_each_position_once(self, monkeypatch):
+        """No per-example loop: B examples take 2·n cell calls for the
+        longest source of n tokens and T for the longest target."""
+        model = tiny_model()
+        preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
+                                               edge_case_examples()[0])]
+        calls = []
+        cell = model._gru_cell
+
+        def counted(prefix, a, h):
+            calls.append(h.shape)
+            return cell(prefix, a, h)
+
+        monkeypatch.setattr(model, "_gru_cell", counted)
+        model.loss_and_grads(preps, grads=model.zero_grads())
+        assert calls == [(3, TINY.hidden_size)] * (2 * 6 + 9)
+
+    def test_working_set_of_a_toy_batch(self):
+        """The tracemalloc peak of one training pass on 16 toy examples
+        stays at or below 1.5 MB; holding every step's attention
+        pre-activations and running the heads on all rows at once took
+        2.5 MB."""
+        model, preps = toy_batch()
+        grads = model.zero_grads()
+        model.loss_and_grads(preps, grads=grads)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(preps, grads=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    def test_dev_loss_runs_in_training_sized_batches(self, monkeypatch):
+        model = tiny_model(seed=13).to_check_precision()
+        prepared = [model.prepare(ex) for ex in tiny_corpus() + [longer_example(),
+                                                                flagship_example()]]
+        total, tokens = model.loss_and_grads(prepared)
+        sizes = []
+        loss_and_grads = model.loss_and_grads
+
+        def recorded(batch, *args, **kwargs):
+            sizes.append(len(batch))
+            return loss_and_grads(batch, *args, **kwargs)
+
+        monkeypatch.setattr(model, "loss_and_grads", recorded)
+        assert evaluate_mean_loss(model, prepared, batch_size=4) == pytest.approx(
+            total / tokens, rel=1e-12)
+        assert sizes == [4, 4, 2]
+        sizes.clear()
+        train(model, prepared, TrainConfig(max_steps=2, batch_size=3, eval_every=1),
+              dev_examples=prepared)
+        assert sizes and max(sizes) == 3
 
 
 class TestTraining:

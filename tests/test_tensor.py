@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,32 @@ class TestMaxout:
         assert_gradients_match(loss, {"W": W, "b": b, "u": u},
                                {"W": np.outer(da, u), "b": da, "u": W.T @ da})
 
+
+    def test_ties_pick_the_first_piece(self):
+        """Winners are True only where the second piece is strictly larger."""
+        u = np.array([2.0, 5.0, -1.0, 2.0, 7.0, -1.0])
+        hidden, winners = maxout_affine(np.eye(6), np.zeros(6), u)
+        assert winners.dtype == bool
+        np.testing.assert_array_equal(winners, [False, True, False])
+        np.testing.assert_array_equal(hidden, [2.0, 7.0, -1.0])
+        da = maxout_affine_backward(winners, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(da, [1.0, 0.0, 3.0, 0.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_argmax_form(self, dtype):
+        """The boolean winners give the hidden values and piece indices of
+        ``argmax`` plus ``take_along_axis``, ties included."""
+        W = RNG.integers(-3, 4, size=(16, 5)).astype(dtype)
+        b = RNG.integers(-3, 4, size=16).astype(dtype)
+        for u in (RNG.integers(-2, 3, size=(6, 5)).astype(dtype),  # many ties
+                  RNG.standard_normal((3, 4, 5)).astype(dtype)):
+            hidden, winners = maxout_affine(W, b, u)
+            pieces = (u @ W.T + b).reshape(u.shape[:-1] + (2, 8))
+            index = np.argmax(pieces, axis=-2)
+            want = np.take_along_axis(pieces, index[..., None, :], axis=-2)[..., 0, :]
+            assert hidden.dtype == dtype
+            assert hidden.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(winners.astype(int), index)
 
     def test_batch_rows_match_1d_calls(self):
         # Small integers make every product and sum exact, so BLAS's
@@ -339,6 +366,53 @@ class TestAdam:
         store.add_value("x", np.zeros(1))
         opt = Adam(store, clip_norm=5.0)
         assert opt.step({"x": np.array([12.0])}) == pytest.approx(12.0)
+
+    def test_norm_is_bit_equal_to_allocating_formula(self):
+        """The norm of the scaled gradients, squared tensor by tensor in the
+        optimiser's scratch buffer, equals the formula that scales, squares
+        and sums in fresh arrays, and makes no gradient-sized temporary."""
+        shapes = {"big": (300, 200), "small": (7,), "scalar": ()}
+        store = ParameterStore(init_seed=0)
+        for name, shape in shapes.items():
+            store.add(name, shape)
+        grads = {name: (RNG.standard_normal(shape) * 3).astype(np.float32)
+                 for name, shape in shapes.items()}
+        scale = 1.0 / 224
+        scaled = [g * np.float32(scale) for g in grads.values()]
+        want = float(np.sqrt(sum(float(np.sum(g * g)) for g in scaled)))
+        opt = Adam(store, clip_norm=0.0)
+        tracemalloc.start()
+        try:
+            got = store.global_norm(grads, scale, opt._scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < grads["big"].nbytes // 10
+        assert opt.step(grads, scale=scale) == want
+
+    def test_scale_fold_matches_scaling_the_gradients_first(self):
+        """``step(grads, scale)`` writes the bytes of ``step`` on gradients
+        already multiplied by ``scale``, with clipping on and off."""
+        shapes = {"big": (9, 13), "small": (5,), "scalar": ()}
+        for clip_norm in (0.05, 0.0):
+            stores = []
+            for _ in range(2):
+                store = ParameterStore(init_seed=4)
+                for name, shape in shapes.items():
+                    store.add(name, shape)
+                stores.append(store)
+            folded, first = (Adam(store, clip_norm=clip_norm) for store in stores)
+            for t in range(1, 4):
+                grads = {name: (RNG.standard_normal(shape) * t).astype(np.float32)
+                         for name, shape in shapes.items()}
+                scale = 1.0 / (10 + t)
+                norm = folded.step(grads, scale=scale)
+                assert norm == first.step({name: g * np.float32(scale)
+                                           for name, g in grads.items()})
+                assert clip_norm == 0.0 or norm > clip_norm  # the clip ran
+            for name in shapes:
+                assert stores[0][name].tobytes() == stores[1][name].tobytes()
 
     def test_in_place_update_matches_allocating_formula_bit_for_bit(self):
         """The preallocated buffers keep the textbook formula's operation
