@@ -26,11 +26,12 @@ projects all tokens of the batch at once and then walks an (n, B, ·)
 stack, and the decoder's recurrent half (the GRU, then attention) walks
 the teacher-forced steps as (T, B, ·) rows.  Padding is exact: a padded
 encoder step keeps its state, a padded source position gets a ``-inf``
-attention logit, and padded decoder steps come after the real ones and
-get no gradient.  The non-recurrent half (the switch and the heads), the
-mixing and the loss run per example, on that example's (T, ·) rows of the
-walk, and their backward pass goes the same way.  Only the attention and
-the GRU carries walk the steps in reverse; they recompute each step's
+attention (and dot-head copy) logit, and padded decoder steps come after
+the real ones and get no gradient.  The switch and the heads run once on
+the walk's (T, B, ·) stacks, forward and backward, padded steps seeded
+with zero; only the mixing and the loss take each example's own rows, as
+each example has its own outcome columns.  Only the attention and the
+GRU carries walk the steps in reverse; they recompute each step's
 attention pre-activations instead of keeping them and store each step's
 gate gradients, so that every weight gradient is one matrix product over
 the batch's rows.  The input-row gradient goes into the word,
@@ -59,9 +60,9 @@ import numpy as np
 from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
 from .errors import DivergenceError, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
-from .tensor import (Array, ParameterStore, check_sidecar, dropout_mask, load_checkpoint,
-                     maxout_affine, maxout_affine_backward, read_sidecar, save_checkpoint,
-                     sigmoid, softmax, softmax_backward)
+from .tensor import (Array, ParameterStore, affine, affine_backward, check_sidecar,
+                     dropout_mask, load_checkpoint, maxout_affine, maxout_affine_backward,
+                     read_sidecar, save_checkpoint, sigmoid, softmax, softmax_backward)
 
 # Switch-head logit order: list-word route, copy route, rewrite-tag route.
 SW_QUEST = 0
@@ -72,6 +73,9 @@ SW_TRANS = 2
 # copy, each list word, each tag.  A route's mass is its switch weight times
 # its head probability.
 ROUTES = ((SW_COPY, "p_copy"), (SW_QUEST, "p_quest"), (SW_TRANS, "p_trans"))
+
+# The step-state entries the mixing reads: the switch, then each head.
+OUTPUTS = ("switch",) + tuple(head for _sw, head in ROUTES)
 
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
@@ -579,81 +583,80 @@ class EncoderDecoder:
 
     def _heads(self, enc: dict, state: dict) -> dict:
         """The non-recurrent half of a step: adds the switch and the three
-        heads to a :meth:`_recurrence` state with any leading batch axis,
-        a beam's (k, ·) rows or an example's (T, ·) teacher-forced steps."""
+        heads to a :meth:`_recurrence` state, a beam's (k, ·) rows against
+        one source or a batch's (T, B, ·) teacher-forced steps against B
+        sources (:meth:`_walk`).  Each product takes all rows at once."""
         p = self.store
         s, c, H = state["s"], state["c"], enc["H"]
         if self.hyper.dot_heads:
-            state.update(p_copy=softmax(s @ H.T), p_trans=softmax(s @ p["dot/type_emb"].T),
-                         p_quest=softmax(s @ p["dot/quest_emb"].T),
-                         switch=softmax(s @ p["dot/switch_W"].T + p["dot/switch_b"]))
+            # Each row scores its own source; a padded position gets -inf.
+            scores = (s @ H.T if H.ndim == 2
+                      else (s.swapaxes(0, 1) @ H.swapaxes(1, 2)).swapaxes(0, 1))
+            state.update(p_copy=softmax(np.where(enc["valid"], scores, -np.inf)),
+                         p_trans=softmax(affine(p["dot/type_emb"], 0, s)),
+                         p_quest=softmax(affine(p["dot/quest_emb"], 0, s)),
+                         switch=softmax(affine(p["dot/switch_W"], p["dot/switch_b"], s)))
             return state
+        # No concatenation is kept: the backward pass reads its blocks.
         w = state["x"][..., : self.hyper.word_dim]
-        u1 = np.concatenate([s, c], axis=-1)
-        m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], u1)
+        m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], np.concatenate([s, c], axis=-1))
         v_answer = np.broadcast_to(enc["v_answer"], s.shape)
-        u2 = np.concatenate([v_answer, s, c], axis=-1)
-        m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], u2)
-        u3 = np.concatenate([c, s, w], axis=-1)
-        state.update(p_copy=state["alpha"], p_trans=softmax(m1 @ p["g1/Wo"].T + p["g1/bo"]),
-                     p_quest=softmax(m2 @ p["g2/Wo"].T + p["g2/bo"]),
-                     switch=softmax(u3 @ p["switch/W"].T + p["switch/b"]),
-                     u1=u1, m1=m1, max1=max1, u2=u2, m2=m2, max2=max2, u3=u3)
+        m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], np.concatenate([v_answer, s, c], axis=-1))
+        state.update(p_copy=state["alpha"], p_trans=softmax(affine(p["g1/Wo"], p["g1/bo"], m1)),
+                     p_quest=softmax(affine(p["g2/Wo"], p["g2/bo"], m2)),
+                     switch=softmax(affine(p["switch/W"], p["switch/b"],
+                                           np.concatenate([c, s, w], axis=-1))),
+                     m1=m1, max1=max1, m2=m2, max2=max2)
         return state
 
-    def _heads_backward(self, enc: dict, steps: dict, d_switch: Array,
-                        d_heads: Sequence[Array | None], grads, d: dict) -> None:
-        """Backward through :meth:`_heads` on one example's (T, ·) steps.
+    def _heads_backward(self, enc: dict, walk: dict, seeds: dict, grads) -> dict:
+        """Backward through :meth:`_heads` on a batch's (T, B, ·) ``walk``.
 
-        ``d_switch`` and ``d_heads`` are :meth:`_route_grads`' gradients at
-        the switch and at each head.  Adds the head weights' gradients to
-        ``grads``, and adds the gradients at each step's ``s``, ``c``, input
-        word ``w`` and attention weights ``alpha``, and at the example's
-        ``H`` and ``v_answer``, to the arrays of those names in ``d``.
+        ``seeds`` holds the gradients at the switch and at each head, zero
+        at padded steps (:meth:`_route_grads`).  Each head weight takes its
+        gradient, and sends one to its input, as one product over all T·B
+        rows per column block of the input, so no concatenation is kept;
+        the entries only the heads read leave ``walk`` once read.  Returns
+        the gradients at every step's ``s``, ``c``, input word ``w`` and
+        attention weights ``alpha``, and at the batch's ``H`` and
+        ``v_answer``, which the forward pass broadcast over the steps.
         """
         p = self.store
-        d_h = self.hyper.hidden_size
-        S = steps["s"]
-        d_copy, d_quest, d_trans = d_heads
-        dlog = softmax_backward(steps["switch"], d_switch)
+        d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
+        T, B = walk["s"].shape[:2]
+        d = {key: np.zeros_like(walk[key]) for key in ("s", "c", "alpha")}
+        d.update(w=np.zeros_like(walk["x"][..., :d_w]), H=np.zeros_like(enc["H"]),
+                 v_answer=np.zeros_like(enc["v_answer"]))
+        S, C, W = _rows(walk["s"]), _rows(walk.pop("c")), _rows(walk["x"][..., :d_w])
+        ds, dc, dw = (_rows(d[key]) for key in "scw")
+        dlog = _rows(softmax_backward(walk.pop("switch"), seeds["switch"]))
         if self.hyper.dot_heads:
-            grads["dot/switch_W"] += dlog.T @ S
+            affine_backward(p["dot/switch_W"], grads["dot/switch_W"], dlog, ((S, ds),))
             grads["dot/switch_b"] += dlog.sum(axis=0)
-            d["s"] += dlog @ p["dot/switch_W"]
-            # Each head scores s against the rows of a matrix; copy uses H.
-            for probs, d_probs, rows, d_rows in (
-                    ("p_quest", d_quest, p["dot/quest_emb"], grads["dot/quest_emb"]),
-                    ("p_trans", d_trans, p["dot/type_emb"], grads["dot/type_emb"]),
-                    ("p_copy", d_copy, enc["H"], d["H"])):
-                if d_probs is not None:
-                    dlog = softmax_backward(steps[probs], d_probs)
-                    d_rows += dlog.T @ S
-                    d["s"] += dlog @ rows
-            return
-        grads["switch/W"] += dlog.T @ steps["u3"]
+            for head, table in (("p_quest", "dot/quest_emb"), ("p_trans", "dot/type_emb")):
+                dlog = _rows(softmax_backward(walk.pop(head), seeds[head]))
+                affine_backward(p[table], grads[table], dlog, ((S, ds),))
+            # The copy head scores each example's steps against its own H.
+            dlog = softmax_backward(walk.pop("p_copy"), seeds["p_copy"]).swapaxes(0, 1)
+            d["H"] += dlog.swapaxes(1, 2) @ walk["s"].swapaxes(0, 1)
+            d["s"] += (dlog @ enc["H"]).swapaxes(0, 1)
+            return d
+        # The switch reads [c, s, w], g2 [v_answer, s, c] and g1 [s, c].
+        affine_backward(p["switch/W"], grads["switch/W"], dlog, ((C, dc), (S, ds), (W, dw)))
         grads["switch/b"] += dlog.sum(axis=0)
-        du3 = dlog @ p["switch/W"]  # u3 = [c, s, w]
-        d["c"] += du3[:, :d_h]
-        d["s"] += du3[:, d_h : 2 * d_h]
-        d["w"] += du3[:, 2 * d_h :]
-        for g, probs, d_probs, k in (("g2", "p_quest", d_quest, "2"),
-                                     ("g1", "p_trans", d_trans, "1")):
-            if d_probs is None:
-                continue
-            dlog = softmax_backward(steps[probs], d_probs)
-            grads[f"{g}/Wo"] += dlog.T @ steps["m" + k]
+        for g, head, k in (("g2", "p_quest", "2"), ("g1", "p_trans", "1")):
+            dlog = _rows(softmax_backward(walk.pop(head), seeds[head]))
+            grads[f"{g}/Wo"] += dlog.T @ _rows(walk.pop("m" + k))
             grads[f"{g}/bo"] += dlog.sum(axis=0)
-            da = maxout_affine_backward(steps["max" + k], dlog @ p[f"{g}/Wo"])
-            grads[f"{g}/W"] += da.T @ steps["u" + k]
+            da = maxout_affine_backward(_rows(walk.pop("max" + k)), dlog @ p[f"{g}/Wo"])
             grads[f"{g}/b"] += da.sum(axis=0)
-            du = da @ p[f"{g}/W"]  # u2 = [v_answer, s, c], u1 = [s, c]
-            if g == "g2":
-                d["v_answer"] += du[:, :d_h].sum(axis=0)
-            d["s"] += du[:, -2 * d_h : -d_h]
-            d["c"] += du[:, -d_h:]
-        if d_copy is not None:
-            # In the additive regime the copy distribution IS alpha.
-            d["alpha"] += d_copy
+            if g == "g2":  # an example's v_answer is the same at every step
+                affine_backward(p["g2/W"], grads["g2/W"], da.reshape(T, B, -1).sum(axis=0),
+                                ((enc["v_answer"], d["v_answer"]),))
+            affine_backward(p[f"{g}/W"], grads[f"{g}/W"], da, ((S, ds), (C, dc)),
+                            start=d_h if g == "g2" else 0)
+        d["alpha"] = seeds["p_copy"]  # in the additive regime the copy distribution IS alpha
+        return d
 
     def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[list], d: dict,
                              grads) -> tuple[Array, Array]:
@@ -726,33 +729,32 @@ class EncoderDecoder:
                   else n_roots + n_quest + a.type.index for a in prep.targets]
         return columns.route_col[routes]
 
-    def _route_grads(self, steps: dict, hits: Array, dP: Array) -> tuple[Array, list]:
-        """Gradients of ``dP[t]`` times the summed mass of the routes marked
-        in ``hits[t]``, at the switch and at each head of every step ``t``
-        of ``steps``.  Returns the (T, 3) switch gradients and, in ROUTES
-        order, each head's (T, n) gradients, or None for a head with no
-        marked route at any step."""
-        d_switch = np.zeros(steps["switch"].shape, dtype=self.dtype)
-        d_heads = []
+    def _route_grads(self, steps: dict, hits: Array, dP: Array, seeds: dict) -> None:
+        """Write into ``seeds``, zero arrays shaped like ``steps``, the
+        gradients of ``dP[t]`` times the summed mass of the routes marked in
+        ``hits[t]``, at the switch and at each head of every step ``t`` of
+        ``steps``."""
         start = 0
         for sw, head in ROUTES:
             probs = steps[head]
             sel = hits[:, start : start + probs.shape[-1]]
             start += probs.shape[-1]
-            d_switch[:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
-            d_heads.append(np.where(sel, (dP * steps["switch"][:, sw])[:, None], 0)
-                           if sel.any() else None)
-        return d_switch, d_heads
+            seeds["switch"][:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
+            np.copyto(seeds[head], (dP * steps["switch"][:, sw])[:, None], where=sel)
 
-    def _example_loss(self, enc: dict, walk: dict, b: int, columns: OutcomeColumns,
-                      target_cols: Array, d: dict | None, grads) -> float:
-        """Example ``b``'s summed loss, from its (T_b, ·) rows of the walk:
-        the heads, the outcome mass at its target columns, and with ``d``
-        the heads' backward pass into ``grads`` and ``d``'s rows of it."""
-        T, n = len(target_cols), len(enc["prepared"][b].roots)
-        one = {"H": enc["H"][b, :n], "v_answer": enc["v_answer"][b]}
-        steps = self._heads(one, {"s": walk["s"][:T, b], "c": walk["c"][:T, b],
-                                  "x": walk["x"][:T, b], "alpha": walk["alpha"][:T, b, :n]})
+    def _example_loss(self, walk: dict, b: int, n: int, columns: OutcomeColumns,
+                      target_cols: Array, seeds: dict | None) -> float:
+        """Example ``b``'s summed loss: the outcome mass of its rows of the
+        batched heads, its T_b steps and n source positions, at its target
+        columns.  With ``seeds``, writes the loss's gradients at the switch
+        and the heads into its rows of them (:meth:`_route_grads`)."""
+        T = len(target_cols)
+
+        def rows(arrays: dict) -> dict:
+            return {key: arrays[key][:T, b, :n] if key == "p_copy" else arrays[key][:T, b]
+                    for key in OUTPUTS}
+
+        steps = rows(walk)
         probs = self.outcome_mass(steps, columns)[np.arange(T), target_cols]
         step_losses = []
         for t, prob in enumerate(probs.tolist()):
@@ -761,14 +763,9 @@ class EncoderDecoder:
                     f"target probability {prob!r} at decoder step "
                     f"{t + 1} is not a positive finite number")
             step_losses.append(-math.log(prob))
-        if d is not None:
-            d_switch, d_heads = self._route_grads(
-                steps, columns.route_col == target_cols[:, None],
-                (-1.0 / probs).astype(self.dtype))
-            self._heads_backward(one, steps, d_switch, d_heads, grads, {
-                "s": d["s"][:T, b], "c": d["c"][:T, b], "w": d["w"][:T, b],
-                "alpha": d["alpha"][:T, b, :n], "H": d["H"][b, :n],
-                "v_answer": d["v_answer"][b]})
+        if seeds is not None:
+            self._route_grads(steps, columns.route_col == target_cols[:, None],
+                              (-1.0 / probs).astype(self.dtype), rows(seeds))
         return sum(step_losses)
 
     def loss_and_grads(
@@ -781,10 +778,11 @@ class EncoderDecoder:
         """Total negative log-likelihood and token count over the examples.
 
         The examples run as one padded batch: the encoder and the decoder
-        recurrence step all of them as (B, ·) rows, and the heads, the loss
-        and the heads' backward pass take each example's own (T, ·) rows,
-        in batch order.  When ``grads`` is given, parameter gradients of the
-        summed loss are accumulated into it.  Dropout masks come from
+        recurrence step all of them as (B, ·) rows, and the switch and
+        heads, forward and backward, run once on all (T, B, ·) steps.  The
+        outcome mass and the loss take each example's own rows, in batch
+        order.  When ``grads`` is given, parameter gradients of the summed
+        loss are accumulated into it.  Dropout masks come from
         ``masks_list`` when provided (grad-check freezing), else are
         sampled from ``rng``, one per example in batch order (training),
         else dropout is off (evaluation).
@@ -803,18 +801,17 @@ class EncoderDecoder:
         inputs = [[("word", SOS_ID)] + [cols.inputs[col] for col in tc[:-1].tolist()]
                   for cols, tc in zip(columns, target_cols)]
         walk = self._walk(enc, inputs)
-        d = None
-        if grads is not None:
-            d = {key: np.zeros(walk[key].shape, dtype=self.dtype) for key in ("s", "c", "alpha")}
-            d.update(w=np.zeros(walk["x"].shape[:-1] + (self.hyper.word_dim,), dtype=self.dtype),
-                     H=np.zeros_like(enc["H"]), v_answer=np.zeros_like(enc["v_answer"]))
+        self._heads(enc, walk)
+        seeds = None if grads is None else {key: np.zeros_like(walk[key]) for key in OUTPUTS}
         total = 0.0
-        for b, (cols, tc) in enumerate(zip(columns, target_cols)):
-            total += self._example_loss(enc, walk, b, cols, tc, d, grads)
+        for b, (prep, cols, tc) in enumerate(zip(prepared, columns, target_cols)):
+            total += self._example_loss(walk, b, len(prep.roots), cols, tc, seeds)
         tokens = sum(map(len, target_cols))
-        if d is None:
+        if seeds is None:
             return total, tokens
-        del columns, target_cols, walk["c"]  # read by the heads only
+        del columns, target_cols
+        d = self._heads_backward(enc, walk, seeds, grads)
+        del seeds
         dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads)
         dH, dv_answer = d["H"], d["v_answer"]
         del walk, d

@@ -2,15 +2,15 @@
 
 The array kernels are the one implementation of the decoder's numeric
 pieces: the GRU gate ``sigmoid``, the attention and head ``softmax`` with
-its backward, the two-piece ``maxout_affine`` readout with its backward,
-and the inverted-dropout mask.  They are plain functions that keep the
-input dtype and act on the last axis, so one row and a batch of rows run
-the same code, in float32 for training and in float64 when
-:func:`grad_check` compares the model's hand-written backward pass
-against central finite differences.  :class:`Adam` scales the
-gradients it is given, clips them and updates in place through one
-buffer the size of the largest tensor.  Checkpoints carry a SHA-256
-checksum that loading verifies.
+its backward, the ``affine`` map and the two-piece ``maxout_affine``
+readout with their backward halves, and the inverted-dropout mask.  They
+are plain functions that keep the input dtype and act on the last axis,
+so one row and a batch of rows run the same code, in float32 for
+training and in float64 when :func:`grad_check` compares the model's
+hand-written backward pass against central finite differences.
+:class:`Adam` scales the gradients it is given, clips them and updates
+in place through one buffer the size of the largest tensor.  Checkpoints
+carry a SHA-256 checksum that loading verifies.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ RECURRENT_INIT_SCALE = 0.08
 # rows of a training batch at each encoder token and teacher-forced decoder
 # step, and on all live hypotheses at once in beam search; in training the
 # switch and heads run them, and their backward halves, on all
-# teacher-forced steps of one example at once.
+# teacher-forced steps of a batch at once.
 # ---------------------------------------------------------------------------
 
 
@@ -68,16 +68,37 @@ def softmax_backward(out: Array, d_out: Array) -> Array:
     return out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
 
 
+def affine(W: Array, b: Array, u: Array) -> Array:
+    """``u @ W.T + b`` as one matrix product over every row of ``u``,
+    whatever its leading axes: numpy's stacked matmul would take one
+    product, and read ``W`` once, per index of the first of them."""
+    return (u.reshape(-1, u.shape[-1]) @ W.T + b).reshape(u.shape[:-1] + (-1,))
+
+
+def affine_backward(W: Array, dW: Array, d_out: Array, blocks, start: int = 0) -> None:
+    """Backward through :func:`affine` on rows whose input is the column
+    concatenation of ``blocks``, taken block by block so that it is never
+    built: each block is its (k, m_i) rows and the array their gradient
+    is added to, and its columns of ``W`` begin where the previous
+    block's end, the first at ``start``.  Adds the weight gradient to
+    ``dW``; the bias gradient is ``d_out.sum(axis=0)``."""
+    for X, dX in blocks:
+        cols = slice(start, start + X.shape[1])
+        dW[:, cols] += d_out.T @ X
+        dX += d_out @ W[:, cols]
+        start += X.shape[1]
+
+
 def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
     """Two-piece maxout over an affine map; returns (hidden, winners).
 
-    The affine output ``u @ W.T + b`` is split along its last axis into two
-    halves, the pieces, and each hidden unit takes the larger piece.  Ties
-    pick the first.  ``winners`` is True where the second piece won, which
-    is the index of the winning piece.  ``u`` is one row or a (k, m) batch
-    of rows.
+    The :func:`affine` output ``u @ W.T + b`` is split along its last axis
+    into two halves, the pieces, and each hidden unit takes the larger
+    piece.  Ties pick the first.  ``winners`` is True where the second
+    piece won, which is the index of the winning piece.  ``u`` is one row
+    or rows with any leading axes.
     """
-    a = u @ W.T + b
+    a = affine(W, b, u)
     pieces = a.reshape(a.shape[:-1] + (2, -1))
     winners = pieces[..., 1, :] > pieces[..., 0, :]
     return np.where(winners, pieces[..., 1, :], pieces[..., 0, :]), winners

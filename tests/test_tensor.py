@@ -18,6 +18,8 @@ from morphoqg.tensor import (
     INIT_BLOCK,
     Adam,
     ParameterStore,
+    affine,
+    affine_backward,
     check_checkpoint,
     dropout_mask,
     grad_check,
@@ -126,6 +128,38 @@ class TestSoftmax:
         assert batch.dtype == dtype
         rows = np.stack([softmax_backward(o, d) for o, d in zip(out, d_out)])
         assert batch.tobytes() == rows.tobytes()
+
+
+class TestAffine:
+    """Property: the affine map takes one product over all rows whatever
+    its leading axes, and its blockwise backward equals the backward of
+    the concatenated input."""
+
+    def test_leading_axes_are_rows(self):
+        W, b = RNG.standard_normal((7, 5)), RNG.standard_normal(7)
+        u = RNG.standard_normal((3, 4, 5))
+        out = affine(W, b, u)
+        assert out.shape == (3, 4, 7)
+        assert out.tobytes() == (u.reshape(12, 5) @ W.T + b).tobytes()
+        np.testing.assert_allclose(affine(W, b, u[0, 0]), W @ u[0, 0] + b, rtol=1e-13)
+
+    def test_blockwise_backward_matches_concatenated_input(self):
+        # Small integers keep every product exact, so the blocks' products
+        # equal slices of the concatenated ones bit for bit.
+        W = RNG.integers(-4, 5, size=(6, 2 + 9)).astype(np.float64)
+        blocks = [RNG.integers(-4, 5, size=(8, m)).astype(np.float64) for m in (3, 4)]
+        d_out = RNG.integers(-4, 5, size=(8, 6)).astype(np.float64)
+        dW = np.ones_like(W)
+        dX = [np.ones_like(X) for X in blocks]
+        affine_backward(W, dW, d_out, list(zip(blocks, dX)), start=2)
+        u = np.concatenate(blocks, axis=1)
+        want = d_out.T @ u
+        np.testing.assert_array_equal(dW[:, :2], 1.0)  # columns before start untouched
+        np.testing.assert_array_equal(dW[:, 2:9], 1.0 + want)
+        np.testing.assert_array_equal(dW[:, 9:], 1.0)
+        du = d_out @ W[:, 2:9]
+        np.testing.assert_array_equal(dX[0], 1.0 + du[:, :3])
+        np.testing.assert_array_equal(dX[1], 1.0 + du[:, 3:])
 
 
 class TestMaxout:
