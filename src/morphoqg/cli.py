@@ -220,7 +220,8 @@ def _apply_config(subparsers: dict, path: str, subcmd: Optional[str]) -> None:
     """Turn config-file values into per-subparser defaults.
 
     Flags typed on the command line still win: these only replace the
-    built-in defaults, they are never treated as explicit arguments.
+    built-in defaults, they are never treated as explicit arguments.  A
+    required flag that the config supplies is no longer required.
     """
     text = read_text(path, "config")
     cfg = configparser.ConfigParser(interpolation=None)
@@ -248,6 +249,7 @@ def _apply_config(subparsers: dict, path: str, subcmd: Optional[str]) -> None:
                 if action is None:
                     continue
                 sub.set_defaults(**{dest: _convert_config_value(action, raw, where)})
+                action.required = False
                 matched = True
             if not matched:
                 raise ParseError(f"{where}: unknown option")

@@ -153,17 +153,19 @@ def encode_source(
 
     Root rewriting is 1:1, so the answer span is unchanged.  Inputs
     longer than ``cutoff`` raise unless ``truncate`` is set, and even
-    then the answer span must survive the cut.
+    then the whole answer span must survive the cut (else ParseError).
     """
     if not tokens:
         raise EmptyInputError("source token sequence is empty")
-    if len(tokens) > cutoff:
-        if not truncate:
-            raise CutoffExceeded(
-                f"source has {len(tokens)} tokens, cutoff is {cutoff}")
-        tokens = tokens[:cutoff]
-    morphology = morphology or default_morphology()
+    if len(tokens) > cutoff and not truncate:
+        raise CutoffExceeded(
+            f"source has {len(tokens)} tokens, cutoff is {cutoff}")
     left, right = _answer_span_from_bio(tokens)
+    if right >= cutoff:
+        raise ParseError(
+            f"answer span {left}..{right} does not fit the cutoff of {cutoff} tokens")
+    tokens = tokens[:cutoff]
+    morphology = morphology or default_morphology()
     roots = [morphology.analyze(t.word, t.pos).root for t in tokens]
     features = [(t.pos, t.ner, t.answer_bio) for t in tokens]
     return roots, features, (left, right)

@@ -15,8 +15,8 @@ Each step advances every live hypothesis at once, as one (k, d_h) batch
 through :meth:`EncoderDecoder.step`, and scores all of its outcomes as one
 row of :meth:`EncoderDecoder.outcome_mass`.  A kept outcome's column gives
 both the action it appends and the next step's decoder input
-(:attr:`OutcomeColumns.inputs`).  Log-probabilities are taken with
-``math.log`` and summed in float64.  Tie-break order: candidates with
+(:attr:`OutcomeColumns.inputs`).  Log-probabilities are taken once per
+step with ``np.log`` and summed in float64.  Tie-break order: candidates with
 equal sums keep the rank of the hypothesis they extend, then the column
 order ``[source roots in first-occurrence order | other list words by id |
 tags]``; a root copies its most-attended source position, the first on
@@ -32,7 +32,6 @@ could change the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,35 +89,29 @@ def beam_search(
             break
         state = model.step(enc, s, c, inputs)
         mass = model.outcome_mass(state, columns)
+        with np.errstate(divide="ignore"):
+            scores = log_sum[:, None] + np.log(mass)
         for h in np.flatnonzero(mass[:, eos_col] > 0.0).tolist():
-            logp = float(log_sum[h]) + math.log(mass[h, eos_col])
-            finished.append(BeamResult(
-                actions=actions[h], score=logp / (len(actions[h]) + 1), finished=True))
+            finished.append(BeamResult(actions=actions[h], finished=True,
+                                       score=float(scores[h, eos_col]) / (len(actions[h]) + 1)))
         open_ = extendable & (word_cols | last_was_word[:, None]) & (mass > 0.0)
         flat = np.flatnonzero(open_)
         if flat.size == 0:
             break
-        mass = mass.ravel()
-        if flat.size > k:
-            # np.log may differ from math.log by an ulp, so its scores only
-            # find the cut: every candidate within a margin of it (far wider
-            # than that error) is re-scored exactly below.
-            with np.errstate(divide="ignore"):
-                approx = np.repeat(log_sum, n_cols) + np.log(mass)
-            approx[~open_.ravel()] = -np.inf
-            cut = -np.partition(-approx, k - 1)[k - 1]
-            flat = np.flatnonzero(approx >= cut - 1e-9 * (1.0 + abs(cut)))
-        hyp_of = flat // n_cols
-        exact = [float(log_sum[h]) + math.log(m)
-                 for h, m in zip(hyp_of.tolist(), mass[flat].tolist())]
+        cand = scores.ravel()[flat]
+        if 0 < k < flat.size:
+            # Only candidates at or above the k-th best score get sorted: a
+            # stable sort of every candidate costs far more than the cut.
+            top = cand >= np.partition(cand, flat.size - k)[flat.size - k]
+            flat, cand = flat[top], cand[top]
         # Stable: equal scores keep hypothesis rank, then column order.
-        keep = sorted(range(flat.size), key=exact.__getitem__, reverse=True)[:k]
-        keep_hyp = hyp_of[keep]
+        keep = np.argsort(-cand, kind="stable")[:k]
+        keep_hyp = flat[keep] // n_cols
         keep_col = (flat[keep] % n_cols).tolist()
         p_copy = state["p_copy"]
         actions = [actions[h] + (columns.action(col, p_copy[h]),)
                    for h, col in zip(keep_hyp.tolist(), keep_col)]
-        log_sum = np.array([exact[j] for j in keep])
+        log_sum = cand[keep]
         last_was_word = word_cols[keep_col]
         inputs = [columns.inputs[col] for col in keep_col]
         s, c = state["s"][keep_hyp], state["c"][keep_hyp]

@@ -22,7 +22,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -271,7 +271,6 @@ def grad_check(
     analytic: Mapping[str, Array],
     eps: float = 1e-5,
     tolerance: float = 1e-4,
-    names: Iterable[str] | None = None,
 ) -> list[GradReport]:
     """Verify analytic gradients against central finite differences.
 
@@ -284,8 +283,7 @@ def grad_check(
         max|g_analytic - g_fd| / (max|g_fd| + 1e-12).
     """
     reports = []
-    for name in (list(names) if names is not None else list(params)):
-        arr = params[name]
+    for name, arr in params.items():
         g_fd = np.zeros_like(arr, dtype=CHECK_DTYPE)
         flat = arr.reshape(-1)
         fd_flat = g_fd.reshape(-1)
@@ -311,6 +309,10 @@ def grad_check(
 # Adam with global-norm clipping.
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class Adam:
@@ -318,9 +320,6 @@ class Adam:
 
     store: ParameterStore
     lr: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     _m: dict[str, Array] = field(init=False)
     _v: dict[str, Array] = field(init=False)
@@ -362,17 +361,17 @@ class Adam:
                 if clip != 1.0:
                     g *= clip
                 np.subtract(g, m, out=a)
-                a *= 1.0 - self.beta1
+                a *= 1.0 - ADAM_BETA1
                 m += a
                 np.multiply(g, g, out=a)
                 a -= v
-                a *= 1.0 - self.beta2
+                a *= 1.0 - ADAM_BETA2
                 v += a
-                np.divide(m, 1.0 - self.beta1 ** t, out=a)
+                np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
                 a *= self.lr
-                denom = np.divide(v, 1.0 - self.beta2 ** t, out=g)  # g is spent
+                denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)  # g is spent
                 np.sqrt(denom, out=denom)
-                denom += self.eps
+                denom += ADAM_EPS
                 a /= denom
                 arr -= a
         return norm
@@ -389,6 +388,9 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MQG1"
+# Numpy 1's limit on array rank.  A corrupt rank field beyond it would make
+# the shape check format an integer of thousands of digits, or np.empty fail.
+CHECKPOINT_MAX_RANK = 32
 CHECKSUM_KEY = "checkpoint_sha256"
 
 
@@ -481,6 +483,9 @@ def load_checkpoint(path: str) -> dict[str, Array]:
                 raise ParseError(f"tensor name is not UTF-8 in {path}: {exc}") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
+            if rank > CHECKPOINT_MAX_RANK:
+                raise ParseError(f"tensor {name!r} has rank {rank}, more than "
+                                 f"{CHECKPOINT_MAX_RANK}, in {path}")
             nbytes = math.prod(shape) * 4
             if nbytes > _bytes_left(fh):
                 raise ParseError(f"tensor {name!r} of shape {shape} needs {nbytes} "
@@ -523,11 +528,6 @@ def _parse_sidecar(raw: bytes, path: str) -> dict[str, object]:
     return meta
 
 
-def load_sidecar(path: str) -> dict[str, object]:
-    """The metadata of :func:`read_sidecar`."""
-    return read_sidecar(path)[0]
-
-
 def check_sidecar(raw: bytes, path: str, params: Mapping[str, Array], required: bool) -> None:
     """Raise :class:`ParseError` unless ``raw``, the sidecar of ``path`` as
     read, is byte for byte the one :func:`save_checkpoint` writes with
@@ -543,8 +543,3 @@ def check_sidecar(raw: bytes, path: str, params: Mapping[str, Array], required: 
         raise ParseError(f"checkpoint {path} does not match the {CHECKSUM_KEY!r} of its "
                          f"sidecar: the pack or the sidecar was changed, or the two "
                          f"were not written together")
-
-
-def check_checkpoint(path: str, params: Mapping[str, Array], required: bool) -> None:
-    """:func:`check_sidecar` on the sidecar of ``path`` as it is on disk now."""
-    check_sidecar(read_sidecar(path)[1], path, params, required)

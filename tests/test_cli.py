@@ -567,6 +567,20 @@ class TestConfigFile:
                    "--out", str(tmp_path / "b.jsonl"),
                    "--config", str(cfg), "--cutoff", "128") == 0
 
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        (tmp_path / "c.txt").write_text("what did he visit ?\n")
+        (tmp_path / "r.txt").write_text("what did he visit ?\n")
+        (tmp_path / "other.txt").write_text("where is it ?\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[score]\ncandidates = {tmp_path / 'other.txt'}\n"
+                       f"references = {tmp_path / 'r.txt'}\n")
+        assert run("score", "--config", str(cfg)) == 0
+        assert json.loads(capsys.readouterr().out)["rouge_l"] < 1.0
+        # An explicit flag still wins over the config value.
+        assert run("score", "--config", str(cfg),
+                   "--candidates", str(tmp_path / "c.txt")) == 0
+        assert json.loads(capsys.readouterr().out)["rouge_l"] == pytest.approx(1.0)
+
     def test_unknown_section_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[frobnicate]\nx = 1\n")

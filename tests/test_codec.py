@@ -95,9 +95,12 @@ class TestEncodeSource:
         assert len(roots) == 128
 
     def test_truncation_must_keep_the_answer(self):
-        tokens = [_tok("word") for _ in range(128)] + [_tok("key", bio="B")]
-        with pytest.raises(ParseError):
-            encode_source(tokens, cutoff=128, truncate=True)
+        cut_off = [_tok("word") for _ in range(128)] + [_tok("key", bio="B")]
+        cut_through = ([_tok("word") for _ in range(6)] + [_tok("key", bio="B")]
+                       + [_tok("key", bio="I") for _ in range(3)] + [_tok("word")])
+        for tokens, cutoff, span in [(cut_off, 128, "128..128"), (cut_through, 8, "6..9")]:
+            with pytest.raises(ParseError, match=f"answer span {span} .* cutoff of {cutoff} "):
+                encode_source(tokens, cutoff=cutoff, truncate=True)
 
     def test_malformed_answer_marks_rejected(self):
         with pytest.raises(ParseError):

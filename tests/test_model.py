@@ -973,7 +973,7 @@ class TestBeamMatchesReference:
             assert got.finished == want.finished
             assert got.score == pytest.approx(want.score, rel=1e-5)
 
-    @pytest.mark.parametrize("beam", [0, 1, 4, 12])
+    @pytest.mark.parametrize("beam", [0, 1, 4, 12, 32])
     @pytest.mark.parametrize("dot_heads", [False, True])
     @pytest.mark.parametrize("seed", [3, 8])
     def test_random_models(self, seed, dot_heads, beam):

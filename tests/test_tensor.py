@@ -20,13 +20,13 @@ from morphoqg.tensor import (
     ParameterStore,
     affine,
     affine_backward,
-    check_checkpoint,
+    check_sidecar,
     dropout_mask,
     grad_check,
     load_checkpoint,
-    load_sidecar,
     maxout_affine,
     maxout_affine_backward,
+    read_sidecar,
     save_checkpoint,
     scaled_uniform_init,
     sigmoid,
@@ -569,6 +569,14 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="bytes"):
             load_checkpoint(path)
 
+    def test_rank_beyond_limit_rejected(self, tmp_path):
+        # Neither the product of 600 large dims (too long to format) nor 65
+        # zero dims (too many for np.empty) may escape as a ValueError.
+        for shape in [(2 ** 32 - 1,) * 600, (0,) * 65]:
+            path = self._forged(tmp_path, b"w", shape, b"")
+            with pytest.raises(ParseError, match="rank"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize("header", [
         b"MQG1" + struct.pack("<II", 1, 2 ** 32 - 1),            # name length
         b"MQG1" + struct.pack("<II", 1, 1) + b"w" + struct.pack("<I", 2 ** 30),  # rank
@@ -586,14 +594,14 @@ class TestCheckpoint:
         with open(path + ".json", "wb") as fh:
             fh.write(content)
         with pytest.raises(ParseError):
-            load_sidecar(path)
+            read_sidecar(path)[0]
 
     def test_sidecar_round_trip(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         meta = {"seed": 42, "hyperparams": {"hidden_size": 8}}
         save_checkpoint(path, self._params(), sidecar=meta)
         assert os.path.exists(path + ".json")
-        assert load_sidecar(path) == meta
+        assert read_sidecar(path)[0] == meta
 
     def test_checksum_covers_pack_and_sidecar(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
@@ -601,24 +609,24 @@ class TestCheckpoint:
         save_checkpoint(path, params, sidecar={"version": 1})
         raw = json.loads((tmp_path / "model.ckpt.json").read_text())
         assert len(raw[CHECKSUM_KEY]) == 64
-        check_checkpoint(path, load_checkpoint(path), required=True)
+        check_sidecar(read_sidecar(path)[1], path, load_checkpoint(path), required=True)
         # Other weights, a changed sidecar value, or the sidecar re-spaced.
         with pytest.raises(ParseError, match=CHECKSUM_KEY):
-            check_checkpoint(path, {name: arr + 1 for name, arr in params.items()},
-                             required=True)
+            check_sidecar(read_sidecar(path)[1], path,
+                          {name: arr + 1 for name, arr in params.items()}, required=True)
         for text in (json.dumps({**raw, "version": 2}, indent=2, sort_keys=True) + "\n",
                      json.dumps(raw, sort_keys=True) + "\n"):
             (tmp_path / "model.ckpt.json").write_text(text)
             with pytest.raises(ParseError, match=CHECKSUM_KEY):
-                check_checkpoint(path, params, required=False)
+                check_sidecar(read_sidecar(path)[1], path, params, required=False)
 
     def test_sidecar_without_checksum_is_checked_only_when_required(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, self._params())
         (tmp_path / "model.ckpt.json").write_text('{"version": 1}\n')
-        check_checkpoint(path, self._params(), required=False)
+        check_sidecar(read_sidecar(path)[1], path, self._params(), required=False)
         with pytest.raises(ParseError, match=CHECKSUM_KEY):
-            check_checkpoint(path, self._params(), required=True)
+            check_sidecar(read_sidecar(path)[1], path, self._params(), required=True)
 
     @pytest.mark.parametrize("fail_in", ["pack", "sidecar"])
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_in):
