@@ -36,12 +36,13 @@ attention pre-activations instead of keeping them and store each step's
 gate gradients, so that every weight gradient is one matrix product over
 the batch's rows.  The input-row gradient goes into the word,
 answer-position, entity and POS tables with one ``np.add.at`` per table,
-example by example.  :meth:`EncoderDecoder.encode` is the batch of one,
-which beam search uses; beam search runs the decoder step on a (k, d_h)
-batch of all live hypotheses and mixes the three routes into one
-probability row per hypothesis.  ``grad_check`` validates the complete
-loss gradient against central finite differences, in the test suite and
-in ``selftest``.
+example by example; the word ids it goes to are the row set of the
+optimiser's row-sparse ``emb/word`` update.  :meth:`EncoderDecoder.encode`
+is the batch of one, which beam search uses; beam search runs the decoder
+step on a (k, d_h) batch of all live hypotheses and mixes the three routes
+into one probability row per hypothesis.  ``grad_check`` validates the
+complete loss gradient against central finite differences, in the test
+suite and in ``selftest``.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -475,10 +476,11 @@ class EncoderDecoder:
         return {key: enc[key][0] for key in ("H", "HA", "valid", "v_answer", "s0")}
 
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
-                          ds0: Array, grads) -> None:
+                          ds0: Array, grads, word_ids: list) -> None:
         """Propagate the (B, n, ·) gradients at H and HA and the (B, ·) ones
-        at v_answer and s0 back to the embeddings.  Each direction's cache
-        leaves ``enc`` as its walk starts, and is freed when it ends."""
+        at v_answer and s0 back to the embeddings, and append the ids of the
+        ``emb/word`` rows they go to onto ``word_ids``.  Each direction's
+        cache leaves ``enc`` as its walk starts, and is freed when it ends."""
         p = self.store
         grads["att/A"] += _rows(dHA).T @ _rows(enc["H"])
         dH += (_rows(dHA) @ p["att/A"]).reshape(dH.shape)
@@ -506,6 +508,8 @@ class EncoderDecoder:
             width = p[name].shape[1]
             ids = [i for example in tables for i in example[k][1]]
             np.add.at(grads[name], ids, dX[:, start : start + width])
+            if name == "emb/word":
+                word_ids.append(ids)
             start += width
 
     # ------------------------------------------------------------------
@@ -659,7 +663,7 @@ class EncoderDecoder:
         return d
 
     def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[list], d: dict,
-                             grads) -> tuple[Array, Array]:
+                             grads, word_ids: list) -> tuple[Array, Array]:
         """Backward through a batch's teacher-forced walk (:meth:`_walk`).
 
         ``inputs`` are each example's input specs, and ``d`` holds the
@@ -669,9 +673,9 @@ class EncoderDecoder:
         step's ``Q`` is recomputed from ``HA`` and ``s``, bit for bit as
         the forward pass had it.  Each weight then gets one matrix product
         over all T·B rows, and the input rows go into ``emb/word`` and
-        ``emb/trans`` example-major, padded steps left out.  Returns the
-        gradients at ``HA`` and at ``s0``; the one at ``H`` is added to
-        ``d["H"]``.
+        ``emb/trans`` example-major, padded steps left out; the word ids are
+        appended onto ``word_ids``.  Returns the gradients at ``HA`` and at
+        ``s0``; the one at ``H`` is added to ``d["H"]``.
         """
         p = self.store
         d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
@@ -714,6 +718,7 @@ class EncoderDecoder:
         ids = np.array([idx for specs in inputs for _, idx in specs], dtype=np.intp)
         np.add.at(grads["emb/word"], ids[is_word], rows[is_word])
         np.add.at(grads["emb/trans"], ids[~is_word], rows[~is_word])
+        word_ids.append(ids[is_word])
         return dHA, ds_carry
 
     # ------------------------------------------------------------------
@@ -774,6 +779,7 @@ class EncoderDecoder:
         grads: dict[str, Array] | None = None,
         masks_list: Sequence[Array | None] | None = None,
         rng: np.random.Generator | None = None,
+        rows: dict[str, Array] | None = None,
     ) -> tuple[float, int]:
         """Total negative log-likelihood and token count over the examples.
 
@@ -785,7 +791,12 @@ class EncoderDecoder:
         loss are accumulated into it.  Dropout masks come from
         ``masks_list`` when provided (grad-check freezing), else are
         sampled from ``rng``, one per example in batch order (training),
-        else dropout is off (evaluation).
+        else dropout is off (evaluation).  With ``grads``, ``rows`` (when
+        given) gets ``rows["emb/word"]``: the sorted unique ids of the
+        ``emb/word`` rows the batch reads, source words and decoder inputs,
+        which hold all of the gradient that table gets, for
+        :meth:`morphoqg.tensor.Adam.step`.  A row is there even when
+        dropout zeroed its gradient.
         """
         if masks_list is None:
             # A zero rate draws nothing, so its all-ones masks are left out.
@@ -812,10 +823,16 @@ class EncoderDecoder:
         del columns, target_cols
         d = self._heads_backward(enc, walk, seeds, grads)
         del seeds
-        dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads)
+        word_ids: list = []
+        dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads, word_ids)
         dH, dv_answer = d["H"], d["v_answer"]
         del walk, d
-        self._encoder_backward(enc, dH, dHA, dv_answer, ds0, grads)
+        self._encoder_backward(enc, dH, dHA, dv_answer, ds0, grads, word_ids)
+        if rows is not None:
+            # Sorted unique ids.  Not np.unique: numpy 2 imports numpy.ma on
+            # its first call, 1.3 MB of resident memory.
+            ids = np.sort(np.concatenate(word_ids))
+            rows["emb/word"] = ids[np.diff(ids, prepend=-1) != 0]
         return total, tokens
 
     # ------------------------------------------------------------------

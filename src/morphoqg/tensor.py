@@ -9,7 +9,9 @@ so one row and a batch of rows run the same code, in float32 for
 training and in float64 when :func:`grad_check` compares the model's
 hand-written backward pass against central finite differences.
 :class:`Adam` scales the gradients it is given, clips them and updates
-in place through one buffer the size of the largest tensor.  Checkpoints
+each tensor in place, in blocks through one scratch buffer; a tensor
+given with a row set (the batch's rows of ``emb/word``) has only those
+rows read for the norm and updated, as a lazy sparse Adam.  Checkpoints
 carry a SHA-256 checksum that loading verifies.
 """
 
@@ -233,16 +235,22 @@ class ParameterStore:
         return clone
 
     def global_norm(self, grads: Mapping[str, Array], scale: float = 1.0,
-                    scratch: Array | None = None) -> float:
-        """The L2 norm of all of ``grads`` times ``scale``.  Each tensor's
-        scaled square is taken in ``scratch``, a flat buffer at least the
-        size of the largest tensor (one is allocated when none is given),
-        so no temporary the size of a gradient is made per tensor."""
+                    scratch: Array | None = None,
+                    rows: Mapping[str, Array] | None = None) -> float:
+        """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
+        in ``rows`` counts only those rows, which must hold all of its
+        nonzero gradient.  Each tensor's scaled square is taken in
+        ``scratch``, a flat buffer at least the size of the largest tensor
+        (one is allocated when none is given), so no temporary the size of
+        a gradient is made per tensor."""
+        rows = rows or {}
         if scratch is None:
             scratch = np.empty(max((g.size for g in grads.values()), default=0),
                                dtype=self.dtype)
         total = 0.0
-        for g in grads.values():
+        for name, g in grads.items():
+            if name in rows:
+                g = g[rows[name]]
             sq = scratch[: g.size].reshape(g.shape)
             np.multiply(g, scale, out=sq)
             np.multiply(sq, sq, out=sq)
@@ -330,12 +338,13 @@ class Adam:
         self._m = {name: np.zeros_like(arr) for name, arr in self.store.items()}
         self._v = {name: np.zeros_like(arr) for name, arr in self.store.items()}
         # One buffer the size of the largest tensor, shared by all: the norm
-        # squares a whole tensor in it, and the update splits it into g and
-        # a temporary for blocks of half that size.
+        # squares a whole tensor (or its given rows) in it, and the update
+        # splits it into g and a temporary for blocks of half that size.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
         self._scratch = np.empty(max(size, 2), dtype=self.store.dtype)
 
-    def step(self, grads: Mapping[str, Array], scale: float = 1.0) -> float:
+    def step(self, grads: Mapping[str, Array], scale: float = 1.0,
+             rows: Mapping[str, Array] | None = None) -> float:
         """Apply one update to the gradients ``grads`` times ``scale`` (the
         trainer's 1/tokens); returns their pre-clip global norm.
 
@@ -344,37 +353,63 @@ class Adam:
         ``v += (1 - beta2) * (g * g - v)``, then
         ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected moments.
         The clip factor comes from the norm of the scaled gradients.
+
+        ``rows`` maps a tensor name to the sorted unique ids of the rows
+        that hold all of its gradient.  Only those rows count in the norm,
+        and only their weights and moments are gathered, updated and
+        written back, bias-corrected by the global step count: the other
+        rows' moments do not decay and their weights do not move (the lazy
+        Adam of ``torch.optim.SparseAdam``).
         """
-        norm = self.store.global_norm(grads, scale, self._scratch)
+        rows = rows or {}
+        norm = self.store.global_norm(grads, scale, self._scratch, rows)
         clip = 1.0
         if self.clip_norm > 0 and norm > self.clip_norm:
             clip = self.clip_norm / norm
         self._t += 1
-        t = self._t
         half = self._scratch.size // 2
         for name, grad in grads.items():
             tensors = (grad, self.store[name], self._m[name], self._v[name])
-            for start in range(0, grad.size, half):
-                grad_b, arr, m, v = (x.reshape(-1)[start : start + half] for x in tensors)
-                g, a = self._scratch[: len(arr)], self._scratch[half : half + len(arr)]
-                np.multiply(grad_b, scale, out=g)
-                if clip != 1.0:
-                    g *= clip
-                np.subtract(g, m, out=a)
-                a *= 1.0 - ADAM_BETA1
-                m += a
-                np.multiply(g, g, out=a)
-                a -= v
-                a *= 1.0 - ADAM_BETA2
-                v += a
-                np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
-                a *= self.lr
-                denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)  # g is spent
-                np.sqrt(denom, out=denom)
-                denom += ADAM_EPS
-                a /= denom
-                arr -= a
+            if name in rows:
+                ids = rows[name]
+                per_block = max(1, half // grad[0].size)
+                for start in range(0, len(ids), per_block):
+                    block = ids[start : start + per_block]
+                    grad_b, arr, m, v = (x[block] for x in tensors)
+                    self._update(grad_b, arr, m, v, scale, clip)
+                    for x, updated in zip(tensors[1:], (arr, m, v)):
+                        x[block] = updated
+            else:
+                for start in range(0, grad.size, half):
+                    self._update(*(x.reshape(-1)[start : start + half] for x in tensors),
+                                 scale, clip)
         return norm
+
+    def _update(self, grad: Array, arr: Array, m: Array, v: Array,
+                scale: float, clip: float) -> None:
+        """Update ``arr``, ``m`` and ``v`` in place from ``grad``, all of one
+        shape and at most half the scratch buffer's size."""
+        half = self._scratch.size // 2
+        g = self._scratch[: grad.size].reshape(grad.shape)
+        a = self._scratch[half : half + grad.size].reshape(grad.shape)
+        t = self._t
+        np.multiply(grad, scale, out=g)
+        if clip != 1.0:
+            g *= clip
+        np.subtract(g, m, out=a)
+        a *= 1.0 - ADAM_BETA1
+        m += a
+        np.multiply(g, g, out=a)
+        a -= v
+        a *= 1.0 - ADAM_BETA2
+        v += a
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
+        a *= self.lr
+        denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)  # g is spent
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        a /= denom
+        arr -= a
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ outcome's column of :meth:`morphoqg.model.EncoderDecoder.outcome_mass`,
 the mixing of the three routes that beam search ranks.  Each batch, and
 each dev chunk of the same size, runs as one padded pass; gradients are
 averaged over every target token in the batch by the scale that
-:meth:`morphoqg.tensor.Adam.step` applies.  All randomness — example
-order and dropout — flows from a single seed, so runs are reproducible.
+:meth:`morphoqg.tensor.Adam.step` applies.  The ``emb/word`` table is
+updated lazily: the clip norm, the Adam update and the zeroing of its
+gradient buffer touch only the rows the batch reads, so a row no batch
+reads keeps its weights and moments.  All randomness — example order and
+dropout — flows from a single seed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """What a run produced: per-step losses and the best weights seen."""
+    """What a run produced: per-step losses and pre-clip gradient norms,
+    and the best weights seen."""
 
     steps: int
     train_losses: list = field(default_factory=list)
+    grad_norms: list = field(default_factory=list)
     eval_losses: list = field(default_factory=list)
     best_eval_loss: float = math.inf
     best_weights: Optional[dict] = None
@@ -95,24 +100,30 @@ def train(
                      clip_norm=config.clip_norm)
     result = TrainResult(steps=0)
     batch_stream = _batches(len(train_examples), config.batch_size, rng)
-    grads = model.zero_grads()  # allocated once, zeroed in place every step
+    grads = model.zero_grads()  # allocated once, zeroed in place after every step
+    rows: dict = {}  # the row set of each row-sparse gradient, per step
 
     for step in range(1, config.max_steps + 1):
         indices = next(batch_stream)
         batch = [train_examples[i] for i in indices]
-        for grad in grads.values():
-            grad.fill(0)
         loss_sum, tokens = model.loss_and_grads(batch, grads=grads,
-                                                rng=dropout_rng)
+                                                rng=dropout_rng, rows=rows)
         mean_loss = loss_sum / tokens
         if not math.isfinite(mean_loss):
             raise DivergenceError(
                 f"non-finite loss {mean_loss!r} at step {step}")
-        optimizer.step(grads, scale=1.0 / tokens)
+        norm = optimizer.step(grads, scale=1.0 / tokens, rows=rows)
+        for name, grad in grads.items():
+            if name in rows:
+                grad[rows[name]] = 0
+            else:
+                grad.fill(0)
         result.steps = step
         result.train_losses.append(mean_loss)
+        result.grad_norms.append(norm)
         if log and step % config.eval_every == 0:
-            log(f"step {step}: train loss {mean_loss:.4f}")
+            clipped = ", clipped" if 0 < config.clip_norm < norm else ""
+            log(f"step {step}: train loss {mean_loss:.4f}, grad norm {norm:.4f}{clipped}")
 
         due = step % config.eval_every == 0 or step == config.max_steps
         if due and dev_examples:

@@ -1,5 +1,6 @@
 """Tests for the encoder-decoder: gradients, probability mass, decoding."""
 
+import copy
 import json
 import math
 import shutil
@@ -33,7 +34,7 @@ from morphoqg.model import (
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import CHECKSUM_KEY, dropout_mask, grad_check
+from morphoqg.tensor import CHECKSUM_KEY, Adam, dropout_mask, grad_check
 from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, evaluate_mean_loss, train
 
@@ -736,6 +737,85 @@ class TestTraining:
         result = train(model, prepared, TrainConfig(max_steps=6, batch_size=4, seed=5))
         assert result.steps == 6
         assert len(calls) == 1
+
+    def test_row_zeroing_leaves_no_gradient_between_steps(self, monkeypatch):
+        """``train()`` zeroes only the read rows of the ``emb/word`` buffer
+        after a step, yet every step's gradients are the bytes that the
+        same batch and dropout draws give in fresh buffers."""
+        model = tiny_model(seed=21)
+        prepared = [model.prepare(ex) for ex in tiny_corpus()]
+        loss_and_grads = model.loss_and_grads
+        row_sets = []
+
+        def compared(batch, grads=None, rng=None, rows=None, **kwargs):
+            fresh = model.store.zero_grads()
+            loss_and_grads(batch, grads=fresh, rng=copy.deepcopy(rng))
+            out = loss_and_grads(batch, grads=grads, rng=rng, rows=rows, **kwargs)
+            if grads is not None:
+                row_sets.append(rows["emb/word"].tolist())
+                for name, grad in grads.items():
+                    assert grad.tobytes() == fresh[name].tobytes(), name
+            return out
+
+        monkeypatch.setattr(model, "loss_and_grads", compared)
+        train(model, prepared, TrainConfig(max_steps=6, batch_size=3, seed=5))
+        assert len(row_sets) == 6
+        assert len({tuple(r) for r in row_sets}) > 1  # the zeroed rows vary
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_row_set_is_exactly_the_rows_a_batch_reads(self, dot_heads):
+        """``rows["emb/word"]`` is the sorted set of source words and
+        decoder word inputs: it holds every row with gradient, and a row
+        whose only read dropout zeroed is still in it."""
+        model = tiny_model(dot_heads=dot_heads, seed=9)
+        preps = [model.prepare(ex) for ex in (flagship_example(), tiny_corpus()[1])]
+        read = {SOS_ID}
+        for prep in preps:
+            read.update(prep.word_ids)
+            columns = model.outcome_columns(prep.roots)
+            for col in model._target_columns(prep, columns)[:-1].tolist():
+                kind, idx = columns.inputs[col]
+                if kind == "word":
+                    read.add(idx)
+        # Drop out the whole input row of the flagship's "park", a word that
+        # no decoder step reads.
+        park = model.vocab.encoder_id("park")
+        masks = [np.ones((len(prep.roots), model._input_dim()), model.dtype) for prep in preps]
+        masks[0][2] = 0.0
+        assert [prep.word_ids.count(park) for prep in preps] == [1, 0]
+        grads, rows = model.zero_grads(), {}
+        model.loss_and_grads(preps, grads=grads, masks_list=masks, rows=rows)
+        ids = rows["emb/word"]
+        assert ids.tolist() == sorted(read)
+        assert park in ids.tolist() and not grads["emb/word"][park].any()
+        nonzero = np.flatnonzero(grads["emb/word"].any(axis=1))
+        assert set(nonzero.tolist()) <= set(ids.tolist())
+        assert len(nonzero) == len(ids) - 1
+
+    def test_grad_norms_are_the_optimizer_norms(self, monkeypatch):
+        """``TrainResult.grad_norms`` keeps the pre-clip norm that every
+        ``Adam.step`` returns, and the step log prints it and the clip."""
+        returned = []
+        adam_step = Adam.step
+
+        def recorded(self, *args, **kwargs):
+            returned.append(adam_step(self, *args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(Adam, "step", recorded)
+        for clip_norm in (1e-3, 0.0):
+            returned.clear()
+            model = tiny_model(seed=21)
+            prepared = [model.prepare(ex) for ex in tiny_corpus()]
+            lines = []
+            result = train(model, prepared, TrainConfig(max_steps=4, batch_size=4, seed=5,
+                                                        eval_every=2, clip_norm=clip_norm),
+                           log=lines.append)
+            assert len(result.grad_norms) == result.steps == 4
+            assert result.grad_norms == returned
+            assert lines == [f"step {step}: train loss {result.train_losses[step - 1]:.4f}, "
+                             f"grad norm {returned[step - 1]:.4f}"
+                             + (", clipped" if clip_norm else "") for step in (2, 4)]
 
     def test_divergence_raises(self):
         model = tiny_model(seed=3)

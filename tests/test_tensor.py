@@ -373,6 +373,45 @@ class TestParameterStore:
         assert float(np.max(np.abs(c))) <= np.sqrt(6.0 / 9)
 
 
+def reference_step(state, grads, t, scale, lr=0.002, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook Adam update, allocating, on ``state``'s weights ``w``
+    and moments ``m`` and ``v``."""
+    for name, grad in grads.items():
+        g = grad * scale
+        m, v = state["m"][name], state["v"][name]
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        arr = state["w"][name]
+        arr -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(arr.dtype)
+
+
+# A table whose gradient lives on a few rows, as emb/word's does, and a
+# dense tensor beside it.
+SPARSE_SHAPES = {"table": (20, 6), "dense": (4, 3)}
+
+
+def sparse_grads(ids, t):
+    """Gradients for SPARSE_SHAPES with ``table`` nonzero on rows ``ids`` only."""
+    table = np.zeros(SPARSE_SHAPES["table"], np.float32)
+    table[ids] = RNG.standard_normal((len(ids), 6)) * t
+    return {"table": table,
+            "dense": (RNG.standard_normal(SPARSE_SHAPES["dense"]) * t).astype(np.float32)}
+
+
+def sparse_store(seed=5):
+    store = ParameterStore(init_seed=seed)
+    for name, shape in SPARSE_SHAPES.items():
+        store.add(name, shape)
+    return store
+
+
+# The row sets of four steps; the first covers 14 of 20 rows, more than the
+# 10 rows that half the scratch buffer holds, so it is updated in two blocks.
+ROW_SETS = [np.arange(14), np.array([0, 3, 17]), np.array([5]), np.array([2, 3, 18, 19])]
+
+
 class TestAdam:
     """Property: the optimiser descends and clipping bounds the update."""
 
@@ -451,18 +490,6 @@ class TestAdam:
     def test_in_place_update_matches_allocating_formula_bit_for_bit(self):
         """The preallocated buffers keep the textbook formula's operation
         order, so float32 weights come out byte-identical to it."""
-
-        def reference_step(state, grads, t, scale, lr=0.002, b1=0.9, b2=0.999, eps=1e-8):
-            for name, grad in grads.items():
-                g = grad * scale
-                m, v = state["m"][name], state["v"][name]
-                m += (1.0 - b1) * (g - m)
-                v += (1.0 - b2) * (g * g - v)
-                m_hat = m / (1.0 - b1 ** t)
-                v_hat = v / (1.0 - b2 ** t)
-                arr = state["w"][name]
-                arr -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(arr.dtype)
-
         shapes = {"big": (7, 5), "small": (3,), "scalar": ()}
         store = ParameterStore(init_seed=0)
         for name, shape in shapes.items():
@@ -478,6 +505,69 @@ class TestAdam:
             reference_step(state, grads, t, min(1.0, 3.0 / norm))
             for name in shapes:
                 assert store[name].tobytes() == state["w"][name].tobytes()
+
+    def test_first_row_step_from_zero_moments_equals_the_dense_step(self):
+        """With clipping off and zero moments, a dense step leaves the rows
+        without gradient as they are, so the ``rows=`` step writes the
+        same bytes on every row of the weights and both moments."""
+        ids = ROW_SETS[0]
+        grads = sparse_grads(ids, 1)
+        lazy, dense = Adam(sparse_store(), clip_norm=0.0), Adam(sparse_store(), clip_norm=0.0)
+        assert lazy.step(grads, scale=0.25, rows={"table": ids}) == pytest.approx(
+            dense.step(grads, scale=0.25), rel=1e-6)
+        for name in SPARSE_SHAPES:
+            for a, b in ((lazy.store, dense.store), (lazy._m, dense._m), (lazy._v, dense._v)):
+                assert a[name].tobytes() == b[name].tobytes()
+
+    def test_rows_outside_the_set_keep_their_bytes(self):
+        """Over several steps, a row outside a step's row set keeps its
+        weights and both moments byte for byte through that step."""
+        opt = Adam(sparse_store(), clip_norm=3.0)
+        for t, ids in enumerate(ROW_SETS, start=1):
+            before = [x["table"].copy() for x in (opt.store, opt._m, opt._v)]
+            opt.step(sparse_grads(ids, t), rows={"table": ids})
+            untouched = np.setdiff1d(np.arange(20), ids)
+            for old, x in zip(before, (opt.store, opt._m, opt._v)):
+                assert old[untouched].tobytes() == x["table"][untouched].tobytes()
+                assert old[ids].tobytes() != x["table"][ids].tobytes()
+
+    def test_rows_in_the_set_follow_the_reference_formula(self):
+        """The rows of a step's row set, taken alone, come out of the
+        textbook formula bit for bit, bias-corrected by the global step
+        count; the dense tensor beside them too."""
+        opt = Adam(sparse_store(), clip_norm=3.0)
+        state = {key: {name: x[name].copy() for name in SPARSE_SHAPES}
+                 for key, x in (("w", opt.store), ("m", opt._m), ("v", opt._v))}
+        for t, ids in enumerate(ROW_SETS, start=1):
+            grads = sparse_grads(ids, t)
+            norm = opt.step(grads, rows={"table": ids})
+            rows = {key: {"table": x["table"][ids], "dense": x["dense"]}
+                    for key, x in state.items()}
+            reference_step(rows, {"table": grads["table"][ids], "dense": grads["dense"]},
+                           t, min(1.0, 3.0 / norm))
+            for key, x in state.items():
+                x["table"][ids] = rows[key]["table"]
+            for name in SPARSE_SHAPES:
+                assert opt.store[name].tobytes() == state["w"][name].tobytes()
+                assert opt._m[name].tobytes() == state["m"][name].tobytes()
+                assert opt._v[name].tobytes() == state["v"][name].tobytes()
+
+    def test_row_norm_equals_the_dense_norm(self):
+        """The norm over the row set equals the norm over all rows when the
+        other rows have zero gradient; only the summation order differs."""
+        store = ParameterStore(init_seed=0)
+        store.add("table", (3000, 50))
+        store.add("dense", (40, 7))
+        ids = np.sort(RNG.choice(3000, size=90, replace=False))
+        grads = {name: np.zeros(arr.shape, np.float32) for name, arr in store.items()}
+        grads["table"][ids] = RNG.standard_normal((90, 50)) * 4
+        grads["dense"][...] = RNG.standard_normal((40, 7))
+        opt = Adam(store, clip_norm=0.0)
+        dense = store.global_norm(grads, 1.0 / 37)
+        assert store.global_norm(grads, 1.0 / 37, opt._scratch, {"table": ids}) == \
+            pytest.approx(dense, rel=1e-6)
+        assert opt.step(grads, scale=1.0 / 37, rows={"table": ids}) == pytest.approx(
+            dense, rel=1e-6)
 
 
 class TestCheckpoint:
