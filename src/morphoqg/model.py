@@ -40,9 +40,9 @@ example by example; the word ids it goes to are the row set of the
 optimiser's row-sparse ``emb/word`` update.  :meth:`EncoderDecoder.encode`
 is the batch of one, which beam search uses; beam search runs the decoder
 step on a (k, d_h) batch of all live hypotheses and mixes the three routes
-into one probability row per hypothesis.  ``grad_check`` validates the
-complete loss gradient against central finite differences, in the test
-suite and in ``selftest``.
+into one probability row per hypothesis.  :mod:`morphoqg.checks` holds
+the finite-difference gradient check of the complete loss and the
+probability-mass check, which the test suite and ``selftest`` both run.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
@@ -88,6 +88,11 @@ def _rows(a: Array) -> Array:
     return a.reshape(-1, a.shape[-1])
 
 
+# The sizes a checkpoint's hyperparameters must give as 1 or more.
+_AT_LEAST_ONE = ("word_dim", "answer_feat_dim", "ner_feat_dim", "pos_feat_dim", "hidden_size",
+                 "source_cutoff", "beam_size", "max_decode_len")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Model shape and training knobs with their full-scale defaults."""
@@ -124,6 +129,10 @@ class HyperParams:
             if not ok:
                 raise ParseError(f"hyperparameter {name!r} must be {want.__name__}, "
                                  f"got {value!r}")
+            if name in _AT_LEAST_ONE and value < 1:
+                raise ParseError(f"hyperparameter {name!r} must be at least 1, got {value!r}")
+            if name == "dropout_rate" and not 0.0 <= value < 1.0:  # also false for NaN
+                raise ParseError(f"hyperparameter {name!r} must be in [0, 1), got {value!r}")
         return cls(**dict(data))  # type: ignore[arg-type]
 
 

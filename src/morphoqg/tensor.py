@@ -234,29 +234,6 @@ class ParameterStore:
             clone._params[name] = arr.astype(dtype)
         return clone
 
-    def global_norm(self, grads: Mapping[str, Array], scale: float = 1.0,
-                    scratch: Array | None = None,
-                    rows: Mapping[str, Array] | None = None) -> float:
-        """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
-        in ``rows`` counts only those rows, which must hold all of its
-        nonzero gradient.  Each tensor's scaled square is taken in
-        ``scratch``, a flat buffer at least the size of the largest tensor
-        (one is allocated when none is given), so no temporary the size of
-        a gradient is made per tensor."""
-        rows = rows or {}
-        if scratch is None:
-            scratch = np.empty(max((g.size for g in grads.values()), default=0),
-                               dtype=self.dtype)
-        total = 0.0
-        for name, g in grads.items():
-            if name in rows:
-                g = g[rows[name]]
-            sq = scratch[: g.size].reshape(g.shape)
-            np.multiply(g, scale, out=sq)
-            np.multiply(sq, sq, out=sq)
-            total += float(np.sum(sq))
-        return float(np.sqrt(total))
-
 
 # ---------------------------------------------------------------------------
 # Gradient checking.
@@ -362,7 +339,7 @@ class Adam:
         Adam of ``torch.optim.SparseAdam``).
         """
         rows = rows or {}
-        norm = self.store.global_norm(grads, scale, self._scratch, rows)
+        norm = self._global_norm(grads, scale, rows)
         clip = 1.0
         if self.clip_norm > 0 and norm > self.clip_norm:
             clip = self.clip_norm / norm
@@ -384,6 +361,24 @@ class Adam:
                     self._update(*(x.reshape(-1)[start : start + half] for x in tensors),
                                  scale, clip)
         return norm
+
+    def _global_norm(self, grads: Mapping[str, Array], scale: float = 1.0,
+                     rows: Mapping[str, Array] | None = None) -> float:
+        """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
+        in ``rows`` counts only those rows, which must hold all of its
+        nonzero gradient.  Each tensor's scaled square is taken in the
+        scratch buffer, so no temporary the size of a gradient is made per
+        tensor."""
+        rows = rows or {}
+        total = 0.0
+        for name, g in grads.items():
+            if name in rows:
+                g = g[rows[name]]
+            sq = self._scratch[: g.size].reshape(g.shape)
+            np.multiply(g, scale, out=sq)
+            np.multiply(sq, sq, out=sq)
+            total += float(np.sum(sq))
+        return float(np.sqrt(total))
 
     def _update(self, grad: Array, arr: Array, m: Array, v: Array,
                 scale: float, clip: float) -> None:

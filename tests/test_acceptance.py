@@ -21,10 +21,16 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from morphoqg.bench import FULL_SCALE_REFERENCE, bench_decode
+from morphoqg.checks import (
+    codec_round_trip_failures,
+    first_step_mass_error,
+    gradient_reports,
+    round_trip_failures,
+    tiny_model_and_example,
+)
 from morphoqg.codec import (
     Trans,
     TaggedToken,
@@ -43,8 +49,7 @@ from morphoqg.morphology import (
     default_morphology,
     load_regular_lexicon,
 )
-from morphoqg.tensor import grad_check
-from morphoqg.toydata import make_corpus, make_overfit_corpus, tiny_model_and_example
+from morphoqg.toydata import make_corpus, make_overfit_corpus
 from morphoqg.train import TrainConfig, train
 from morphoqg.vocab_analysis import analyze_external_vocab
 
@@ -60,24 +65,10 @@ def test_criterion_1_morphology_round_trips():
     round-trip through apply + analyze, in under one second."""
     begin = time.perf_counter()
     morph = default_morphology()
-
     lexicon = load_regular_lexicon()
-    regular_ok = 0
-    for root, ttype, inflected in lexicon:
-        if morph.apply_transform(root, ttype) != inflected:
-            continue
-        back = morph.analyze(inflected, TYPE_TO_POS_TAG[ttype])
-        if (back.root, back.transform) == (root, ttype):
-            regular_ok += 1
-
-    irregular_bad = []
-    for entry in morph.table:
-        surface = morph.apply_transform(entry.root, entry.type)
-        back = morph.analyze(entry.inflected, TYPE_TO_POS_TAG[entry.type])
-        if surface != entry.inflected or (back.root, back.transform) != (
-                entry.root, entry.type):
-            irregular_bad.append(entry)
-
+    regular_ok = len(lexicon) - len(round_trip_failures(lexicon, morph))
+    irregular_bad = round_trip_failures(
+        [(e.root, e.type, e.inflected) for e in morph.table], morph)
     elapsed = time.perf_counter() - begin
     ratio = regular_ok / len(lexicon)
     print(f"criterion 1: regular {regular_ok}/{len(lexicon)} ({ratio:.2%}), "
@@ -102,10 +93,7 @@ def test_criterion_2_codec_round_trip_and_tag_adjacency():
     corpus = make_corpus(200, seed=7)
     vocab = build_vocabs(corpus)
     morph = default_morphology()
-    for raw in corpus:
-        enc = encode_example(raw, vocab, morph)
-        assert realize(enc.target_actions, enc.source_roots, vocab, morph) \
-            == " ".join(raw.question)
+    assert codec_round_trip_failures(corpus, vocab, morph) == []
 
     rng = random.Random(99)
     inflectable_pos = sorted(POS_TAG_TO_TYPE)
@@ -146,7 +134,7 @@ def test_criterion_2_codec_round_trip_and_tag_adjacency():
     assert with_tags > 0  # the property must not hold vacuously
 
 
-# -- criteria 3 and 4 run on toydata.tiny_model_and_example ------------
+# -- criteria 3 and 4 run on checks.tiny_model_and_example -------------
 
 
 def test_criterion_3_full_loss_gradient_check():
@@ -155,42 +143,25 @@ def test_criterion_3_full_loss_gradient_check():
     differences to relative error < 1e-4, in under 30 seconds, for both
     output-head designs."""
     begin = time.perf_counter()
-    worst_overall = ("", 0.0)
+    reports = []
     for dot_heads in (False, True):
         model, example = tiny_model_and_example(seed=11, dot_heads=dot_heads)
         check = model.to_check_precision()
-        prep = check.prepare(example)
-        grads = check.zero_grads()
-        check.loss_and_grads([prep], grads=grads, masks_list=[None])
-        reports = grad_check(
-            lambda: check.loss_and_grads([prep], grads=None, masks_list=[None])[0],
-            dict(check.store.items()), grads, eps=1e-4, tolerance=1e-4)
+        reports += gradient_reports(check, [check.prepare(example)], [None])
         failed = [r for r in reports if not r.passed]
         assert not failed, f"dot_heads={dot_heads}: {failed}"
-        worst = max(reports, key=lambda r: r.rel_error)
-        if worst.rel_error > worst_overall[1]:
-            worst_overall = (worst.name, worst.rel_error)
+    worst = max(reports, key=lambda r: r.rel_error)
     elapsed = time.perf_counter() - begin
     print(f"criterion 3: both head designs, worst rel err "
-          f"{worst_overall[1]:.2e} ({worst_overall[0]}), {elapsed:.1f}s")
+          f"{worst.rel_error:.2e} ({worst.name}), {elapsed:.1f}s")
     assert elapsed < 30.0
 
 
 def test_criterion_4_probability_mass():
     """Across 1,000 random parameterizations the word and tag outcome
     probabilities sum to 1 within 1e-6."""
-    worst = 0.0
-    for seed in range(1_000):
-        model, example = tiny_model_and_example(seed=seed, dot_heads=bool(seed % 2))
-        check = model.to_check_precision()
-        prep = check.prepare(example)
-        enc = check.encode(prep, masks=None)
-        state = check.step(
-            enc, enc["s0"],
-            np.zeros(check.hyper.hidden_size, dtype=check.dtype),
-            ("word", 2))
-        total = check.outcome_mass(state, check.outcome_columns(prep.roots)).sum()
-        worst = max(worst, abs(float(total) - 1.0))
+    worst = max(first_step_mass_error(*tiny_model_and_example(seed=seed, dot_heads=bool(seed % 2)))
+                for seed in range(1_000))
     print(f"criterion 4: 1000 parameterizations, worst |sum-1| = {worst:.2e}")
     assert worst < 1e-6
 

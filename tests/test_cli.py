@@ -9,6 +9,7 @@ Commands run in-process through ``cli.main`` so exit codes and streams
 can be asserted without subprocesses.
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -335,7 +336,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("hidden", [9, -1])
     def test_sidecar_shape_mismatch_is_data_error(self, workdir, trained, tmp_path,
                                                   hidden, capsys):
-        """A sidecar whose hidden size does not fit the tensor pack."""
+        """A sidecar whose hidden size does not fit the tensor pack; one
+        below 1 is refused by name before the pack is read."""
         model = tmp_path / "model.ckpt"
         model.write_bytes(trained[0].read_bytes())
         meta = json.loads(trained[0].with_suffix(".ckpt.json").read_text(encoding="utf-8"))
@@ -347,7 +349,8 @@ class TestExitCodes:
                    "--quest-vocab", str(workdir / "q.vocab"),
                    "--out", str(tmp_path / "q.txt")) == 2
         err = capsys.readouterr().err
-        assert "'enc_fwd/W_z'" in err and "Traceback" not in err
+        named = "'enc_fwd/W_z'" if hidden > 0 else "'hidden_size'"
+        assert named in err and "Traceback" not in err
 
     def test_out_of_vocab_action_is_runtime_error(self, workdir, tmp_path,
                                                   capsys):
@@ -520,6 +523,16 @@ class TestCheckpointIntegrity:
         assert self._generate(workdir, tmp_path) == 2
         err = capsys.readouterr().err
         assert "checkpoint_sha256" in err and "Traceback" not in err
+
+    def test_out_of_range_hyperparameter_is_data_error(self, workdir, trained, tmp_path,
+                                                       capsys):
+        """Saved through the API with a beam of -1, so its checksum is valid."""
+        model = EncoderDecoder.load(str(trained[0]), Vocab.load(str(workdir / "enc.vocab"),
+                                                                str(workdir / "q.vocab")))
+        model.hyper = dataclasses.replace(model.hyper, beam_size=-1)
+        model.save(str(tmp_path / "model.ckpt"))
+        assert self._generate(workdir, tmp_path) == 2
+        assert "beam_size" in capsys.readouterr().err
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from morphoqg import model as model_mod
+from morphoqg.checks import gradient_reports
 from morphoqg.codec import (
     build_vocabs,
     encode_example,
@@ -34,7 +35,7 @@ from morphoqg.model import (
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import CHECKSUM_KEY, Adam, dropout_mask, grad_check
+from morphoqg.tensor import CHECKSUM_KEY, Adam, dropout_mask
 from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, evaluate_mean_loss, train
 
@@ -494,17 +495,7 @@ class TestFullLossGradients:
             mask_rng = np.random.default_rng(3)
             masks = dropout_mask((len(prep.roots), model._input_dim()),
                                  model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
-            grads = model.zero_grads()
-            model.loss_and_grads([prep], grads=grads, masks_list=[masks])
-
-            def loss_fn():
-                return model.loss_and_grads([prep], grads=None, masks_list=[masks])[0]
-
-            # eps 1e-4 balances truncation against float64 roundoff for a loss
-            # of this magnitude; smaller eps hits the rounding floor on tensors
-            # whose true gradient is tiny.
-            reports = grad_check(loss_fn, dict(model.store.items()), grads,
-                                 eps=1e-4, tolerance=1e-4)
+            reports = gradient_reports(model, [prep], [masks])
             failed = [r for r in reports if not r.passed]
             assert not failed, f"gradient mismatch in {prep.roots}: {failed}"
 
@@ -565,15 +556,7 @@ class TestPaddedBatch:
         preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
                                                edge_case_examples()[0])]
         assert len({len(p.roots) for p in preps}) == len({len(p.targets) for p in preps}) == 3
-        masks = self._masks(model, preps)
-        grads = model.zero_grads()
-        model.loss_and_grads(preps, grads=grads, masks_list=masks)
-
-        def loss_fn():
-            return model.loss_and_grads(preps, grads=None, masks_list=masks)[0]
-
-        reports = grad_check(loss_fn, dict(model.store.items()), grads, eps=1e-4,
-                             tolerance=1e-4)
+        reports = gradient_reports(model, preps, self._masks(model, preps))
         failed = [r for r in reports if not r.passed]
         assert not failed, f"gradient mismatch on a padded batch: {failed}"
 
@@ -1165,6 +1148,24 @@ class TestPersistence:
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ParseError):
             HyperParams.from_dict({"word_dim": 8, "bogus": 1})
+
+    @pytest.mark.parametrize("name,value", [
+        ("beam_size", -1), ("beam_size", 0), ("max_decode_len", 0), ("source_cutoff", 0),
+        ("hidden_size", 0), ("word_dim", -3), ("answer_feat_dim", 0), ("ner_feat_dim", 0),
+        ("pos_feat_dim", 0), ("dropout_rate", 1.0), ("dropout_rate", -0.1),
+        ("dropout_rate", float("nan")),
+    ])
+    def test_out_of_range_hyperparameter_rejected(self, name, value):
+        with pytest.raises(ParseError, match=name):
+            HyperParams.from_dict({name: value})
+
+    def test_checkpoint_with_negative_beam_rejected(self, tmp_path):
+        """Saved through the API, so its checksum is valid; a beam of -1
+        would keep all but one candidate at every step."""
+        path = str(tmp_path / "model.ckpt")
+        tiny_model(seed=13, hyper=replace(TINY, beam_size=-1)).save(path)
+        with pytest.raises(ParseError, match="beam_size"):
+            EncoderDecoder.load(path, tiny_vocab())
 
     @pytest.mark.parametrize("key,value", [
         ("hyperparams", None),

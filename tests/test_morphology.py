@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphoqg.checks import round_trip_failures
 from morphoqg.errors import DuplicateKeyError, ParseError, UnknownRuleError
 from morphoqg.morphology import (
     ALL_TYPES,
@@ -214,18 +215,12 @@ class TestAnalyze:
 
 class TestRoundTrip:
     def test_lexicon_round_trip(self, morph, lexicon):
-        bad = []
-        for root, t, inflected in lexicon:
-            a = morph.analyze(inflected, TYPE_TO_POS_TAG[t])
-            if (a.root, a.transform) != (root, t):
-                bad.append((inflected, root, t.tag, a.root))
+        bad = round_trip_failures(lexicon, morph)
         assert len(bad) / len(lexicon) <= 0.01, bad[:20]
 
     def test_irregular_round_trip_is_exact(self, morph):
-        for e in morph.table:
-            assert morph.apply_transform(e.root, e.type) == e.inflected
-            a = morph.analyze(e.inflected, TYPE_TO_POS_TAG[e.type])
-            assert (a.root, a.transform) == (e.root, e.type), e
+        assert round_trip_failures([(e.root, e.type, e.inflected) for e in morph.table],
+                                   morph) == []
 
     @given(word=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=12),
            pos=st.sampled_from(sorted(POS_TAG_TO_TYPE)))

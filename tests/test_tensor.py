@@ -351,12 +351,6 @@ class TestParameterStore:
             np.testing.assert_allclose(wide[name], store[name])
             assert wide[name].dtype == np.float64
 
-    def test_global_norm(self):
-        store = ParameterStore(init_seed=0)
-        store.add("a", (2,), init="zeros")
-        grads = {"a": np.array([3.0, 4.0])}
-        assert store.global_norm(grads) == pytest.approx(5.0)
-
     @pytest.mark.parametrize("shape", [(2 * INIT_BLOCK // 7 + 3, 7), (INIT_BLOCK + 5,), (),
                                        (3, 0)])
     def test_block_draws_equal_one_whole_draw(self, shape):
@@ -440,6 +434,12 @@ class TestAdam:
         opt = Adam(store, clip_norm=5.0)
         assert opt.step({"x": np.array([12.0])}) == pytest.approx(12.0)
 
+    def test_global_norm(self):
+        store = ParameterStore(init_seed=0)
+        store.add("a", (2,), init="zeros")
+        grads = {"a": np.array([3.0, 4.0])}
+        assert Adam(store)._global_norm(grads) == pytest.approx(5.0)
+
     def test_norm_is_bit_equal_to_allocating_formula(self):
         """The norm of the scaled gradients, squared tensor by tensor in the
         optimiser's scratch buffer, equals the formula that scales, squares
@@ -456,7 +456,7 @@ class TestAdam:
         opt = Adam(store, clip_norm=0.0)
         tracemalloc.start()
         try:
-            got = store.global_norm(grads, scale, opt._scratch)
+            got = opt._global_norm(grads, scale)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,9 +563,8 @@ class TestAdam:
         grads["table"][ids] = RNG.standard_normal((90, 50)) * 4
         grads["dense"][...] = RNG.standard_normal((40, 7))
         opt = Adam(store, clip_norm=0.0)
-        dense = store.global_norm(grads, 1.0 / 37)
-        assert store.global_norm(grads, 1.0 / 37, opt._scratch, {"table": ids}) == \
-            pytest.approx(dense, rel=1e-6)
+        dense = opt._global_norm(grads, 1.0 / 37)
+        assert opt._global_norm(grads, 1.0 / 37, {"table": ids}) == pytest.approx(dense, rel=1e-6)
         assert opt.step(grads, scale=1.0 / 37, rows={"table": ids}) == pytest.approx(
             dense, rel=1e-6)
 
