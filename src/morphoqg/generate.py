@@ -64,6 +64,8 @@ def beam_search(
     length-normalised score."""
     k = beam_size if beam_size is not None else model.hyper.beam_size
     limit = max_len if max_len is not None else model.hyper.max_decode_len
+    if k < 1 or limit < 1:
+        raise ValueError(f"beam width and length limit must be at least 1, got {k} and {limit}")
     enc = model.encode(prep, masks=None)
     columns = model.outcome_columns(prep.roots)
     n_words = len(columns.words)
@@ -85,8 +87,6 @@ def beam_search(
     finished: list[BeamResult] = []
 
     for _ in range(limit):
-        if not actions:  # a beam of width 0 keeps nothing after step one
-            break
         state = model.step(enc, s, c, inputs)
         mass = model.outcome_mass(state, columns)
         with np.errstate(divide="ignore"):
@@ -99,7 +99,7 @@ def beam_search(
         if flat.size == 0:
             break
         cand = scores.ravel()[flat]
-        if 0 < k < flat.size:
+        if k < flat.size:
             # Only candidates at or above the k-th best score get sorted: a
             # stable sort of every candidate costs far more than the cut.
             top = cand >= np.partition(cand, flat.size - k)[flat.size - k]

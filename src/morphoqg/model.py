@@ -17,7 +17,8 @@ of the next step (a word row or a tag row), so training's teacher-forced
 inputs and the beam's next inputs are both read from the chosen columns.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
-(sigmoid, softmax, two-piece maxout, dropout mask) and the backward pass
+(sigmoid, softmax, two-piece maxout, dropout mask, and ``linear`` and
+``affine`` for every weight product) and the backward pass
 is written out by hand around their backward halves; there is no autodiff
 graph.  One GRU cell, fed input projections taken beforehand, serves the
 encoder's tokens, the decoder's teacher-forced steps and the beam's live
@@ -62,8 +63,9 @@ from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Tr
 from .errors import DivergenceError, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
 from .tensor import (Array, ParameterStore, affine, affine_backward, check_sidecar,
-                     dropout_mask, load_checkpoint, maxout_affine, maxout_affine_backward,
-                     read_sidecar, save_checkpoint, sigmoid, softmax, softmax_backward)
+                     dropout_mask, linear, load_checkpoint, maxout_affine,
+                     maxout_affine_backward, read_sidecar, save_checkpoint, sigmoid, softmax,
+                     softmax_backward)
 
 # Switch-head logit order: list-word route, copy route, rewrite-tag route.
 SW_QUEST = 0
@@ -338,7 +340,7 @@ class EncoderDecoder:
         """The input projections ``[a_z | a_r | a_n] = X @ W_g.T + b_g`` of a
         row or of stacked rows, one matrix product per gate."""
         p = self.store
-        return np.concatenate([X @ p[f"{prefix}/W_{g}"].T + p[f"{prefix}/b_{g}"]
+        return np.concatenate([affine(p[f"{prefix}/W_{g}"], p[f"{prefix}/b_{g}"], X)
                                for g in "zrn"], axis=-1)
 
     def _gru_cell(self, prefix: str, a: Array, h: Array):
@@ -349,9 +351,9 @@ class EncoderDecoder:
         p = self.store
         d_h = h.shape[-1]
         zr = sigmoid(a[..., : 2 * d_h] + np.concatenate(
-            [h @ p[f"{prefix}/U_z"].T, h @ p[f"{prefix}/U_r"].T], axis=-1))
+            [linear(p[f"{prefix}/U_z"], h), linear(p[f"{prefix}/U_r"], h)], axis=-1))
         z, r = zr[..., :d_h], zr[..., d_h:]
-        n = np.tanh(a[..., 2 * d_h :] + (r * h) @ p[f"{prefix}/U_n"].T)
+        n = np.tanh(a[..., 2 * d_h :] + linear(p[f"{prefix}/U_n"], r * h))
         return z * h + (1.0 - z) * n, zr, n
 
     def _gru_sequence(self, prefix: str, X: Array, valid: Array,
@@ -367,7 +369,7 @@ class EncoderDecoder:
         backward walk."""
         n, B = valid.shape
         d_h = self.hyper.hidden_size
-        A = self._gru_inputs(prefix, _rows(X)).reshape(n, B, 3 * d_h)
+        A = self._gru_inputs(prefix, X)
         prev, zr, cand, states = (np.empty((n, B, width), dtype=self.dtype)
                                   for width in (d_h, 2 * d_h, d_h, d_h))
         h = np.zeros((B, d_h), dtype=self.dtype)
@@ -469,10 +471,10 @@ class EncoderDecoder:
             "masks": masks_list,
             "valid": valid.T,
             "H": H,
-            "HA": (_rows(H) @ p["att/A"].T).reshape(H.shape),
+            "HA": linear(p["att/A"], H),
             "v_answer": np.array([np.mean(H[b, l : r + 1], axis=0)
                                   for b, (l, r) in enumerate(prep.span for prep in prepared)]),
-            "s0": np.tanh(bwd0 @ p["init/W"].T + p["init/b"]),
+            "s0": np.tanh(affine(p["init/W"], p["init/b"], bwd0)),
             "bwd0": bwd0,
             "fwd_cache": fwd_cache,
             "bwd_cache": bwd_cache,
@@ -547,7 +549,7 @@ class EncoderDecoder:
         """The attention pre-activations ``Q = tanh(HA + s @ B.T + b)``: for
         each state row, one (n, d_h) block against its source."""
         p = self.store
-        Q = enc["HA"] + (s @ p["att/B"].T + p["att/b"])[..., None, :]
+        Q = enc["HA"] + affine(p["att/B"], p["att/b"], s)[..., None, :]
         return np.tanh(Q, out=Q)
 
     def _recurrence(self, enc: dict, s_prev: Array, c_prev: Array, w: Array) -> dict:

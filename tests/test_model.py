@@ -885,6 +885,35 @@ class TestDecoding:
         result = beam_search(model, prep, beam_size=2, max_len=5)
         assert len(result.actions) <= 5
 
+    @pytest.mark.parametrize("beam,max_len", [(-1, 5), (0, 5), (2, 0)])
+    def test_width_or_length_below_one_rejected(self, monkeypatch, beam, max_len):
+        """Rejected before the encoder runs: through the API a beam of -1
+        kept all but one candidate, and the live rows grew 1, 6, 95."""
+        model = tiny_model(seed=31)
+        prep = model.prepare(flagship_example())
+        calls = []
+        for name in ("encode", "step"):
+            monkeypatch.setattr(model, name, lambda *args, name=name, **kw: calls.append(name))
+        with pytest.raises(ValueError, match="at least 1"):
+            beam_search(model, prep, beam_size=beam, max_len=max_len)
+        assert calls == []
+
+    @pytest.mark.parametrize("rows", [1, 12])
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_step_state_rows_are_contiguous(self, dot_heads, rows):
+        """Every entry of a step's state is C-contiguous, so a last-axis
+        sum (``softmax``, the outcome mass) adds in row order; ``z`` and
+        ``r`` are the two column halves of one ``[z | r]`` block."""
+        model = tiny_model(dot_heads=dot_heads, seed=5)
+        enc = model.encode(model.prepare(flagship_example()))
+        s = np.repeat(enc["s0"][None, :], rows, axis=0)
+        state = model.step(enc, s, np.zeros_like(s), [("word", SOS_ID)] * rows)
+        arrays = {key: value for key, value in state.items()
+                  if isinstance(value, np.ndarray) and key not in ("z", "r")}
+        assert {"s", "c", "alpha", "switch", "p_copy", "p_quest", "p_trans"} <= set(arrays)
+        for key, value in arrays.items():
+            assert value.shape[0] == rows and value.flags.c_contiguous, key
+
     def test_realized_output_contains_no_tag_surface(self):
         model, prepared = self._trained()
         morph = default_morphology()
@@ -1036,7 +1065,7 @@ class TestBeamMatchesReference:
             assert got.finished == want.finished
             assert got.score == pytest.approx(want.score, rel=1e-5)
 
-    @pytest.mark.parametrize("beam", [0, 1, 4, 12, 32])
+    @pytest.mark.parametrize("beam", [1, 4, 12, 32])
     @pytest.mark.parametrize("dot_heads", [False, True])
     @pytest.mark.parametrize("seed", [3, 8])
     def test_random_models(self, seed, dot_heads, beam):

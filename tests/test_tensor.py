@@ -23,6 +23,7 @@ from morphoqg.tensor import (
     check_sidecar,
     dropout_mask,
     grad_check,
+    linear,
     load_checkpoint,
     maxout_affine,
     maxout_affine_backward,
@@ -140,7 +141,7 @@ class TestAffine:
         u = RNG.standard_normal((3, 4, 5))
         out = affine(W, b, u)
         assert out.shape == (3, 4, 7)
-        assert out.tobytes() == (u.reshape(12, 5) @ W.T + b).tobytes()
+        assert out.tobytes() == affine(W, b, u.reshape(12, 5)).tobytes()
         np.testing.assert_allclose(affine(W, b, u[0, 0]), W @ u[0, 0] + b, rtol=1e-13)
 
     def test_blockwise_backward_matches_concatenated_input(self):
@@ -160,6 +161,24 @@ class TestAffine:
         du = d_out @ W[:, 2:9]
         np.testing.assert_array_equal(dX[0], 1.0 + du[:, :3])
         np.testing.assert_array_equal(dX[1], 1.0 + du[:, 3:])
+
+
+class TestLinear:
+    """Property: the forward weight product and the affine map on it give
+    ``u @ W.T`` as C-contiguous rows with ``u``'s leading axes.  Bits are
+    not compared with the ``u @ W.T`` form: another BLAS may round the two
+    call forms differently."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (6,), (3, 4)])
+    def test_contiguous_rows_equal_the_transposed_product(self, dtype, lead):
+        W, b = RNG.standard_normal((7, 5)).astype(dtype), RNG.standard_normal(7).astype(dtype)
+        u = RNG.standard_normal(lead + (5,)).astype(dtype)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for out, want in ((linear(W, u), u @ W.T), (affine(W, b, u), u @ W.T + b)):
+            assert out.shape == lead + (7,) and out.dtype == dtype
+            assert out.flags.c_contiguous
+            np.testing.assert_allclose(out, want, rtol=tol, atol=tol)
 
 
 class TestMaxout:
