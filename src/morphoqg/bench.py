@@ -9,8 +9,11 @@ three-action decoder predicts from) against ``vocab_size`` words (30,000,
 the full-vocabulary head of an RNN question generator with copy such as
 NQG++, Zhou et al. 2017, arXiv:1704.01792).  Each side decodes one source
 of ``source_window`` distinct roots with :func:`generate.beam_search`,
-encoder included.  The search has no early stop, so both sides run
-exactly ``steps`` beam steps per question.
+encoder included.  The search stops early once no live hypothesis can
+beat the best finished one, which would leave the two sides doing unequal
+work, so a timed call that ran fewer than ``steps`` beam steps raises
+:class:`RuntimeFailure`: every reported figure covers exactly ``steps``
+beam steps per question.
 
 Both sides keep the copy route and the nine-way rewrite-tag head, so the
 ratio isolates the list size, the paper's mechanism, rather than
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import generate
 from .codec import RESERVED_TOKENS, EncodedExample, Vocab
+from .errors import RuntimeFailure
 from .model import EncoderDecoder, HyperParams, PreparedExample, build_tag_list
 from .morphology import ALL_TYPES
 
@@ -83,7 +87,8 @@ def bench_decode(
     seed: int = 0,
 ) -> Dict:
     """Time one question of ``beam_search`` on both list sizes and report
-    per-side medians plus the median of the per-pair ratios."""
+    per-side medians plus the median of the per-pair ratios.  Raises
+    :class:`RuntimeFailure` if a timed search stopped before ``steps``."""
     sizes = {"three_action": quest_size, "baseline": vocab_size}
     sides = {name: _model_and_source(size, hidden, source_window, seed)
              for name, size in sizes.items()}
@@ -93,9 +98,13 @@ def bench_decode(
         for name in order:
             model, prep = sides[name]
             start = time.perf_counter()
-            generate.beam_search(model, prep, beam_size=beam, max_len=steps)
+            result = generate.beam_search(model, prep, beam_size=beam, max_len=steps)
             if pair >= warmup:
                 seconds[name].append(time.perf_counter() - start)
+                if result.steps < steps:
+                    raise RuntimeFailure(
+                        f"the {name} search stopped after {result.steps} of {steps} "
+                        "beam steps, so the two sides did not do equal work")
     ratios = [base / short for short, base
               in zip(seconds["three_action"], seconds["baseline"])]
     report: Dict = {"hidden": hidden, "beam": beam, "steps": steps,

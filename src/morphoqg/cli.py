@@ -66,7 +66,7 @@ from .errors import (
     read_text,
     write_text,
 )
-from .generate import generate_question
+from .generate import decode_example
 from .metrics import score_report
 from .model import EncoderDecoder, HyperParams, build_tag_list
 from .morphology import default_morphology, load_regular_lexicon
@@ -380,14 +380,15 @@ def cmd_generate(args) -> int:
     corpus = load_corpus_jsonl(resolve_path(args.input))
     questions: List[str] = []
     seconds: List[float] = []
+    steps: List[int] = []
     words = 0
     for raw in corpus:
         enc = encode_example(raw, vocab, morph,
                              cutoff=model.hyper.source_cutoff, truncate=True)
         begin = time.perf_counter()
-        question = generate_question(model, enc, vocab, morph,
-                                     beam_size=args.beam)
+        question, result = decode_example(model, enc, vocab, morph, beam_size=args.beam)
         seconds.append(time.perf_counter() - begin)
+        steps.append(result.steps)
         questions.append(question)
         words += len(question.split())
     _write_lines(resolve_path(args.out), questions)
@@ -398,6 +399,7 @@ def cmd_generate(args) -> int:
     if timing_path is not None:
         ordered = sorted(seconds)
         n = len(ordered)
+        limit = model.hyper.max_decode_len
         timing = {
             "examples": n,
             "decoded_words": words,
@@ -407,6 +409,11 @@ def cmd_generate(args) -> int:
             if n else 0.0,
             "mean_s_per_word": sum(ordered) / words if words else 0.0,
             "beam": args.beam if args.beam is not None else model.hyper.beam_size,
+            # Beam steps per question, and the share of questions whose
+            # search stopped before the length limit.
+            "max_decode_len": limit,
+            "mean_beam_steps": sum(steps) / n if n else 0.0,
+            "stopped_early_share": sum(s < limit for s in steps) / n if n else 0.0,
         }
         _write_json(resolve_path(timing_path), timing)
     return 0

@@ -24,15 +24,41 @@ ties; the final pick is the highest normalised score, a finished
 hypothesis over an unfinished one, and then the earliest recorded
 (finished ones in step and rank order, then the live beam by rank).
 
-There is no early stop once every beam has ended: a hypothesis that emits
-``<eos>`` is recorded and the beam refills from the remaining candidates,
-and length-normalised scores are not monotone in length, so stopping early
-could change the result.
+The search stops as soon as no live hypothesis can beat the best finished
+one (the optimality-preserving stop of Huang, Zhao & Ma 2017, "When to
+Finish? Optimal Beam Search for Neural Text Generation",
+arXiv:1707.07402).  Every log-mass is at most ``slack``, and a descendant
+of live row ``h``, finished or left unfinished at the limit, adds at most
+``steps_left`` of them to ``log_sum[h]`` and has at most ``limit`` outcomes,
+so with ``U_h = log_sum[h] + slack * steps_left``, when ``U_h <= 0`` its
+normalised score is at most ``U_h / limit`` (a sum at most 0 divided by at
+most ``limit``).  Once this step's ``<eos>`` entries are recorded, the search
+breaks before the top-k when ``max(U) <= 0`` and ``max(U) / limit < best``,
+the best finished score so far.  Then every entry the full search would
+still record, and every live row appended at the break (its sum at most
+``max(U) <= 0`` over at most ``limit`` outcomes), scores strictly below
+``best``: the final pick, which ranks by score and then takes the earliest
+recorded, is the hypothesis the full search returns.  IEEE rounding is
+monotone, so the strict comparison on the computed floats carries over.
+
+``slack`` is ``2 * (N + 4) * eps + limit * 2**-40``, where ``N`` is the
+number of routes (source positions, list words and tags) and ``eps`` the
+machine epsilon of the model's dtype, whose unit roundoff is ``u = eps / 2``.
+A column's mass is at most the sum of every route's mass, which exceeds 1
+only by rounding: each head's softmax sums at most ``N`` terms and divides
+once, the switch's softmax sums three, each switch-times-head product
+rounds once, and a column's float64 sum adds at most ``N`` roundings.  So a
+mass is at most ``1 + (2 * N + 4) * u`` to first order, and the factor 2
+left over covers the higher-order terms while ``N * eps`` is below 0.01.
+Every running sum lies within ``745 * limit`` of zero (``log`` of the least
+positive float64 is -745), so each float64 addition to it, and the rounding
+of ``U`` itself, moves it by less than ``limit * 2**-43``: the second term
+covers that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,11 +73,14 @@ _EOS_WORD = "<eos>"
 
 @dataclass(frozen=True)
 class BeamResult:
-    """One decoded hypothesis: its actions, normalised score, and status."""
+    """One decoded hypothesis: its actions, normalised score, and status.
+    ``beam_search`` also sets ``steps``, the beam steps it ran: the length
+    limit, or fewer when the search stopped early."""
 
     actions: tuple
     score: float
     finished: bool
+    steps: int = 0
 
 
 def beam_search(
@@ -85,8 +114,11 @@ def beam_search(
     log_sum = np.zeros(1)
     last_was_word = np.zeros(1, dtype=bool)
     finished: list[BeamResult] = []
+    best = -np.inf  # the best finished score so far
+    # The most one log-mass can exceed 0 by, rounding included (see above).
+    slack = 2 * (len(columns.route_col) + 4) * np.finfo(model.dtype).eps + limit * 2.0 ** -40
 
-    for _ in range(limit):
+    for steps in range(1, limit + 1):
         state = model.step(enc, s, c, inputs)
         mass = model.outcome_mass(state, columns)
         with np.errstate(divide="ignore"):
@@ -94,6 +126,11 @@ def beam_search(
         for h in np.flatnonzero(mass[:, eos_col] > 0.0).tolist():
             finished.append(BeamResult(actions=actions[h], finished=True,
                                        score=float(scores[h, eos_col]) / (len(actions[h]) + 1)))
+            best = max(best, finished[-1].score)
+        # No descendant of a live row can score above bound / limit.
+        bound = float(log_sum.max()) + slack * (limit - steps + 1)
+        if bound <= 0.0 and bound / limit < best:
+            break
         open_ = extendable & (word_cols | last_was_word[:, None]) & (mass > 0.0)
         flat = np.flatnonzero(open_)
         if flat.size == 0:
@@ -119,7 +156,21 @@ def beam_search(
     for h, acts in enumerate(actions):
         finished.append(BeamResult(
             actions=acts, score=float(log_sum[h]) / max(len(acts), 1), finished=False))
-    return max(finished, key=lambda r: (r.score, r.finished))
+    return replace(max(finished, key=lambda r: (r.score, r.finished)), steps=steps)
+
+
+def decode_example(
+    model: EncoderDecoder,
+    example: EncodedExample,
+    vocab: Vocab,
+    morphology: Optional[Morphology] = None,
+    beam_size: Optional[int] = None,
+) -> tuple[str, BeamResult]:
+    """Decode an encoded example: the actions realised as a word string,
+    and the search's result."""
+    prep = model.prepare(example)
+    result = beam_search(model, prep, beam_size=beam_size)
+    return realize(list(result.actions), list(prep.roots), vocab, morphology), result
 
 
 def generate_question(
@@ -130,6 +181,4 @@ def generate_question(
     beam_size: Optional[int] = None,
 ) -> str:
     """Decode an encoded example and realise the actions as a word string."""
-    prep = model.prepare(example)
-    result = beam_search(model, prep, beam_size=beam_size)
-    return realize(list(result.actions), list(prep.roots), vocab, morphology)
+    return decode_example(model, example, vocab, morphology, beam_size)[0]

@@ -79,6 +79,8 @@ ROUTES = ((SW_COPY, "p_copy"), (SW_QUEST, "p_quest"), (SW_TRANS, "p_trans"))
 
 # The step-state entries the mixing reads: the switch, then each head.
 OUTPUTS = ("switch",) + tuple(head for _sw, head in ROUTES)
+# The decoder input after each tag column.
+TAG_INPUTS = tuple(("trans", t.index) for t in ALL_TYPES)
 
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
@@ -218,6 +220,12 @@ class EncoderDecoder:
                 store.add(name, shape, init=init)
         self.store = store
         self.dtype = store.dtype
+        # The list-word part of every OutcomeColumns: the words, the id of
+        # each word, the decoder input after each, and the ids.
+        quest = tuple(vocab.quest_vocab)
+        self._list_words = (quest, {word: qid for qid, word in enumerate(quest)},
+                            tuple(("word", vocab.encoder_id(word)) for word in quest),
+                            tuple(range(len(quest))))
 
     # ------------------------------------------------------------------
     # Parameters.
@@ -856,26 +864,34 @@ class EncoderDecoder:
         :class:`OutcomeColumns`."""
         col_of: dict[str, int] = {}
         positions: list[list[int]] = []
+        root_cols = []
         for i, root in enumerate(roots):
             if root not in col_of:
                 col_of[root] = len(positions)
                 positions.append([])
+            root_cols.append(col_of[root])
             positions[col_of[root]].append(i)
-        quest_ids = []
-        for qid, word in enumerate(self.vocab.quest_vocab):
-            if word not in col_of:
-                col_of[word] = len(col_of)
-                quest_ids.append(qid)
-        route_col = [col_of[root] for root in roots]
-        route_col += [col_of[word] for word in self.vocab.quest_vocab]
-        route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
+        words, qid_of, word_inputs, ids = self._list_words
+        # A list word that is a root takes the root's column; the others
+        # follow the roots, by id.
+        shared = sorted(qid_of[root] for root in col_of if root in qid_of)
+        list_only, list_inputs, quest_ids = list(words), list(word_inputs), list(ids)
+        for qid in reversed(shared):
+            del list_only[qid], list_inputs[qid], quest_ids[qid]
+        n_words = len(col_of) + len(list_only)
+        keep = np.ones(len(words), dtype=bool)
+        keep[shared] = False
+        list_col = np.empty(len(words), dtype=np.intp)
+        list_col[keep] = np.arange(len(col_of), n_words)
+        list_col[shared] = [col_of[words[qid]] for qid in shared]
         return OutcomeColumns(
-            words=tuple(col_of),
-            inputs=tuple([("word", self.vocab.encoder_id(word)) for word in col_of]
-                         + [("trans", t.index) for t in ALL_TYPES]),
+            words=tuple(col_of) + tuple(list_only),
+            inputs=tuple([("word", self.vocab.encoder_id(root)) for root in col_of]
+                         + list_inputs) + TAG_INPUTS,
             positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
             quest_ids=tuple(quest_ids),
-            route_col=np.array(route_col, dtype=np.intp),
+            route_col=np.concatenate([np.array(root_cols, dtype=np.intp), list_col,
+                                      np.arange(n_words, n_words + len(ALL_TYPES), dtype=np.intp)]),
         )
 
     def outcome_mass(self, state: dict, columns: OutcomeColumns) -> Array:

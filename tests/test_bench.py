@@ -7,6 +7,8 @@ import pytest
 
 from morphoqg import bench, generate
 from morphoqg.bench import FULL_SCALE_REFERENCE, PAIRS, _model_and_source, bench_decode
+from morphoqg.errors import RuntimeFailure
+from morphoqg.generate import BeamResult
 
 SMALL = dict(hidden=16, source_window=8, quest_size=20, vocab_size=60, beam=3,
              steps=2)
@@ -72,6 +74,7 @@ class TestShippedDecoder:
             warm = len(seen) <= 2
             cost = short if model.vocab.quest_size == 20 else full
             clock[0] += 100.0 if warm else next(cost)
+            return BeamResult(actions=(), score=0.0, finished=False, steps=max_len)
 
         monkeypatch.setattr(generate, "beam_search", beam_search)
         monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -82,6 +85,23 @@ class TestShippedDecoder:
         assert report["baseline"]["per_step_median_s"] == 4.0
         assert report["pair_ratios"] == [10.0, 2.0, 3.0, 2.0, 1.0]
         assert report["speedup_ratio"] == 2.0  # not the ratio of medians, 8/3
+
+    @pytest.mark.parametrize("stopped_call", [3, 12])
+    def test_a_timed_search_that_stopped_early_is_refused(self, monkeypatch, stopped_call):
+        """Per-step figures compare equal work only if every timed call ran
+        all ``steps`` beam steps.  Calls 1 and 2 are the warmup pair, and the
+        first of them stopping early is no fault."""
+        seen = []
+
+        def beam_search(model, prep, beam_size=None, max_len=None):
+            seen.append(model)
+            steps = max_len - 1 if len(seen) in (1, stopped_call) else max_len
+            return BeamResult(actions=(), score=0.0, finished=True, steps=steps)
+
+        monkeypatch.setattr(generate, "beam_search", beam_search)
+        with pytest.raises(RuntimeFailure, match="stopped after 1 of 2 beam steps"):
+            bench_decode(**SMALL, warmup=1)
+        assert len(seen) == stopped_call
 
 
 class TestTiming:

@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 from morphoqg import cli
 from morphoqg.bench import bench_decode
 from morphoqg.codec import (Vocab, build_vocabs, dump_corpus_jsonl, encode_example,
-                            load_encoded_jsonl)
+                            load_corpus_jsonl, load_encoded_jsonl, realize)
 from morphoqg.errors import FileError
 from morphoqg.model import EncoderDecoder, HyperParams
-from morphoqg.morphology import TRANS_TAGS
+from morphoqg.morphology import TRANS_TAGS, default_morphology
 from morphoqg.toydata import make_corpus
 from morphoqg.train import TrainConfig
+from test_model import reference_beam_search
 
 SUBCOMMANDS = ("analyze-vocab", "encode", "decode", "build-vocab", "train",
                "generate", "score", "bench", "selftest")
@@ -64,6 +65,21 @@ def trained(workdir):
             "--quiet")
     assert run(*args) == 0
     return workdir / "model.ckpt", args
+
+
+@pytest.fixture(scope="module", params=["", "--dot-heads"])
+def fitted(workdir, request):
+    """A checkpoint of each head design trained long enough for its
+    questions to end well before the length limit."""
+    path = workdir / f"fitted{request.param}.ckpt"
+    assert run("train", "--input", str(workdir / "encoded.jsonl"),
+               "--encoder-vocab", str(workdir / "enc.vocab"),
+               "--quest-vocab", str(workdir / "q.vocab"),
+               "--model-out", str(path), "--steps", "60", "--hidden", "16",
+               "--word-dim", "8", "--feat-dim", "3", "--batch-size", "8",
+               "--learning-rate", "0.01", "--dropout", "0", "--eval-every", "60",
+               "--quiet", *([request.param] if request.param else [])) == 0
+    return path
 
 
 class TestUsage:
@@ -482,6 +498,36 @@ class TestTrainGenerate:
         first = out.read_bytes()
         assert run(*argv) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("beam", [1, 4, 12])
+    def test_generate_writes_the_full_search_questions(self, workdir, fitted, tmp_path,
+                                                       beam):
+        """The search stops early, yet the question file has the bytes of
+        a search that runs every step (the reference); the timing file
+        counts the steps run."""
+        model_path = fitted
+        out = tmp_path / "questions.txt"
+        assert run("generate", "--input", str(workdir / "corpus.jsonl"),
+                   "--model", str(model_path),
+                   "--encoder-vocab", str(workdir / "enc.vocab"),
+                   "--quest-vocab", str(workdir / "q.vocab"),
+                   "--out", str(out), "--beam", str(beam)) == 0
+        vocab = Vocab.load(str(workdir / "enc.vocab"), str(workdir / "q.vocab"))
+        model = EncoderDecoder.load(str(model_path), vocab)
+        morph = default_morphology()
+        want = []
+        for raw in load_corpus_jsonl(str(workdir / "corpus.jsonl")):
+            prep = model.prepare(encode_example(raw, vocab, morph, truncate=True,
+                                                cutoff=model.hyper.source_cutoff))
+            actions = reference_beam_search(model, prep, beam_size=beam).actions
+            want.append(realize(list(actions), list(prep.roots), vocab, morph) + "\n")
+        assert out.read_text() == "".join(want)
+        timing = json.loads((tmp_path / "questions.txt.timing.json").read_text())
+        limit = model.hyper.max_decode_len
+        assert timing["max_decode_len"] == limit
+        assert 1.0 <= timing["mean_beam_steps"] <= limit
+        assert 0.0 < timing["stopped_early_share"] <= 1.0
+        assert timing["mean_beam_steps"] < limit
 
 
 class TestCheckpointIntegrity:

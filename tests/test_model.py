@@ -32,6 +32,7 @@ from morphoqg.model import (
     SW_TRANS,
     EncoderDecoder,
     HyperParams,
+    OutcomeColumns,
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
@@ -263,6 +264,74 @@ class TestUniformAtZero:
         nq = model.vocab.quest_size
         np.testing.assert_allclose(state["p_quest"], np.full(nq, 1.0 / nq))
         np.testing.assert_allclose(state["switch"], [1 / 3, 1 / 3, 1 / 3])
+
+
+def reference_outcome_columns(model, roots):
+    """The outcome columns built by one pass over the roots and one over
+    every list word, kept as the oracle for ``outcome_columns``."""
+    col_of = {}
+    positions = []
+    for i, root in enumerate(roots):
+        if root not in col_of:
+            col_of[root] = len(positions)
+            positions.append([])
+        positions[col_of[root]].append(i)
+    quest_ids = []
+    for qid, word in enumerate(model.vocab.quest_vocab):
+        if word not in col_of:
+            col_of[word] = len(col_of)
+            quest_ids.append(qid)
+    route_col = [col_of[root] for root in roots]
+    route_col += [col_of[word] for word in model.vocab.quest_vocab]
+    route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
+    return OutcomeColumns(
+        words=tuple(col_of),
+        inputs=tuple([("word", model.vocab.encoder_id(word)) for word in col_of]
+                     + [("trans", t.index) for t in ALL_TYPES]),
+        positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
+        quest_ids=tuple(quest_ids),
+        route_col=np.array(route_col, dtype=np.intp),
+    )
+
+
+class TestOutcomeColumns:
+    """Property: the columns equal the reference construction's, field by
+    field, dtypes included."""
+
+    @staticmethod
+    def _assert_same(model, roots):
+        got = model.outcome_columns(roots)
+        want = reference_outcome_columns(model, roots)
+        assert (got.words, got.inputs, got.quest_ids) == (want.words, want.inputs, want.quest_ids)
+        assert len(got.positions) == len(want.positions)
+        for a, b in zip(got.positions, want.positions):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert got.route_col.dtype == want.route_col.dtype
+        assert got.route_col.tolist() == want.route_col.tolist()
+
+    @pytest.mark.parametrize("roots", [
+        (),
+        ("zebra",),
+        ("zebra", "yak", "zebra"),
+        ("he",),
+        ("?", "he", "when", "he", "the"),
+        ("<pad>", "<unk>", "<sos>", "<eos>"),
+        tuple(QUEST_WORDS),
+        tuple(reversed(QUEST_WORDS)) + ("visit", "zebra", "visit"),
+    ])
+    def test_edge_cases(self, roots):
+        self._assert_same(tiny_model(), roots)
+
+    def test_random_sources(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(60)]
+        vocab = Vocab(RESERVED + words[:30], RESERVED + words[20:50])
+        model = EncoderDecoder(TINY, vocab, POS_TAGS, NER_TAGS)
+        # Encoder-only, list-only, shared, unknown and reserved words.
+        pool = words + RESERVED + ["unknown"]
+        for n in list(range(0, 12)) + [40, 128]:
+            for _ in range(8):
+                self._assert_same(model, tuple(rng.choice(pool, size=n).tolist()))
 
 
 class TestProbabilityMass:
@@ -823,8 +892,8 @@ class TestTraining:
 class TestDecoding:
     """Property: decoding respects the action grammar and beam contracts."""
 
-    def _trained(self):
-        model = tiny_model(seed=13, hyper=replace(TINY, dropout_rate=0.0))
+    def _trained(self, dot_heads=False):
+        model = tiny_model(dot_heads=dot_heads, seed=13, hyper=replace(TINY, dropout_rate=0.0))
         prepared = [model.prepare(ex) for ex in tiny_corpus()]
         config = TrainConfig(max_steps=150, batch_size=8, learning_rate=0.01,
                              seed=1, eval_every=50)
@@ -867,6 +936,64 @@ class TestDecoding:
             narrow = beam_search(model, prep, beam_size=1)
             wide = beam_search(model, prep, beam_size=12)
             assert wide.score >= narrow.score - 1e-9
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_early_stop_keeps_the_full_search_result(self, dot_heads):
+        """The search stops once no live hypothesis can beat the best
+        finished one, and returns what the reference, which runs every
+        step, returns; on these trained models it stops early for every
+        beam width."""
+        model, prepared = self._trained(dot_heads)
+        for twin in (model, model.to_check_precision()):
+            for beam in (1, 4, 12):
+                stopped = 0
+                for limit in (16, 32):
+                    for prep in prepared:
+                        got = beam_search(twin, prep, beam_size=beam, max_len=limit)
+                        want = reference_beam_search(twin, prep, beam_size=beam, max_len=limit)
+                        assert (got.actions, got.finished) == (want.actions, want.finished)
+                        assert got.score == pytest.approx(want.score, rel=1e-5)
+                        stopped += got.steps < limit
+                assert stopped > 0, (twin.dtype, beam)
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_stop_waits_for_a_confident_continuation(self, monkeypatch, beam):
+        """A scripted model: ending at once scores log 0.7; "when" at 0.3,
+        nine more at near certainty and then the end scores about
+        log(0.3) / 11 and wins.  A stop that judged the live row by its
+        mean log-mass so far would have ended the search at its second
+        step with the empty question."""
+        model = tiny_model()
+        when, n_quest = model.vocab.quest_id("when"), model.vocab.quest_size
+        prep = model.prepare(flagship_example())
+
+        def quest_head(t):
+            p = np.full(n_quest, 1e-6)
+            if t == 0:
+                p[EOS_ID], p[when] = 0.7, 0.3
+            else:
+                p[when if t < 10 else EOS_ID] = 1.0
+            return (p / p.sum()).astype(model.dtype)
+
+        switch = np.zeros(3, dtype=model.dtype)
+        switch[SW_QUEST] = 1.0
+
+        def step(enc, s, c, inputs):
+            rows = s.shape[:-1]
+            return {"s": s + 1, "c": c, "switch": np.broadcast_to(switch, rows + (3,)),
+                    "p_copy": np.full(rows + (len(prep.roots),), 1 / len(prep.roots), dtype=model.dtype),
+                    "p_quest": np.broadcast_to(quest_head(int(s.flat[0])), rows + (n_quest,)),
+                    "p_trans": np.full(rows + (len(ALL_TYPES),), 1 / 9, dtype=model.dtype)}
+
+        monkeypatch.setattr(model, "encode", lambda prep, masks=None: {
+            "s0": np.zeros(TINY.hidden_size, dtype=model.dtype)})
+        monkeypatch.setattr(model, "step", step)
+        got = beam_search(model, prep, beam_size=beam, max_len=16)
+        assert (got.actions, got.finished) == ((Quest(when),) * 10, True)
+        assert got.score == pytest.approx(math.log(0.3) / 11, rel=1e-3)
+        assert got == replace(reference_beam_search(model, prep, beam_size=beam, max_len=16),
+                              steps=got.steps)
+        assert got.steps == 12
 
     def test_action_grammar_masks(self):
         model = tiny_model(seed=29)  # untrained: near-uniform outputs
