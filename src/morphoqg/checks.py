@@ -73,5 +73,5 @@ def first_step_mass_error(model, example):
     check = model.to_check_precision()
     prep = check.prepare(example)
     enc = check.encode(prep)
-    state = check.step(enc, enc["s0"], np.zeros(check.hyper.hidden_size), ("word", SOS_ID))
+    state = check.step(enc, enc["s0"], np.zeros(check.hyper.hidden_size), SOS_ID)
     return abs(float(check.outcome_mass(state, check.outcome_columns(prep.roots)).sum()) - 1.0)

@@ -14,15 +14,16 @@ another tag).
 Each step advances every live hypothesis at once, as one (k, d_h) batch
 through :meth:`EncoderDecoder.step`, and scores all of its outcomes as one
 row of :meth:`EncoderDecoder.outcome_mass`.  A kept outcome's column gives
-both the action it appends and the next step's decoder input
-(:attr:`OutcomeColumns.inputs`).  Log-probabilities are taken once per
-step with ``np.log`` and summed in float64.  Tie-break order: candidates with
-equal sums keep the rank of the hypothesis they extend, then the column
-order ``[source roots in first-occurrence order | other list words by id |
-tags]``; a root copies its most-attended source position, the first on
-ties; the final pick is the highest normalised score, a finished
-hypothesis over an unfinished one, and then the earliest recorded
-(finished ones in step and rank order, then the live beam by rank).
+both the action it appends and the next step's decoder input id, so the
+beam's next inputs are one index of :attr:`OutcomeColumns.inputs`.
+Log-probabilities are taken once per step with ``np.log`` and summed in
+float64.  Tie-break order: candidates with equal sums keep the rank of the
+hypothesis they extend, then the column order ``[source roots in
+first-occurrence order | other list words by id | tags]``; a root copies
+its most-attended source position, the first on ties; the final pick is
+the highest normalised score, a finished hypothesis over an unfinished
+one, and then the earliest recorded (finished ones in step and rank
+order, then the live beam by rank).
 
 The search stops as soon as no live hypothesis can beat the best finished
 one (the optimality-preserving stop of Huang, Zhao & Ma 2017, "When to
@@ -110,7 +111,7 @@ def beam_search(
     s = enc["s0"][None, :]
     c = np.zeros((1, model.hyper.hidden_size), dtype=model.dtype)
     actions: list[tuple] = [()]
-    inputs = [("word", SOS_ID)]
+    inputs = np.array([SOS_ID])
     log_sum = np.zeros(1)
     last_was_word = np.zeros(1, dtype=bool)
     finished: list[BeamResult] = []
@@ -150,7 +151,7 @@ def beam_search(
                    for h, col in zip(keep_hyp.tolist(), keep_col)]
         log_sum = cand[keep]
         last_was_word = word_cols[keep_col]
-        inputs = [columns.inputs[col] for col in keep_col]
+        inputs = columns.inputs[keep_col]
         s, c = state["s"][keep_hyp], state["c"][keep_hyp]
 
     for h, acts in enumerate(actions):

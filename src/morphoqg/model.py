@@ -13,8 +13,10 @@ list, the list route).  That mixing has one implementation,
 :meth:`EncoderDecoder.outcome_mass`: training reads each target's column
 of it and seeds the backward pass through the same route-to-column map,
 and beam search ranks its rows.  A column also names the decoder input
-of the next step (a word row or a tag row), so training's teacher-forced
-inputs and the beam's next inputs are both read from the chosen columns.
+of the next step as one id into the stacked rows ``[emb/word; emb/trans]``:
+a tag's id comes after the encoder vocabulary so that a word's id is its
+encoder id, and training's teacher-forced inputs and the beam's next
+inputs are id arrays read from the chosen columns, embedded by one gather.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask, and ``linear`` and
@@ -79,8 +81,6 @@ ROUTES = ((SW_COPY, "p_copy"), (SW_QUEST, "p_quest"), (SW_TRANS, "p_trans"))
 
 # The step-state entries the mixing reads: the switch, then each head.
 OUTPUTS = ("switch",) + tuple(head for _sw, head in ROUTES)
-# The decoder input after each tag column.
-TAG_INPUTS = tuple(("trans", t.index) for t in ALL_TYPES)
 
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
@@ -174,14 +174,14 @@ class OutcomeColumns:
     words that are not source roots, by id | the tags in ALL_TYPES
     order]``.  A list word that is also a source root shares the root's
     column, so the copy and list routes merge there.  Each column also
-    names the decoder input that follows it: the encoder row of its word,
-    or its tag's row.
+    names the id of the decoder input that follows it: its word's encoder
+    id, or ``vocab.encoder_size + t.index`` for tag ``t``.
     """
 
     words: tuple[str, ...]           # the word of each word column
-    inputs: tuple[tuple[str, int], ...]  # ("word", enc_id) | ("trans", idx), per column
+    inputs: Array                    # decoder input id of each column, intp
     positions: tuple[Array, ...]     # source positions of each root column
-    quest_ids: tuple[int, ...]       # list id of each list-only column
+    quest_ids: Array                 # list id of each list-only column, intp
     route_col: Array                 # column of each route, in ROUTES order
 
     def action(self, col: int, p_copy: Array):
@@ -193,7 +193,7 @@ class OutcomeColumns:
             pos = self.positions[col]
             return Copy(int(pos[np.argmax(p_copy[pos])]))
         if col < len(self.words):
-            return Quest(self.quest_ids[col - n_roots])
+            return Quest(int(self.quest_ids[col - n_roots]))
         return Trans(ALL_TYPES[col - len(self.words)])
 
 
@@ -221,11 +221,10 @@ class EncoderDecoder:
         self.store = store
         self.dtype = store.dtype
         # The list-word part of every OutcomeColumns: the words, the id of
-        # each word, the decoder input after each, and the ids.
+        # each word, and the decoder input after each.
         quest = tuple(vocab.quest_vocab)
         self._list_words = (quest, {word: qid for qid, word in enumerate(quest)},
-                            tuple(("word", vocab.encoder_id(word)) for word in quest),
-                            tuple(range(len(quest))))
+                            np.array([vocab.encoder_id(word) for word in quest], dtype=np.intp))
 
     # ------------------------------------------------------------------
     # Parameters.
@@ -535,23 +534,22 @@ class EncoderDecoder:
     # Decoder step.
     # ------------------------------------------------------------------
 
-    def input_embedding(self, spec) -> Array:
-        """Decoder input row for one spec, or stacked rows for a list of specs."""
-        if isinstance(spec, list):
-            return np.stack([self.input_embedding(one) for one in spec])
-        kind, idx = spec
-        table = self.store["emb/word"] if kind == "word" else self.store["emb/trans"]
-        return table[idx]
+    def input_embedding(self, ids) -> Array:
+        """The ``[emb/word; emb/trans]`` rows of decoder input ids: one row
+        for a scalar id, (k, d_w) rows for k.  Neither table is copied."""
+        word, trans = self.store["emb/word"], self.store["emb/trans"]
+        ids = np.asarray(ids)
+        return np.where((ids < len(word))[..., None], word.take(ids, axis=0, mode="clip"),
+                        trans.take(ids - len(word), axis=0, mode="clip"))
 
-    def step(self, enc: dict, s_prev: Array, c_prev: Array, input_spec) -> dict:
+    def step(self, enc: dict, s_prev: Array, c_prev: Array, ids) -> dict:
         """One decoder step: state update, attention, and all output heads.
 
-        ``s_prev`` and ``c_prev`` are one state row with one
-        ``("word" | "trans", id)`` spec, or (k, d_h) batches with a list of
-        k specs; every entry of the returned state then has a leading k axis.
+        ``s_prev`` and ``c_prev`` are one state row with one input id, or
+        (k, d_h) batches with k ids (:meth:`input_embedding`); every entry
+        of the returned state then has a leading k axis.
         """
-        return self._heads(enc, self._recurrence(enc, s_prev, c_prev,
-                                                 self.input_embedding(input_spec)))
+        return self._heads(enc, self._recurrence(enc, s_prev, c_prev, self.input_embedding(ids)))
 
     def _attention_q(self, enc: dict, s: Array) -> Array:
         """The attention pre-activations ``Q = tanh(HA + s @ B.T + b)``: for
@@ -580,16 +578,16 @@ class EncoderDecoder:
         return {"x": x, "z": zr[..., :d_h], "r": zr[..., d_h:], "n": n, "s": s, "alpha": alpha,
                 "c": c}
 
-    def _walk(self, enc: dict, inputs: Sequence[list]) -> dict:
+    def _walk(self, enc: dict, inputs: Sequence[Array]) -> dict:
         """The recurrence over a batch's teacher-forced steps: step ``t``
         runs :meth:`_recurrence` on the (B, ·) rows of every example's
-        ``t``-th input, a zero row past an example's last step.  Returns
+        ``t``-th input id, a zero row past an example's last step.  Returns
         (T, B, ·) stacks of every entry of the step state, and of each
         step's previous state ``h``."""
         T, B = max(map(len, inputs)), len(inputs)
         W = np.zeros((T, B, self.hyper.word_dim), dtype=self.dtype)
-        for b, specs in enumerate(inputs):
-            W[: len(specs), b] = self.input_embedding(specs)
+        for b, ids in enumerate(inputs):
+            W[: len(ids), b] = self.input_embedding(ids)
         # One stack of T + 1 states: each step's previous state is the one before.
         states = np.empty((T + 1,) + enc["s0"].shape, dtype=self.dtype)
         states[0] = enc["s0"]
@@ -681,11 +679,11 @@ class EncoderDecoder:
         d["alpha"] = seeds["p_copy"]  # in the additive regime the copy distribution IS alpha
         return d
 
-    def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[list], d: dict,
+    def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[Array], d: dict,
                              grads, word_ids: list) -> tuple[Array, Array]:
         """Backward through a batch's teacher-forced walk (:meth:`_walk`).
 
-        ``inputs`` are each example's input specs, and ``d`` holds the
+        ``inputs`` are each example's input id arrays, and ``d`` holds the
         gradients the heads sent to every step's ``s``, ``c``, ``w`` and
         ``alpha`` (zero at padded steps) and to ``H``.  Only the attention
         and the GRU carry walk the steps, in reverse, on (B, ·) rows; each
@@ -732,11 +730,12 @@ class EncoderDecoder:
         grads["att/v"] += dv.sum(axis=0)
         grads["att/B"] += _rows(dQ_sum).T @ _rows(S)
         grads["att/b"] += _rows(dQ_sum).sum(axis=0)
-        rows = np.concatenate([dW_in[: len(specs), b] for b, specs in enumerate(inputs)])
-        is_word = np.array([kind == "word" for specs in inputs for kind, _ in specs])
-        ids = np.array([idx for specs in inputs for _, idx in specs], dtype=np.intp)
+        rows = np.concatenate([dW_in[: len(ids), b] for b, ids in enumerate(inputs)])
+        ids = np.concatenate(inputs)
+        n_words = len(grads["emb/word"])
+        is_word = ids < n_words
         np.add.at(grads["emb/word"], ids[is_word], rows[is_word])
-        np.add.at(grads["emb/trans"], ids[~is_word], rows[~is_word])
+        np.add.at(grads["emb/trans"], ids[~is_word] - n_words, rows[~is_word])
         word_ids.append(ids[is_word])
         return dHA, ds_carry
 
@@ -828,7 +827,7 @@ class EncoderDecoder:
         target_cols = [self._target_columns(prep, cols)
                        for prep, cols in zip(prepared, columns)]
         # Each step reads the input of the previous target's column.
-        inputs = [[("word", SOS_ID)] + [cols.inputs[col] for col in tc[:-1].tolist()]
+        inputs = [np.concatenate(([SOS_ID], cols.inputs[tc[:-1]]))
                   for cols, tc in zip(columns, target_cols)]
         walk = self._walk(enc, inputs)
         self._heads(enc, walk)
@@ -871,25 +870,24 @@ class EncoderDecoder:
                 positions.append([])
             root_cols.append(col_of[root])
             positions[col_of[root]].append(i)
-        words, qid_of, word_inputs, ids = self._list_words
+        words, qid_of, word_inputs = self._list_words
         # A list word that is a root takes the root's column; the others
         # follow the roots, by id.
         shared = sorted(qid_of[root] for root in col_of if root in qid_of)
-        list_only, list_inputs, quest_ids = list(words), list(word_inputs), list(ids)
-        for qid in reversed(shared):
-            del list_only[qid], list_inputs[qid], quest_ids[qid]
-        n_words = len(col_of) + len(list_only)
         keep = np.ones(len(words), dtype=bool)
         keep[shared] = False
+        quest_ids = np.flatnonzero(keep)
+        n_words = len(col_of) + len(quest_ids)
         list_col = np.empty(len(words), dtype=np.intp)
         list_col[keep] = np.arange(len(col_of), n_words)
         list_col[shared] = [col_of[words[qid]] for qid in shared]
+        root_inputs = np.array([self.vocab.encoder_id(root) for root in col_of], dtype=np.intp)
         return OutcomeColumns(
-            words=tuple(col_of) + tuple(list_only),
-            inputs=tuple([("word", self.vocab.encoder_id(root)) for root in col_of]
-                         + list_inputs) + TAG_INPUTS,
+            words=tuple(col_of) + tuple(words[qid] for qid in quest_ids.tolist()),
+            inputs=np.concatenate([root_inputs, word_inputs[keep],
+                                   self.vocab.encoder_size + np.arange(len(ALL_TYPES))]),
             positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
-            quest_ids=tuple(quest_ids),
+            quest_ids=quest_ids,
             route_col=np.concatenate([np.array(root_cols, dtype=np.intp), list_col,
                                       np.arange(n_words, n_words + len(ALL_TYPES), dtype=np.intp)]),
         )

@@ -7,6 +7,7 @@ import pytest
 
 from morphoqg import bench, generate
 from morphoqg.bench import FULL_SCALE_REFERENCE, PAIRS, _model_and_source, bench_decode
+from morphoqg.codec import SOS_ID
 from morphoqg.errors import RuntimeFailure
 from morphoqg.generate import BeamResult
 
@@ -24,7 +25,7 @@ class TestModelAndSource:
         assert len(prep.roots) == 8
         enc = model.encode(prep)
         state = model.step(enc, enc["s0"][None, :],
-                           np.zeros((1, 16), dtype=model.dtype), [("word", 2)])
+                           np.zeros((1, 16), dtype=model.dtype), [SOS_ID])
         mass = model.outcome_mass(state, model.outcome_columns(prep.roots))
         assert mass.shape == (1, 8 + 40 + 9)
         assert mass.sum() == pytest.approx(1.0, abs=1e-5)

@@ -109,14 +109,15 @@ def target_columns(model, prep):
 
 
 def reference_input_spec(model, action, roots):
-    """The decoder input that follows ``action``, written from the
-    definition and independent of the outcome columns: the encoder row of
-    the word a copy or a list word emits, or the tag's row."""
+    """The decoder input id that follows ``action``, written from the
+    definition and independent of the outcome columns: the encoder id of
+    the word a copy or a list word emits, or the tag's index after the
+    encoder vocabulary."""
     if isinstance(action, Copy):
-        return ("word", model.vocab.encoder_id(roots[action.index]))
+        return model.vocab.encoder_id(roots[action.index])
     if isinstance(action, Quest):
-        return ("word", model.vocab.encoder_id(model.vocab.quest_word(action.word_id)))
-    return ("trans", action.type.index)
+        return model.vocab.encoder_id(model.vocab.quest_word(action.word_id))
+    return model.vocab.encoder_size + action.type.index
 
 
 def column_input(model, prep, t):
@@ -135,30 +136,31 @@ class TestPrepare:
         model = tiny_model()
         prep = model.prepare(flagship_example())
         seen = []
-        embed = model.input_embedding
+        walk = model._walk
 
-        def recorded(spec):  # the list call, not the per-spec calls it makes
-            if isinstance(spec, list):
-                seen.append(spec)
-            return embed(spec)
+        def recorded(enc, inputs):
+            seen.append(inputs)
+            return walk(enc, inputs)
 
-        monkeypatch.setattr(model, "input_embedding", recorded)
+        monkeypatch.setattr(model, "_walk", recorded)
         model.loss_and_grads([prep], grads=None)
         columns, cols = target_columns(model, prep)
-        assert seen == [[("word", SOS_ID)] + [columns.inputs[c] for c in cols[:-1]]]
+        [[ids]] = seen
+        assert ids.dtype == np.intp
+        assert ids.tolist() == [SOS_ID] + [int(columns.inputs[c]) for c in cols[:-1]]
 
     def test_quest_word_missing_from_encoder_vocab_feeds_unk(self):
         model = tiny_model()
         prep = model.prepare(flagship_example())
         # Input for step 2 embeds the previously emitted "when", which the
         # source-side vocabulary does not contain.
-        assert column_input(model, prep, 0) == ("word", UNK_ID)
-        assert reference_input_spec(model, prep.targets[0], prep.roots) == ("word", UNK_ID)
+        assert column_input(model, prep, 0) == UNK_ID
+        assert reference_input_spec(model, prep.targets[0], prep.roots) == UNK_ID
 
     def test_copy_input_uses_source_root_row(self):
         model = tiny_model()
         prep = model.prepare(flagship_example())
-        want = ("word", model.vocab.encoder_id("he"))
+        want = model.vocab.encoder_id("he")
         assert column_input(model, prep, 1) == want
         assert reference_input_spec(model, prep.targets[1], prep.roots) == want
 
@@ -168,7 +170,7 @@ class TestPrepare:
         columns, cols = target_columns(model, prep)
         assert prep.targets[3] == Trans(TransformationType.ED)
         assert cols[3] == len(columns.words) + TransformationType.ED.index
-        want = ("trans", TransformationType.ED.index)
+        want = model.vocab.encoder_size + TransformationType.ED.index
         assert column_input(model, prep, 3) == want
         assert reference_input_spec(model, prep.targets[3], prep.roots) == want
 
@@ -195,7 +197,7 @@ class TestPrepare:
         for example in examples:
             prep = model.prepare(example)
             columns, cols = target_columns(model, prep)
-            got = [columns.inputs[c] for c in cols]
+            got = columns.inputs[cols].tolist()
             assert got == [reference_input_spec(model, a, prep.roots) for a in prep.targets]
 
     def test_list_id_past_the_list_rejected(self):
@@ -255,8 +257,7 @@ class TestUniformAtZero:
             model.store[name] = np.zeros_like(arr)
         prep = model.prepare(flagship_example())
         enc = model.encode(prep)
-        state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype),
-                           ("word", SOS_ID))
+        state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype), SOS_ID)
         n = len(prep.roots)
         np.testing.assert_allclose(state["alpha"], np.full(n, 1.0 / n))
         np.testing.assert_allclose(state["p_copy"], np.full(n, 1.0 / n))
@@ -286,10 +287,10 @@ def reference_outcome_columns(model, roots):
     route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
     return OutcomeColumns(
         words=tuple(col_of),
-        inputs=tuple([("word", model.vocab.encoder_id(word)) for word in col_of]
-                     + [("trans", t.index) for t in ALL_TYPES]),
+        inputs=np.array([model.vocab.encoder_id(word) for word in col_of]
+                        + [model.vocab.encoder_size + t.index for t in ALL_TYPES], dtype=np.intp),
         positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
-        quest_ids=tuple(quest_ids),
+        quest_ids=np.array(quest_ids, dtype=np.intp),
         route_col=np.array(route_col, dtype=np.intp),
     )
 
@@ -302,7 +303,9 @@ class TestOutcomeColumns:
     def _assert_same(model, roots):
         got = model.outcome_columns(roots)
         want = reference_outcome_columns(model, roots)
-        assert (got.words, got.inputs, got.quest_ids) == (want.words, want.inputs, want.quest_ids)
+        assert got.words == want.words
+        for a, b in ((got.inputs, want.inputs), (got.quest_ids, want.quest_ids)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
         assert len(got.positions) == len(want.positions)
         for a, b in zip(got.positions, want.positions):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
@@ -334,6 +337,43 @@ class TestOutcomeColumns:
                 self._assert_same(model, tuple(rng.choice(pool, size=n).tolist()))
 
 
+class TestDecoderInputIds:
+    """Property: a decoder input is one intp id into the stacked rows
+    ``[emb/word; emb/trans]``: a word's encoder id, or tag ``t`` at
+    ``encoder_size + t.index``; ``input_embedding`` gathers those rows."""
+
+    def test_columns_hold_intp_id_arrays(self):
+        model = tiny_model()
+        columns = model.outcome_columns(("he", "zebra", "visit", "he"))
+        for ids in (columns.inputs, columns.quest_ids):
+            assert isinstance(ids, np.ndarray) and ids.dtype == np.intp
+        n_words = len(columns.words)
+        assert len(columns.inputs) == n_words + len(ALL_TYPES)
+        for t in ALL_TYPES:
+            assert columns.inputs[n_words + t.index] == model.vocab.encoder_size + t.index
+
+    @pytest.mark.parametrize("check_precision", [False, True])
+    def test_mixed_ids_gather_their_rows_bit_for_bit(self, check_precision):
+        """<sos>, a root, a list word, the last encoder row and every tag."""
+        model = tiny_model(seed=11)
+        model = model.to_check_precision() if check_precision else model
+        word, trans = model.store["emb/word"], model.store["emb/trans"]
+        n = model.vocab.encoder_size
+        words = [SOS_ID, model.vocab.encoder_id("visit"), model.vocab.encoder_id("the"), n - 1]
+        ids = np.array(words + [n + t.index for t in ALL_TYPES], dtype=np.intp)
+        got = model.input_embedding(ids)
+        want = np.concatenate([word[words], trans])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_scalar_id_gives_one_row(self):
+        model = tiny_model()
+        n = model.vocab.encoder_size
+        for ids, want in ((SOS_ID, model.store["emb/word"][SOS_ID]),
+                          (np.intp(n + 8), model.store["emb/trans"][8])):
+            row = model.input_embedding(ids)
+            assert row.shape == (TINY.word_dim,) and row.tobytes() == want.tobytes()
+
+
 class TestProbabilityMass:
     """Property: surface-outcome probabilities always sum to one."""
 
@@ -346,8 +386,7 @@ class TestProbabilityMass:
             for name, arr in model.store.items():
                 model.store[name] = rng.normal(scale=0.7, size=arr.shape)
             enc = model.encode(prep)
-            state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype),
-                               ("word", SOS_ID))
+            state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype), SOS_ID)
             words, _, tags = model.outcome_distribution(state, prep.roots)
             total = sum(words.values()) + sum(tags.values())
             assert abs(total - 1.0) < 1e-9
@@ -368,8 +407,7 @@ class TestProbabilityMass:
         )
         prep = model.prepare(example)
         enc = model.encode(prep)
-        state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype),
-                           ("word", SOS_ID))
+        state = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype), SOS_ID)
         words, _, _ = model.outcome_distribution(state, roots)
         sw = state["switch"]
         expected = (sw[SW_COPY] * (state["p_copy"][0] + state["p_copy"][2])
@@ -392,7 +430,7 @@ class TestProbabilityMass:
             enc = model.encode(prep)
             s, c = enc["s0"], np.zeros(8, dtype=model.dtype)
             want = 0.0
-            specs = [("word", SOS_ID)] + [reference_input_spec(model, a, prep.roots)
+            specs = [SOS_ID] + [reference_input_spec(model, a, prep.roots)
                                           for a in prep.targets[:-1]]
             for spec, action in zip(specs, prep.targets):
                 state = model.step(enc, s, c, spec)
@@ -661,7 +699,7 @@ class TestPaddedBatch:
         model = tiny_model(seed=5)
         preps = [model.prepare(ex) for ex in (longer_example(), edge_case_examples()[0])]
         enc = model._encode(preps, [None, None])
-        walk = model._walk(enc, [[("word", SOS_ID)] * 4, [("word", SOS_ID)] * 2])
+        walk = model._walk(enc, [np.full(4, SOS_ID), np.full(2, SOS_ID)])
         alpha = walk["alpha"]
         assert alpha.shape == (4, 2, 6)
         assert np.all(alpha[:, 1, 1:] == 0.0)
@@ -671,7 +709,7 @@ class TestPaddedBatch:
         model = tiny_model(dot_heads=True, seed=5)
         preps = [model.prepare(ex) for ex in (longer_example(), edge_case_examples()[0])]
         enc = model._encode(preps, [None, None])
-        walk = model._walk(enc, [[("word", SOS_ID)] * 4, [("word", SOS_ID)] * 2])
+        walk = model._walk(enc, [np.full(4, SOS_ID), np.full(2, SOS_ID)])
         p_copy = model._heads(enc, walk)["p_copy"]
         assert p_copy.shape == (4, 2, 6)
         assert np.all(p_copy[:, 1, 1:] == 0.0)
@@ -826,8 +864,8 @@ class TestTraining:
             read.update(prep.word_ids)
             columns = model.outcome_columns(prep.roots)
             for col in model._target_columns(prep, columns)[:-1].tolist():
-                kind, idx = columns.inputs[col]
-                if kind == "word":
+                idx = int(columns.inputs[col])
+                if idx < model.vocab.encoder_size:
                     read.add(idx)
         # Drop out the whole input row of the flagship's "park", a word that
         # no decoder step reads.
@@ -915,9 +953,8 @@ class TestDecoding:
             s, c = enc["s0"][None, :], np.zeros((1, TINY.hidden_size), dtype=model.dtype)
             walk = ()
             for _ in result.actions:
-                spec = (reference_input_spec(model, walk[-1], prep.roots) if walk
-                        else ("word", SOS_ID))
-                state = model.step(enc, s, c, [spec])
+                spec = reference_input_spec(model, walk[-1], prep.roots) if walk else SOS_ID
+                state = model.step(enc, s, c, np.array([spec]))
                 mass = model.outcome_mass(state, columns)[0].copy()
                 mass[[i for i, w in enumerate(columns.words) if w in blocked]] = -1.0
                 if not walk or isinstance(walk[-1], Trans):
@@ -1034,7 +1071,7 @@ class TestDecoding:
         model = tiny_model(dot_heads=dot_heads, seed=5)
         enc = model.encode(model.prepare(flagship_example()))
         s = np.repeat(enc["s0"][None, :], rows, axis=0)
-        state = model.step(enc, s, np.zeros_like(s), [("word", SOS_ID)] * rows)
+        state = model.step(enc, s, np.zeros_like(s), np.full(rows, SOS_ID))
         arrays = {key: value for key, value in state.items()
                   if isinstance(value, np.ndarray) and key not in ("z", "r")}
         assert {"s", "c", "alpha", "switch", "p_copy", "p_quest", "p_trans"} <= set(arrays)
@@ -1118,7 +1155,7 @@ def reference_beam_search(model, prep, beam_size=None, max_len=None):
             if hyp.actions:
                 spec = reference_input_spec(model, hyp.actions[-1], prep.roots)
             else:
-                spec = ("word", SOS_ID)
+                spec = SOS_ID
             state = model.step(enc, hyp.s, hyp.c, spec)
             word_probs, word_actions, tag_probs = reference_outcome_distribution(
                 model, state, prep.roots)
