@@ -12,8 +12,11 @@ positions holding that root plus, when the word is in the question-word
 list, the list route).  That mixing has one implementation,
 :meth:`EncoderDecoder.outcome_mass`: training reads each target's column
 of it and seeds the backward pass through the same route-to-column map,
-and beam search ranks its rows.  A column also names the decoder input
-of the next step as one id into the stacked rows ``[emb/word; emb/trans]``:
+and beam search ranks its rows.  It gathers each column's first route and
+adds the further ones (a root's other positions, then its list route)
+level by level, in route order, which gives the bytes of a scatter-add.
+A column also names the decoder input of the next step as one id into the
+stacked rows ``[emb/word; emb/trans]``:
 a tag's id comes after the encoder vocabulary so that a word's id is its
 encoder id, and training's teacher-forced inputs and the beam's next
 inputs are id arrays read from the chosen columns, embedded by one gather.
@@ -49,8 +52,10 @@ probability-mass check, which the test suite and ``selftest`` both run.
 
 Two output-layer regimes are provided: the default additive one (attention
 weights double as the copy distribution; deep maxout readouts for tags and
-list words) and a lighter dot-product one in which every head scores by a
-dot product against the decoder state.
+list words, where the list-word readout's answer-vector block is taken
+once per source rather than per row and step) and a lighter dot-product
+one in which every head scores by a dot product against the decoder
+state.
 """
 
 from __future__ import annotations
@@ -176,6 +181,13 @@ class OutcomeColumns:
     column, so the copy and list routes merge there.  Each column also
     names the id of the decoder input that follows it: its word's encoder
     id, or ``vocab.encoder_size + t.index`` for tag ``t``.
+
+    A root column's routes are its source positions in order and then,
+    for a list word, its list route; every other column has one route.
+    ``first_routes`` holds the first route of every column, and
+    ``route_levels[d]`` the columns that have a route at index ``d + 1``
+    with that route, which is how :meth:`EncoderDecoder.outcome_mass`
+    adds them up.
     """
 
     words: tuple[str, ...]           # the word of each word column
@@ -183,6 +195,8 @@ class OutcomeColumns:
     positions: tuple[Array, ...]     # source positions of each root column
     quest_ids: Array                 # list id of each list-only column, intp
     route_col: Array                 # column of each route, in ROUTES order
+    first_routes: Array              # first route of each column, intp
+    route_levels: tuple[tuple[Array, Array], ...]  # (columns, routes) per further route
 
     def action(self, col: int, p_copy: Array):
         """The action column ``col`` stands for, given one row of copy
@@ -457,7 +471,11 @@ class EncoderDecoder:
         Returns the example-major (B, n, d_h) outputs ``H`` and ``HA``, the
         (B, n) ``valid`` source mask, each example's answer vector
         ``v_answer`` and initial decoder state ``s0`` as (B, d_h) rows, and
-        the backward caches.
+        the backward caches.  In the additive design it also returns
+        ``g2_answer``, g2's answer block ``v_answer @ W_g2[:, :d_h].T + b_g2``
+        as (B, 2 d_h) rows: the part of g2's affine map that is the same at
+        every step of a source, which :meth:`_heads` adds to the product
+        of the rest, ``[s, c]``.
         """
         p = self.store
         lengths = np.array([len(prep.roots) for prep in prepared])
@@ -473,25 +491,33 @@ class EncoderDecoder:
         bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid, range(n - 1, -1, -1))
         H = (fwd_states + bwd_states).transpose(1, 0, 2).copy()
         bwd0 = bwd_states[0].copy()
-        return {
+        v_answer = np.array([np.mean(H[b, l : r + 1], axis=0)
+                             for b, (l, r) in enumerate(prep.span for prep in prepared)])
+        enc = {
             "prepared": prepared,
             "masks": masks_list,
             "valid": valid.T,
             "H": H,
             "HA": linear(p["att/A"], H),
-            "v_answer": np.array([np.mean(H[b, l : r + 1], axis=0)
-                                  for b, (l, r) in enumerate(prep.span for prep in prepared)]),
+            "v_answer": v_answer,
             "s0": np.tanh(affine(p["init/W"], p["init/b"], bwd0)),
             "bwd0": bwd0,
             "fwd_cache": fwd_cache,
             "bwd_cache": bwd_cache,
         }
+        if not self.hyper.dot_heads:
+            d_h = self.hyper.hidden_size
+            enc["g2_answer"] = affine(p["g2/W"][:, :d_h], p["g2/b"], v_answer)
+        return enc
 
     def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
         """Encode one source: the batch-of-one :meth:`_encode`, as that
-        example's ``H``, ``HA``, ``valid``, ``v_answer`` and ``s0``."""
+        example's ``H``, ``HA``, ``valid``, ``v_answer`` and ``s0``, and in
+        the additive design ``g2_answer``."""
         enc = self._encode([prep], [masks])
-        return {key: enc[key][0] for key in ("H", "HA", "valid", "v_answer", "s0")}
+        keys = ("H", "HA", "valid", "v_answer", "s0") + (() if self.hyper.dot_heads
+                                                         else ("g2_answer",))
+        return {key: enc[key][0] for key in keys}
 
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
                           ds0: Array, grads, word_ids: list) -> None:
@@ -606,7 +632,9 @@ class EncoderDecoder:
         """The non-recurrent half of a step: adds the switch and the three
         heads to a :meth:`_recurrence` state, a beam's (k, ·) rows against
         one source or a batch's (T, B, ·) teacher-forced steps against B
-        sources (:meth:`_walk`).  Each product takes all rows at once."""
+        sources (:meth:`_walk`).  Each product takes all rows at once; g2's
+        answer block comes from ``enc`` (:meth:`_encode`), one row per
+        source, and is not multiplied again per row or step."""
         p = self.store
         s, c, H = state["s"], state["c"], enc["H"]
         if self.hyper.dot_heads:
@@ -620,9 +648,9 @@ class EncoderDecoder:
             return state
         # No concatenation is kept: the backward pass reads its blocks.
         w = state["x"][..., : self.hyper.word_dim]
-        m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], np.concatenate([s, c], axis=-1))
-        v_answer = np.broadcast_to(enc["v_answer"], s.shape)
-        m2, max2 = maxout_affine(p["g2/W"], p["g2/b"], np.concatenate([v_answer, s, c], axis=-1))
+        sc = np.concatenate([s, c], axis=-1)
+        m1, max1 = maxout_affine(p["g1/W"], p["g1/b"], sc)
+        m2, max2 = maxout_affine(p["g2/W"][:, self.hyper.hidden_size :], enc["g2_answer"], sc)
         state.update(p_copy=state["alpha"], p_trans=softmax(affine(p["g1/Wo"], p["g1/bo"], m1)),
                      p_quest=softmax(affine(p["g2/Wo"], p["g2/bo"], m2)),
                      switch=softmax(affine(p["switch/W"], p["switch/b"],
@@ -864,12 +892,25 @@ class EncoderDecoder:
         col_of: dict[str, int] = {}
         positions: list[list[int]] = []
         root_cols = []
+        # levels[d]: the columns with a route at index d + 1, and that route.
+        levels: list[tuple[list[int], list[int]]] = []
+
+        def add_route(depth: int, col: int, route: int) -> None:
+            if depth == len(levels):
+                levels.append(([], []))
+            levels[depth][0].append(col)
+            levels[depth][1].append(route)
+
         for i, root in enumerate(roots):
             if root not in col_of:
                 col_of[root] = len(positions)
                 positions.append([])
-            root_cols.append(col_of[root])
-            positions[col_of[root]].append(i)
+            col = col_of[root]
+            root_cols.append(col)
+            pos = positions[col]
+            if pos:
+                add_route(len(pos) - 1, col, i)
+            pos.append(i)
         words, qid_of, word_inputs = self._list_words
         # A list word that is a root takes the root's column; the others
         # follow the roots, by id.
@@ -881,6 +922,10 @@ class EncoderDecoder:
         list_col = np.empty(len(words), dtype=np.intp)
         list_col[keep] = np.arange(len(col_of), n_words)
         list_col[shared] = [col_of[words[qid]] for qid in shared]
+        n_copy = len(roots)
+        for qid in shared:  # after the root's positions
+            col = col_of[words[qid]]
+            add_route(len(positions[col]) - 1, col, n_copy + qid)
         root_inputs = np.array([self.vocab.encoder_id(root) for root in col_of], dtype=np.intp)
         return OutcomeColumns(
             words=tuple(col_of) + tuple(words[qid] for qid in quest_ids.tolist()),
@@ -890,6 +935,11 @@ class EncoderDecoder:
             quest_ids=quest_ids,
             route_col=np.concatenate([np.array(root_cols, dtype=np.intp), list_col,
                                       np.arange(n_words, n_words + len(ALL_TYPES), dtype=np.intp)]),
+            first_routes=np.concatenate([
+                np.array([pos[0] for pos in positions], dtype=np.intp), n_copy + quest_ids,
+                np.arange(n_copy + len(words), n_copy + len(words) + len(ALL_TYPES))]),
+            route_levels=tuple((np.array(cols, dtype=np.intp), np.array(routes, dtype=np.intp))
+                               for cols, routes in levels),
         )
 
     def outcome_mass(self, state: dict, columns: OutcomeColumns) -> Array:
@@ -902,14 +952,20 @@ class EncoderDecoder:
         source position holding it and then its list-word mass.  Each unit
         of switch mass lands in exactly one column, so a row sums to 1 up to
         rounding.
+
+        The sum is no scatter-add: a gather takes every column's first
+        route, and each level of ``columns.route_levels`` adds one further
+        route to the columns that have it.  That is the float64 sum of
+        ``np.add.at`` from zero, byte for byte, since ``0.0 + x`` is ``x``
+        for every mass (a product of two probabilities is never ``-0.0``).
         """
         switch = state["switch"]
         routes = np.concatenate([switch[..., sw, None] * state[head] for sw, head in ROUTES],
-                                axis=-1).astype(np.float64)
-        # Column-major, so the scatter-add indexes the first axis.
-        mass = np.zeros((len(columns.words) + len(ALL_TYPES),) + switch.shape[:-1])
-        np.add.at(mass, columns.route_col, routes.T)
-        return mass.T
+                                axis=-1)
+        mass = routes.take(columns.first_routes, axis=-1).astype(np.float64)
+        for cols, more in columns.route_levels:
+            mass[..., cols] = mass.take(cols, axis=-1) + routes.take(more, axis=-1)
+        return mass
 
     def outcome_distribution(self, state: dict, roots: Sequence[str]):
         """Dict view of one row of :meth:`outcome_mass`.

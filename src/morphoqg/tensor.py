@@ -12,7 +12,10 @@ against central finite differences.  Every forward weight product goes
 through ``linear``, which puts the weight on the left (``W @ rows.T``)
 so that BLAS packs it in its stored row order, and hands the rows back
 C-contiguous so that the last-axis sums after it (``softmax``) add
-along each row in memory order.
+along each row in memory order.  No kernel selects element by element
+with ``np.where``: ``sigmoid`` and the maxout forward take ``np.maximum``
+and the maxout backward multiplies by the winner masks, so a
+data-dependent mask costs no mispredicted branch.
 :class:`Adam` scales the gradients it is given, clips them and updates
 each tensor in place, in blocks through one scratch buffer; a tensor
 given with a row set (the batch's rows of ``emb/word``) has only those
@@ -58,9 +61,16 @@ RECURRENT_INIT_SCALE = 0.08
 
 
 def sigmoid(x: Array) -> Array:
-    """Logistic function, computed in an overflow-safe form."""
+    """Logistic function, computed in an overflow-safe form.
+
+    With ``e = exp(-|x|)``, which never overflows, the value is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.  The
+    numerator is taken without a per-element branch as ``max(e, x >= 0)``:
+    1 where ``x >= 0`` (``e`` is at most 1 there) and ``e`` elsewhere, so
+    the bytes are those of the two-branch form, ``-0.0`` giving 0.5 and a
+    NaN giving NaN."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1 + e)
 
 
 def softmax(x: Array) -> Array:
@@ -116,19 +126,32 @@ def maxout_affine(W: Array, b: Array, u: Array) -> tuple[Array, Array]:
     into two halves, the pieces, and each hidden unit takes the larger
     piece.  Ties pick the first.  ``winners`` is True where the second
     piece won, which is the index of the winning piece.  ``u`` is one row
-    or rows with any leading axes.
+    or rows with any leading axes; ``b`` may be rows too, broadcast against
+    them.
+
+    The larger piece is ``np.maximum(second, first)``, with no per-element
+    branch.  On finite pieces it is the winner's value byte for byte; on a
+    tie of ``+0.0`` and ``-0.0`` it is the first piece's zero, as a tie
+    picks the first.  A NaN in either piece gives NaN, and ``winners`` is
+    then False.
     """
     a = affine(W, b, u)
     pieces = a.reshape(a.shape[:-1] + (2, -1))
     winners = pieces[..., 1, :] > pieces[..., 0, :]
-    return np.where(winners, pieces[..., 1, :], pieces[..., 0, :]), winners
+    return np.maximum(pieces[..., 1, :], pieces[..., 0, :]), winners
 
 
 def maxout_affine_backward(winners: Array, d_hidden: Array) -> Array:
     """Gradient at the affine output: each unit's gradient goes to its
-    winning piece, and the other piece gets zero."""
-    pieces = np.where(winners[..., None, :] == np.arange(2)[:, None],
-                      d_hidden[..., None, :], 0)
+    winning piece, and the other piece gets zero.
+
+    Each piece's gradient is ``d_hidden`` times that piece's winner mask,
+    with no per-element branch.  The losing piece therefore gets ``-0.0``
+    where ``d_hidden`` is negative, and NaN where it is infinite or NaN."""
+    second = np.asarray(winners, dtype=bool)
+    pieces = np.empty(d_hidden.shape[:-1] + (2,) + d_hidden.shape[-1:], dtype=d_hidden.dtype)
+    np.multiply(d_hidden, ~second, out=pieces[..., 0, :])
+    np.multiply(d_hidden, second, out=pieces[..., 1, :])
     return pieces.reshape(d_hidden.shape[:-1] + (-1,))
 
 

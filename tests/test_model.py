@@ -285,6 +285,13 @@ def reference_outcome_columns(model, roots):
     route_col = [col_of[root] for root in roots]
     route_col += [col_of[word] for word in model.vocab.quest_vocab]
     route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
+    # Each column's routes in route order; level d holds every column's
+    # route at index d + 1.
+    chains = [[] for _ in range(len(col_of) + len(ALL_TYPES))]
+    for route, col in enumerate(route_col):
+        chains[col].append(route)
+    levels = [[(col, chain[d]) for col, chain in enumerate(chains) if len(chain) > d]
+              for d in range(1, max(map(len, chains)))]
     return OutcomeColumns(
         words=tuple(col_of),
         inputs=np.array([model.vocab.encoder_id(word) for word in col_of]
@@ -292,6 +299,10 @@ def reference_outcome_columns(model, roots):
         positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
         quest_ids=np.array(quest_ids, dtype=np.intp),
         route_col=np.array(route_col, dtype=np.intp),
+        first_routes=np.array([chain[0] for chain in chains], dtype=np.intp),
+        route_levels=tuple((np.array([col for col, _ in level], dtype=np.intp),
+                            np.array([route for _, route in level], dtype=np.intp))
+                           for level in levels),
     )
 
 
@@ -309,8 +320,14 @@ class TestOutcomeColumns:
         assert len(got.positions) == len(want.positions)
         for a, b in zip(got.positions, want.positions):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
-        assert got.route_col.dtype == want.route_col.dtype
-        assert got.route_col.tolist() == want.route_col.tolist()
+        for a, b in ((got.route_col, want.route_col), (got.first_routes, want.first_routes)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        # A level's order does not matter: each column appears once in it.
+        assert len(got.route_levels) == len(want.route_levels)
+        for (cols, routes), (want_cols, want_routes) in zip(got.route_levels, want.route_levels):
+            assert cols.dtype == routes.dtype == np.intp
+            assert sorted(zip(cols.tolist(), routes.tolist())) == list(zip(want_cols.tolist(),
+                                                                           want_routes.tolist()))
 
     @pytest.mark.parametrize("roots", [
         (),
@@ -445,6 +462,122 @@ class TestProbabilityMass:
             loss, tokens = model.loss_and_grads([prep], grads=None)
             assert tokens == len(prep.targets)
             assert loss == pytest.approx(want, rel=1e-12)
+
+
+def reference_outcome_mass(state, columns):
+    """The scatter-add form of the mixing, kept as the oracle for
+    ``outcome_mass``: every route's float64 mass added into its column
+    with one ``np.add.at``, from zero, in route order."""
+    switch = state["switch"]
+    routes = np.concatenate([switch[..., sw, None] * state[head] for sw, head in model_mod.ROUTES],
+                            axis=-1).astype(np.float64)
+    mass = np.zeros((len(columns.words) + len(ALL_TYPES),) + switch.shape[:-1])
+    np.add.at(mass, columns.route_col, routes.T)
+    return mass.T
+
+
+def random_state(rng, shape, columns, dtype):
+    """Softmax-shaped switch and heads over ``columns``' routes, ``shape``
+    rows of them."""
+    n_copy = sum(map(len, columns.positions))
+    n_list = len(columns.route_col) - n_copy - len(ALL_TYPES)
+    return {key: rng.dirichlet(np.ones(size), size=shape or None).astype(dtype)
+            for key, size in (("switch", 3), ("p_copy", n_copy), ("p_quest", n_list),
+                              ("p_trans", len(ALL_TYPES)))}
+
+
+class TestOutcomeMassGather:
+    """Property: ``outcome_mass`` gathers each column's first route and adds
+    the further routes level by level, in route order: the bytes of one
+    ``np.add.at`` from zero."""
+
+    # "he" is a root at three positions and a list word: four routes.
+    ROOTS = ("he", "visit", "he", "the", "zebra", "he", "park", "the")
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    @pytest.mark.parametrize("check_precision", [False, True])
+    def test_model_states_mix_to_the_scatter_add_bytes(self, dot_heads, check_precision):
+        model = tiny_model(dot_heads=dot_heads, seed=23)
+        model = model.to_check_precision() if check_precision else model
+        rng = np.random.default_rng(31)
+        for name, arr in model.store.items():
+            model.store[name] = rng.normal(scale=0.5, size=arr.shape)
+        prep = model.prepare(EncodedExample(
+            source_roots=list(self.ROOTS), source_features=[("NNP", "O", "O")] * 7
+            + [("NN", "O", "B")], answer_span=(7, 7), target_actions=[],
+            reference_question=[]))
+        columns = model.outcome_columns(prep.roots)
+        he = columns.words.index("he")
+        assert len(columns.positions[he]) == 3 and "he" in QUEST_WORDS
+        assert [he in cols.tolist() for cols, _routes in columns.route_levels] == [True] * 3
+        enc = model.encode(prep)
+        one = model.step(enc, enc["s0"], np.zeros(8, dtype=model.dtype), SOS_ID)
+        ids = columns.inputs[rng.integers(0, len(columns.inputs), size=5)]
+        rows = model.step(enc, rng.normal(size=(5, 8)).astype(model.dtype),
+                          rng.normal(size=(5, 8)).astype(model.dtype), ids)
+        for state in (one, rows):
+            got, want = model.outcome_mass(state, columns), reference_outcome_mass(state, columns)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_random_sources_mix_to_the_scatter_add_bytes(self):
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(40)]
+        vocab = Vocab(RESERVED + words[:30], RESERVED + words[10:40])
+        model = EncoderDecoder(TINY, vocab, POS_TAGS, NER_TAGS)
+        pool = words[:12] + ["unknown"]  # a dozen roots repeat in long sources
+        for n in list(range(0, 10)) + [40, 128]:
+            columns = model.outcome_columns(tuple(rng.choice(pool, size=n).tolist()))
+            for shape, dtype in (((), np.float32), ((3,), np.float32), ((4,), np.float64)):
+                state = random_state(rng, shape, columns, dtype)
+                got = model.outcome_mass(state, columns)
+                assert got.tobytes() == reference_outcome_mass(state, columns).tobytes()
+
+
+class TestAnswerBlock:
+    """Property: in the additive design g2's answer block
+    ``v_answer @ W_g2[:, :d_h].T + b_g2`` is taken once per source, and the
+    heads give the probabilities of the one product over ``[v_answer, s, c]``."""
+
+    def test_encode_carries_the_block_for_the_additive_design_only(self):
+        for dot_heads in (False, True):
+            model = tiny_model(dot_heads=dot_heads)
+            enc = model.encode(model.prepare(flagship_example()))
+            assert ("g2_answer" in enc) == (not dot_heads)
+        model = tiny_model().to_check_precision()
+        rng = np.random.default_rng(2)
+        for name, arr in model.store.items():
+            model.store[name] = rng.normal(scale=0.5, size=arr.shape)
+        enc = model.encode(model.prepare(flagship_example()))
+        W, b = model.store["g2/W"], model.store["g2/b"]
+        assert enc["g2_answer"].shape == (2 * TINY.hidden_size,)
+        np.testing.assert_allclose(enc["g2_answer"], W[:, : TINY.hidden_size] @ enc["v_answer"] + b,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [None, 5])
+    def test_step_p_quest_matches_the_single_product_form(self, k):
+        """On the float64 twin, to within 1e-12: only the order of the
+        float additions changed."""
+        model = tiny_model(seed=3).to_check_precision()
+        rng = np.random.default_rng(4)
+        for name, arr in model.store.items():
+            model.store[name] = rng.normal(scale=0.5, size=arr.shape)
+        prep = model.prepare(flagship_example())
+        enc = model.encode(prep)
+        columns = model.outcome_columns(prep.roots)
+        shape = (8,) if k is None else (k, 8)
+        ids = SOS_ID if k is None else columns.inputs[rng.integers(0, len(columns.inputs), size=k)]
+        s_prev, c_prev = rng.normal(size=shape), rng.normal(size=shape)
+        state = model.step(enc, s_prev, c_prev, ids)
+        p = model.store
+        u = np.concatenate([np.broadcast_to(enc["v_answer"], shape), state["s"], state["c"]],
+                           axis=-1)
+        pieces = (u @ p["g2/W"].T + p["g2/b"]).reshape(u.shape[:-1] + (2, -1))
+        logits = pieces.max(axis=-2) @ p["g2/Wo"].T + p["g2/bo"]
+        want = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want /= want.sum(axis=-1, keepdims=True)
+        assert state["p_quest"].shape == want.shape
+        assert np.max(np.abs(state["p_quest"] - want)) < 1e-12
 
 
 def edge_case_examples() -> list[EncodedExample]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphoqg import tensor as tensor_mod
 from morphoqg.errors import FileError, ParseError
 from morphoqg.tensor import (
     CHECKSUM_KEY,
@@ -253,6 +254,63 @@ class TestMaxout:
         pieces = (W @ U[0] + b).reshape(2, -1)
         np.testing.assert_array_equal(rows[0][0], pieces.max(axis=0))
         np.testing.assert_array_equal(rows[0][1], pieces.argmax(axis=0))
+
+    @staticmethod
+    def _select_forward(pieces):
+        """The two-branch form the forward pass replaced, kept as the oracle."""
+        first, second = pieces[..., 0, :], pieces[..., 1, :]
+        return np.where(second > first, second, first), second > first
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_the_select_form_bit_for_bit(self, monkeypatch, dtype):
+        """On finite pieces, ties included (equal values, and +0.0 against
+        -0.0 in either order), ``np.maximum`` gives the select's bytes.
+        The pieces are fed to the kernel as its affine output, and the
+        shapes give rows shorter and longer than a SIMD register."""
+        values = np.array([-1.5, -0.0, 0.0, 1.0, 2.5], dtype=dtype)
+        for shape in ((1, 1), (3, 7), (4, 33), (2, 5, 64)):
+            pieces = RNG.choice(values, size=shape[:-1] + (2, shape[-1]))
+            monkeypatch.setattr(tensor_mod, "affine",
+                                lambda W, b, u, a=pieces.reshape(shape[:-1] + (-1,)): a)
+            hidden, winners = maxout_affine(None, None, None)
+            want, want_winners = self._select_forward(pieces)
+            assert hidden.dtype == dtype and hidden.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(winners, want_winners)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_on_an_affine_map_equals_the_select_form(self, dtype):
+        """Small integers make many ties among the pieces of a real affine map."""
+        W = RNG.integers(-3, 4, size=(40, 6)).astype(dtype)
+        b = RNG.integers(-3, 4, size=40).astype(dtype)
+        u = RNG.integers(-2, 3, size=(9, 6)).astype(dtype)
+        hidden, winners = maxout_affine(W, b, u)
+        want, want_winners = self._select_forward(affine(W, b, u).reshape(9, 2, 20))
+        assert hidden.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(winners, want_winners)
+
+    def test_a_nan_piece_gives_nan(self, monkeypatch):
+        pieces = np.array([[np.nan, 1.0], [1.0, np.nan]])
+        monkeypatch.setattr(tensor_mod, "affine", lambda W, b, u: pieces.ravel())
+        hidden, winners = maxout_affine(None, None, None)
+        assert np.isnan(hidden).all() and not winners.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_the_select_form_up_to_the_sign_of_zero(self, dtype):
+        """Multiplying by the winner mask gives the select's values; the
+        bytes differ only at a losing piece whose unit's gradient is
+        negative, which gets -0.0 for the select's +0.0."""
+        winners = RNG.random((5, 37)) > 0.5
+        d_hidden = RNG.standard_normal((5, 37)).astype(dtype)
+        d_hidden[0, :2] = [0.0, -0.0]
+        got = maxout_affine_backward(winners, d_hidden)
+        want = np.where(winners[..., None, :] == np.arange(2)[:, None],
+                        d_hidden[..., None, :], 0).reshape(5, -1)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        flipped = got.ravel().view(f"u{got.itemsize}") != want.ravel().view(f"u{got.itemsize}")
+        losers = np.concatenate([winners, ~winners], axis=1).ravel()  # piece 0, then piece 1
+        np.testing.assert_array_equal(flipped, losers & np.signbit(np.tile(d_hidden, 2).ravel()))
+        assert flipped.any() and (got.ravel()[flipped] == 0).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_batch_rows_match_1d_calls(self, dtype):
