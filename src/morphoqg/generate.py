@@ -117,7 +117,8 @@ def beam_search(
     finished: list[BeamResult] = []
     best = -np.inf  # the best finished score so far
     # The most one log-mass can exceed 0 by, rounding included (see above).
-    slack = 2 * (len(columns.route_col) + 4) * np.finfo(model.dtype).eps + limit * 2.0 ** -40
+    n_routes = len(prep.roots) + model.vocab.quest_size + len(ALL_TYPES)
+    slack = 2 * (n_routes + 4) * np.finfo(model.dtype).eps + limit * 2.0 ** -40
 
     for steps in range(1, limit + 1):
         state = model.step(enc, s, c, inputs)

@@ -9,17 +9,21 @@ before it.  At every step a three-way switch mixes the three action
 distributions, and the probability of producing a given surface word
 marginalises over every action that could have produced it (all copyable
 positions holding that root plus, when the word is in the question-word
-list, the list route).  That mixing has one implementation,
-:meth:`EncoderDecoder.outcome_mass`: training reads each target's column
-of it and seeds the backward pass through the same route-to-column map,
-and beam search ranks its rows.  It gathers each column's first route and
-adds the further ones (a root's other positions, then its list route)
-level by level, in route order, which gives the bytes of a scatter-add.
-A column also names the decoder input of the next step as one id into the
-stacked rows ``[emb/word; emb/trans]``:
+list, the list route).  That mixing has one sum, :func:`_add_routes`: a
+gather of each outcome's first route, then the further ones (a root's
+other positions, then its list route) added level by level in float64 and
+route order, which gives the bytes of a scatter-add.  Beam search ranks
+the rows of :meth:`EncoderDecoder.outcome_mass`, which sums every column
+of a source's layout (:class:`OutcomeColumns`).  Training needs only each
+target's own outcome, so :meth:`EncoderDecoder.prepare` resolves every
+target to its routes once, and a batch's loss is one pass of the same sum
+over the routes of all its targets, whose gradient seeds the switch and
+heads of all its steps at once.  An outcome also names the decoder input
+of the next step as one id into the stacked rows ``[emb/word; emb/trans]``:
 a tag's id comes after the encoder vocabulary so that a word's id is its
-encoder id, and training's teacher-forced inputs and the beam's next
-inputs are id arrays read from the chosen columns, embedded by one gather.
+encoder id, and training's teacher-forced inputs (kept by ``prepare``) and
+the beam's next inputs (read from the chosen columns) are id arrays,
+embedded by one gather.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask, and ``linear`` and
@@ -35,14 +39,14 @@ encoder step keeps its state, a padded source position gets a ``-inf``
 attention (and dot-head copy) logit, and padded decoder steps come after
 the real ones and get no gradient.  The switch and the heads run once on
 the walk's (T, B, ·) stacks, forward and backward, padded steps seeded
-with zero; only the mixing and the loss take each example's own rows, as
-each example has its own outcome columns.  Only the attention and the
+with zero, and so do the loss and its seeds.  Only the attention and the
 GRU carries walk the steps in reverse; they recompute each step's
 attention pre-activations instead of keeping them and store each step's
 gate gradients, so that every weight gradient is one matrix product over
 the batch's rows.  The input-row gradient goes into the word,
-answer-position, entity and POS tables with one ``np.add.at`` per table,
-example by example; the word ids it goes to are the row set of the
+answer-position, entity and POS tables with one ``np.add.at`` per table
+over the batch's rows in example-major order, the order that adds a
+repeated id's rows; the word ids it goes to are the row set of the
 optimiser's row-sparse ``emb/word`` update.  :meth:`EncoderDecoder.encode`
 is the batch of one, which beam search uses; beam search runs the decoder
 step on a (k, d_h) batch of all live hypotheses and mixes the three routes
@@ -61,13 +65,14 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
-from .errors import DivergenceError, ParseError, ShapeMismatch
+from .errors import DivergenceError, IndexOutOfVocab, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
 from .tensor import (Array, ParameterStore, affine, affine_backward, check_sidecar,
                      dropout_mask, linear, load_checkpoint, maxout_affine,
@@ -95,6 +100,29 @@ UNKNOWN_TAG = "<unk>"
 def _rows(a: Array) -> Array:
     """``a`` as a 2-D stack of its last-axis rows."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _step_mask(inputs: Sequence[Array]) -> Array:
+    """The (B, T) mask of a batch's teacher-forced steps: row ``b`` is True
+    at the steps of ``inputs[b]``, T being the longest."""
+    lengths = np.array([len(ids) for ids in inputs])
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _add_routes(routes: Array, first: Array,
+                levels: Iterable[tuple[Array, Array]]) -> Array:
+    """The one sum of the outcome mass: for each outcome, the float64 sum of
+    its routes' masses in route order, over the last axis of ``routes``.
+
+    ``first`` holds each outcome's first route, and each ``(outcomes,
+    more)`` level adds one further route to the outcomes that have one.
+    That is the float64 sum of ``np.add.at`` from zero, byte for byte,
+    since ``0.0 + x`` is ``x`` for every mass (a product of two
+    probabilities is never ``-0.0``)."""
+    mass = routes.take(first, axis=-1).astype(np.float64)
+    for outcomes, more in levels:
+        mass[..., outcomes] = mass.take(outcomes, axis=-1) + routes.take(more, axis=-1)
+    return mass
 
 
 # The sizes a checkpoint's hyperparameters must give as 1 or more.
@@ -159,7 +187,16 @@ def tag_index(tag_list: Sequence[str], tag: str) -> int:
 
 @dataclass(frozen=True)
 class PreparedExample:
-    """An encoded example resolved to integer ids and target actions."""
+    """An encoded example resolved to integer ids and target actions.
+
+    Each target is also resolved to the routes that emit its surface word
+    or tag, in route order: the source positions holding its word, then
+    the word's list route, or the tag's route.  A route is a (switch slot,
+    index into that slot's head) pair.  ``inputs`` holds the decoder
+    input id of each teacher-forced step: ``<sos>``, then that of every
+    target but the last.  These arrays derive from the fields above and
+    the model's vocabulary, so they take no part in equality or hashing.
+    """
 
     roots: tuple[str, ...]
     word_ids: tuple[int, ...]
@@ -168,6 +205,9 @@ class PreparedExample:
     pos_ids: tuple[int, ...]
     span: tuple[int, int]
     targets: tuple[TargetAction, ...]  # the target actions, then Quest(EOS_ID)
+    inputs: Array = field(compare=False, repr=False)        # (T,) intp
+    route_counts: Array = field(compare=False, repr=False)  # routes of each target, (T,) intp
+    routes: Array = field(compare=False, repr=False)        # (routes, 2) intp
     reference: str = ""
 
 
@@ -182,19 +222,19 @@ class OutcomeColumns:
     names the id of the decoder input that follows it: its word's encoder
     id, or ``vocab.encoder_size + t.index`` for tag ``t``.
 
-    A root column's routes are its source positions in order and then,
-    for a list word, its list route; every other column has one route.
-    ``first_routes`` holds the first route of every column, and
-    ``route_levels[d]`` the columns that have a route at index ``d + 1``
-    with that route, which is how :meth:`EncoderDecoder.outcome_mass`
-    adds them up.
+    The routes are numbered in ROUTES order: each source position, each
+    list word, each tag.  A root column's routes are its source positions
+    in order and then, for a list word, its list route; every other column
+    has one route.  ``first_routes`` holds the first route of every
+    column, and ``route_levels[d]`` the columns that have a route at index
+    ``d + 1`` with that route, which is how :func:`_add_routes` adds
+    them up.
     """
 
     words: tuple[str, ...]           # the word of each word column
     inputs: Array                    # decoder input id of each column, intp
     positions: tuple[Array, ...]     # source positions of each root column
     quest_ids: Array                 # list id of each list-only column, intp
-    route_col: Array                 # column of each route, in ROUTES order
     first_routes: Array              # first route of each column, intp
     route_levels: tuple[tuple[Array, Array], ...]  # (columns, routes) per further route
 
@@ -318,6 +358,10 @@ class EncoderDecoder:
     # ------------------------------------------------------------------
 
     def prepare(self, example: EncodedExample) -> PreparedExample:
+        """Resolve ids, and each target's routes and next decoder input
+        (see :class:`PreparedExample`).  A copy index outside the source or
+        a list id outside the list raises :class:`IndexOutOfVocab`: either
+        would name another outcome's route."""
         roots = tuple(example.source_roots)
         word_ids = tuple(self.vocab.encoder_id(r) for r in roots)
         bio_ids, ner_ids, pos_ids = [], [], []
@@ -325,10 +369,33 @@ class EncoderDecoder:
             bio_ids.append(tag_index(BIO_TAGS, bio))
             ner_ids.append(tag_index(self.ner_tags, ner))
             pos_ids.append(tag_index(self.pos_tags, pos))
-        for action in example.target_actions:
-            if isinstance(action, Quest):
-                # An id past the list would index a tag's route in _target_columns.
-                self.vocab.quest_word(action.word_id)
+        targets = tuple(example.target_actions) + (Quest(EOS_ID),)
+        positions: dict[str, list[int]] = {}
+        for i, root in enumerate(roots):
+            positions.setdefault(root, []).append(i)
+        _words, qid_of, word_inputs = self._list_words
+        feeds, counts, routes = [SOS_ID], [], []
+        for action in targets:
+            if isinstance(action, Trans):
+                feeds.append(self.vocab.encoder_size + action.type.index)
+                counts.append(1)
+                routes += (SW_TRANS, action.type.index)
+                continue
+            if isinstance(action, Copy):
+                if not 0 <= action.index < len(roots):
+                    raise IndexOutOfVocab(f"copy index {action.index} outside source "
+                                          f"of {len(roots)} tokens")
+                word, qid = roots[action.index], qid_of.get(roots[action.index])
+                feeds.append(word_ids[action.index])
+            else:
+                word, qid = self.vocab.quest_word(action.word_id), action.word_id
+                feeds.append(int(word_inputs[qid]))
+            copies = positions.get(word, ())
+            counts.append(len(copies) + (qid is not None))
+            for i in copies:
+                routes += (SW_COPY, i)
+            if qid is not None:
+                routes += (SW_QUEST, qid)
         return PreparedExample(
             roots=roots,
             word_ids=word_ids,
@@ -336,8 +403,11 @@ class EncoderDecoder:
             ner_ids=tuple(ner_ids),
             pos_ids=tuple(pos_ids),
             span=example.answer_span,
-            targets=tuple(example.target_actions) + (Quest(EOS_ID),),
+            targets=targets,
             reference=" ".join(example.reference_question),
+            inputs=np.array(feeds[:-1], dtype=np.intp),
+            route_counts=np.array(counts, dtype=np.intp),
+            routes=np.array(routes, dtype=np.intp).reshape(-1, 2),
         )
 
     # ------------------------------------------------------------------
@@ -350,12 +420,15 @@ class EncoderDecoder:
         return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
 
     @staticmethod
-    def _input_ids(prep: PreparedExample) -> tuple[tuple[str, list[int]], ...]:
+    def _input_ids(prepared: Sequence[PreparedExample]) -> tuple[tuple[str, Array], ...]:
         """The encoder input row layout: each token's row joins its word,
-        answer-position, entity and POS embeddings, in this order.  The ids
-        are lists, because a tuple index would read as a multi-axis index."""
-        return (("emb/word", list(prep.word_ids)), ("emb/bio", list(prep.bio_ids)),
-                ("emb/ner", list(prep.ner_ids)), ("emb/pos", list(prep.pos_ids)))
+        answer-position, entity and POS embeddings, in this order.  Each
+        table's ids are one intp array over the batch's tokens,
+        example-major."""
+        return tuple((name, np.fromiter(chain.from_iterable(getattr(prep, ids)
+                                                            for prep in prepared), np.intp))
+                     for name, ids in (("emb/word", "word_ids"), ("emb/bio", "bio_ids"),
+                                       ("emb/ner", "ner_ids"), ("emb/pos", "pos_ids")))
 
     def _gru_inputs(self, prefix: str, X: Array) -> Array:
         """The input projections ``[a_z | a_r | a_n] = X @ W_g.T + b_g`` of a
@@ -463,10 +536,11 @@ class EncoderDecoder:
             carry = np.where(valid[i], step(i, np.where(valid[i], dh, 0)), dh)
         return self._gru_weight_grads(prefix, DA, cache, grads)
 
-    def _encode(self, prepared: Sequence[PreparedExample],
-                masks_list: Sequence[Array | None]) -> dict:
+    def _encode(self, prepared: Sequence[PreparedExample], masks: Array | None) -> dict:
         """Run the bidirectional encoder on a batch of sources padded to the
-        longest, each direction walking one (n, B, ·) stack.
+        longest, each direction walking one (n, B, ·) stack.  ``masks``,
+        when given, holds the dropout mask of every input row of the batch,
+        example-major.
 
         Returns the example-major (B, n, d_h) outputs ``H`` and ``HA``, the
         (B, n) ``valid`` source mask, each example's answer vector
@@ -476,27 +550,35 @@ class EncoderDecoder:
         as (B, 2 d_h) rows: the part of g2's affine map that is the same at
         every step of a source, which :meth:`_heads` adds to the product
         of the rest, ``[s, c]``.
+
+        The input rows are one gather per table, and ``v_answer`` one
+        masked sum: each example's span rows are added in order from
+        ``+0.0``, which with the division by the span length is
+        ``np.mean`` of those rows byte for byte.
         """
         p = self.store
         lengths = np.array([len(prep.roots) for prep in prepared])
         if not lengths.all():
             raise ShapeMismatch("encode", (0,))
         n, B = int(lengths.max()), len(prepared)
+        ids = self._input_ids(prepared)
+        rows = np.concatenate([p[name][i] for name, i in ids], axis=1)
+        valid = np.arange(n) < lengths[:, None]
         X = np.zeros((n, B, self._input_dim()), dtype=self.dtype)
-        for b, (prep, masks) in enumerate(zip(prepared, masks_list)):
-            x = np.concatenate([p[name][ids] for name, ids in self._input_ids(prep)], axis=1)
-            X[: len(x), b] = x if masks is None else x * masks
-        valid = np.arange(n)[:, None] < lengths
-        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, valid, range(n))
-        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid, range(n - 1, -1, -1))
+        X.swapaxes(0, 1)[valid] = rows if masks is None else rows * masks
+        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, valid.T, range(n))
+        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid.T, range(n - 1, -1, -1))
         H = (fwd_states + bwd_states).transpose(1, 0, 2).copy()
         bwd0 = bwd_states[0].copy()
-        v_answer = np.array([np.mean(H[b, l : r + 1], axis=0)
-                             for b, (l, r) in enumerate(prep.span for prep in prepared)])
+        left, right = np.array([prep.span for prep in prepared]).T
+        span = (left[:, None] <= np.arange(n)) & (np.arange(n) <= right[:, None])
+        v_answer = H.sum(axis=1, where=span[..., None])
+        np.true_divide(v_answer, span.sum(axis=1, keepdims=True), out=v_answer, casting="unsafe")
         enc = {
-            "prepared": prepared,
-            "masks": masks_list,
-            "valid": valid.T,
+            "ids": ids,
+            "masks": masks,
+            "span": span,
+            "valid": valid,
             "H": H,
             "HA": linear(p["att/A"], H),
             "v_answer": v_answer,
@@ -514,7 +596,7 @@ class EncoderDecoder:
         """Encode one source: the batch-of-one :meth:`_encode`, as that
         example's ``H``, ``HA``, ``valid``, ``v_answer`` and ``s0``, and in
         the additive design ``g2_answer``."""
-        enc = self._encode([prep], [masks])
+        enc = self._encode([prep], masks)
         keys = ("H", "HA", "valid", "v_answer", "s0") + (() if self.hyper.dot_heads
                                                          else ("g2_answer",))
         return {key: enc[key][0] for key in keys}
@@ -528,10 +610,10 @@ class EncoderDecoder:
         p = self.store
         grads["att/A"] += _rows(dHA).T @ _rows(enc["H"])
         dH += (_rows(dHA) @ p["att/A"]).reshape(dH.shape)
-        prepared = enc["prepared"]
-        for b, prep in enumerate(prepared):
-            l, r = prep.span
-            dH[b, l : r + 1] += dv_answer[b] / (r - l + 1)
+        span = enc["span"]
+        # In the model dtype, as a span length is small enough to be exact there.
+        length = span.sum(axis=1, keepdims=True).astype(dH.dtype)
+        np.add(dH, (dv_answer / length)[:, None, :], out=dH, where=span[..., None])
         da0 = ds0 * (1.0 - enc["s0"] * enc["s0"])
         grads["init/W"] += da0.T @ enc["bwd0"]
         grads["init/b"] += da0.sum(axis=0)
@@ -541,16 +623,14 @@ class EncoderDecoder:
                                          np.zeros_like(da0), grads)
         dX += self._gru_sequence_backward("enc_bwd", enc.pop("bwd_cache"), dS,
                                           da0 @ p["init/W"], grads)
-        dX = dX.reshape(dS.shape[:2] + (-1,))
         # Only the valid rows, example-major: np.add.at adds a repeated id's
         # rows one after another, in that order.
-        dX = np.concatenate([dX[: len(prep.roots), b] * (1 if masks is None else masks)
-                             for b, (prep, masks) in enumerate(zip(prepared, enc["masks"]))])
-        tables = [self._input_ids(prep) for prep in prepared]
+        dX = dX.reshape(dS.shape[:2] + (-1,)).swapaxes(0, 1)[enc["valid"]]
+        if enc["masks"] is not None:
+            dX = dX * enc["masks"]
         start = 0
-        for k, (name, _ids) in enumerate(tables[0]):
+        for name, ids in enc["ids"]:
             width = p[name].shape[1]
-            ids = [i for example in tables for i in example[k][1]]
             np.add.at(grads[name], ids, dX[:, start : start + width])
             if name == "emb/word":
                 word_ids.append(ids)
@@ -607,13 +687,13 @@ class EncoderDecoder:
     def _walk(self, enc: dict, inputs: Sequence[Array]) -> dict:
         """The recurrence over a batch's teacher-forced steps: step ``t``
         runs :meth:`_recurrence` on the (B, ·) rows of every example's
-        ``t``-th input id, a zero row past an example's last step.  Returns
-        (T, B, ·) stacks of every entry of the step state, and of each
-        step's previous state ``h``."""
-        T, B = max(map(len, inputs)), len(inputs)
+        ``t``-th input id, a zero row past an example's last step; the rows
+        are one gather of all the ids.  Returns (T, B, ·) stacks of every
+        entry of the step state, and of each step's previous state ``h``."""
+        valid = _step_mask(inputs)
+        B, T = valid.shape
         W = np.zeros((T, B, self.hyper.word_dim), dtype=self.dtype)
-        for b, ids in enumerate(inputs):
-            W[: len(ids), b] = self.input_embedding(ids)
+        W.swapaxes(0, 1)[valid] = self.input_embedding(np.concatenate(inputs))
         # One stack of T + 1 states: each step's previous state is the one before.
         states = np.empty((T + 1,) + enc["s0"].shape, dtype=self.dtype)
         states[0] = enc["s0"]
@@ -662,7 +742,7 @@ class EncoderDecoder:
         """Backward through :meth:`_heads` on a batch's (T, B, ·) ``walk``.
 
         ``seeds`` holds the gradients at the switch and at each head, zero
-        at padded steps (:meth:`_route_grads`).  Each head weight takes its
+        at padded steps (:meth:`_loss`).  Each head weight takes its
         gradient, and sends one to its input, as one product over all T·B
         rows per column block of the input, so no concatenation is kept;
         the entries only the heads read leave ``walk`` once read.  Returns
@@ -758,7 +838,7 @@ class EncoderDecoder:
         grads["att/v"] += dv.sum(axis=0)
         grads["att/B"] += _rows(dQ_sum).T @ _rows(S)
         grads["att/b"] += _rows(dQ_sum).sum(axis=0)
-        rows = np.concatenate([dW_in[: len(ids), b] for b, ids in enumerate(inputs)])
+        rows = dW_in.swapaxes(0, 1)[_step_mask(inputs)]
         ids = np.concatenate(inputs)
         n_words = len(grads["emb/word"])
         is_word = ids < n_words
@@ -771,53 +851,75 @@ class EncoderDecoder:
     # Loss.
     # ------------------------------------------------------------------
 
-    def _target_columns(self, prep: PreparedExample, columns: OutcomeColumns) -> Array:
-        """The outcome column of each target action: the column of the route
-        that emits it (a copied position, a list id or a tag)."""
-        n_roots, n_quest = len(prep.roots), self.vocab.quest_size
-        routes = [a.index if isinstance(a, Copy)
-                  else n_roots + a.word_id if isinstance(a, Quest)
-                  else n_roots + n_quest + a.type.index for a in prep.targets]
-        return columns.route_col[routes]
+    def _loss(self, prepared: Sequence[PreparedExample], walk: dict,
+              seeds: dict | None) -> float:
+        """The batch's summed loss: minus the log of each target's outcome
+        mass, which :func:`_add_routes` sums over the routes that emit the
+        target (:class:`PreparedExample`), each route's mass being the
+        switch weight times the head probability at the target's step of
+        the (T, B, ·) ``walk``.  The targets go example-major; each
+        example's step losses are added by Python's ``sum``, and the
+        examples' sums in batch order.
 
-    def _route_grads(self, steps: dict, hits: Array, dP: Array, seeds: dict) -> None:
-        """Write into ``seeds``, zero arrays shaped like ``steps``, the
-        gradients of ``dP[t]`` times the summed mass of the routes marked in
-        ``hits[t]``, at the switch and at each head of every step ``t`` of
-        ``steps``."""
-        start = 0
-        for sw, head in ROUTES:
-            probs = steps[head]
-            sel = hits[:, start : start + probs.shape[-1]]
-            start += probs.shape[-1]
-            seeds["switch"][:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
-            np.copyto(seeds[head], (dP * steps["switch"][:, sw])[:, None], where=sel)
-
-    def _example_loss(self, walk: dict, b: int, n: int, columns: OutcomeColumns,
-                      target_cols: Array, seeds: dict | None) -> float:
-        """Example ``b``'s summed loss: the outcome mass of its rows of the
-        batched heads, its T_b steps and n source positions, at its target
-        columns.  With ``seeds``, writes the loss's gradients at the switch
-        and the heads into its rows of them (:meth:`_route_grads`)."""
-        T = len(target_cols)
-
-        def rows(arrays: dict) -> dict:
-            return {key: arrays[key][:T, b, :n] if key == "p_copy" else arrays[key][:T, b]
-                    for key in OUTPUTS}
-
-        steps = rows(walk)
-        probs = self.outcome_mass(steps, columns)[np.arange(T), target_cols]
-        step_losses = []
-        for t, prob in enumerate(probs.tolist()):
-            if not (math.isfinite(prob) and prob > 0.0):
-                raise DivergenceError(
-                    f"target probability {prob!r} at decoder step "
-                    f"{t + 1} is not a positive finite number")
-            step_losses.append(-math.log(prob))
-        if seeds is not None:
-            self._route_grads(steps, columns.route_col == target_cols[:, None],
-                              (-1.0 / probs).astype(self.dtype), rows(seeds))
-        return sum(step_losses)
+        With ``seeds``, zero arrays shaped like the walk's switch and heads,
+        writes the gradients of the loss at every target's step, with
+        ``dP = -1 / mass``: at a head, ``dP`` times the switch weight at
+        each of the target's routes; at the switch, ``dP`` times the summed
+        head probability of the target's routes of each slot.  A copy sum
+        runs over the example's own width of ``p_copy``, the hits kept and
+        the rest zero: numpy's pairwise sum groups a padded row's terms
+        differently, which changes the bits once three or more positions
+        hold the word.
+        """
+        steps = np.array([len(prep.targets) for prep in prepared])
+        counts = np.concatenate([prep.route_counts for prep in prepared])
+        slot, index = np.concatenate([prep.routes for prep in prepared]).T
+        # Each target's step t and example b, example-major, then each route's.
+        first_target = np.cumsum(steps) - steps
+        t_of = np.arange(len(counts)) - np.repeat(first_target, steps)
+        b_of = np.repeat(np.arange(len(prepared)), steps)
+        route_target = np.repeat(np.arange(len(counts)), counts)
+        route_t, route_b = t_of[route_target], b_of[route_target]
+        switch = walk["switch"][route_t, route_b, slot]
+        probs = np.empty(len(slot), dtype=self.dtype)
+        kinds = {sw: (head, slot == sw) for sw, head in ROUTES}
+        for head, kind in kinds.values():
+            probs[kind] = walk[head][route_t[kind], route_b[kind], index[kind]]
+        first = np.cumsum(counts) - counts
+        levels = []
+        for depth in range(1, int(counts.max())):
+            deeper = np.flatnonzero(counts > depth)
+            levels.append((deeper, first[deeper] + depth))
+        mass = _add_routes(switch * probs, first, levels)
+        bad = ~(np.isfinite(mass) & (mass > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DivergenceError(f"target probability {float(mass[k])!r} at decoder step "
+                                  f"{int(t_of[k]) + 1} is not a positive finite number")
+        losses = [-math.log(prob) for prob in mass.tolist()]
+        total = 0.0
+        for start, stop in zip(first_target.tolist(), (first_target + steps).tolist()):
+            total += sum(losses[start:stop])
+        if seeds is None:
+            return total
+        dP = (-1.0 / mass).astype(self.dtype)
+        value = dP[route_target] * switch
+        # Each target's summed head probability of its routes of each slot.
+        hit = np.zeros((len(counts), 3), dtype=self.dtype)
+        for sw, (head, kind) in kinds.items():
+            seeds[head][route_t[kind], route_b[kind], index[kind]] = value[kind]
+            if sw != SW_COPY:  # one route at most, so its probability is the sum
+                hit[route_target[kind], sw] = probs[kind]
+        copy = kinds[SW_COPY][1]
+        p_copy = walk["p_copy"][t_of, b_of]
+        copied = np.zeros(p_copy.shape, dtype=bool)
+        copied[route_target[copy], index[copy]] = True
+        widths = np.repeat([len(prep.roots) for prep in prepared], steps)
+        for n in set(widths.tolist()):
+            same = np.flatnonzero(widths == n)
+            hit[same, SW_COPY] = np.where(copied[same, :n], p_copy[same, :n], 0).sum(axis=-1)
+        seeds["switch"][t_of, b_of] = dP[:, None] * hit
+        return total
 
     def loss_and_grads(
         self,
@@ -831,42 +933,38 @@ class EncoderDecoder:
 
         The examples run as one padded batch: the encoder and the decoder
         recurrence step all of them as (B, ·) rows, and the switch and
-        heads, forward and backward, run once on all (T, B, ·) steps.  The
-        outcome mass and the loss take each example's own rows, in batch
-        order.  When ``grads`` is given, parameter gradients of the summed
-        loss are accumulated into it.  Dropout masks come from
-        ``masks_list`` when provided (grad-check freezing), else are
-        sampled from ``rng``, one per example in batch order (training),
-        else dropout is off (evaluation).  With ``grads``, ``rows`` (when
-        given) gets ``rows["emb/word"]``: the sorted unique ids of the
-        ``emb/word`` rows the batch reads, source words and decoder inputs,
-        which hold all of the gradient that table gets, for
-        :meth:`morphoqg.tensor.Adam.step`.  A row is there even when
-        dropout zeroed its gradient.
+        heads, forward and backward, run once on all (T, B, ·) steps, and
+        so do the loss and its gradient seeds (:meth:`_loss`), from the
+        routes and decoder inputs that :meth:`prepare` resolved; no
+        outcome layout is built.  When ``grads`` is given, parameter
+        gradients of the summed loss are accumulated into it.  Dropout
+        masks come from ``masks_list`` when provided (grad-check freezing),
+        else are sampled from ``rng`` (training): one draw for the batch's
+        rows, which is each example's draw in batch order, else dropout is
+        off (evaluation).  With ``grads``, ``rows`` (when given) gets
+        ``rows["emb/word"]``: the sorted unique ids of the ``emb/word`` rows
+        the batch reads, source words and decoder inputs, which hold all of
+        the gradient that table gets, for :meth:`morphoqg.tensor.Adam.step`.
+        A row is there even when dropout zeroed its gradient.
         """
-        if masks_list is None:
-            # A zero rate draws nothing, so its all-ones masks are left out.
-            masks_list = [None if rng is None or self.hyper.dropout_rate == 0.0 else
-                          dropout_mask((len(prep.roots), self._input_dim()),
-                                       self.hyper.dropout_rate, rng, dtype=self.dtype)
-                          for prep in prepared]
-        enc = self._encode(prepared, masks_list)
-        columns = [self.outcome_columns(prep.roots) for prep in prepared]
-        target_cols = [self._target_columns(prep, cols)
-                       for prep, cols in zip(prepared, columns)]
-        # Each step reads the input of the previous target's column.
-        inputs = [np.concatenate(([SOS_ID], cols.inputs[tc[:-1]]))
-                  for cols, tc in zip(columns, target_cols)]
+        if masks_list is not None:
+            masks = None if all(m is None for m in masks_list) else np.concatenate([
+                np.ones((len(prep.roots), self._input_dim()), self.dtype) if m is None else m
+                for prep, m in zip(prepared, masks_list)])
+        elif rng is None or self.hyper.dropout_rate == 0.0:
+            masks = None  # a zero rate draws nothing, so its all-ones masks are left out
+        else:
+            masks = dropout_mask((sum(len(prep.roots) for prep in prepared), self._input_dim()),
+                                 self.hyper.dropout_rate, rng, dtype=self.dtype)
+        enc = self._encode(prepared, masks)
+        inputs = [prep.inputs for prep in prepared]
         walk = self._walk(enc, inputs)
         self._heads(enc, walk)
         seeds = None if grads is None else {key: np.zeros_like(walk[key]) for key in OUTPUTS}
-        total = 0.0
-        for b, (prep, cols, tc) in enumerate(zip(prepared, columns, target_cols)):
-            total += self._example_loss(walk, b, len(prep.roots), cols, tc, seeds)
-        tokens = sum(map(len, target_cols))
+        total = self._loss(prepared, walk, seeds)
+        tokens = sum(len(prep.targets) for prep in prepared)
         if seeds is None:
             return total, tokens
-        del columns, target_cols
         d = self._heads_backward(enc, walk, seeds, grads)
         del seeds
         word_ids: list = []
@@ -891,7 +989,6 @@ class EncoderDecoder:
         :class:`OutcomeColumns`."""
         col_of: dict[str, int] = {}
         positions: list[list[int]] = []
-        root_cols = []
         # levels[d]: the columns with a route at index d + 1, and that route.
         levels: list[tuple[list[int], list[int]]] = []
 
@@ -906,7 +1003,6 @@ class EncoderDecoder:
                 col_of[root] = len(positions)
                 positions.append([])
             col = col_of[root]
-            root_cols.append(col)
             pos = positions[col]
             if pos:
                 add_route(len(pos) - 1, col, i)
@@ -918,10 +1014,6 @@ class EncoderDecoder:
         keep = np.ones(len(words), dtype=bool)
         keep[shared] = False
         quest_ids = np.flatnonzero(keep)
-        n_words = len(col_of) + len(quest_ids)
-        list_col = np.empty(len(words), dtype=np.intp)
-        list_col[keep] = np.arange(len(col_of), n_words)
-        list_col[shared] = [col_of[words[qid]] for qid in shared]
         n_copy = len(roots)
         for qid in shared:  # after the root's positions
             col = col_of[words[qid]]
@@ -933,8 +1025,6 @@ class EncoderDecoder:
                                    self.vocab.encoder_size + np.arange(len(ALL_TYPES))]),
             positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
             quest_ids=quest_ids,
-            route_col=np.concatenate([np.array(root_cols, dtype=np.intp), list_col,
-                                      np.arange(n_words, n_words + len(ALL_TYPES), dtype=np.intp)]),
             first_routes=np.concatenate([
                 np.array([pos[0] for pos in positions], dtype=np.intp), n_copy + quest_ids,
                 np.arange(n_copy + len(words), n_copy + len(words) + len(ALL_TYPES))]),
@@ -951,21 +1041,14 @@ class EncoderDecoder:
         in float64 and in route order, so a word adds the copy mass of each
         source position holding it and then its list-word mass.  Each unit
         of switch mass lands in exactly one column, so a row sums to 1 up to
-        rounding.
-
-        The sum is no scatter-add: a gather takes every column's first
-        route, and each level of ``columns.route_levels`` adds one further
-        route to the columns that have it.  That is the float64 sum of
-        ``np.add.at`` from zero, byte for byte, since ``0.0 + x`` is ``x``
-        for every mass (a product of two probabilities is never ``-0.0``).
+        rounding.  The sum is :func:`_add_routes` over the columns'
+        ``first_routes`` and ``route_levels``, the one that training's loss
+        takes over its targets' routes.
         """
         switch = state["switch"]
         routes = np.concatenate([switch[..., sw, None] * state[head] for sw, head in ROUTES],
                                 axis=-1)
-        mass = routes.take(columns.first_routes, axis=-1).astype(np.float64)
-        for cols, more in columns.route_levels:
-            mass[..., cols] = mass.take(cols, axis=-1) + routes.take(more, axis=-1)
-        return mass
+        return _add_routes(routes, columns.first_routes, columns.route_levels)
 
     def outcome_distribution(self, state: dict, roots: Sequence[str]):
         """Dict view of one row of :meth:`outcome_mass`.

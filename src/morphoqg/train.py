@@ -1,7 +1,8 @@
 """Training loop: teacher forcing, per-token mean loss, Adam with clipping.
 
 The loss at each decoder step is the negative log of the supervised
-outcome's column of :meth:`morphoqg.model.EncoderDecoder.outcome_mass`,
+outcome's mass: the sum of the routes that emit it, which is byte for
+byte its column of :meth:`morphoqg.model.EncoderDecoder.outcome_mass`,
 the mixing of the three routes that beam search ranks.  Each batch, and
 each dev chunk of the same size, runs as one padded pass; gradients are
 averaged over every target token in the batch by the scale that

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from morphoqg import model as model_mod
-from morphoqg.checks import gradient_reports
+from morphoqg.checks import gradient_reports, tiny_model_and_example
 from morphoqg.codec import (
     build_vocabs,
     encode_example,
@@ -103,9 +103,15 @@ def tiny_corpus() -> list[EncodedExample]:
 
 
 def target_columns(model, prep):
-    """The outcome columns of a prepared source and each target's column."""
+    """The outcome columns of a prepared source and each target's column:
+    its root's or list word's column, or its tag's."""
     columns = model.outcome_columns(prep.roots)
-    return columns, model._target_columns(prep, columns)
+    n_words = len(columns.words)
+    cols = [n_words + a.type.index if isinstance(a, Trans)
+            else columns.words.index(prep.roots[a.index] if isinstance(a, Copy)
+                                     else model.vocab.quest_word(a.word_id))
+            for a in prep.targets]
+    return columns, np.array(cols, dtype=np.intp)
 
 
 def reference_input_spec(model, action, roots):
@@ -200,6 +206,16 @@ class TestPrepare:
             got = columns.inputs[cols].tolist()
             assert got == [reference_input_spec(model, a, prep.roots) for a in prep.targets]
 
+    @pytest.mark.parametrize("offset", [0, 1, -4])
+    def test_copy_index_outside_the_source_rejected(self, offset):
+        """Indices n, n + 1 and -1 of an n-token source: a copy route past
+        the source would name list word 0, and -1 the last tag."""
+        model, example = tiny_model_and_example(1)
+        n = len(example.source_roots)
+        example = replace(example, target_actions=[Copy(n + offset)])
+        with pytest.raises(IndexOutOfVocab):
+            model.prepare(example)
+
     def test_list_id_past_the_list_rejected(self):
         model = tiny_model()
         example = replace(flagship_example(),
@@ -214,7 +230,8 @@ class TestPrepare:
         assert prep.targets[1] == Copy(0)
         n_roots = len(prep.roots)
         # The copied "he" and list id HE_Q share one column.
-        assert cols[1] == columns.words.index("he") == columns.route_col[n_roots + HE_Q]
+        route_col = reference_route_col(model, prep.roots)
+        assert cols[1] == columns.words.index("he") == route_col[n_roots + HE_Q]
 
     def test_word_absent_from_list_has_no_list_route(self):
         model = tiny_model()
@@ -224,7 +241,7 @@ class TestPrepare:
         columns, cols = target_columns(model, prep)
         n_roots = len(prep.roots)
         assert cols[1] == columns.words.index("visit") < len(columns.positions)
-        list_cols = columns.route_col[n_roots : n_roots + model.vocab.quest_size]
+        list_cols = reference_route_col(model, prep.roots)[n_roots : n_roots + model.vocab.quest_size]
         assert cols[1] not in list_cols.tolist()
 
     def test_end_marker_is_appended_as_final_target(self):
@@ -267,9 +284,11 @@ class TestUniformAtZero:
         np.testing.assert_allclose(state["switch"], [1 / 3, 1 / 3, 1 / 3])
 
 
-def reference_outcome_columns(model, roots):
-    """The outcome columns built by one pass over the roots and one over
-    every list word, kept as the oracle for ``outcome_columns``."""
+def reference_layout(model, roots):
+    """One pass over the roots and one over every list word: each word
+    column's word, the source positions of each root column, the list id
+    of each list-only column, and the column of every route in route order
+    (each source position, each list word, each tag)."""
     col_of = {}
     positions = []
     for i, root in enumerate(roots):
@@ -285,6 +304,18 @@ def reference_outcome_columns(model, roots):
     route_col = [col_of[root] for root in roots]
     route_col += [col_of[word] for word in model.vocab.quest_vocab]
     route_col += range(len(col_of), len(col_of) + len(ALL_TYPES))
+    return col_of, positions, quest_ids, route_col
+
+
+def reference_route_col(model, roots):
+    """The outcome column of every route, in route order (intp)."""
+    return np.array(reference_layout(model, roots)[3], dtype=np.intp)
+
+
+def reference_outcome_columns(model, roots):
+    """The outcome columns built from :func:`reference_layout`, kept as the
+    oracle for ``outcome_columns``."""
+    col_of, positions, quest_ids, route_col = reference_layout(model, roots)
     # Each column's routes in route order; level d holds every column's
     # route at index d + 1.
     chains = [[] for _ in range(len(col_of) + len(ALL_TYPES))]
@@ -298,7 +329,6 @@ def reference_outcome_columns(model, roots):
                         + [model.vocab.encoder_size + t.index for t in ALL_TYPES], dtype=np.intp),
         positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
         quest_ids=np.array(quest_ids, dtype=np.intp),
-        route_col=np.array(route_col, dtype=np.intp),
         first_routes=np.array([chain[0] for chain in chains], dtype=np.intp),
         route_levels=tuple((np.array([col for col, _ in level], dtype=np.intp),
                             np.array([route for _, route in level], dtype=np.intp))
@@ -320,8 +350,8 @@ class TestOutcomeColumns:
         assert len(got.positions) == len(want.positions)
         for a, b in zip(got.positions, want.positions):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
-        for a, b in ((got.route_col, want.route_col), (got.first_routes, want.first_routes)):
-            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert got.first_routes.dtype == np.intp
+        assert got.first_routes.tolist() == want.first_routes.tolist()
         # A level's order does not matter: each column appears once in it.
         assert len(got.route_levels) == len(want.route_levels)
         for (cols, routes), (want_cols, want_routes) in zip(got.route_levels, want.route_levels):
@@ -464,23 +494,22 @@ class TestProbabilityMass:
             assert loss == pytest.approx(want, rel=1e-12)
 
 
-def reference_outcome_mass(state, columns):
+def reference_outcome_mass(state, route_col):
     """The scatter-add form of the mixing, kept as the oracle for
-    ``outcome_mass``: every route's float64 mass added into its column
-    with one ``np.add.at``, from zero, in route order."""
+    ``outcome_mass``: every route's float64 mass added into the column
+    ``route_col`` names with one ``np.add.at``, from zero, in route order."""
     switch = state["switch"]
     routes = np.concatenate([switch[..., sw, None] * state[head] for sw, head in model_mod.ROUTES],
                             axis=-1).astype(np.float64)
-    mass = np.zeros((len(columns.words) + len(ALL_TYPES),) + switch.shape[:-1])
-    np.add.at(mass, columns.route_col, routes.T)
+    mass = np.zeros((int(route_col.max()) + 1,) + switch.shape[:-1])
+    np.add.at(mass, route_col, routes.T)
     return mass.T
 
 
-def random_state(rng, shape, columns, dtype):
-    """Softmax-shaped switch and heads over ``columns``' routes, ``shape``
-    rows of them."""
+def random_state(rng, shape, columns, n_list, dtype):
+    """Softmax-shaped switch and heads over ``columns``' routes and
+    ``n_list`` list words, ``shape`` rows of them."""
     n_copy = sum(map(len, columns.positions))
-    n_list = len(columns.route_col) - n_copy - len(ALL_TYPES)
     return {key: rng.dirichlet(np.ones(size), size=shape or None).astype(dtype)
             for key, size in (("switch", 3), ("p_copy", n_copy), ("p_quest", n_list),
                               ("p_trans", len(ALL_TYPES)))}
@@ -515,8 +544,9 @@ class TestOutcomeMassGather:
         ids = columns.inputs[rng.integers(0, len(columns.inputs), size=5)]
         rows = model.step(enc, rng.normal(size=(5, 8)).astype(model.dtype),
                           rng.normal(size=(5, 8)).astype(model.dtype), ids)
+        route_col = reference_route_col(model, prep.roots)
         for state in (one, rows):
-            got, want = model.outcome_mass(state, columns), reference_outcome_mass(state, columns)
+            got, want = model.outcome_mass(state, columns), reference_outcome_mass(state, route_col)
             assert got.shape == want.shape and got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
 
@@ -527,11 +557,12 @@ class TestOutcomeMassGather:
         model = EncoderDecoder(TINY, vocab, POS_TAGS, NER_TAGS)
         pool = words[:12] + ["unknown"]  # a dozen roots repeat in long sources
         for n in list(range(0, 10)) + [40, 128]:
-            columns = model.outcome_columns(tuple(rng.choice(pool, size=n).tolist()))
+            roots = tuple(rng.choice(pool, size=n).tolist())
+            columns, route_col = model.outcome_columns(roots), reference_route_col(model, roots)
             for shape, dtype in (((), np.float32), ((3,), np.float32), ((4,), np.float64)):
-                state = random_state(rng, shape, columns, dtype)
+                state = random_state(rng, shape, columns, vocab.quest_size, dtype)
                 got = model.outcome_mass(state, columns)
-                assert got.tobytes() == reference_outcome_mass(state, columns).tobytes()
+                assert got.tobytes() == reference_outcome_mass(state, route_col).tobytes()
 
 
 class TestAnswerBlock:
@@ -578,6 +609,104 @@ class TestAnswerBlock:
         want /= want.sum(axis=-1, keepdims=True)
         assert state["p_quest"].shape == want.shape
         assert np.max(np.abs(state["p_quest"] - want)) < 1e-12
+
+
+def reference_route_grads(steps, hits, dP, seeds):
+    """Write into ``seeds``, zero arrays shaped like ``steps``, the
+    gradients of ``dP[t]`` times the summed mass of the routes marked in
+    ``hits[t]``, at the switch and at each head of every step ``t``."""
+    start = 0
+    for sw, head in model_mod.ROUTES:
+        probs = steps[head]
+        sel = hits[:, start : start + probs.shape[-1]]
+        start += probs.shape[-1]
+        seeds["switch"][:, sw] = dP * np.where(sel, probs, 0).sum(axis=-1)
+        np.copyto(seeds[head], (dP * steps["switch"][:, sw])[:, None], where=sel)
+
+
+def reference_loss(model, prepared, walk, seeds):
+    """The per-example loss, kept as the oracle for the batch loss: for each
+    example in turn, the column of each target's route, the scatter-added
+    outcome mass of the example's own rows of the (T, B, ·) ``walk`` (its
+    T_b steps and n source positions) at those columns, and, with
+    ``seeds``, the gradients written into its own rows of them through the
+    route-to-column map."""
+    total = 0.0
+    for b, prep in enumerate(prepared):
+        n, n_quest = len(prep.roots), model.vocab.quest_size
+        route_col = reference_route_col(model, prep.roots)
+        target_cols = route_col[[a.index if isinstance(a, Copy)
+                                 else n + a.word_id if isinstance(a, Quest)
+                                 else n + n_quest + a.type.index for a in prep.targets]]
+        T = len(target_cols)
+
+        def rows(arrays):
+            return {key: arrays[key][:T, b, :n] if key == "p_copy" else arrays[key][:T, b]
+                    for key in model_mod.OUTPUTS}
+
+        steps = rows(walk)
+        probs = reference_outcome_mass(steps, route_col)[np.arange(T), target_cols]
+        total += sum([-math.log(prob) for prob in probs.tolist()])
+        if seeds is not None:
+            reference_route_grads(steps, route_col == target_cols[:, None],
+                                  (-1.0 / probs).astype(model.dtype), rows(seeds))
+    return total
+
+
+class TestBatchLoss:
+    """Property: the loss of a padded batch and its gradient seeds at the
+    switch and every head, taken at once over all targets' routes, equal
+    the per-example reference bit for bit."""
+
+    # "he" and "the" are list words; "he" fills three in eight positions.
+    POOL = ("he", "he", "he", "the", "visit", "zebra", "park", "door")
+
+    def _batch(self, model, rng):
+        examples = []
+        for n in rng.permutation([1, 3, 8, 9, 12, 17])[: int(rng.integers(3, 7))].tolist():
+            roots = [str(w) for w in rng.choice(self.POOL, size=n)]
+            actions = []
+            for _ in range(int(rng.integers(0, 9))):
+                kind = int(rng.integers(0, 4))
+                actions.append(Copy(int(rng.integers(0, n))) if kind < 2
+                               else Quest(int(rng.integers(0, model.vocab.quest_size))) if kind == 2
+                               else Trans(ALL_TYPES[int(rng.integers(0, len(ALL_TYPES)))]))
+            left = int(rng.integers(0, n))
+            examples.append(EncodedExample(
+                source_roots=roots, source_features=[("NN", "O", "O")] * n,
+                answer_span=(left, int(rng.integers(left, n))), target_actions=actions,
+                reference_question=[]))
+        return [model.prepare(ex) for ex in examples]
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    @pytest.mark.parametrize("check_precision", [False, True])
+    def test_loss_and_seeds_equal_the_per_example_reference(self, dot_heads, check_precision):
+        model = tiny_model(dot_heads=dot_heads, seed=19)
+        model = model.to_check_precision() if check_precision else model
+        rng = np.random.default_rng(43)
+        for name, arr in model.store.items():
+            model.store[name] = rng.normal(scale=0.5, size=arr.shape).astype(arr.dtype)
+        repeated = 0  # targets of three or more copy routes in a padded source of 8 or more
+        for _ in range(20):
+            preps = self._batch(model, rng)
+            n_max = max(len(prep.roots) for prep in preps)
+            for prep in preps:
+                copies = np.add.reduceat(prep.routes[:, 0] == model_mod.SW_COPY,
+                                         np.cumsum(prep.route_counts) - prep.route_counts)
+                if 8 <= len(prep.roots) < n_max:
+                    repeated += int((copies >= 3).sum())
+            enc = model._encode(preps, None)
+            walk = model._walk(enc, [prep.inputs for prep in preps])
+            model._heads(enc, walk)
+            got_seeds, want_seeds = ({key: np.zeros_like(walk[key]) for key in model_mod.OUTPUTS}
+                                     for _ in range(2))
+            loss = model._loss(preps, walk, got_seeds)
+            assert loss == reference_loss(model, preps, walk, want_seeds)
+            assert model._loss(preps, walk, None) == loss
+            for key in model_mod.OUTPUTS:
+                assert got_seeds[key].dtype == model.dtype
+                assert got_seeds[key].tobytes() == want_seeds[key].tobytes(), key
+        assert repeated >= 10
 
 
 def edge_case_examples() -> list[EncodedExample]:
@@ -653,7 +782,7 @@ class TestSequenceRecurrences:
         prep = model.prepare(example())
         masks = dropout_mask((len(prep.roots), model._input_dim()), 0.2,
                              np.random.default_rng(1), dtype=model.dtype)
-        X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids(prep)],
+        X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids([prep])],
                            axis=1) * masks
         n, d_h = len(prep.roots), TINY.hidden_size
         total = 0.0
@@ -831,7 +960,7 @@ class TestPaddedBatch:
     def test_padded_source_positions_get_zero_attention(self):
         model = tiny_model(seed=5)
         preps = [model.prepare(ex) for ex in (longer_example(), edge_case_examples()[0])]
-        enc = model._encode(preps, [None, None])
+        enc = model._encode(preps, None)
         walk = model._walk(enc, [np.full(4, SOS_ID), np.full(2, SOS_ID)])
         alpha = walk["alpha"]
         assert alpha.shape == (4, 2, 6)
@@ -841,7 +970,7 @@ class TestPaddedBatch:
     def test_padded_source_positions_get_zero_dot_copy_mass(self):
         model = tiny_model(dot_heads=True, seed=5)
         preps = [model.prepare(ex) for ex in (longer_example(), edge_case_examples()[0])]
-        enc = model._encode(preps, [None, None])
+        enc = model._encode(preps, None)
         walk = model._walk(enc, [np.full(4, SOS_ID), np.full(2, SOS_ID)])
         p_copy = model._heads(enc, walk)["p_copy"]
         assert p_copy.shape == (4, 2, 6)
@@ -898,6 +1027,61 @@ class TestPaddedBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+    def test_training_builds_no_outcome_layout(self, monkeypatch):
+        """A training step reads its targets' routes from the prepared
+        examples: it never builds a source's outcome columns."""
+        model = tiny_model()
+        preps = [model.prepare(ex) for ex in (flagship_example(), longer_example())]
+
+        def refused(roots):
+            raise AssertionError("outcome_columns called")
+
+        monkeypatch.setattr(model, "outcome_columns", refused)
+        loss, tokens = model.loss_and_grads(preps, grads=model.zero_grads(),
+                                            rng=np.random.default_rng(1))
+        assert math.isfinite(loss) and tokens == 14
+
+    @pytest.mark.parametrize("check_precision", [False, True])
+    def test_answer_vectors_are_the_span_means(self, check_precision):
+        """Each example's ``v_answer`` is ``np.mean`` of its span's rows of
+        ``H``, byte for byte, beside shorter and longer sources."""
+        model = tiny_model(seed=5)
+        model = model.to_check_precision() if check_precision else model
+        preps = [model.prepare(ex) for ex in (replace(longer_example(), answer_span=(1, 4)),
+                                               flagship_example(), edge_case_examples()[0],
+                                               replace(longer_example(), answer_span=(0, 5)))]
+        enc = model._encode(preps, None)
+        for b, prep in enumerate(preps):
+            left, right = prep.span
+            want = np.mean(enc["H"][b, left : right + 1], axis=0)
+            assert enc["v_answer"][b].dtype == want.dtype == model.dtype
+            assert enc["v_answer"][b].tobytes() == want.tobytes()
+
+    def test_batch_dropout_mask_is_the_per_example_draws(self, monkeypatch):
+        """One draw for the batch's input rows gives each example's mask in
+        batch order, and leaves the generator where the per-example draws
+        leave it."""
+        model = tiny_model(seed=5)
+        preps = [model.prepare(ex) for ex in (longer_example(), flagship_example(),
+                                               edge_case_examples()[0])]
+        seen = []
+        encode = model._encode
+
+        def recorded(prepared, masks):
+            seen.append(masks)
+            return encode(prepared, masks)
+
+        monkeypatch.setattr(model, "_encode", recorded)
+        rng = np.random.default_rng(7)
+        per_example = copy.deepcopy(rng)
+        model.loss_and_grads(preps, grads=model.zero_grads(), rng=rng)
+        want = np.concatenate([dropout_mask((len(p.roots), model._input_dim()),
+                                            model.hyper.dropout_rate, per_example,
+                                            dtype=model.dtype) for p in preps])
+        [got] = seen
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == per_example.bit_generator.state
 
     def test_dev_loss_runs_in_training_sized_batches(self, monkeypatch):
         model = tiny_model(seed=13).to_check_precision()
@@ -995,8 +1179,8 @@ class TestTraining:
         read = {SOS_ID}
         for prep in preps:
             read.update(prep.word_ids)
-            columns = model.outcome_columns(prep.roots)
-            for col in model._target_columns(prep, columns)[:-1].tolist():
+            columns, cols = target_columns(model, prep)
+            for col in cols[:-1].tolist():
                 idx = int(columns.inputs[col])
                 if idx < model.vocab.encoder_size:
                     read.add(idx)
