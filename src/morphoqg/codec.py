@@ -14,7 +14,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CutoffExceeded,
@@ -130,17 +130,28 @@ class Vocab:
         return {"encoder_vocab": h(self.encoder_vocab), "quest_vocab": h(self.quest_vocab)}
 
 
+def answer_marks(n_tokens: int, span: Tuple[int, int]) -> List[str]:
+    """The ``answer_bio`` marks of ``span`` over ``n_tokens`` tokens: B at
+    its start, I through its end, O elsewhere."""
+    left, right = span
+    return ["B" if i == left else "I" if left < i <= right else "O" for i in range(n_tokens)]
+
+
+def check_answer_span(span: Tuple[int, int], n_tokens: int, line: Optional[int] = None) -> None:
+    """Raise ParseError unless ``span`` lies in a source of ``n_tokens`` tokens."""
+    left, right = span
+    if not 0 <= left <= right < n_tokens:
+        raise ParseError(f"answer_span [{left}, {right}] outside {n_tokens} tokens", line=line)
+
+
 def _answer_span_from_bio(tokens: Sequence[TaggedToken]) -> Tuple[int, int]:
     marks = [t.answer_bio for t in tokens]
     if marks.count("B") != 1:
         raise ParseError(f"expected exactly one B answer mark, got {marks.count('B')}")
-    left = marks.index("B")
-    right = left
-    while right + 1 < len(marks) and marks[right + 1] == "I":
-        right += 1
-    if "I" in marks[:left] or "I" in marks[right + 1:]:
-        raise ParseError("answer I marks must be contiguous after B")
-    return left, right
+    span = (marks.index("B"), marks.index("B") + marks.count("I"))
+    if marks != answer_marks(len(marks), span):
+        raise ParseError("answer I marks must be contiguous after B, and the others O")
+    return span
 
 
 def encode_source(
@@ -177,16 +188,17 @@ def _best_source_index(
     if answer_span is None:
         return occurrences[0]
     left, right = answer_span
+    # Nearest to the answer span (distance 0 inside it); leftmost wins ties.
+    return min(occurrences, key=lambda i: (max(left - i, i - right, 0), i))
 
-    def distance(i: int) -> int:
-        if i < left:
-            return left - i
-        if i > right:
-            return i - right
-        return 0
 
-    # Nearest to the answer span; leftmost wins ties (min is stable).
-    return min(occurrences, key=lambda i: (distance(i), i))
+def root_positions(roots: Sequence[str]) -> Dict[str, List[int]]:
+    """Each distinct root's source positions in order, the roots in
+    first-occurrence order."""
+    positions: Dict[str, List[int]] = {}
+    for i, root in enumerate(roots):
+        positions.setdefault(root, []).append(i)
+    return positions
 
 
 def encode_target(
@@ -206,9 +218,7 @@ def encode_target(
     if not question:
         raise EmptyInputError("question token sequence is empty")
     morphology = morphology or default_morphology()
-    positions = {}
-    for i, root in enumerate(source_roots):
-        positions.setdefault(root, []).append(i)
+    positions = root_positions(source_roots)
     actions: List[TargetAction] = []
     for tok in question:
         analysis = morphology.analyze(tok.word, tok.pos)
@@ -313,16 +323,8 @@ class CorpusExample:
     question_pos: List[str]
 
     def source_tagged(self) -> List[TaggedToken]:
-        out = []
-        for i, (w, p, n) in enumerate(zip(self.tokens, self.pos, self.ner)):
-            if i == self.answer_start:
-                bio = "B"
-            elif self.answer_start < i <= self.answer_end:
-                bio = "I"
-            else:
-                bio = "O"
-            out.append(TaggedToken(w, p, n, bio))
-        return out
+        marks = answer_marks(len(self.tokens), (self.answer_start, self.answer_end))
+        return [TaggedToken(*token) for token in zip(self.tokens, self.pos, self.ner, marks)]
 
     def question_tagged(self) -> List[TaggedToken]:
         return [TaggedToken(w, p) for w, p in zip(self.question, self.question_pos)]
@@ -366,10 +368,7 @@ def corpus_example_from_obj(obj: dict, line: Optional[int] = None) -> CorpusExam
         raise LengthMismatch(
             f"question/question_pos lengths differ: {len(ex.question)}/"
             f"{len(ex.question_pos)}" + (f" (line {line})" if line else ""))
-    if not 0 <= ex.answer_start <= ex.answer_end < len(ex.tokens):
-        raise ParseError(
-            f"answer span [{ex.answer_start}, {ex.answer_end}] invalid for "
-            f"{len(ex.tokens)} tokens", line=line)
+    check_answer_span((ex.answer_start, ex.answer_end), len(ex.tokens), line=line)
     return ex
 
 
@@ -473,8 +472,9 @@ def encoded_from_obj(obj: dict, line: Optional[int] = None) -> EncodedExample:
             raise ValueError("pos/ner/answer_bio must be as long as source_roots")
         span = obj["answer_span"]
         left, right = _integer(span[0], "answer_span"), _integer(span[1], "answer_span")
-        if not 0 <= left <= right < len(roots):
-            raise ValueError(f"answer_span [{left}, {right}] outside {len(roots)} source_roots")
+        check_answer_span((left, right), len(roots))
+        if columns[2] != answer_marks(len(roots), (left, right)):
+            raise ValueError(f"answer_bio marks contradict answer_span [{left}, {right}]")
         actions = [action_from_obj(a) for a in obj["actions"]]
         for action in actions:
             if isinstance(action, Copy) and not 0 <= action.index < len(roots):

@@ -96,7 +96,7 @@ def beam_search(
     limit = max_len if max_len is not None else model.hyper.max_decode_len
     if k < 1 or limit < 1:
         raise ValueError(f"beam width and length limit must be at least 1, got {k} and {limit}")
-    enc = model.encode(prep, masks=None)
+    enc = model.encode(prep)
     columns = model.outcome_columns(prep.roots)
     n_words = len(columns.words)
     n_cols = n_words + len(ALL_TYPES)

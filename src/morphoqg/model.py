@@ -9,21 +9,21 @@ before it.  At every step a three-way switch mixes the three action
 distributions, and the probability of producing a given surface word
 marginalises over every action that could have produced it (all copyable
 positions holding that root plus, when the word is in the question-word
-list, the list route).  That mixing has one sum, :func:`_add_routes`: a
-gather of each outcome's first route, then the further ones (a root's
-other positions, then its list route) added level by level in float64 and
-route order, which gives the bytes of a scatter-add.  Beam search ranks
-the rows of :meth:`EncoderDecoder.outcome_mass`, which sums every column
-of a source's layout (:class:`OutcomeColumns`).  Training needs only each
-target's own outcome, so :meth:`EncoderDecoder.prepare` resolves every
-target to its routes once, and a batch's loss is one pass of the same sum
-over the routes of all its targets, whose gradient seeds the switch and
-heads of all its steps at once.  An outcome also names the decoder input
-of the next step as one id into the stacked rows ``[emb/word; emb/trans]``:
-a tag's id comes after the encoder vocabulary so that a word's id is its
-encoder id, and training's teacher-forced inputs (kept by ``prepare``) and
-the beam's next inputs (read from the chosen columns) are id arrays,
-embedded by one gather.
+list, the list route).  An outcome's routes form one run in route order:
+a word's source positions (:func:`morphoqg.codec.root_positions`), then
+its list route; a tag's one route.  :meth:`EncoderDecoder.prepare` lays
+out each target's run and :meth:`EncoderDecoder.outcome_columns` each
+column's.  The one sum, :func:`_add_routes`, adds each run in float64 and
+route order, level by level as :func:`_route_levels` derives the levels
+from the run lengths: the bytes of a scatter-add.  Beam search ranks the
+rows of :meth:`EncoderDecoder.outcome_mass`, all columns of a source; a
+batch's loss sums its targets' runs, and its gradient seeds the switch and
+heads of all steps at once.  An outcome also names the next decoder input
+as one id into the stacked rows ``[emb/word; emb/trans]``: a word's
+encoder id, whichever route emits it, or a tag's index after the encoder
+vocabulary.  Training's teacher-forced inputs (kept by ``prepare``) and the
+beam's next inputs (read from the chosen columns) are id arrays, embedded
+by one gather.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask, and ``linear`` and
@@ -66,12 +66,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab
+from .codec import (EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab,
+                    check_answer_span, root_positions)
 from .errors import DivergenceError, IndexOutOfVocab, ParseError, ShapeMismatch
 from .morphology import ALL_TYPES
 from .tensor import (Array, ParameterStore, affine, affine_backward, check_sidecar,
@@ -107,6 +108,24 @@ def _step_mask(inputs: Sequence[Array]) -> Array:
     at the steps of ``inputs[b]``, T being the longest."""
     lengths = np.array([len(ids) for ids in inputs])
     return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _gates(a: Array) -> tuple[Array, Array, Array]:
+    """The ``z``, ``r`` and ``n`` blocks of the last axis of ``a``, as views."""
+    d = a.shape[-1] // 3
+    return a[..., :d], a[..., d : 2 * d], a[..., 2 * d :]
+
+
+def _route_levels(counts: Array) -> tuple[Array, tuple[tuple[Array, Array], ...]]:
+    """:func:`_add_routes`' ``first`` and ``levels`` for outcomes whose routes
+    lie in contiguous runs, ``counts`` long: each run's start, and per
+    further route index ``d`` the outcomes with one and that route."""
+    first = np.cumsum(counts) - counts
+    levels = []
+    for depth in range(1, int(counts.max(initial=0))):
+        deeper = np.flatnonzero(counts > depth)
+        levels.append((deeper, first[deeper] + depth))
+    return first, tuple(levels)
 
 
 def _add_routes(routes: Array, first: Array,
@@ -189,13 +208,13 @@ def tag_index(tag_list: Sequence[str], tag: str) -> int:
 class PreparedExample:
     """An encoded example resolved to integer ids and target actions.
 
-    Each target is also resolved to the routes that emit its surface word
-    or tag, in route order: the source positions holding its word, then
-    the word's list route, or the tag's route.  A route is a (switch slot,
-    index into that slot's head) pair.  ``inputs`` holds the decoder
-    input id of each teacher-forced step: ``<sos>``, then that of every
-    target but the last.  These arrays derive from the fields above and
-    the model's vocabulary, so they take no part in equality or hashing.
+    Each target is also resolved to the run of routes that emit its word or
+    tag (module docstring), ``routes`` holding the runs in order, a route
+    being a (switch slot, index into that slot's head) pair.  ``inputs``
+    holds the decoder input id of each teacher-forced step: ``<sos>``, then
+    that of every target but the last.  These arrays derive from the fields
+    above and the model's vocabulary, so they take no part in equality or
+    hashing.
     """
 
     roots: tuple[str, ...]
@@ -208,7 +227,6 @@ class PreparedExample:
     inputs: Array = field(compare=False, repr=False)        # (T,) intp
     route_counts: Array = field(compare=False, repr=False)  # routes of each target, (T,) intp
     routes: Array = field(compare=False, repr=False)        # (routes, 2) intp
-    reference: str = ""
 
 
 @dataclass(frozen=True)
@@ -223,12 +241,10 @@ class OutcomeColumns:
     id, or ``vocab.encoder_size + t.index`` for tag ``t``.
 
     The routes are numbered in ROUTES order: each source position, each
-    list word, each tag.  A root column's routes are its source positions
-    in order and then, for a list word, its list route; every other column
-    has one route.  ``first_routes`` holds the first route of every
-    column, and ``route_levels[d]`` the columns that have a route at index
-    ``d + 1`` with that route, which is how :func:`_add_routes` adds
-    them up.
+    list word, each tag, and each column's routes form a run (module
+    docstring): a root's positions, then its list route if it has one.
+    ``first_routes`` and ``route_levels`` are :func:`_route_levels` of the
+    run lengths mapped to route numbers, for :func:`_add_routes`.
     """
 
     words: tuple[str, ...]           # the word of each word column
@@ -361,8 +377,11 @@ class EncoderDecoder:
         """Resolve ids, and each target's routes and next decoder input
         (see :class:`PreparedExample`).  A copy index outside the source or
         a list id outside the list raises :class:`IndexOutOfVocab`: either
-        would name another outcome's route."""
+        would name another outcome's route.  An answer span outside a
+        non-empty source raises :class:`ParseError`."""
         roots = tuple(example.source_roots)
+        if roots:
+            check_answer_span(example.answer_span, len(roots))
         word_ids = tuple(self.vocab.encoder_id(r) for r in roots)
         bio_ids, ner_ids, pos_ids = [], [], []
         for pos, ner, bio in example.source_features:
@@ -370,10 +389,8 @@ class EncoderDecoder:
             ner_ids.append(tag_index(self.ner_tags, ner))
             pos_ids.append(tag_index(self.pos_tags, pos))
         targets = tuple(example.target_actions) + (Quest(EOS_ID),)
-        positions: dict[str, list[int]] = {}
-        for i, root in enumerate(roots):
-            positions.setdefault(root, []).append(i)
-        _words, qid_of, word_inputs = self._list_words
+        positions = root_positions(roots)
+        qid_of = self._list_words[1]
         feeds, counts, routes = [SOS_ID], [], []
         for action in targets:
             if isinstance(action, Trans):
@@ -385,12 +402,11 @@ class EncoderDecoder:
                 if not 0 <= action.index < len(roots):
                     raise IndexOutOfVocab(f"copy index {action.index} outside source "
                                           f"of {len(roots)} tokens")
-                word, qid = roots[action.index], qid_of.get(roots[action.index])
-                feeds.append(word_ids[action.index])
+                word = roots[action.index]
             else:
-                word, qid = self.vocab.quest_word(action.word_id), action.word_id
-                feeds.append(int(word_inputs[qid]))
-            copies = positions.get(word, ())
+                word = self.vocab.quest_word(action.word_id)
+            feeds.append(self.vocab.encoder_id(word))
+            copies, qid = positions.get(word, ()), qid_of.get(word)
             counts.append(len(copies) + (qid is not None))
             for i in copies:
                 routes += (SW_COPY, i)
@@ -404,7 +420,6 @@ class EncoderDecoder:
             pos_ids=tuple(pos_ids),
             span=example.answer_span,
             targets=targets,
-            reference=" ".join(example.reference_question),
             inputs=np.array(feeds[:-1], dtype=np.intp),
             route_counts=np.array(counts, dtype=np.intp),
             routes=np.array(routes, dtype=np.intp).reshape(-1, 2),
@@ -492,7 +507,7 @@ class EncoderDecoder:
 
         def step(i: int, dh: Array) -> Array:
             h, z, r, n = (cache[key][i] for key in "hzrn")
-            da_z, da_r, da_n = (DA[i][..., j * d_h : (j + 1) * d_h] for j in range(3))
+            da_z, da_r, da_n = _gates(DA[i])
             np.multiply(dh, (1.0 - z) * (1.0 - n * n), out=da_n)
             drh = da_n @ U_n
             np.multiply(dh, (h - n) * z * (1.0 - z), out=da_z)
@@ -509,7 +524,7 @@ class EncoderDecoder:
         pass.  Returns the gradient at the ``x_cols`` columns of its input
         rows."""
         p = self.store
-        D = dict(zip("zrn", np.split(_rows(DA), 3, axis=1)))
+        D = dict(zip("zrn", _gates(_rows(DA))))
         h = _rows(cache["h"])
         rows = {"x": _rows(cache["x"]), "h": h, "rh": _rows(cache["r"]) * h}
         for g in "zrn":
@@ -592,11 +607,11 @@ class EncoderDecoder:
             enc["g2_answer"] = affine(p["g2/W"][:, :d_h], p["g2/b"], v_answer)
         return enc
 
-    def encode(self, prep: PreparedExample, masks: Array | None = None) -> dict:
-        """Encode one source: the batch-of-one :meth:`_encode`, as that
-        example's ``H``, ``HA``, ``valid``, ``v_answer`` and ``s0``, and in
-        the additive design ``g2_answer``."""
-        enc = self._encode([prep], masks)
+    def encode(self, prep: PreparedExample) -> dict:
+        """Encode one source without dropout: the batch-of-one
+        :meth:`_encode`, as that example's ``H``, ``HA``, ``valid``,
+        ``v_answer`` and ``s0``, and in the additive design ``g2_answer``."""
+        enc = self._encode([prep], None)
         keys = ("H", "HA", "valid", "v_answer", "s0") + (() if self.hyper.dot_heads
                                                          else ("g2_answer",))
         return {key: enc[key][0] for key in keys}
@@ -827,7 +842,7 @@ class EncoderDecoder:
             dQ_dpre *= de[..., None]
             dHA += dQ_dpre
             ds_carry = gru_step(t, d["s"][t] + ds_carry + dq_sum @ p["att/B"])
-            dc_carry = sum(da @ W for da, W in zip(np.split(DA[t], 3, axis=-1), W_c))
+            dc_carry = sum(da @ W for da, W in zip(_gates(DA[t]), W_c))
         del gru_step, Q, dQ_dpre, walk["z"], walk["n"]
         dW_in = d["w"]
         dW_in += self._gru_weight_grads("dec", DA, walk, grads,
@@ -885,12 +900,7 @@ class EncoderDecoder:
         kinds = {sw: (head, slot == sw) for sw, head in ROUTES}
         for head, kind in kinds.values():
             probs[kind] = walk[head][route_t[kind], route_b[kind], index[kind]]
-        first = np.cumsum(counts) - counts
-        levels = []
-        for depth in range(1, int(counts.max())):
-            deeper = np.flatnonzero(counts > depth)
-            levels.append((deeper, first[deeper] + depth))
-        mass = _add_routes(switch * probs, first, levels)
+        mass = _add_routes(switch * probs, *_route_levels(counts))
         bad = ~(np.isfinite(mass) & (mass > 0.0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -987,49 +997,36 @@ class EncoderDecoder:
     def outcome_columns(self, roots: Sequence[str]) -> OutcomeColumns:
         """Column layout of the outcome mass for one source; see
         :class:`OutcomeColumns`."""
-        col_of: dict[str, int] = {}
-        positions: list[list[int]] = []
-        # levels[d]: the columns with a route at index d + 1, and that route.
-        levels: list[tuple[list[int], list[int]]] = []
-
-        def add_route(depth: int, col: int, route: int) -> None:
-            if depth == len(levels):
-                levels.append(([], []))
-            levels[depth][0].append(col)
-            levels[depth][1].append(route)
-
-        for i, root in enumerate(roots):
-            if root not in col_of:
-                col_of[root] = len(positions)
-                positions.append([])
-            col = col_of[root]
-            pos = positions[col]
-            if pos:
-                add_route(len(pos) - 1, col, i)
-            pos.append(i)
+        n_copy = len(roots)
+        positions = root_positions(roots)
         words, qid_of, word_inputs = self._list_words
-        # A list word that is a root takes the root's column; the others
-        # follow the roots, by id.
-        shared = sorted(qid_of[root] for root in col_of if root in qid_of)
-        keep = np.ones(len(words), dtype=bool)
+        # Each root column's run, as :meth:`prepare` lays out a target's: its
+        # positions, then its list route if the root is a list word.
+        runs, counts, shared = [], [], []
+        for root, pos in positions.items():
+            runs += pos
+            qid = qid_of.get(root)
+            if qid is not None:
+                runs.append(n_copy + qid)
+                shared.append(qid)
+            counts.append(len(pos) + (qid is not None))
+        first, levels = _route_levels(np.array(counts, dtype=np.intp))
+        runs = np.array(runs, dtype=np.intp)
+        keep = np.ones(len(words), dtype=bool)  # the list-only columns
         keep[shared] = False
         quest_ids = np.flatnonzero(keep)
-        n_copy = len(roots)
-        for qid in shared:  # after the root's positions
-            col = col_of[words[qid]]
-            add_route(len(positions[col]) - 1, col, n_copy + qid)
-        root_inputs = np.array([self.vocab.encoder_id(root) for root in col_of], dtype=np.intp)
+        root_inputs = np.array([self.vocab.encoder_id(root) for root in positions], dtype=np.intp)
         return OutcomeColumns(
-            words=tuple(col_of) + tuple(words[qid] for qid in quest_ids.tolist()),
+            words=tuple(positions) + tuple(compress(words, keep.tolist())),
             inputs=np.concatenate([root_inputs, word_inputs[keep],
                                    self.vocab.encoder_size + np.arange(len(ALL_TYPES))]),
-            positions=tuple(np.array(pos, dtype=np.intp) for pos in positions),
+            positions=tuple(runs[start : start + len(pos)]
+                            for start, pos in zip(first.tolist(), positions.values())),
             quest_ids=quest_ids,
             first_routes=np.concatenate([
-                np.array([pos[0] for pos in positions], dtype=np.intp), n_copy + quest_ids,
+                runs[first], n_copy + quest_ids,
                 np.arange(n_copy + len(words), n_copy + len(words) + len(ALL_TYPES))]),
-            route_levels=tuple((np.array(cols, dtype=np.intp), np.array(routes, dtype=np.intp))
-                               for cols, routes in levels),
+            route_levels=tuple((cols, runs[at]) for cols, at in levels),
         )
 
     def outcome_mass(self, state: dict, columns: OutcomeColumns) -> Array:

@@ -479,12 +479,12 @@ class TestTrainGenerate:
         assert (tmp_path / "redo.ckpt.json").read_bytes() == \
             model.with_suffix(".ckpt.json").read_bytes()
 
-    def test_generate_writes_questions_and_timing(self, workdir, trained,
-                                                  tmp_path):
-        model, _args = trained
+    def test_generate_writes_questions_and_timing(self, workdir, fitted, tmp_path):
+        """On a model whose questions end, so that the rerun also covers
+        ``<eos>`` and the early stop."""
         out = tmp_path / "questions.txt"
         argv = ("generate", "--input", str(workdir / "corpus.jsonl"),
-                "--model", str(model),
+                "--model", str(fitted),
                 "--encoder-vocab", str(workdir / "enc.vocab"),
                 "--quest-vocab", str(workdir / "q.vocab"),
                 "--out", str(out), "--beam", "2")
@@ -495,6 +495,8 @@ class TestTrainGenerate:
         assert timing["examples"] == 30
         assert timing["beam"] == 2
         assert timing["mean_s_per_word"] > 0.0
+        assert timing["stopped_early_share"] > 0.0
+        assert timing["mean_beam_steps"] < timing["max_decode_len"]
         first = out.read_bytes()
         assert run(*argv) == 0
         assert out.read_bytes() == first
@@ -785,13 +787,16 @@ def _encoded_record(draw):
     n = draw(st.integers(1, 4))
     words = st.lists(_WORD, min_size=n, max_size=n)
     left = draw(st.integers(-1, n))
+    right = draw(st.integers(left - 1, n))
+    # Half the time the span's own marks, so that records get past that check.
+    marks = ["B" if i == left else "I" if left < i <= right else "O" for i in range(n)]
     action = st.fixed_dictionaries({
         "kind": st.sampled_from(["copy", "quest", "trans", "jump"]),
         "index": st.integers(-1, n), "id": st.integers(-1, 40),
         "tag": st.sampled_from(TRANS_TAGS + ("##x",))})
     return _mangled(draw, {
         "source_roots": draw(words), "pos": draw(words), "ner": draw(words),
-        "answer_bio": draw(words), "answer_span": [left, draw(st.integers(left - 1, n))],
+        "answer_bio": draw(st.just(marks) | words), "answer_span": [left, right],
         "actions": draw(st.lists(action | _WORD, max_size=4)),
         "reference_question": draw(st.lists(_WORD, max_size=3))})
 

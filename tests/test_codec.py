@@ -20,6 +20,7 @@ from morphoqg.codec import (
     Vocab,
     action_from_obj,
     action_to_obj,
+    answer_marks,
     build_vocabs,
     corpus_example_from_obj,
     corpus_example_to_obj,
@@ -32,6 +33,7 @@ from morphoqg.codec import (
     load_corpus_jsonl,
     load_encoded_jsonl,
     realize,
+    root_positions,
     TaggedToken,
 )
 from morphoqg.errors import (
@@ -108,9 +110,16 @@ class TestEncodeSource:
             encode_source([_tok("a"), _tok("b")])  # no B at all
         with pytest.raises(ParseError):
             encode_source([_tok("a", bio="B"), _tok("b"), _tok("c", bio="I")])
+        with pytest.raises(ParseError):  # the encoded-file reader would refuse it
+            encode_source([_tok("a", bio="B"), _tok("b", bio="X")])
 
 
 class TestEncodeTarget:
+    def test_root_positions_in_first_occurrence_order(self):
+        assert list(root_positions(["b", "a", "b", "c", "a"]).items()) == [
+            ("b", [0, 2]), ("a", [1, 4]), ("c", [3])]
+        assert root_positions([]) == {}
+
     def test_flagship_alignment(self, toy_vocab):
         """'when did he succeed ?' becomes quest/do+##ed/copy/copy/quest."""
         vocab = Vocab(list(RESERVED_TOKENS) + ["he", "succeed", "kennedy"],
@@ -345,6 +354,34 @@ class TestCorpusFiles:
             assert action_from_obj(action_to_obj(a)) == a
         with pytest.raises(ParseError):
             action_from_obj({"kind": "jump"})
+
+
+class TestEncodedRecordChecks:
+    @staticmethod
+    def _record(marks, span):
+        return {"source_roots": ["he", "visit", "park"], "pos": ["NNP", "VBD", "NN"],
+                "ner": ["PERSON", "O", "O"], "answer_bio": marks, "answer_span": span,
+                "actions": [{"kind": "copy", "index": 0}], "reference_question": ["he"]}
+
+    def test_marks_of_the_span_load(self):
+        assert encoded_from_obj(self._record(["O", "B", "I"], [1, 2])).answer_span == (1, 2)
+
+    @pytest.mark.parametrize("marks,span", [
+        (["B", "O", "O"], [2, 2]),
+        (["X", "Y", "Z"], [2, 2]),
+        (["O", "B", "O"], [1, 2]),
+        (["O", "I", "I"], [1, 2]),
+    ])
+    def test_marks_contradicting_the_span_rejected(self, marks, span):
+        with pytest.raises(ParseError, match="answer_bio marks contradict"):
+            encoded_from_obj(self._record(marks, span))
+
+    def test_encode_writes_the_marks_of_its_span(self, toy, toy_vocab):
+        for raw in toy[:20]:
+            obj = encoded_to_obj(encode_example(raw, toy_vocab))
+            assert obj["answer_bio"] == answer_marks(len(obj["source_roots"]),
+                                                     tuple(obj["answer_span"]))
+            assert encoded_from_obj(obj).answer_span == tuple(obj["answer_span"])
 
 
 class TestTextFiles:

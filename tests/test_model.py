@@ -216,6 +216,17 @@ class TestPrepare:
         with pytest.raises(IndexOutOfVocab):
             model.prepare(example)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("span", [(2, 7), (-1, 0), (5, 9), (2, 1)])
+    def test_answer_span_outside_the_source_rejected(self, span):
+        """On 3 tokens: spans past the end and before the start would train
+        on the clipped span, and one wholly outside or reversed on an empty
+        one; the encoded-file reader rejects each as a data error."""
+        model, example = tiny_model_and_example(1)
+        example = replace(example, answer_span=span)
+        with pytest.raises(ParseError, match="answer_span"):
+            model.prepare(example)
+
     def test_list_id_past_the_list_rejected(self):
         model = tiny_model()
         example = replace(flagship_example(),
@@ -799,7 +810,7 @@ class TestSequenceRecurrences:
             batch, *_ = model._gru_cell(prefix, model._gru_inputs(prefix, X), prev)
             np.testing.assert_allclose(batch, want, rtol=0, atol=1e-12 * np.abs(want).max())
             total = total + want
-        H = model.encode(prep, masks)["H"]
+        H = model._encode([prep], masks)["H"][0]
         np.testing.assert_allclose(H, total, rtol=0, atol=1e-12 * np.abs(total).max())
 
     @pytest.mark.parametrize("dot_heads", [False, True])
@@ -1461,7 +1472,7 @@ class _RefHyp:
 def reference_beam_search(model, prep, beam_size=None, max_len=None):
     k = beam_size if beam_size is not None else model.hyper.beam_size
     limit = max_len if max_len is not None else model.hyper.max_decode_len
-    enc = model.encode(prep, masks=None)
+    enc = model.encode(prep)
     c0 = np.zeros(model.hyper.hidden_size, dtype=model.dtype)
     beams = [_RefHyp(actions=(), log_sum=0.0, s=enc["s0"], c=c0, last_was_word=False)]
     finished = []
