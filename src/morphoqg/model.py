@@ -73,7 +73,8 @@ import numpy as np
 
 from .codec import (EOS_ID, SOS_ID, Copy, EncodedExample, Quest, TargetAction, Trans, Vocab,
                     check_answer_span, root_positions)
-from .errors import DivergenceError, IndexOutOfVocab, ParseError, ShapeMismatch
+from .errors import (DivergenceError, EmptyInputError, IndexOutOfVocab, ParseError,
+                     ShapeMismatch)
 from .morphology import ALL_TYPES
 from .tensor import (Array, ParameterStore, affine, affine_backward, check_sidecar,
                      dropout_mask, linear, load_checkpoint, maxout_affine,
@@ -377,11 +378,13 @@ class EncoderDecoder:
         """Resolve ids, and each target's routes and next decoder input
         (see :class:`PreparedExample`).  A copy index outside the source or
         a list id outside the list raises :class:`IndexOutOfVocab`: either
-        would name another outcome's route.  An answer span outside a
-        non-empty source raises :class:`ParseError`."""
+        would name another outcome's route.  An empty source raises
+        :class:`EmptyInputError` and an answer span outside the source
+        :class:`ParseError`."""
         roots = tuple(example.source_roots)
-        if roots:
-            check_answer_span(example.answer_span, len(roots))
+        if not roots:
+            raise EmptyInputError("source token sequence is empty")
+        check_answer_span(example.answer_span, len(roots))
         word_ids = tuple(self.vocab.encoder_id(r) for r in roots)
         bio_ids, ner_ids, pos_ids = [], [], []
         for pos, ner, bio in example.source_features:

@@ -85,7 +85,7 @@ class IrregularEntry:
     type: TransformationType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphAnalysis:
     root: str
     transform: Optional[TransformationType]
@@ -433,20 +433,18 @@ def _candidates_grade(word: str, suffix: str) -> list:
     return _ordered_with_e(stem)
 
 
-def _candidates(word: str, t: TransformationType) -> list:
-    if t is TransformationType.ING:
-        cands = _candidates_ing(word)
-    elif t in (TransformationType.ED, TransformationType.EDP):
-        cands = _candidates_ed(word)
-    elif t is TransformationType.VS:
-        cands = _candidates_s(word, noun=False)
-    elif t is TransformationType.NS:
-        cands = _candidates_s(word, noun=True)
-    elif t in (TransformationType.JER, TransformationType.VER):
-        cands = _candidates_grade(word, "er")
-    else:
-        cands = _candidates_grade(word, "est")
-    return [c for c in cands if c and len(c) >= 2 and c.isalpha()]
+# Root candidates per type, in the order analysis tries them.
+_CANDIDATES = {
+    TransformationType.ING: _candidates_ing,
+    TransformationType.VS: lambda w: _candidates_s(w, noun=False),
+    TransformationType.ED: _candidates_ed,
+    TransformationType.EDP: _candidates_ed,
+    TransformationType.NS: lambda w: _candidates_s(w, noun=True),
+    TransformationType.JER: lambda w: _candidates_grade(w, "er"),
+    TransformationType.JEST: lambda w: _candidates_grade(w, "est"),
+    TransformationType.VER: lambda w: _candidates_grade(w, "er"),
+    TransformationType.VEST: lambda w: _candidates_grade(w, "est"),
+}
 
 
 # -- irregular table ----------------------------------------------------
@@ -527,14 +525,36 @@ def load_irregular_table(source: Union[str, TextIO]) -> IrregularTable:
 
 # -- public engine ------------------------------------------------------
 
+# Entries in each Morphology instance's memo of ``analyze``; the least
+# recently used entry goes first.
+ANALYZE_MEMO_SIZE = 65536
+
+
 class Morphology:
     """Inflection engine over an irregular table plus orthographic rules.
 
-    Immutable after construction; safe for concurrent readers.
+    The table and rules are immutable after construction.  ``analyze`` is
+    a pure function of its arguments, so each instance memoises it, keyed
+    by the exact ``(word, pos)`` arguments and bounded by
+    ``ANALYZE_MEMO_SIZE``.  Readers fill the memo; a race between two
+    readers only computes an entry twice.
     """
 
     def __init__(self, table: Optional[IrregularTable] = None):
         self._table = table if table is not None else _bundled_table()
+        roots = {t: {} for t in ALL_TYPES}
+        for e in self._table:
+            roots[e.type][e.inflected] = e.root
+        # Per inflected POS tag: its type, the table's inflected -> root
+        # map for that type and the type's candidate generator.
+        self._by_pos = {pos: (t, roots[t], _CANDIDATES[t])
+                        for pos, t in POS_TAG_TO_TYPE.items()}
+        # The instance attribute shadows the class's rule search, which
+        # stays reachable as ``Morphology.analyze`` and ``analyze.__wrapped__``.
+        self.analyze = lru_cache(maxsize=ANALYZE_MEMO_SIZE)(self.analyze)
+
+    def __reduce__(self):
+        return type(self), (self._table,)
 
     @property
     def table(self) -> IrregularTable:
@@ -557,14 +577,16 @@ class Morphology:
         cannot invert, falls back to the word itself with no transform.
         """
         w = word.lower()
-        t = POS_TAG_TO_TYPE.get(pos)
-        if t is None or not w.isalpha():
+        rule = self._by_pos.get(pos)
+        if rule is None or not w.isalpha():
             return MorphAnalysis(w, None)
-        root = self._table.root_for(w, t)
+        t, roots, candidates = rule
+        root = roots.get(w)
         if root is not None:
             return MorphAnalysis(root, t)
-        for cand in _candidates(w, t):
-            if cand != w and self.apply_transform(cand, t) == w:
+        for cand in candidates(w):
+            if cand != w and len(cand) >= 2 and cand.isalpha() \
+                    and self.apply_transform(cand, t) == w:
                 return MorphAnalysis(cand, t)
         return MorphAnalysis(w, None)
 

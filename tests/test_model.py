@@ -24,7 +24,8 @@ from morphoqg.codec import (
     Trans,
     Vocab,
 )
-from morphoqg.errors import DivergenceError, IndexOutOfVocab, ParseError, ShapeMismatch
+from morphoqg.errors import (DivergenceError, EmptyInputError, IndexOutOfVocab, ParseError,
+                             ShapeMismatch)
 from morphoqg.generate import BeamResult, beam_search, generate_question
 from morphoqg.model import (
     SW_COPY,
@@ -270,7 +271,11 @@ class TestPrepare:
         example.source_features = []
         example.target_actions = [Quest(WHEN)]
         example.answer_span = (0, 0)
-        prep = model.prepare(example)
+        with pytest.raises(EmptyInputError):
+            model.prepare(example)
+        # A caller that builds its own empty source still meets encode's check.
+        prep = replace(model.prepare(flagship_example()), roots=(), word_ids=(),
+                       bio_ids=(), ner_ids=(), pos_ids=())
         with pytest.raises(ShapeMismatch):
             model.encode(prep)
 

@@ -1,12 +1,17 @@
 """Tests for the inflection rules, the irregular table and analysis."""
 
+import copy
 import io
+import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphoqg import morphology
 from morphoqg.checks import round_trip_failures
+from morphoqg.codec import build_vocabs, encode_example
 from morphoqg.errors import DuplicateKeyError, ParseError, UnknownRuleError
 from morphoqg.morphology import (
     ALL_TYPES,
@@ -19,6 +24,7 @@ from morphoqg.morphology import (
     load_irregular_table,
     load_regular_lexicon,
 )
+from morphoqg.toydata import make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +252,86 @@ class TestRoundTrip:
         a = morph.analyze(surface, TYPE_TO_POS_TAG[t])
         assert a.transform is t
         assert morph.apply_transform(a.root, a.transform) == surface
+
+
+# Mixed-case words, words with non-letters, and inflected surface forms,
+# so that one word often analyzes differently under two tags.
+_WORDS = st.one_of(
+    st.text(alphabet="abcdeilnorstvyAEILNSTV-'.3", min_size=1, max_size=10),
+    st.sampled_from(["leaves", "lives", "Leaves", "went", "WENT", "better", "best",
+                     "running", "tried", "buses", "3.5", "co-op"]),
+    st.sampled_from([inflected for _root, _t, inflected in load_regular_lexicon()]),
+)
+_TAGS = st.sampled_from(sorted(POS_TAG_TO_TYPE) + ["NN", "VB", "DT", "nns", ""])
+
+
+class TestAnalyzeMemo:
+    """``analyze`` memoises the rule search per instance, keyed by the
+    exact (word, pos) arguments and bounded by ANALYZE_MEMO_SIZE."""
+
+    @given(calls=st.lists(st.tuples(_WORDS, st.lists(_TAGS, min_size=1, max_size=4)),
+                          min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_memoised_answers_equal_the_rule_search(self, calls):
+        """Fails if the memo merges pairs, e.g. keyed on the word alone:
+        ("leaves", "NNS") -> leaf would then answer ("leaves", "VBZ")."""
+        morph, reference = Morphology(), Morphology()
+        pairs = [(word, pos) for word, tags in calls for pos in tags]
+        first = [morph.analyze(word, pos) for word, pos in pairs]
+        again = [morph.analyze(word, pos) for word, pos in reversed(pairs)][::-1]
+        want = [Morphology.analyze(reference, word, pos) for word, pos in pairs]
+        assert first == want
+        assert again == want
+
+    def test_the_cap_bounds_the_memo(self, monkeypatch):
+        """Fails if the memo ignores ANALYZE_MEMO_SIZE (grows past it)."""
+        monkeypatch.setattr(morphology, "ANALYZE_MEMO_SIZE", 4)
+        morph, reference = Morphology(), Morphology()
+        words = ["leaves", "lives", "went", "better", "running", "tried", "buses", "dogs"]
+        pairs = [(w, pos) for w in words for pos in ("NNS", "VBZ", "VBD", "JJR", "NN")]
+        for round_ in range(2):
+            for word, pos in pairs:
+                got = morph.analyze(word, pos)
+                assert got == Morphology.analyze(reference, word, pos), (round_, word, pos)
+                assert morph.analyze.cache_info().currsize <= 4
+        assert morph.analyze.cache_info().currsize == 4
+        assert morph.analyze("leaves", "NNS").root == "leaf"
+        assert morph.analyze("leaves", "VBZ").root == "leave"
+
+    def test_codec_searches_each_distinct_pair_once(self, monkeypatch):
+        """build_vocabs plus encode_example over a toy corpus run the rule
+        search once per distinct (word, pos) pair they ask for.  Fails
+        without the memo, as repeated pairs then search again."""
+        searches = Counter()
+        search = Morphology.analyze
+
+        def counted(self, word, pos):
+            searches[word, pos] += 1
+            return search(self, word, pos)
+
+        monkeypatch.setattr(Morphology, "analyze", counted)
+        morph = Morphology()
+        asked = []
+        memoised = morph.analyze
+
+        def asking(word, pos):
+            asked.append((word, pos))
+            return memoised(word, pos)
+
+        morph.analyze = asking
+        corpus = make_corpus(60, seed=1)
+        vocab = build_vocabs(corpus, morph)
+        for example in corpus:
+            encode_example(example, vocab, morph)
+        assert len(asked) > 2 * len(set(asked))
+        assert searches == Counter(set(asked))
+
+    def test_a_copy_gets_its_own_memo(self):
+        """Fails if pickling or deepcopy carries the memo over, which would
+        keep it bound to the original instance."""
+        morph = Morphology()
+        morph.analyze("leaves", "NNS")
+        for twin in (pickle.loads(pickle.dumps(morph)), copy.deepcopy(morph)):
+            assert twin.analyze.cache_info().currsize == 0
+            assert twin.analyze("leaves", "VBZ").root == "leave"
+            assert twin.analyze.__wrapped__.__self__ is twin
