@@ -167,6 +167,11 @@ class HyperParams:
     max_decode_len: int = 32
     dot_heads: bool = False
 
+    @property
+    def input_dim(self) -> int:
+        """Width of one encoder input row: word plus the three feature embeddings."""
+        return self.word_dim + self.answer_feat_dim + self.ner_feat_dim + self.pos_feat_dim
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -286,9 +291,7 @@ class EncoderDecoder:
         self.ner_tags = list(ner_tags)
         self.init_seed = init_seed
         if store is None:
-            store = ParameterStore(init_seed=init_seed)
-            for name, shape, init in self._parameters():
-                store.add(name, shape, init=init)
+            store = ParameterStore(init_seed, self._parameters(hyper, vocab, pos_tags, ner_tags))
         self.store = store
         self.dtype = store.dtype
         # The list-word part of every OutcomeColumns: the words, the id of
@@ -301,22 +304,24 @@ class EncoderDecoder:
     # Parameters.
     # ------------------------------------------------------------------
 
-    def _parameters(self) -> list[tuple[str, tuple[int, ...], str]]:
+    @staticmethod
+    def _parameters(hp: HyperParams, vocab: Vocab, pos_tags: Sequence[str],
+                    ner_tags: Sequence[str]) -> list[tuple[str, tuple[int, ...], str]]:
         """Name, shape and init scheme of every tensor, in registration order.
 
-        The order pins the seeded initial values and the order of every
-        gradient dict; :meth:`load` checks a checkpoint against the same list.
+        The order pins the seeded initial values, the store's layout and
+        the order of every gradient norm; :meth:`load` checks a checkpoint
+        against the same list.
         """
-        hp = self.hyper
         d_w, d_h = hp.word_dim, hp.hidden_size
-        d_in = self._input_dim()
-        n_quest = self.vocab.quest_size
+        d_in = hp.input_dim
+        n_quest = vocab.quest_size
         n_types = len(ALL_TYPES)
         specs = [
-            ("emb/word", (self.vocab.encoder_size, d_w), "uniform"),
+            ("emb/word", (vocab.encoder_size, d_w), "uniform"),
             ("emb/bio", (len(BIO_TAGS), hp.answer_feat_dim), "uniform"),
-            ("emb/ner", (len(self.ner_tags), hp.ner_feat_dim), "uniform"),
-            ("emb/pos", (len(self.pos_tags), hp.pos_feat_dim), "uniform"),
+            ("emb/ner", (len(ner_tags), hp.ner_feat_dim), "uniform"),
+            ("emb/pos", (len(pos_tags), hp.pos_feat_dim), "uniform"),
             ("emb/trans", (n_types, d_w), "uniform"),
         ]
         for prefix, x_dim in (
@@ -431,11 +436,6 @@ class EncoderDecoder:
     # ------------------------------------------------------------------
     # Encoder.
     # ------------------------------------------------------------------
-
-    def _input_dim(self) -> int:
-        """Width of one encoder input row: word plus the three feature embeddings."""
-        hp = self.hyper
-        return hp.word_dim + hp.answer_feat_dim + hp.ner_feat_dim + hp.pos_feat_dim
 
     @staticmethod
     def _input_ids(prepared: Sequence[PreparedExample]) -> tuple[tuple[str, Array], ...]:
@@ -582,7 +582,7 @@ class EncoderDecoder:
         ids = self._input_ids(prepared)
         rows = np.concatenate([p[name][i] for name, i in ids], axis=1)
         valid = np.arange(n) < lengths[:, None]
-        X = np.zeros((n, B, self._input_dim()), dtype=self.dtype)
+        X = np.zeros((n, B, self.hyper.input_dim), dtype=self.dtype)
         X.swapaxes(0, 1)[valid] = rows if masks is None else rows * masks
         fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, valid.T, range(n))
         bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid.T, range(n - 1, -1, -1))
@@ -962,12 +962,12 @@ class EncoderDecoder:
         """
         if masks_list is not None:
             masks = None if all(m is None for m in masks_list) else np.concatenate([
-                np.ones((len(prep.roots), self._input_dim()), self.dtype) if m is None else m
+                np.ones((len(prep.roots), self.hyper.input_dim), self.dtype) if m is None else m
                 for prep, m in zip(prepared, masks_list)])
         elif rng is None or self.hyper.dropout_rate == 0.0:
             masks = None  # a zero rate draws nothing, so its all-ones masks are left out
         else:
-            masks = dropout_mask((sum(len(prep.roots) for prep in prepared), self._input_dim()),
+            masks = dropout_mask((sum(len(prep.roots) for prep in prepared), self.hyper.input_dim),
                                  self.hyper.dropout_rate, rng, dtype=self.dtype)
         enc = self._encode(prepared, masks)
         inputs = [prep.inputs for prep in prepared]
@@ -1117,18 +1117,19 @@ class EncoderDecoder:
                              f"an integer, got {init_seed!r}")
         if meta.get("vocab_sha256") != vocab.content_hashes():
             raise ParseError("checkpoint was built with a different vocabulary")
-        store = ParameterStore(init_seed=init_seed)
+        specs = cls._parameters(hyper, vocab, meta["pos_tags"], meta["ner_tags"])
+        store = ParameterStore(init_seed, [(name, shape, "empty") for name, shape, _ in specs])
         model = cls(hyper, vocab, pos_tags=meta["pos_tags"],
                     ner_tags=meta["ner_tags"], init_seed=init_seed, store=store)
-        weights = load_checkpoint(path)
-        for name, shape, _init in model._parameters():
+        weights = load_checkpoint(path, into=dict(store.items()))
+        for name, shape, _init in specs:
             arr = weights.get(name)
             if arr is None:
                 raise ParseError(f"checkpoint {path} has no tensor {name!r}")
             if arr.shape != shape:
                 raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, but "
                                  f"the sidecar's hyperparameters and tags give {shape}")
-            store.add_value(name, arr)
+            store[name] = arr  # a no-op for a tensor read into its view
         if len(weights) > len(store):
             raise ParseError(f"checkpoint {path} has tensors the model lacks: "
                              f"{sorted(set(weights) - set(store.names()))}")

@@ -584,8 +584,10 @@ class Morphology:
         root = roots.get(w)
         if root is not None:
             return MorphAnalysis(root, t)
+        # A candidate must meet apply_transform's precondition: an
+        # alphabetic word with no cased letter (``中文``) is not lowercase.
         for cand in candidates(w):
-            if cand != w and len(cand) >= 2 and cand.isalpha() \
+            if cand != w and len(cand) >= 2 and cand.isalpha() and cand.islower() \
                     and self.apply_transform(cand, t) == w:
                 return MorphAnalysis(cand, t)
         return MorphAnalysis(w, None)

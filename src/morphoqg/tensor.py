@@ -16,11 +16,18 @@ along each row in memory order.  No kernel selects element by element
 with ``np.where``: ``sigmoid`` and the maxout forward take ``np.maximum``
 and the maxout backward multiplies by the winner masks, so a
 data-dependent mask costs no mispredicted branch.
-:class:`Adam` scales the gradients it is given, clips them and updates
-each tensor in place, in blocks through one scratch buffer; a tensor
-given with a row set (the batch's rows of ``emb/word``) has only those
-rows read for the norm and updated, as a lazy sparse Adam.  Checkpoints
-carry a SHA-256 checksum that loading verifies.
+:class:`ParameterStore` allocates a model's tensors as views of one
+flat buffer in registration order; its gradients (``zero_grads``) and
+:class:`Adam`'s moments are flat buffers in the same layout, and
+assigning to a tensor writes into its view, so the layout never
+changes.  :class:`Adam` scales the gradients it is given, clips them and
+updates in place: each run of consecutive dense tensors as stretches of
+the flat buffers, in blocks through one scratch buffer, with the bits of
+a tensor-by-tensor update; a tensor given with a row set (the batch's
+rows of ``emb/word``) has only those rows read for the norm and updated,
+as a lazy sparse Adam.  Checkpoints carry a SHA-256 checksum that
+loading verifies, and loading can read each tensor straight into the
+array it belongs in.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -178,16 +185,17 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
 INIT_BLOCK = 1 << 18
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
-                 scale: float = RECURRENT_INIT_SCALE, dtype=np.float64) -> Array:
-    """Uniform(-scale, scale) sample; default scale suits recurrent weights.
+def uniform_init(rng: np.random.Generator, out: Array,
+                 scale: float = RECURRENT_INIT_SCALE) -> Array:
+    """Fill ``out`` with a uniform(-scale, scale) sample and return it; the
+    default scale suits recurrent weights.
 
-    Values are drawn in float64 and stored as ``dtype``.  The draws go in
-    blocks of rows, so a float32 tensor needs no float64 copy of its whole
-    size; the values equal one whole draw cast to ``dtype``.
+    Values are drawn in float64 and stored in ``out``'s dtype.  The draws
+    go in blocks of rows, so a float32 tensor needs no float64 copy of its
+    whole size; the values equal one whole draw cast to that dtype.
+    ``out`` must be C-contiguous.
     """
-    out = np.empty(shape, dtype=dtype)
-    rows = out.reshape(-1, shape[-1]) if out.ndim and out.size else out.reshape(1, -1)
+    rows = out.reshape(-1, out.shape[-1]) if out.ndim and out.size else out.reshape(1, -1)
     step = max(1, INIT_BLOCK // max(1, rows.shape[1]))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
@@ -195,65 +203,119 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     return out
 
 
-def scaled_uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
-                        dtype=np.float64) -> Array:
-    """Fan-scaled uniform init for projection matrices: U(±sqrt(6/(fan_in+fan_out)))."""
-    if len(shape) == 2:
-        fan_in, fan_out = shape[1], shape[0]
+def scaled_uniform_init(rng: np.random.Generator, out: Array) -> Array:
+    """Fan-scaled uniform init for projection matrices, in place:
+    U(±sqrt(6/(fan_in+fan_out)))."""
+    if out.ndim == 2:
+        fan_in, fan_out = out.shape[1], out.shape[0]
     else:
-        fan_in = fan_out = int(np.prod(shape))
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_init(rng, shape, limit, dtype)
+        fan_in = fan_out = out.size
+    return uniform_init(rng, out, np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-@dataclass
-class ParameterStore:
-    """Named parameter tensors with seeded, order-dependent initialisation.
+class FlatTensors(dict):
+    """Named tensors that are consecutive views of one flat buffer.
 
-    Parameters must be registered in a fixed order for a given
-    ``init_seed`` to reproduce the same values; the models register
-    everything in their constructors, which pins that order.  Tensors are
-    kept C-contiguous, so :class:`Adam` can update them through flat views.
+    ``flat`` is the buffer and ``layout`` the ``(name, shape)`` of each
+    tensor in buffer order; :meth:`like` lays another buffer out the same
+    way.  Assigning ``tensors[name] = value`` writes ``value`` into the
+    tensor's view (the same shape, else ``ValueError``), so every tensor
+    stays a view of ``flat``; ``tensors[name] += x`` adds in place.
     """
 
-    init_seed: int
-    dtype: np.dtype = TRAIN_DTYPE
-    _params: dict[str, Array] = field(default_factory=dict)
-    _rng: np.random.Generator = field(init=False)
+    __slots__ = ("flat", "layout", "_bounds")
 
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.init_seed)
+    def __init__(self, flat: Array, layout: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
+        super().__init__()
+        self.flat, self.layout, self._bounds = flat, layout, []
+        start = 0
+        for name, shape in layout:
+            end = start + math.prod(shape)
+            dict.__setitem__(self, name, flat[start:end].reshape(shape))
+            self._bounds.append((name, start, end))
+            start = end
 
-    def add(self, name: str, shape: tuple[int, ...], init: str = "uniform") -> Array:
-        """Create and register a tensor; ``init`` is uniform | scaled | zeros."""
-        if name in self._params:
-            raise ParseError(f"duplicate parameter name: {name!r}")
-        if init == "uniform":
-            arr = uniform_init(self._rng, shape, dtype=self.dtype)
-        elif init == "scaled":
-            arr = scaled_uniform_init(self._rng, shape, dtype=self.dtype)
-        elif init == "zeros":
-            arr = np.zeros(shape, dtype=self.dtype)
-        else:
-            raise ValueError(f"unknown init scheme: {init!r}")
-        self._params[name] = arr
-        return arr
+    def __setitem__(self, name: str, value) -> None:
+        view = self[name]
+        if value is not view:
+            if np.shape(value) != view.shape:
+                raise ValueError(f"tensor {name!r} has shape {view.shape}, "
+                                 f"cannot assign shape {np.shape(value)}")
+            view[...] = value
 
-    def add_value(self, name: str, value: Array) -> Array:
-        """Register an externally produced tensor (e.g. loaded weights)."""
-        if name in self._params:
-            raise ParseError(f"duplicate parameter name: {name!r}")
-        arr = np.ascontiguousarray(value, dtype=self.dtype)
-        self._params[name] = arr
-        return arr
+    def __reduce__(self):
+        # A copy or pickle rebuilds the views over its own copy of ``flat``.
+        return FlatTensors, (self.flat, self.layout)
+
+    def like(self, flat: Array) -> "FlatTensors":
+        """``flat``, a buffer of ``self.flat``'s size, in the same layout."""
+        return FlatTensors(flat, self.layout)
+
+    def runs(self, skip: Mapping[str, object]) -> list[slice]:
+        """The slices of ``flat`` that hold each run of consecutive tensors
+        not named in ``skip``."""
+        runs: list[slice] = []
+        for name, start, end in self._bounds:
+            if name in skip:
+                continue
+            if runs and runs[-1].stop == start:
+                runs[-1] = slice(runs[-1].start, end)
+            else:
+                runs.append(slice(start, end))
+        return runs
+
+
+class ParameterStore:
+    """Named parameter tensors, all views of one flat buffer, ``flat``.
+
+    ``specs`` gives each tensor's name, shape and init scheme, in
+    registration order, which is also the buffer's order: ``uniform``,
+    ``scaled`` (fan-scaled uniform), ``zeros``, or ``empty``, which leaves
+    the tensor for the caller to fill (a checkpoint load).  The buffer is
+    allocated once and each tensor is drawn into its view in that order
+    from one generator seeded by ``init_seed``, so the order pins the
+    values; the models register everything in their constructors.
+    ``store[name] = value`` writes into the tensor's view, so the layout
+    never changes.  :meth:`zero_grads` gives gradients in the same layout,
+    and :class:`Adam` keeps its moments in it, so that it can update every
+    run of tensors with a few passes over whole blocks.
+    """
+
+    def __init__(self, init_seed: int,
+                 specs: Iterable[tuple[str, tuple[int, ...], str]],
+                 dtype=TRAIN_DTYPE) -> None:
+        self.init_seed = init_seed
+        self.dtype = dtype
+        specs = list(specs)
+        layout: dict[str, tuple[int, ...]] = {}
+        for name, shape, init in specs:
+            if name in layout:
+                raise ParseError(f"duplicate parameter name: {name!r}")
+            if init not in ("uniform", "scaled", "zeros", "empty"):
+                raise ValueError(f"unknown init scheme: {init!r}")
+            layout[name] = tuple(shape)
+        size = sum(math.prod(shape) for shape in layout.values())
+        self._params = FlatTensors(np.empty(size, dtype=dtype), tuple(layout.items()))
+        rng = np.random.default_rng(init_seed)
+        for name, _shape, init in specs:
+            arr = self._params[name]
+            if init == "uniform":
+                uniform_init(rng, arr)
+            elif init == "scaled":
+                scaled_uniform_init(rng, arr)
+            elif init == "zeros":
+                arr.fill(0)
+
+    @property
+    def flat(self) -> Array:
+        """The one buffer that every tensor is a view of."""
+        return self._params.flat
 
     def __getitem__(self, name: str) -> Array:
         return self._params[name]
 
     def __setitem__(self, name: str, value: Array) -> None:
-        if name not in self._params:
-            raise KeyError(name)
-        self._params[name] = np.ascontiguousarray(value, dtype=self.dtype)
+        self._params[name] = value
 
     def __len__(self) -> int:
         return len(self._params)
@@ -264,15 +326,18 @@ class ParameterStore:
     def items(self) -> Iterator[tuple[str, Array]]:
         return iter(self._params.items())
 
-    def zero_grads(self) -> dict[str, Array]:
-        """Fresh gradient accumulators matching every parameter."""
-        return {name: np.zeros_like(arr) for name, arr in self._params.items()}
+    def zero_grads(self) -> FlatTensors:
+        """Zeroed gradient accumulators for every parameter: views of one
+        fresh flat buffer, laid out as the store's."""
+        return self._params.like(np.zeros(self.flat.size, dtype=self.dtype))
 
     def astype(self, dtype) -> "ParameterStore":
-        """Copy of the store with every tensor cast (float64 for checking)."""
-        clone = ParameterStore(init_seed=self.init_seed, dtype=dtype)
-        for name, arr in self._params.items():
-            clone._params[name] = arr.astype(dtype)
+        """Copy of the store, its buffer cast to ``dtype`` in one pass and
+        laid out the same (float64 for checking)."""
+        clone = ParameterStore(self.init_seed,
+                               [(name, shape, "empty") for name, shape in self._params.layout],
+                               dtype)
+        clone.flat[...] = self.flat
         return clone
 
 
@@ -345,36 +410,45 @@ ADAM_BLOCK = 1 << 16
 
 @dataclass
 class Adam:
-    """Adam optimiser over a :class:`ParameterStore` with gradient clipping."""
+    """Adam optimiser over a :class:`ParameterStore` with gradient clipping.
+
+    The moments ``m`` and ``v`` are flat buffers laid out as the store's,
+    so each run of consecutive tensors that take a dense update is updated
+    as one stretch of the buffers, block by block."""
 
     store: ParameterStore
     lr: float = 0.002
     clip_norm: float = 5.0
-    _m: dict[str, Array] = field(init=False)
-    _v: dict[str, Array] = field(init=False)
+    _m: FlatTensors = field(init=False)
+    _v: FlatTensors = field(init=False)
     _scratch: Array = field(init=False)
     _t: int = 0
 
     def __post_init__(self) -> None:
-        self._m = {name: np.zeros_like(arr) for name, arr in self.store.items()}
-        self._v = {name: np.zeros_like(arr) for name, arr in self.store.items()}
-        # One buffer the size of the largest tensor, shared by all: the norm
-        # squares a whole tensor (or its given rows) in it, and the update
-        # takes g and a temporary from its front for blocks of at most
-        # ADAM_BLOCK elements and half its size.
+        self._m = self.store.zero_grads()
+        self._v = self.store.zero_grads()
+        # One buffer shared by all: the norm squares a whole tensor (or its
+        # given rows) in it, and the update takes g and a temporary from its
+        # front for blocks of ADAM_BLOCK elements, or of half its size if
+        # the store is smaller.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
-        self._scratch = np.empty(max(size, 2), dtype=self.store.dtype)
+        size = max(size, 2 * min(ADAM_BLOCK, self.store.flat.size), 2)
+        self._scratch = np.empty(size, dtype=self.store.dtype)
 
-    def step(self, grads: Mapping[str, Array], scale: float = 1.0,
+    def step(self, grads: FlatTensors, scale: float = 1.0,
              rows: Mapping[str, Array] | None = None) -> float:
         """Apply one update to the gradients ``grads`` times ``scale`` (the
         trainer's 1/tokens); returns their pre-clip global norm.
 
-        The update runs in place through preallocated buffers, in the order
-        ``g = grad * scale * clip``, ``m += (1 - beta1) * (g - m)``,
-        ``v += (1 - beta2) * (g * g - v)``, then
-        ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected moments.
-        The clip factor comes from the norm of the scaled gradients.
+        ``grads`` is a buffer that :meth:`ParameterStore.zero_grads` laid
+        out (``TypeError`` otherwise).  The update runs in place through
+        preallocated buffers, in the order ``g = grad * scale * clip``,
+        ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``,
+        then ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected
+        moments.  Each operation is elementwise, so each run of consecutive
+        dense tensors is updated in blocks of the flat buffers with the
+        bytes of a tensor-by-tensor update.  The clip factor comes from the
+        norm of the scaled gradients.
 
         ``rows`` maps a tensor name to the sorted unique ids of the rows
         that hold all of its gradient.  Only those rows count in the norm,
@@ -390,30 +464,32 @@ class Adam:
             clip = self.clip_norm / norm
         self._t += 1
         span = min(ADAM_BLOCK, self._scratch.size // 2)
-        for name, grad in grads.items():
-            tensors = (grad, self.store[name], self._m[name], self._v[name])
-            if name in rows:
-                ids = rows[name]
-                per_block = max(1, span // grad[0].size)
-                for start in range(0, len(ids), per_block):
-                    block = ids[start : start + per_block]
-                    grad_b, arr, m, v = (x[block] for x in tensors)
-                    self._update(grad_b, arr, m, v, scale, clip)
-                    for x, updated in zip(tensors[1:], (arr, m, v)):
-                        x[block] = updated
-            else:
-                for start in range(0, grad.size, span):
-                    self._update(*(x.reshape(-1)[start : start + span] for x in tensors),
-                                 scale, clip)
+        flats = (grads.flat, self.store.flat, self._m.flat, self._v.flat)
+        for run in grads.runs(rows):
+            for start in range(run.start, run.stop, span):
+                block = slice(start, min(start + span, run.stop))
+                self._update(*(x[block] for x in flats), scale, clip)
+        for name, ids in rows.items():
+            tensors = (grads[name], self.store[name], self._m[name], self._v[name])
+            per_block = max(1, span // tensors[0][0].size)
+            for start in range(0, len(ids), per_block):
+                block = ids[start : start + per_block]
+                grad_b, arr, m, v = (x[block] for x in tensors)
+                self._update(grad_b, arr, m, v, scale, clip)
+                for x, updated in zip(tensors[1:], (arr, m, v)):
+                    x[block] = updated
         return norm
 
-    def _global_norm(self, grads: Mapping[str, Array], scale: float = 1.0,
+    def _global_norm(self, grads: FlatTensors, scale: float = 1.0,
                      rows: Mapping[str, Array] | None = None) -> float:
         """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
         in ``rows`` counts only those rows, which must hold all of its
         nonzero gradient.  Each tensor's scaled square is taken in the
         scratch buffer, so no temporary the size of a gradient is made per
         tensor."""
+        if not isinstance(grads, FlatTensors) or grads.layout != self._m.layout:
+            raise TypeError("Adam takes gradients laid out by the store's zero_grads(), "
+                            f"got {type(grads).__name__}")
         rows = rows or {}
         total = 0.0
         for name, g in grads.items():
@@ -422,7 +498,7 @@ class Adam:
             sq = self._scratch[: g.size].reshape(g.shape)
             np.multiply(g, scale, out=sq)
             np.multiply(sq, sq, out=sq)
-            total += float(np.sum(sq))
+            total += float(np.add.reduce(sq, axis=None))  # np.sum's reduction
         return float(np.sqrt(total))
 
     def _update(self, grad: Array, arr: Array, m: Array, v: Array,
@@ -538,8 +614,13 @@ def _read_exact(fh, count: int, path: str) -> bytes:
     return fh.read(count)
 
 
-def load_checkpoint(path: str) -> dict[str, Array]:
-    """Read a checkpoint back into name -> float32 array."""
+def load_checkpoint(path: str, into: Mapping[str, Array] | None = None) -> dict[str, Array]:
+    """Read a checkpoint back into name -> float32 array.
+
+    A tensor whose name and shape match a little-endian float32 array of
+    ``into`` is read straight into that array, which is then its value;
+    any other tensor gets an array of its own."""
+    into = into or {}
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -565,7 +646,9 @@ def load_checkpoint(path: str) -> dict[str, Array]:
             if nbytes > _bytes_left(fh):
                 raise ParseError(f"tensor {name!r} of shape {shape} needs {nbytes} "
                                  f"bytes, more than are left in {path}")
-            arr = np.empty(shape, dtype="<f4")
+            arr = into.get(name)
+            if arr is None or arr.shape != shape or arr.dtype != "<f4" or name in params:
+                arr = np.empty(shape, dtype="<f4")
             if fh.readinto(arr) != nbytes:
                 raise ParseError(f"truncated checkpoint: {path}")
             if name in params:

@@ -9,8 +9,13 @@ averaged over every target token in the batch by the scale that
 :meth:`morphoqg.tensor.Adam.step` applies.  The ``emb/word`` table is
 updated lazily: the clip norm, the Adam update and the zeroing of its
 gradient buffer touch only the rows the batch reads, so a row no batch
-reads keeps its weights and moments.  All randomness — example order and
-dropout — flows from a single seed, so runs are reproducible.
+reads keeps its weights and moments.  The gradients are one flat buffer
+laid out as the model's parameters (``zero_grads``, allocated once per
+run), so Adam updates, and a step's end zeroes, every other tensor as
+one run of that buffer.  The best dev weights are kept as one copy of
+the parameter buffer and copied back at the end.  All randomness —
+example order and dropout — flows from a single seed, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyInputError
 from .model import EncoderDecoder, PreparedExample
-from .tensor import Adam
+from .tensor import Adam, ParameterStore
 
 
 @dataclass
@@ -49,7 +54,7 @@ class TrainResult:
     grad_norms: list = field(default_factory=list)
     eval_losses: list = field(default_factory=list)
     best_eval_loss: float = math.inf
-    best_weights: Optional[dict] = None
+    best_weights: Optional[ParameterStore] = None
     stopped_early: bool = False
 
 
@@ -90,8 +95,9 @@ def train(
 
     Raises :class:`DivergenceError` the moment a batch loss is not finite.
     When ``dev_examples`` is given the weights with the best dev loss are
-    kept in ``TrainResult.best_weights`` (and restored onto the model at
-    the end).  ``should_stop(step, model)`` may end the run early.
+    kept in ``TrainResult.best_weights``, a copy of the model's parameter
+    store, and copied back into the model's buffer at the end.
+    ``should_stop(step, model)`` may end the run early.
     """
     if not train_examples:
         raise EmptyInputError("no training examples")
@@ -114,11 +120,10 @@ def train(
             raise DivergenceError(
                 f"non-finite loss {mean_loss!r} at step {step}")
         norm = optimizer.step(grads, scale=1.0 / tokens, rows=rows)
-        for name, grad in grads.items():
-            if name in rows:
-                grad[rows[name]] = 0
-            else:
-                grad.fill(0)
+        for name, ids in rows.items():
+            grads[name][ids] = 0
+        for run in grads.runs(rows):
+            grads.flat[run].fill(0)
         result.steps = step
         result.train_losses.append(mean_loss)
         result.grad_norms.append(norm)
@@ -134,14 +139,11 @@ def train(
                 log(f"step {step}: dev loss {dev_loss:.4f}")
             if dev_loss < result.best_eval_loss:
                 result.best_eval_loss = dev_loss
-                result.best_weights = {
-                    name: arr.copy() for name, arr in model.store.items()
-                }
+                result.best_weights = model.store.astype(model.store.dtype)
         if due and should_stop is not None and should_stop(step, model):
             result.stopped_early = True
             break
 
     if result.best_weights is not None:
-        for name, arr in result.best_weights.items():
-            model.store[name] = arr
+        model.store.flat[...] = result.best_weights.flat
     return result

@@ -39,7 +39,8 @@ from morphoqg.model import (
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
 from morphoqg.tensor import CHECKSUM_KEY, Adam, dropout_mask
 from morphoqg.toydata import make_overfit_corpus
-from morphoqg.train import TrainConfig, evaluate_mean_loss, train
+from morphoqg.train import TrainConfig, _batches, evaluate_mean_loss, train
+from test_tensor import assert_one_buffer, reference_step
 
 RESERVED = ["<pad>", "<unk>", "<sos>", "<eos>"]
 ENC_WORDS = RESERVED + ["he", "visit", "park", "the", "met", "her", "open", "door"]
@@ -796,7 +797,7 @@ class TestSequenceRecurrences:
                 model.store[f"{prefix}/b_{g}"][:] = bias_rng.uniform(-0.5, 0.5,
                                                                      TINY.hidden_size)
         prep = model.prepare(example())
-        masks = dropout_mask((len(prep.roots), model._input_dim()), 0.2,
+        masks = dropout_mask((len(prep.roots), model.hyper.input_dim), 0.2,
                              np.random.default_rng(1), dtype=model.dtype)
         X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids([prep])],
                            axis=1) * masks
@@ -846,7 +847,7 @@ class TestSequenceRecurrences:
         cancellation) at this shape."""
         model, examples = train_h512_batch(2)
         check = model.to_check_precision()
-        masks = [dropout_mask((len(ex.source_roots), model._input_dim()), 0.2,
+        masks = [dropout_mask((len(ex.source_roots), model.hyper.input_dim), 0.2,
                               np.random.default_rng(i), dtype=model.dtype)
                  for i, ex in enumerate(examples)]
         results = []
@@ -878,7 +879,7 @@ class TestFullLossGradients:
         for prep in (model.prepare(flagship_example()), repeated,
                      *map(model.prepare, edge_case_examples())):
             mask_rng = np.random.default_rng(3)
-            masks = dropout_mask((len(prep.roots), model._input_dim()),
+            masks = dropout_mask((len(prep.roots), model.hyper.input_dim),
                                  model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
             reports = gradient_reports(model, [prep], [masks])
             failed = [r for r in reports if not r.passed]
@@ -931,7 +932,7 @@ class TestPaddedBatch:
 
     @staticmethod
     def _masks(model, preps):
-        return [dropout_mask((len(p.roots), model._input_dim()), model.hyper.dropout_rate,
+        return [dropout_mask((len(p.roots), model.hyper.input_dim), model.hyper.dropout_rate,
                              np.random.default_rng(3 + i), dtype=model.dtype)
                 for i, p in enumerate(preps)]
 
@@ -1092,7 +1093,7 @@ class TestPaddedBatch:
         rng = np.random.default_rng(7)
         per_example = copy.deepcopy(rng)
         model.loss_and_grads(preps, grads=model.zero_grads(), rng=rng)
-        want = np.concatenate([dropout_mask((len(p.roots), model._input_dim()),
+        want = np.concatenate([dropout_mask((len(p.roots), model.hyper.input_dim),
                                             model.hyper.dropout_rate, per_example,
                                             dtype=model.dtype) for p in preps])
         [got] = seen
@@ -1203,7 +1204,7 @@ class TestTraining:
         # Drop out the whole input row of the flagship's "park", a word that
         # no decoder step reads.
         park = model.vocab.encoder_id("park")
-        masks = [np.ones((len(prep.roots), model._input_dim()), model.dtype) for prep in preps]
+        masks = [np.ones((len(prep.roots), model.hyper.input_dim), model.dtype) for prep in preps]
         masks[0][2] = 0.0
         assert [prep.word_ids.count(park) for prep in preps] == [1, 0]
         grads, rows = model.zero_grads(), {}
@@ -1258,6 +1259,81 @@ class TestTraining:
         assert math.isfinite(result.best_eval_loss)
         dev_loss = evaluate_mean_loss(model, prepared[:4])
         assert dev_loss == pytest.approx(result.best_eval_loss, rel=1e-5)
+
+
+    def test_best_weights_restore_keeps_one_buffer(self):
+        """The dev loss of held-out examples is best at the first of four
+        evaluations, so the restore moves the weights back; they are the
+        copy's bytes, in the model's one buffer."""
+        model = tiny_model(seed=13)
+        prepared = [model.prepare(ex) for ex in tiny_corpus()]
+        dev = [model.prepare(ex) for ex in (longer_example(), repeated_root_example(),
+                                            distinct_roots_example())]
+        config = TrainConfig(max_steps=40, batch_size=4, learning_rate=0.05,
+                             seed=1, eval_every=10)
+        result = train(model, prepared, config, dev_examples=dev)
+        assert result.eval_losses[0][1] == result.best_eval_loss < result.eval_losses[-1][1]
+        assert result.best_weights.flat is not model.store.flat
+        assert model.store.flat.tobytes() == result.best_weights.flat.tobytes()
+        assert_one_buffer(model.store.items(), model.store.flat)
+        assert evaluate_mean_loss(model, dev) == pytest.approx(result.best_eval_loss, rel=1e-6)
+
+    def test_steps_equal_the_reference_update(self, monkeypatch):
+        """150 steps of ``train()``, at a clip norm that never clips and at
+        one that clips, give the losses, pre-clip norms, weights and Adam
+        moments, byte for byte, of the same loop written out with
+        gradient dicts, the allocating norm and :func:`reference_step`
+        (``emb/word`` updated on the batch's rows only)."""
+        adam_step, optimizers = Adam.step, []
+
+        def recorded(self, *args, **kwargs):
+            optimizers.append(self)
+            return adam_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(Adam, "step", recorded)
+        for clip_norm in (5.0, 0.5):
+            config = TrainConfig(max_steps=150, batch_size=4, seed=3, clip_norm=clip_norm,
+                                 eval_every=1000)
+            model, ref = tiny_model(seed=11), tiny_model(seed=11)
+            result = train(model, [model.prepare(ex) for ex in tiny_corpus()], config)
+            losses, norms, state = reference_training(ref, config)
+            assert result.train_losses == losses
+            assert result.grad_norms == norms
+            assert (max(norms) > clip_norm) == (clip_norm == 0.5)
+            for key, tensors in (("w", model.store), ("m", optimizers[-1]._m),
+                                 ("v", optimizers[-1]._v)):
+                for name, arr in state[key].items():
+                    assert tensors[name].tobytes() == arr.tobytes(), (key, name)
+
+
+def reference_training(model, config):
+    """``train()``'s steps on :func:`tiny_corpus`, written out with fresh
+    gradient dicts, the norm of freshly scaled gradients and
+    :func:`reference_step`; returns the losses, the pre-clip norms and the
+    final weights and moments."""
+    prepared = [model.prepare(ex) for ex in tiny_corpus()]
+    batches = _batches(len(prepared), config.batch_size, np.random.default_rng(config.seed))
+    dropout_rng = np.random.default_rng(config.seed + 1)
+    state = {"w": dict(model.store.items()),
+             "m": {name: np.zeros_like(arr) for name, arr in model.store.items()},
+             "v": {name: np.zeros_like(arr) for name, arr in model.store.items()}}
+    losses, norms = [], []
+    for t in range(1, config.max_steps + 1):
+        batch = [prepared[i] for i in next(batches)]
+        grads, rows = {name: np.zeros_like(arr) for name, arr in model.store.items()}, {}
+        loss, tokens = model.loss_and_grads(batch, grads=grads, rng=dropout_rng, rows=rows)
+        ids = rows["emb/word"]
+        scaled = {name: (g[ids] if name == "emb/word" else g) * np.float32(1.0 / tokens)
+                  for name, g in grads.items()}
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in scaled.values())))
+        clip = config.clip_norm / norm if 0 < config.clip_norm < norm else 1.0
+        on_rows = {key: {**x, "emb/word": x["emb/word"][ids]} for key, x in state.items()}
+        reference_step(on_rows, scaled, t, clip, lr=config.learning_rate)
+        for key, x in state.items():
+            x["emb/word"][ids] = on_rows[key]["emb/word"]
+        losses.append(loss / tokens)
+        norms.append(norm)
+    return losses, norms, state
 
 
 class TestDecoding:
@@ -1609,6 +1685,45 @@ class TestPersistence:
         assert loaded.hyper == model.hyper
         assert loaded.pos_tags == model.pos_tags
 
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_fresh_and_loaded_models_are_one_buffer(self, tmp_path, dot_heads):
+        model = tiny_model(dot_heads=dot_heads, seed=13)
+        assert_one_buffer(model.store.items(), model.store.flat)
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        loaded = EncoderDecoder.load(path, tiny_vocab())
+        assert_one_buffer(loaded.store.items(), loaded.store.flat)
+        assert loaded.store.flat.tobytes() == model.store.flat.tobytes()
+        grads = loaded.zero_grads()
+        assert_one_buffer(grads.items(), grads.flat)
+
+    def test_load_reads_into_the_buffer_without_a_copy(self, tmp_path):
+        """Loading allocates the parameter buffer once and reads every
+        tensor into it: the traced peak stays well under two buffers."""
+        model = tiny_model(seed=13, hyper=replace(TINY, hidden_size=64, word_dim=64))
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        tracemalloc.start()
+        try:
+            loaded = EncoderDecoder.load(path, tiny_vocab())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.store.flat.tobytes() == model.store.flat.tobytes()
+        assert model.store.flat.nbytes < peak < 1.5 * model.store.flat.nbytes
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_save_after_load_writes_the_same_bytes(self, tmp_path, dot_heads):
+        model = tiny_model(dot_heads=dot_heads, seed=13)
+        train(model, [model.prepare(ex) for ex in tiny_corpus()],
+              TrainConfig(max_steps=5, batch_size=4, seed=2))
+        first, again = str(tmp_path / "first.ckpt"), str(tmp_path / "again.ckpt")
+        model.save(first, extra={"note": "unit"})
+        EncoderDecoder.load(first, tiny_vocab()).save(again, extra={"note": "unit"})
+        for suffix in ("", ".json"):
+            with open(first + suffix, "rb") as a, open(again + suffix, "rb") as b:
+                assert a.read() == b.read()
+
     def test_wrong_vocab_rejected(self, tmp_path):
         model = tiny_model(seed=13)
         path = str(tmp_path / "model.ckpt")
@@ -1637,10 +1752,10 @@ class TestPersistence:
         tiny_model(seed=2).save(other)
         load_pack = model_mod.load_checkpoint
 
-        def swapped(pack_path):
+        def swapped(pack_path, **kwargs):
             for suffix in ("", ".json"):
                 shutil.copyfile(other + suffix, path + suffix)
-            return load_pack(pack_path)
+            return load_pack(pack_path, **kwargs)
 
         monkeypatch.setattr(model_mod, "load_checkpoint", swapped)
         with pytest.raises(ParseError, match=CHECKSUM_KEY):

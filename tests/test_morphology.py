@@ -242,6 +242,22 @@ class TestRoundTrip:
         if a.transform is not None:
             assert morph.apply_transform(a.root, a.transform) == word
 
+    @given(stem=st.text(alphabet=st.characters(categories=("L", "M", "N")), max_size=8),
+           suffix=st.sampled_from(["", "s", "es", "ies", "ed", "d", "ing", "er", "est"]))
+    @settings(max_examples=500, deadline=None)
+    def test_any_unicode_word_analyzes_without_error(self, stem, suffix):
+        """Over words of Unicode letters, marks and digits (``中文s``),
+        under every POS tag: ``analyze`` never raises, and a
+        transform it returns regenerates the lowercased word.  A stem
+        without cased letters is not a root ``apply_transform`` takes, so
+        such a word falls back to itself."""
+        word = stem + suffix
+        morph = default_morphology()
+        for pos in sorted(POS_TAG_TO_TYPE) + ["NN", "VB"]:
+            a = morph.analyze(word, pos)
+            if a.transform is not None:
+                assert morph.apply_transform(a.root, a.transform) == word.lower()
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_applied_forms_reanalyze_consistently(self, data):

@@ -1,9 +1,11 @@
 """Tests for the numeric core: array kernels, parameters, Adam, checkpoints."""
 
 import builtins
+import copy
 import errno
 import json
 import os
+import pickle
 import struct
 import tracemalloc
 
@@ -38,6 +40,18 @@ from morphoqg.tensor import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def assert_one_buffer(tensors, flat):
+    """Each of ``tensors`` (name, array) is the next stretch of ``flat`` in
+    order, and together they fill it."""
+    base = flat.__array_interface__["data"][0]
+    start = 0
+    for name, arr in tensors:
+        assert arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == base + start * flat.itemsize, name
+        start += arr.size
+    assert start == flat.size
 
 
 def assert_gradients_match(loss_fn, params, analytic, tol=1e-6):
@@ -382,14 +396,12 @@ class TestGradCheck:
 
 
 class TestParameterStore:
-    """Property: initialisation is a pure function of seed and add order."""
+    """Property: initialisation is a pure function of seed and registration order."""
 
     def _build(self, seed):
-        store = ParameterStore(init_seed=seed)
-        store.add("recurrent", (4, 4), init="uniform")
-        store.add("projection", (4, 8), init="scaled")
-        store.add("bias", (4,), init="zeros")
-        return store
+        return ParameterStore(seed, [("recurrent", (4, 4), "uniform"),
+                                     ("projection", (4, 8), "scaled"),
+                                     ("bias", (4,), "zeros")])
 
     def test_same_seed_reproduces_values(self):
         a, b = self._build(42), self._build(42)
@@ -408,10 +420,8 @@ class TestParameterStore:
         assert np.all(store["bias"] == 0.0)
 
     def test_duplicate_name_rejected(self):
-        store = ParameterStore(init_seed=0)
-        store.add("w", (2, 2))
         with pytest.raises(ParseError):
-            store.add("w", (2, 2))
+            ParameterStore(0, [("w", (2, 2), "uniform"), ("w", (2, 2), "uniform")])
 
     def test_zero_grads_match_shapes(self):
         store = self._build(1)
@@ -428,19 +438,61 @@ class TestParameterStore:
             np.testing.assert_allclose(wide[name], store[name])
             assert wide[name].dtype == np.float64
 
+    def test_tensors_are_views_of_one_buffer_in_registration_order(self):
+        store = self._build(3)
+        assert store.names() == ["recurrent", "projection", "bias"]
+        assert_one_buffer(store.items(), store.flat)
+        grads = store.zero_grads()
+        assert_one_buffer(grads.items(), grads.flat)
+        wide = store.astype(np.float64)
+        assert_one_buffer(wide.items(), wide.flat)
+        assert wide.flat.tobytes() == store.flat.astype(np.float64).tobytes()
+
+    def test_assignment_writes_through(self):
+        store = self._build(4)
+        store["projection"] = np.arange(32.0).reshape(4, 8)
+        assert store.flat[16:48].tolist() == list(range(32))
+        assert_one_buffer(store.items(), store.flat)
+        grads = store.zero_grads()
+        grads["bias"] += 2.0
+        assert grads.flat[48:].tolist() == [2.0] * 4
+        for bad in (np.zeros((8, 4)), np.zeros(32), 1.0):
+            with pytest.raises(ValueError, match="projection"):
+                store["projection"] = bad
+        with pytest.raises(KeyError):
+            store["missing"] = np.zeros(2)
+
+    def test_a_copy_is_one_buffer_of_its_own(self):
+        store = self._build(5)
+        for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+            assert copied.names() == store.names()
+            assert copied.flat.tobytes() == store.flat.tobytes()
+            assert_one_buffer(copied.items(), copied.flat)
+            copied["bias"] = np.ones(4)
+            assert not store["bias"].any()
+
+    def test_draws_equal_tensor_by_tensor_draws(self):
+        """Filling the one buffer view by view draws the values that the
+        same generator gives tensor by tensor in registration order."""
+        rng = np.random.default_rng(42)
+        want = [uniform_init(rng, np.empty((4, 4), np.float32)).tobytes(),
+                scaled_uniform_init(rng, np.empty((4, 8), np.float32)).tobytes(),
+                np.zeros(4, np.float32).tobytes()]
+        assert [arr.tobytes() for _name, arr in self._build(42).items()] == want
+
     @pytest.mark.parametrize("shape", [(2 * INIT_BLOCK // 7 + 3, 7), (INIT_BLOCK + 5,), (),
                                        (3, 0)])
     def test_block_draws_equal_one_whole_draw(self, shape):
         want = np.random.default_rng(5).uniform(-0.08, 0.08, size=shape).astype(np.float32)
-        got = uniform_init(np.random.default_rng(5), shape, dtype=np.float32)
+        got = uniform_init(np.random.default_rng(5), np.empty(shape, np.float32))
         assert got.shape == shape and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
     def test_init_helpers_are_seed_deterministic(self):
-        a = uniform_init(np.random.default_rng(5), (3, 3))
-        b = uniform_init(np.random.default_rng(5), (3, 3))
+        a = uniform_init(np.random.default_rng(5), np.empty((3, 3)))
+        b = uniform_init(np.random.default_rng(5), np.empty((3, 3)))
         np.testing.assert_array_equal(a, b)
-        c = scaled_uniform_init(np.random.default_rng(5), (3, 6))
+        c = scaled_uniform_init(np.random.default_rng(5), np.empty((3, 6)))
         assert float(np.max(np.abs(c))) <= np.sqrt(6.0 / 9)
 
 
@@ -458,28 +510,42 @@ def reference_step(state, grads, t, scale, lr=0.002, b1=0.9, b2=0.999, eps=1e-8)
         arr -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(arr.dtype)
 
 
-# A table whose gradient lives on a few rows, as emb/word's does, and a
-# dense tensor beside it.
-SPARSE_SHAPES = {"table": (20, 6), "dense": (4, 3)}
+# A table whose gradient lives on a few rows, as emb/word's does, between
+# two dense tensors, so that the dense update has two runs.
+SPARSE_SHAPES = {"bias": (5,), "table": (20, 6), "dense": (4, 3)}
+
+
+def store_of(shapes, seed=0, dtype=np.float32):
+    """A store of uniform tensors of the given shapes, in their order."""
+    return ParameterStore(seed, [(name, shape, "uniform") for name, shape in shapes.items()],
+                          dtype)
+
+
+def filled_grads(store, values):
+    """``store.zero_grads()`` with each named tensor set to its value."""
+    grads = store.zero_grads()
+    for name, value in values.items():
+        grads[name] = value
+    return grads
 
 
 def sparse_grads(ids, t):
     """Gradients for SPARSE_SHAPES with ``table`` nonzero on rows ``ids`` only."""
-    table = np.zeros(SPARSE_SHAPES["table"], np.float32)
-    table[ids] = RNG.standard_normal((len(ids), 6)) * t
-    return {"table": table,
-            "dense": (RNG.standard_normal(SPARSE_SHAPES["dense"]) * t).astype(np.float32)}
+    grads = sparse_store().zero_grads()
+    grads["table"][ids] = RNG.standard_normal((len(ids), 6)) * t
+    for name in ("bias", "dense"):
+        grads[name] = (RNG.standard_normal(SPARSE_SHAPES[name]) * t).astype(np.float32)
+    return grads
 
 
 def sparse_store(seed=5):
-    store = ParameterStore(init_seed=seed)
-    for name, shape in SPARSE_SHAPES.items():
-        store.add(name, shape)
-    return store
+    return store_of(SPARSE_SHAPES, seed)
 
 
 # The row sets of four steps; the first covers 14 of 20 rows, more than the
-# 10 rows that half the scratch buffer holds, so it is updated in two blocks.
+# 10 rows of a block of SMALL_BLOCK elements, so with ADAM_BLOCK set to it
+# that set is updated in two blocks.
+SMALL_BLOCK = 60
 ROW_SETS = [np.arange(14), np.array([0, 3, 17]), np.array([5]), np.array([2, 3, 18, 19])]
 
 
@@ -487,34 +553,34 @@ class TestAdam:
     """Property: the optimiser descends and clipping bounds the update."""
 
     def test_minimises_quadratic(self):
-        store = ParameterStore(init_seed=0, dtype=np.float64)
-        store.add_value("x", np.array([10.0, -10.0]))
+        store = store_of({"x": (2,)}, dtype=np.float64)
+        store["x"] = np.array([10.0, -10.0])
         opt = Adam(store, lr=0.1, clip_norm=0.0)
+        grads = store.zero_grads()
         for _ in range(500):
             x = store["x"]
-            grads = {"x": 2.0 * (x - 3.0)}
+            grads["x"] = 2.0 * (x - 3.0)
             opt.step(grads)
         np.testing.assert_allclose(store["x"], [3.0, 3.0], atol=1e-3)
 
     def test_clipping_scales_large_gradients(self):
-        store = ParameterStore(init_seed=0, dtype=np.float64)
-        store.add_value("x", np.zeros(2))
+        store = store_of({"x": (2,)}, dtype=np.float64)
+        store["x"] = np.zeros(2)
         opt = Adam(store, lr=1.0, clip_norm=5.0)
-        norm = opt.step({"x": np.array([3000.0, 4000.0])})
+        norm = opt.step(filled_grads(store, {"x": np.array([3000.0, 4000.0])}))
         assert norm == pytest.approx(5000.0)
         # After clipping, the first Adam step magnitude is bounded by lr.
         assert float(np.max(np.abs(store["x"]))) <= 1.0 + 1e-6
 
     def test_reports_preclip_norm(self):
-        store = ParameterStore(init_seed=0, dtype=np.float64)
-        store.add_value("x", np.zeros(1))
+        store = store_of({"x": (1,)}, dtype=np.float64)
+        store["x"] = np.zeros(1)
         opt = Adam(store, clip_norm=5.0)
-        assert opt.step({"x": np.array([12.0])}) == pytest.approx(12.0)
+        assert opt.step(filled_grads(store, {"x": np.array([12.0])})) == pytest.approx(12.0)
 
     def test_global_norm(self):
-        store = ParameterStore(init_seed=0)
-        store.add("a", (2,), init="zeros")
-        grads = {"a": np.array([3.0, 4.0])}
+        store = ParameterStore(0, [("a", (2,), "zeros")])
+        grads = filled_grads(store, {"a": np.array([3.0, 4.0])})
         assert Adam(store)._global_norm(grads) == pytest.approx(5.0)
 
     def test_norm_is_bit_equal_to_allocating_formula(self):
@@ -522,11 +588,9 @@ class TestAdam:
         optimiser's scratch buffer, equals the formula that scales, squares
         and sums in fresh arrays, and makes no gradient-sized temporary."""
         shapes = {"big": (300, 200), "small": (7,), "scalar": ()}
-        store = ParameterStore(init_seed=0)
-        for name, shape in shapes.items():
-            store.add(name, shape)
-        grads = {name: (RNG.standard_normal(shape) * 3).astype(np.float32)
-                 for name, shape in shapes.items()}
+        store = store_of(shapes)
+        grads = filled_grads(store, {name: (RNG.standard_normal(shape) * 3).astype(np.float32)
+                                     for name, shape in shapes.items()})
         scale = 1.0 / 224
         scaled = [g * np.float32(scale) for g in grads.values()]
         want = float(np.sqrt(sum(float(np.sum(g * g)) for g in scaled)))
@@ -546,42 +610,41 @@ class TestAdam:
         already multiplied by ``scale``, with clipping on and off."""
         shapes = {"big": (9, 13), "small": (5,), "scalar": ()}
         for clip_norm in (0.05, 0.0):
-            stores = []
-            for _ in range(2):
-                store = ParameterStore(init_seed=4)
-                for name, shape in shapes.items():
-                    store.add(name, shape)
-                stores.append(store)
+            stores = [store_of(shapes, seed=4) for _ in range(2)]
             folded, first = (Adam(store, clip_norm=clip_norm) for store in stores)
             for t in range(1, 4):
-                grads = {name: (RNG.standard_normal(shape) * t).astype(np.float32)
-                         for name, shape in shapes.items()}
+                grads = filled_grads(stores[0], {
+                    name: (RNG.standard_normal(shape) * t).astype(np.float32)
+                    for name, shape in shapes.items()})
                 scale = 1.0 / (10 + t)
                 norm = folded.step(grads, scale=scale)
-                assert norm == first.step({name: g * np.float32(scale)
-                                           for name, g in grads.items()})
+                assert norm == first.step(filled_grads(stores[1], {
+                    name: g * np.float32(scale) for name, g in grads.items()}))
                 assert clip_norm == 0.0 or norm > clip_norm  # the clip ran
             for name in shapes:
                 assert stores[0][name].tobytes() == stores[1][name].tobytes()
 
-    def test_in_place_update_matches_allocating_formula_bit_for_bit(self):
+    def test_in_place_update_matches_allocating_formula_bit_for_bit(self, monkeypatch):
         """The preallocated buffers keep the textbook formula's operation
-        order, so float32 weights come out byte-identical to it."""
+        order, so float32 weights come out byte-identical to it; also when
+        the update's blocks of the flat buffers (at an ADAM_BLOCK of 8
+        elements) end inside tensors."""
         shapes = {"big": (7, 5), "small": (3,), "scalar": ()}
-        store = ParameterStore(init_seed=0)
-        for name, shape in shapes.items():
-            store.add(name, shape)
-        state = {"w": {name: arr.copy() for name, arr in store.items()},
-                 "m": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()},
-                 "v": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}}
-        opt = Adam(store, clip_norm=3.0)
-        for t in range(1, 6):
-            grads = {name: (RNG.standard_normal(shape) * t).astype(np.float32)
-                     for name, shape in shapes.items()}
-            norm = opt.step(grads)
-            reference_step(state, grads, t, min(1.0, 3.0 / norm))
-            for name in shapes:
-                assert store[name].tobytes() == state["w"][name].tobytes()
+        for block in (tensor_mod.ADAM_BLOCK, 8):
+            monkeypatch.setattr(tensor_mod, "ADAM_BLOCK", block)
+            store = store_of(shapes)
+            state = {"w": {name: arr.copy() for name, arr in store.items()},
+                     "m": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()},
+                     "v": {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}}
+            opt = Adam(store, clip_norm=3.0)
+            for t in range(1, 6):
+                grads = filled_grads(store, {
+                    name: (RNG.standard_normal(shape) * t).astype(np.float32)
+                    for name, shape in shapes.items()})
+                norm = opt.step(grads)
+                reference_step(state, grads, t, min(1.0, 3.0 / norm))
+                for name in shapes:
+                    assert store[name].tobytes() == state["w"][name].tobytes()
 
     def test_first_row_step_from_zero_moments_equals_the_dense_step(self):
         """With clipping off and zero moments, a dense step leaves the rows
@@ -596,9 +659,10 @@ class TestAdam:
             for a, b in ((lazy.store, dense.store), (lazy._m, dense._m), (lazy._v, dense._v)):
                 assert a[name].tobytes() == b[name].tobytes()
 
-    def test_rows_outside_the_set_keep_their_bytes(self):
+    def test_rows_outside_the_set_keep_their_bytes(self, monkeypatch):
         """Over several steps, a row outside a step's row set keeps its
         weights and both moments byte for byte through that step."""
+        monkeypatch.setattr(tensor_mod, "ADAM_BLOCK", SMALL_BLOCK)
         opt = Adam(sparse_store(), clip_norm=3.0)
         for t, ids in enumerate(ROW_SETS, start=1):
             before = [x["table"].copy() for x in (opt.store, opt._m, opt._v)]
@@ -608,19 +672,19 @@ class TestAdam:
                 assert old[untouched].tobytes() == x["table"][untouched].tobytes()
                 assert old[ids].tobytes() != x["table"][ids].tobytes()
 
-    def test_rows_in_the_set_follow_the_reference_formula(self):
+    def test_rows_in_the_set_follow_the_reference_formula(self, monkeypatch):
         """The rows of a step's row set, taken alone, come out of the
         textbook formula bit for bit, bias-corrected by the global step
-        count; the dense tensor beside them too."""
+        count; the dense tensors beside them too."""
+        monkeypatch.setattr(tensor_mod, "ADAM_BLOCK", SMALL_BLOCK)
         opt = Adam(sparse_store(), clip_norm=3.0)
         state = {key: {name: x[name].copy() for name in SPARSE_SHAPES}
                  for key, x in (("w", opt.store), ("m", opt._m), ("v", opt._v))}
         for t, ids in enumerate(ROW_SETS, start=1):
             grads = sparse_grads(ids, t)
             norm = opt.step(grads, rows={"table": ids})
-            rows = {key: {"table": x["table"][ids], "dense": x["dense"]}
-                    for key, x in state.items()}
-            reference_step(rows, {"table": grads["table"][ids], "dense": grads["dense"]},
+            rows = {key: {**x, "table": x["table"][ids]} for key, x in state.items()}
+            reference_step(rows, {**grads, "table": grads["table"][ids]},
                            t, min(1.0, 3.0 / norm))
             for key, x in state.items():
                 x["table"][ids] = rows[key]["table"]
@@ -632,11 +696,9 @@ class TestAdam:
     def test_row_norm_equals_the_dense_norm(self):
         """The norm over the row set equals the norm over all rows when the
         other rows have zero gradient; only the summation order differs."""
-        store = ParameterStore(init_seed=0)
-        store.add("table", (3000, 50))
-        store.add("dense", (40, 7))
+        store = store_of({"table": (3000, 50), "dense": (40, 7)})
         ids = np.sort(RNG.choice(3000, size=90, replace=False))
-        grads = {name: np.zeros(arr.shape, np.float32) for name, arr in store.items()}
+        grads = store.zero_grads()
         grads["table"][ids] = RNG.standard_normal((90, 50)) * 4
         grads["dense"][...] = RNG.standard_normal((40, 7))
         opt = Adam(store, clip_norm=0.0)
@@ -644,6 +706,27 @@ class TestAdam:
         assert opt._global_norm(grads, 1.0 / 37, {"table": ids}) == pytest.approx(dense, rel=1e-6)
         assert opt.step(grads, scale=1.0 / 37, rows={"table": ids}) == pytest.approx(
             dense, rel=1e-6)
+
+
+    def test_moments_and_gradients_share_the_store_layout(self):
+        store = store_of(SPARSE_SHAPES)
+        opt = Adam(store)
+        for tensors in (opt._m, opt._v):
+            assert_one_buffer(tensors.items(), tensors.flat)
+            assert tensors.layout == store.zero_grads().layout
+        grads = sparse_grads(ROW_SETS[1], 1)
+        opt.step(grads, rows={"table": ROW_SETS[1]})
+        for tensors in (store, opt._m, opt._v):
+            assert_one_buffer(tensors.items(), tensors.flat)
+
+    def test_gradients_of_another_layout_rejected(self):
+        opt = Adam(sparse_store())
+        plain = {name: np.zeros(shape, np.float32) for name, shape in SPARSE_SHAPES.items()}
+        reordered = store_of(dict(reversed(SPARSE_SHAPES.items()))).zero_grads()
+        for grads in (plain, reordered):
+            with pytest.raises(TypeError, match="zero_grads"):
+                opt.step(grads)
+        assert opt._t == 0
 
 
 class TestCheckpoint:
