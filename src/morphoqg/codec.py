@@ -243,7 +243,8 @@ def realize(
     Trans re-inflects the word emitted immediately before it; a word the
     rules cannot inflect is kept unchanged rather than failing, so any
     beam-searched action sequence realizes.  PAD/SOS/EOS ids emit
-    nothing.
+    nothing.  A word comes out as its root, in ``str.lower`` form even where
+    that changes its length: ``"İs"`` realizes as ``"i̇s"`` (i, U+0307, s).
     """
     morphology = morphology or default_morphology()
     words: List[str] = []

@@ -96,6 +96,8 @@ OUTPUTS = ("switch",) + tuple(head for _sw, head in ROUTES)
 
 BIO_TAGS = ("<unk>", "O", "B", "I")
 
+GRUS = ("enc_fwd", "enc_bwd", "dec")  # each GRU's parameter prefix
+
 UNKNOWN_TAG = "<unk>"
 
 
@@ -111,10 +113,19 @@ def _step_mask(inputs: Sequence[Array]) -> Array:
     return np.arange(lengths.max()) < lengths[:, None]
 
 
-def _gates(a: Array) -> tuple[Array, Array, Array]:
-    """The ``z``, ``r`` and ``n`` blocks of the last axis of ``a``, as views."""
-    d = a.shape[-1] // 3
-    return a[..., :d], a[..., d : 2 * d], a[..., 2 * d :]
+def _gru_stacks(tensors, prefix: str) -> tuple[Array, ...]:
+    """A GRU's stacks ``[W_z; W_r; W_n]``, ``[U_z; U_r; U_n]``, ``[b_z; b_r; b_n]``."""
+    return tuple(tensors.stack(f"{prefix}/{k}_z", f"{prefix}/{k}_n") for k in "WUb")
+
+
+def _store(init_seed: int, specs) -> ParameterStore:
+    """A store of ``specs`` laid out in registration order, but with each
+    GRU's tensors kind by kind, so that each of its stacks is one stretch."""
+    names = [name for name, _shape, _init in specs]
+    for prefix in GRUS:
+        at = names.index(f"{prefix}/W_z")
+        names[at : at + 9] = [f"{prefix}/{k}_{g}" for k in "WUb" for g in "zrn"]
+    return ParameterStore(init_seed, specs, layout=names)
 
 
 def _route_levels(counts: Array) -> tuple[Array, tuple[tuple[Array, Array], ...]]:
@@ -291,9 +302,10 @@ class EncoderDecoder:
         self.ner_tags = list(ner_tags)
         self.init_seed = init_seed
         if store is None:
-            store = ParameterStore(init_seed, self._parameters(hyper, vocab, pos_tags, ner_tags))
+            store = _store(init_seed, self._parameters(hyper, vocab, pos_tags, ner_tags))
         self.store = store
         self.dtype = store.dtype
+        self._gru = {prefix: _gru_stacks(store, prefix) for prefix in GRUS}
         # The list-word part of every OutcomeColumns: the words, the id of
         # each word, and the decoder input after each.
         quest = tuple(vocab.quest_vocab)
@@ -309,9 +321,9 @@ class EncoderDecoder:
                     ner_tags: Sequence[str]) -> list[tuple[str, tuple[int, ...], str]]:
         """Name, shape and init scheme of every tensor, in registration order.
 
-        The order pins the seeded initial values, the store's layout and
-        the order of every gradient norm; :meth:`load` checks a checkpoint
-        against the same list.
+        The order pins the seeded initial values and, through
+        :func:`_store`, the store's layout and the order of every gradient
+        norm; :meth:`load` checks a checkpoint against the same list.
         """
         d_w, d_h = hp.word_dim, hp.hidden_size
         d_in = hp.input_dim
@@ -324,11 +336,7 @@ class EncoderDecoder:
             ("emb/pos", (len(pos_tags), hp.pos_feat_dim), "uniform"),
             ("emb/trans", (n_types, d_w), "uniform"),
         ]
-        for prefix, x_dim in (
-            ("enc_fwd", d_in),
-            ("enc_bwd", d_in),
-            ("dec", d_w + d_h),
-        ):
+        for prefix, x_dim in zip(GRUS, (d_in, d_in, d_w + d_h)):
             for gate in ("z", "r", "n"):
                 specs += [(f"{prefix}/W_{gate}", (d_h, x_dim), "scaled"),
                           (f"{prefix}/U_{gate}", (d_h, d_h), "uniform"),
@@ -449,23 +457,20 @@ class EncoderDecoder:
                                        ("emb/ner", "ner_ids"), ("emb/pos", "pos_ids")))
 
     def _gru_inputs(self, prefix: str, X: Array) -> Array:
-        """The input projections ``[a_z | a_r | a_n] = X @ W_g.T + b_g`` of a
-        row or of stacked rows, one matrix product per gate."""
-        p = self.store
-        return np.concatenate([affine(p[f"{prefix}/W_{g}"], p[f"{prefix}/b_{g}"], X)
-                               for g in "zrn"], axis=-1)
+        """The input projections ``[a_z | a_r | a_n] = X @ W.T + b`` of a row
+        or of stacked rows: one product with the stack ``W = [W_z; W_r; W_n]``."""
+        W, _U, b = self._gru[prefix]
+        return affine(W, b, X)
 
     def _gru_cell(self, prefix: str, a: Array, h: Array):
         """The one GRU update, on input projections ``a`` (see :meth:`_gru_inputs`)
         and a state ``h`` of one row or a (k, ·) batch.  Returns the new state,
-        ``[z | r]`` and the candidate.  Each recurrent weight is its own
-        product: a stacked ``[U_z; U_r]`` would be copied on every call."""
-        p = self.store
+        ``[z | r]`` and the candidate; ``[U_z; U_r]`` is one product."""
+        U = self._gru[prefix][1]
         d_h = h.shape[-1]
-        zr = sigmoid(a[..., : 2 * d_h] + np.concatenate(
-            [linear(p[f"{prefix}/U_z"], h), linear(p[f"{prefix}/U_r"], h)], axis=-1))
+        zr = sigmoid(a[..., : 2 * d_h] + linear(U[: 2 * d_h], h))
         z, r = zr[..., :d_h], zr[..., d_h:]
-        n = np.tanh(a[..., 2 * d_h :] + linear(p[f"{prefix}/U_n"], r * h))
+        n = np.tanh(a[..., 2 * d_h :] + linear(U[2 * d_h :], r * h))
         return z * h + (1.0 - z) * n, zr, n
 
     def _gru_sequence(self, prefix: str, X: Array, valid: Array,
@@ -501,40 +506,36 @@ class EncoderDecoder:
         state after step ``i``, writes that step's gate pre-activation
         gradients ``[da_z | da_r | da_n]`` into ``DA[i]`` and returns the
         gradient at the previous state: the step's elementwise gate
-        derivatives, then three products with the recurrent weights.
+        derivatives, then products with ``U_n`` and ``[U_z; U_r]``.
         """
-        p = self.store
         d_h = self.hyper.hidden_size
-        U_z, U_r, U_n = (p[f"{prefix}/U_{g}"] for g in "zrn")
+        U_zr, U_n = np.split(self._gru[prefix][1], [2 * d_h])
         DA = np.empty(cache["h"].shape[:-1] + (3 * d_h,), dtype=self.dtype)
 
         def step(i: int, dh: Array) -> Array:
             h, z, r, n = (cache[key][i] for key in "hzrn")
-            da_z, da_r, da_n = _gates(DA[i])
+            da_z, da_r, da_n = DA[i][..., :d_h], DA[i][..., d_h : 2 * d_h], DA[i][..., 2 * d_h :]
             np.multiply(dh, (1.0 - z) * (1.0 - n * n), out=da_n)
             drh = da_n @ U_n
             np.multiply(dh, (h - n) * z * (1.0 - z), out=da_z)
             np.multiply(drh, h * r * (1.0 - r), out=da_r)
-            return dh * z + drh * r + da_z @ U_z + da_r @ U_r
+            return dh * z + drh * r + DA[i][..., : 2 * d_h] @ U_zr
 
         return DA, step
 
     def _gru_weight_grads(self, prefix: str, DA: Array, cache: dict, grads,
                           x_cols: slice = slice(None)) -> Array:
-        """Add a GRU run's weight gradients, one matrix product per tensor
-        over the rows of all its steps, from the stacked gate gradients
-        ``DA``; ``r * h`` is taken again here, not kept from the forward
-        pass.  Returns the gradient at the ``x_cols`` columns of its input
-        rows."""
-        p = self.store
-        D = dict(zip("zrn", _gates(_rows(DA))))
-        h = _rows(cache["h"])
-        rows = {"x": _rows(cache["x"]), "h": h, "rh": _rows(cache["r"]) * h}
-        for g in "zrn":
-            grads[f"{prefix}/W_{g}"] += D[g].T @ rows["x"]
-            grads[f"{prefix}/U_{g}"] += D[g].T @ rows["rh" if g == "n" else "h"]
-            grads[f"{prefix}/b_{g}"] += D[g].sum(axis=0)
-        return sum(D[g] @ p[f"{prefix}/W_{g}"][:, x_cols] for g in "zrn")
+        """Add a GRU run's weight gradients to its stacks in ``grads``, one
+        product per stack (two for ``U``: ``U_n`` reads ``r * h``, taken
+        again here) over the rows of all its steps' gate gradients ``DA``.
+        Returns the gradient at the ``x_cols`` columns of its input rows."""
+        dW, dU, db = _gru_stacks(grads, prefix)
+        D, h, k = _rows(DA), _rows(cache["h"]), 2 * self.hyper.hidden_size
+        dW += D.T @ _rows(cache["x"])
+        dU[:k] += D[:, :k].T @ h
+        dU[k:] += D[:, k:].T @ (_rows(cache["r"]) * h)
+        db += D.sum(axis=0)
+        return D @ self._gru[prefix][0][:, x_cols]
 
     def _gru_sequence_backward(self, prefix: str, cache: dict, dS: Array, carry: Array,
                                grads) -> Array:
@@ -829,7 +830,7 @@ class EncoderDecoder:
         dHA = np.zeros_like(H)
         dv = np.zeros_like(S[0])
         DA, gru_step = self._gru_backward_steps("dec", walk)
-        W_c = [p[f"dec/W_{g}"][:, d_w:] for g in "zrn"]
+        W_c = self._gru["dec"][0][:, d_w:]
         ds_carry = np.zeros_like(S[0])
         dc_carry = np.zeros_like(S[0])
         # c_t = alpha_t @ H feeds step t+1's GRU input, and alpha_t comes
@@ -845,7 +846,7 @@ class EncoderDecoder:
             dQ_dpre *= de[..., None]
             dHA += dQ_dpre
             ds_carry = gru_step(t, d["s"][t] + ds_carry + dq_sum @ p["att/B"])
-            dc_carry = sum(da @ W for da, W in zip(_gates(DA[t]), W_c))
+            dc_carry = DA[t] @ W_c
         del gru_step, Q, dQ_dpre, walk["z"], walk["n"]
         dW_in = d["w"]
         dW_in += self._gru_weight_grads("dec", DA, walk, grads,
@@ -948,18 +949,20 @@ class EncoderDecoder:
         recurrence step all of them as (B, ·) rows, and the switch and
         heads, forward and backward, run once on all (T, B, ·) steps, and
         so do the loss and its gradient seeds (:meth:`_loss`), from the
-        routes and decoder inputs that :meth:`prepare` resolved; no
-        outcome layout is built.  When ``grads`` is given, parameter
-        gradients of the summed loss are accumulated into it.  Dropout
-        masks come from ``masks_list`` when provided (grad-check freezing),
-        else are sampled from ``rng`` (training): one draw for the batch's
-        rows, which is each example's draw in batch order, else dropout is
-        off (evaluation).  With ``grads``, ``rows`` (when given) gets
+        routes and decoder inputs that :meth:`prepare` resolved; no outcome
+        layout is built.  Gradients are added to ``grads``, when given, a
+        :meth:`zero_grads` buffer (else ``TypeError``).  Dropout masks come
+        from ``masks_list`` when provided (grad-check freezing), else are
+        sampled from ``rng`` (training): one draw for the batch's rows,
+        which is each example's draw in batch order, else dropout is off
+        (evaluation).  With ``grads``, ``rows`` (when given) gets
         ``rows["emb/word"]``: the sorted unique ids of the ``emb/word`` rows
         the batch reads, source words and decoder inputs, which hold all of
         the gradient that table gets, for :meth:`morphoqg.tensor.Adam.step`.
         A row is there even when dropout zeroed its gradient.
         """
+        if grads is not None:
+            self.store.check_grads(grads, "loss_and_grads")
         if masks_list is not None:
             masks = None if all(m is None for m in masks_list) else np.concatenate([
                 np.ones((len(prep.roots), self.hyper.input_dim), self.dtype) if m is None else m
@@ -1118,7 +1121,7 @@ class EncoderDecoder:
         if meta.get("vocab_sha256") != vocab.content_hashes():
             raise ParseError("checkpoint was built with a different vocabulary")
         specs = cls._parameters(hyper, vocab, meta["pos_tags"], meta["ner_tags"])
-        store = ParameterStore(init_seed, [(name, shape, "empty") for name, shape, _ in specs])
+        store = _store(init_seed, [(name, shape, "empty") for name, shape, _ in specs])
         model = cls(hyper, vocab, pos_tags=meta["pos_tags"],
                     ner_tags=meta["ner_tags"], init_seed=init_seed, store=store)
         weights = load_checkpoint(path, into=dict(store.items()))

@@ -17,10 +17,10 @@ with ``np.where``: ``sigmoid`` and the maxout forward take ``np.maximum``
 and the maxout backward multiplies by the winner masks, so a
 data-dependent mask costs no mispredicted branch.
 :class:`ParameterStore` allocates a model's tensors as views of one
-flat buffer in registration order; its gradients (``zero_grads``) and
-:class:`Adam`'s moments are flat buffers in the same layout, and
-assigning to a tensor writes into its view, so the layout never
-changes.  :class:`Adam` scales the gradients it is given, clips them and
+flat buffer in the order its caller lays out, which need not be the draw
+order; gradients (``zero_grads``) and :class:`Adam`'s moments share the
+layout, and assigning to a tensor writes into its view, so the layout
+never changes.  :class:`Adam` scales the gradients it is given, clips them and
 updates in place: each run of consecutive dense tensors as stretches of
 the flat buffers, in blocks through one scratch buffer, with the bits of
 a tensor-by-tensor update; a tensor given with a row set (the batch's
@@ -227,12 +227,12 @@ class FlatTensors(dict):
 
     def __init__(self, flat: Array, layout: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
         super().__init__()
-        self.flat, self.layout, self._bounds = flat, layout, []
+        self.flat, self.layout, self._bounds = flat, layout, {}
         start = 0
         for name, shape in layout:
             end = start + math.prod(shape)
             dict.__setitem__(self, name, flat[start:end].reshape(shape))
-            self._bounds.append((name, start, end))
+            self._bounds[name] = (start, end)
             start = end
 
     def __setitem__(self, name: str, value) -> None:
@@ -251,11 +251,16 @@ class FlatTensors(dict):
         """``flat``, a buffer of ``self.flat``'s size, in the same layout."""
         return FlatTensors(flat, self.layout)
 
+    def stack(self, first: str, last: str) -> Array:
+        """Tensors ``first`` to ``last``, alike but in their first axis, as one view."""
+        start, end = self._bounds[first][0], self._bounds[last][1]
+        return self.flat[start:end].reshape((-1,) + self[first].shape[1:])
+
     def runs(self, skip: Mapping[str, object]) -> list[slice]:
         """The slices of ``flat`` that hold each run of consecutive tensors
         not named in ``skip``."""
         runs: list[slice] = []
-        for name, start, end in self._bounds:
+        for name, (start, end) in self._bounds.items():
             if name in skip:
                 continue
             if runs and runs[-1].stop == start:
@@ -269,33 +274,33 @@ class ParameterStore:
     """Named parameter tensors, all views of one flat buffer, ``flat``.
 
     ``specs`` gives each tensor's name, shape and init scheme, in
-    registration order, which is also the buffer's order: ``uniform``,
-    ``scaled`` (fan-scaled uniform), ``zeros``, or ``empty``, which leaves
-    the tensor for the caller to fill (a checkpoint load).  The buffer is
-    allocated once and each tensor is drawn into its view in that order
-    from one generator seeded by ``init_seed``, so the order pins the
-    values; the models register everything in their constructors.
-    ``store[name] = value`` writes into the tensor's view, so the layout
-    never changes.  :meth:`zero_grads` gives gradients in the same layout,
-    and :class:`Adam` keeps its moments in it, so that it can update every
-    run of tensors with a few passes over whole blocks.
+    registration order: ``uniform``, ``scaled`` (fan-scaled uniform),
+    ``zeros``, or ``empty``, which leaves the tensor for the caller to fill
+    (a checkpoint load).  ``layout`` names them in buffer order (default:
+    registration order).  Each is drawn into its view in registration
+    order from one generator seeded by ``init_seed``, so that order, not
+    the buffer's, pins the values.  ``store[name] = value`` writes into
+    the tensor's view, so the layout never changes.  :meth:`zero_grads`
+    gives gradients in that layout, and :class:`Adam` keeps its moments
+    in it, to update each run of tensors in a few whole-block passes.
     """
 
     def __init__(self, init_seed: int,
                  specs: Iterable[tuple[str, tuple[int, ...], str]],
-                 dtype=TRAIN_DTYPE) -> None:
+                 dtype=TRAIN_DTYPE, layout: Iterable[str] | None = None) -> None:
         self.init_seed = init_seed
         self.dtype = dtype
         specs = list(specs)
-        layout: dict[str, tuple[int, ...]] = {}
+        shapes: dict[str, tuple[int, ...]] = {}
         for name, shape, init in specs:
-            if name in layout:
+            if name in shapes:
                 raise ParseError(f"duplicate parameter name: {name!r}")
             if init not in ("uniform", "scaled", "zeros", "empty"):
                 raise ValueError(f"unknown init scheme: {init!r}")
-            layout[name] = tuple(shape)
-        size = sum(math.prod(shape) for shape in layout.values())
-        self._params = FlatTensors(np.empty(size, dtype=dtype), tuple(layout.items()))
+            shapes[name] = tuple(shape)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self._params = FlatTensors(np.empty(size, dtype=dtype),
+                                   tuple((name, shapes[name]) for name in layout or shapes))
         rng = np.random.default_rng(init_seed)
         for name, _shape, init in specs:
             arr = self._params[name]
@@ -326,10 +331,17 @@ class ParameterStore:
     def items(self) -> Iterator[tuple[str, Array]]:
         return iter(self._params.items())
 
+    def stack(self, first: str, last: str) -> Array:
+        return self._params.stack(first, last)
+
     def zero_grads(self) -> FlatTensors:
         """Zeroed gradient accumulators for every parameter: views of one
         fresh flat buffer, laid out as the store's."""
         return self._params.like(np.zeros(self.flat.size, dtype=self.dtype))
+
+    def check_grads(self, grads, taker: str) -> None:
+        if not isinstance(grads, FlatTensors) or grads.layout != self._params.layout:
+            raise TypeError(f"{taker} takes a zero_grads() buffer, got {type(grads).__name__}")
 
     def astype(self, dtype) -> "ParameterStore":
         """Copy of the store, its buffer cast to ``dtype`` in one pass and
@@ -487,9 +499,7 @@ class Adam:
         nonzero gradient.  Each tensor's scaled square is taken in the
         scratch buffer, so no temporary the size of a gradient is made per
         tensor."""
-        if not isinstance(grads, FlatTensors) or grads.layout != self._m.layout:
-            raise TypeError("Adam takes gradients laid out by the store's zero_grads(), "
-                            f"got {type(grads).__name__}")
+        self.store.check_grads(grads, "Adam")
         rows = rows or {}
         total = 0.0
         for name, g in grads.items():

@@ -208,6 +208,29 @@ class TestRealize:
         out = realize([Copy(0), Trans(TransformationType.ED)], ["1901"], toy_vocab)
         assert out == "1901"
 
+    @pytest.mark.parametrize("pos", ["NNS", "VBZ", "NNP"])
+    def test_word_whose_lower_case_is_longer_realizes_lower_case(self, pos):
+        """``"İs"`` lower-cases to three code points, ``i``, U+0307 and
+        ``s``.  That is its root under every tag (no rule inflects a root
+        with a combining mark), the source keeps it and ``encode`` copies
+        it, and ``realize`` writes it as it writes every root: lower case,
+        one code point longer than the corpus word."""
+        root = "i\u0307s"
+        assert "\u0130s".lower() == root
+        raw = CorpusExample(tokens=["\u0130s", "opened"], pos=[pos, "VBD"], ner=["O", "O"],
+                            answer_start=1, answer_end=1, question=["what", "\u0130s", "?"],
+                            question_pos=["WP", pos, "."])
+        vocab = Vocab(list(RESERVED_TOKENS) + [root, "open"],
+                      list(RESERVED_TOKENS) + ["what", "?"])
+        enc = encode_example(raw, vocab, default_morphology())
+        assert enc.source_roots[0] == root
+        assert enc.target_actions == [Quest(vocab.quest_id("what")), Copy(0),
+                                      Quest(vocab.quest_id("?"))]
+        out = realize(enc.target_actions, enc.source_roots, vocab)
+        assert out == f"what {root} ?" and len(out.split()[1]) == 3
+        inflected = realize([Copy(0), Trans(TransformationType.NS)], [root], vocab)
+        assert inflected == root
+
     def test_round_trip_over_toy_corpus(self, toy, toy_vocab):
         """Every coverable question realizes back to itself exactly."""
         assert codec_round_trip_failures(toy, toy_vocab, default_morphology()) == []

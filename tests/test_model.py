@@ -28,16 +28,19 @@ from morphoqg.errors import (DivergenceError, EmptyInputError, IndexOutOfVocab, 
                              ShapeMismatch)
 from morphoqg.generate import BeamResult, beam_search, generate_question
 from morphoqg.model import (
+    GRUS,
     SW_COPY,
     SW_QUEST,
     SW_TRANS,
     EncoderDecoder,
     HyperParams,
     OutcomeColumns,
+    _gru_stacks,
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import CHECKSUM_KEY, Adam, dropout_mask
+from morphoqg.tensor import (CHECKSUM_KEY, Adam, ParameterStore, dropout_mask,
+                             scaled_uniform_init, uniform_init)
 from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, _batches, evaluate_mean_loss, train
 from test_tensor import assert_one_buffer, reference_step
@@ -864,6 +867,112 @@ class TestSequenceRecurrences:
             assert worst <= 1e-4 * float(np.abs(want).max()), name
 
 
+def assert_gru_stacks(tensors, prefix):
+    """Each of the GRU's stacks in ``tensors`` (a store or a buffer laid out
+    as one) is a C-contiguous view of its buffer, starting at its ``z``
+    gate and holding the three gates' bytes in order."""
+    for kind, stack in zip("WUb", _gru_stacks(tensors, prefix)):
+        gates = [tensors[f"{prefix}/{kind}_{g}"] for g in "zrn"]
+        assert stack.flags.c_contiguous and np.shares_memory(stack, tensors.flat)
+        assert stack.__array_interface__["data"][0] == gates[0].__array_interface__["data"][0]
+        assert stack.tobytes() == np.concatenate(gates).tobytes(), (prefix, kind)
+
+
+class TestGruStacks:
+    """Property: each GRU's ``[W_z; W_r; W_n]``, ``[U_z; U_r; U_n]`` and
+    ``[b_z; b_r; b_n]`` is one stretch of the weights, of the gradients and
+    of Adam's moments, while a fresh model still draws gate by gate."""
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_stacks_are_views_of_every_buffer(self, dot_heads):
+        model = tiny_model(dot_heads=dot_heads, seed=3)
+        grads = model.zero_grads()
+        model.loss_and_grads([model.prepare(flagship_example())], grads=grads)
+        opt = Adam(model.store)
+        opt.step(grads)  # nonzero moments, moved weights
+        for prefix in GRUS:
+            for tensors in (model.store, grads, opt._m, opt._v):
+                assert_gru_stacks(tensors, prefix)
+            # The model's cached stacks are the store's.
+            for cached, stack in zip(model._gru[prefix], _gru_stacks(model.store, prefix)):
+                assert cached.__array_interface__ == stack.__array_interface__
+
+    def test_assignment_writes_through_to_the_stacks(self):
+        model = tiny_model(seed=3)
+        d_h = TINY.hidden_size
+        model.store["dec/U_r"] = np.full((d_h, d_h), 0.5)
+        _W, U, _b = model._gru["dec"]
+        assert (U[d_h : 2 * d_h] == 0.5).all() and not (U[:d_h] == 0.5).any()
+        grads = model.zero_grads()
+        grads["enc_fwd/b_n"] += 2.0
+        assert _gru_stacks(grads, "enc_fwd")[2].tolist() == [0.0] * (2 * d_h) + [2.0] * d_h
+
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_stacks_survive_astype_and_load(self, tmp_path, dot_heads):
+        """The float64 twin and a loaded model build their stacks over their
+        own buffers; a load reads into the views, so the stacks cached
+        before the read hold the checkpoint's weights."""
+        model = tiny_model(dot_heads=dot_heads, seed=13)
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        for other in (model.to_check_precision(), EncoderDecoder.load(path, tiny_vocab())):
+            assert other.store.flat is not model.store.flat
+            assert_one_buffer(other.store.items(), other.store.flat)
+            for prefix in GRUS:
+                assert_gru_stacks(other.store, prefix)
+                for mine, theirs in zip(model._gru[prefix], other._gru[prefix]):
+                    assert np.shares_memory(theirs, other.store.flat)
+                    assert theirs.tobytes() == mine.astype(other.dtype).tobytes()
+
+    def test_fresh_weights_equal_a_gate_by_gate_draw(self):
+        """A fresh model's weights are the draws of one generator over the
+        tensors in registration order, each GRU gate by gate (W, U, b of z,
+        then of r, then of n), written out here by hand."""
+        model = tiny_model(seed=19)
+        d_w, d_h, d_in = TINY.word_dim, TINY.hidden_size, TINY.input_dim
+        n_types, n_quest = len(ALL_TYPES), model.vocab.quest_size
+        specs = [("emb/word", (model.vocab.encoder_size, d_w), "uniform"),
+                 ("emb/bio", (4, TINY.answer_feat_dim), "uniform"),
+                 ("emb/ner", (len(NER_TAGS), TINY.ner_feat_dim), "uniform"),
+                 ("emb/pos", (len(POS_TAGS), TINY.pos_feat_dim), "uniform"),
+                 ("emb/trans", (n_types, d_w), "uniform")]
+        for prefix, x_dim in (("enc_fwd", d_in), ("enc_bwd", d_in), ("dec", d_w + d_h)):
+            for g in "zrn":
+                specs += [(f"{prefix}/W_{g}", (d_h, x_dim), "scaled"),
+                          (f"{prefix}/U_{g}", (d_h, d_h), "uniform"),
+                          (f"{prefix}/b_{g}", (d_h,), "zeros")]
+        specs += [("init/W", (d_h, d_h), "scaled"), ("init/b", (d_h,), "zeros"),
+                  ("att/A", (d_h, d_h), "scaled"), ("att/B", (d_h, d_h), "scaled"),
+                  ("att/b", (d_h,), "zeros"), ("att/v", (d_h,), "scaled"),
+                  ("g1/W", (2 * d_h, 2 * d_h), "scaled"), ("g1/b", (2 * d_h,), "zeros"),
+                  ("g1/Wo", (n_types, d_h), "scaled"), ("g1/bo", (n_types,), "zeros"),
+                  ("g2/W", (2 * d_h, 3 * d_h), "scaled"), ("g2/b", (2 * d_h,), "zeros"),
+                  ("g2/Wo", (n_quest, d_h), "scaled"), ("g2/bo", (n_quest,), "zeros"),
+                  ("switch/W", (3, 2 * d_h + d_w), "scaled"), ("switch/b", (3,), "zeros")]
+        rng = np.random.default_rng(19)
+        draws = {"uniform": uniform_init, "scaled": scaled_uniform_init,
+                 "zeros": lambda _rng, arr: arr.fill(0)}
+        assert sorted(name for name, *_ in specs) == sorted(model.store.names())
+        for name, shape, init in specs:
+            want = np.empty(shape, np.float32)
+            draws[init](rng, want)
+            assert model.store[name].tobytes() == want.tobytes(), name
+
+    def test_gradients_of_another_layout_rejected(self):
+        """``loss_and_grads`` takes only a buffer of the store's layout: a
+        plain dict, or a buffer laid out gate by gate, raises ``TypeError``
+        before anything is added to it."""
+        model = tiny_model(seed=3)
+        prep = model.prepare(flagship_example())
+        plain = {name: np.zeros_like(arr) for name, arr in model.store.items()}
+        specs = model._parameters(model.hyper, model.vocab, model.pos_tags, model.ner_tags)
+        gate_by_gate = ParameterStore(0, [(name, shape, "empty") for name, shape, _ in specs])
+        for grads in (plain, gate_by_gate.zero_grads()):
+            with pytest.raises(TypeError, match="zero_grads"):
+                model.loss_and_grads([prep], grads=grads)
+            assert not any(g.any() for g in grads.values())
+
+
 class TestFullLossGradients:
     """Property: the hand-written backward pass matches finite differences
     for every parameter tensor of the complete loss."""
@@ -1281,7 +1390,7 @@ class TestTraining:
     def test_steps_equal_the_reference_update(self, monkeypatch):
         """150 steps of ``train()``, at a clip norm that never clips and at
         one that clips, give the losses, pre-clip norms, weights and Adam
-        moments, byte for byte, of the same loop written out with
+        moments, byte for byte, of the same loop written out with scaled
         gradient dicts, the allocating norm and :func:`reference_step`
         (``emb/word`` updated on the batch's rows only)."""
         adam_step, optimizers = Adam.step, []
@@ -1308,7 +1417,7 @@ class TestTraining:
 
 def reference_training(model, config):
     """``train()``'s steps on :func:`tiny_corpus`, written out with fresh
-    gradient dicts, the norm of freshly scaled gradients and
+    gradient buffers copied into scaled dicts, the norm of those and
     :func:`reference_step`; returns the losses, the pre-clip norms and the
     final weights and moments."""
     prepared = [model.prepare(ex) for ex in tiny_corpus()]
@@ -1320,7 +1429,7 @@ def reference_training(model, config):
     losses, norms = [], []
     for t in range(1, config.max_steps + 1):
         batch = [prepared[i] for i in next(batches)]
-        grads, rows = {name: np.zeros_like(arr) for name, arr in model.store.items()}, {}
+        grads, rows = model.zero_grads(), {}
         loss, tokens = model.loss_and_grads(batch, grads=grads, rng=dropout_rng, rows=rows)
         ids = rows["emb/word"]
         scaled = {name: (g[ids] if name == "emb/word" else g) * np.float32(1.0 / tokens)

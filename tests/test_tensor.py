@@ -396,12 +396,13 @@ class TestGradCheck:
 
 
 class TestParameterStore:
-    """Property: initialisation is a pure function of seed and registration order."""
+    """Property: initialisation is a pure function of seed and registration
+    order; the layout orders the buffer only."""
 
-    def _build(self, seed):
+    def _build(self, seed, layout=None):
         return ParameterStore(seed, [("recurrent", (4, 4), "uniform"),
                                      ("projection", (4, 8), "scaled"),
-                                     ("bias", (4,), "zeros")])
+                                     ("bias", (4,), "zeros")], layout=layout)
 
     def test_same_seed_reproduces_values(self):
         a, b = self._build(42), self._build(42)
@@ -479,6 +480,39 @@ class TestParameterStore:
                 scaled_uniform_init(rng, np.empty((4, 8), np.float32)).tobytes(),
                 np.zeros(4, np.float32).tobytes()]
         assert [arr.tobytes() for _name, arr in self._build(42).items()] == want
+
+    def test_layout_orders_the_buffer_not_the_draws(self):
+        """A layout other than registration order moves the tensors within
+        the buffer, and the gradients and the float64 copy follow it; the
+        values are still drawn in registration order."""
+        plain = self._build(42)
+        store = self._build(42, layout=["bias", "recurrent", "projection"])
+        assert store.names() == ["bias", "recurrent", "projection"]
+        assert_one_buffer(store.items(), store.flat)
+        for name in plain.names():
+            assert store[name].tobytes() == plain[name].tobytes(), name
+        assert store.flat[:4].tolist() == [0.0] * 4
+        for tensors in (store.zero_grads(), store.astype(np.float64).zero_grads()):
+            assert list(tensors) == store.names()
+            assert_one_buffer(tensors.items(), tensors.flat)
+
+    def test_stack_is_a_view_of_every_buffer(self):
+        """Consecutive tensors alike but in their first axis stack as one
+        view of the store's buffer, of ``zero_grads()`` and of Adam's
+        moments; assigning a tensor writes through to the stack, and the
+        float64 copy stacks its own buffer."""
+        store = ParameterStore(7, [("a", (2, 3), "uniform"), ("b", (4, 3), "scaled"),
+                                   ("c", (1, 3), "uniform"), ("d", (5,), "uniform")])
+        opt = Adam(store)
+        opt.step(filled_grads(store, {name: np.ones(store[name].shape) for name in "abcd"}))
+        for tensors in (store, store.zero_grads(), opt._m, opt._v, store.astype(np.float64)):
+            stacked = tensors.stack("a", "c")
+            assert stacked.shape == (7, 3) and stacked.flags.c_contiguous
+            assert stacked.__array_interface__["data"][0] == \
+                tensors.flat.__array_interface__["data"][0]
+            assert stacked.tobytes() == np.concatenate([tensors[n] for n in "abc"]).tobytes()
+        store["b"] = np.arange(12.0).reshape(4, 3)
+        assert store.stack("a", "c")[2:6].ravel().tolist() == list(range(12))
 
     @pytest.mark.parametrize("shape", [(2 * INIT_BLOCK // 7 + 3, 7), (INIT_BLOCK + 5,), (),
                                        (3, 0)])
