@@ -56,15 +56,15 @@ def codec_round_trip_failures(corpus, vocab, morph):
             if realize(x.target_actions, x.source_roots, vocab, morph) != " ".join(raw.question)]
 
 
-def gradient_reports(model, prepared, masks_list):
+def gradient_reports(model, prepared, masks):
     """One ``GradReport`` per parameter tensor of a float64 ``model``: the
-    analytic gradient of the batch loss under fixed dropout masks against
-    central finite differences."""
+    analytic gradient of the batch loss under the fixed dropout ``masks``
+    (the batch's input rows in example order, or None for no dropout)
+    against central finite differences."""
     grads = model.zero_grads()
-    model.loss_and_grads(prepared, grads=grads, masks_list=masks_list)
-    return grad_check(
-        lambda: model.loss_and_grads(prepared, grads=None, masks_list=masks_list)[0],
-        dict(model.store.items()), grads, eps=GRAD_EPS, tolerance=GRAD_TOLERANCE)
+    model.loss_and_grads(prepared, grads=grads, masks=masks)
+    return grad_check(lambda: model.loss_and_grads(prepared, masks=masks)[0],
+                      model.store, grads, eps=GRAD_EPS, tolerance=GRAD_TOLERANCE)
 
 
 def first_step_mass_error(model, example):

@@ -467,7 +467,7 @@ def _check_gradients(seed: int):
     for design, dot_heads in HEAD_DESIGNS:
         model, example = tiny_model_and_example(seed, dot_heads)
         check = model.to_check_precision()
-        reports = gradient_reports(check, [check.prepare(example)], [None])
+        reports = gradient_reports(check, [check.prepare(example)], None)
         worst = max(reports, key=lambda r: r.rel_error)
         failed += [f"{design} {r.name}" for r in reports if not r.passed]
         details.append(f"{design} heads {len(reports)} tensors, worst rel err "

@@ -125,7 +125,7 @@ def _store(init_seed: int, specs) -> ParameterStore:
     for prefix in GRUS:
         at = names.index(f"{prefix}/W_z")
         names[at : at + 9] = [f"{prefix}/{k}_{g}" for k in "WUb" for g in "zrn"]
-    return ParameterStore(init_seed, specs, layout=names)
+    return ParameterStore.draw(init_seed, specs, layout=names)
 
 
 def _route_levels(counts: Array) -> tuple[Array, tuple[tuple[Array, Array], ...]]:
@@ -304,7 +304,7 @@ class EncoderDecoder:
         if store is None:
             store = _store(init_seed, self._parameters(hyper, vocab, pos_tags, ner_tags))
         self.store = store
-        self.dtype = store.dtype
+        self.dtype = store.flat.dtype.type
         self._gru = {prefix: _gru_stacks(store, prefix) for prefix in GRUS}
         # The list-word part of every OutcomeColumns: the words, the id of
         # each word, and the decoder input after each.
@@ -369,7 +369,7 @@ class EncoderDecoder:
             ("switch/b", (3,), "zeros"),
         ]
 
-    def zero_grads(self) -> dict[str, Array]:
+    def zero_grads(self) -> ParameterStore:
         return self.store.zero_grads()
 
     def to_check_precision(self) -> "EncoderDecoder":
@@ -938,8 +938,8 @@ class EncoderDecoder:
     def loss_and_grads(
         self,
         prepared: Sequence[PreparedExample],
-        grads: dict[str, Array] | None = None,
-        masks_list: Sequence[Array | None] | None = None,
+        grads: ParameterStore | None = None,
+        masks: Array | None = None,
         rng: np.random.Generator | None = None,
         rows: dict[str, Array] | None = None,
     ) -> tuple[float, int]:
@@ -951,8 +951,9 @@ class EncoderDecoder:
         so do the loss and its gradient seeds (:meth:`_loss`), from the
         routes and decoder inputs that :meth:`prepare` resolved; no outcome
         layout is built.  Gradients are added to ``grads``, when given, a
-        :meth:`zero_grads` buffer (else ``TypeError``).  Dropout masks come
-        from ``masks_list`` when provided (grad-check freezing), else are
+        :meth:`zero_grads` buffer (else ``TypeError``).  ``masks``, when
+        given (grad-check freezing), is the dropout mask of the batch's
+        input rows, each example's rows in batch order; else masks are
         sampled from ``rng`` (training): one draw for the batch's rows,
         which is each example's draw in batch order, else dropout is off
         (evaluation).  With ``grads``, ``rows`` (when given) gets
@@ -963,13 +964,8 @@ class EncoderDecoder:
         """
         if grads is not None:
             self.store.check_grads(grads, "loss_and_grads")
-        if masks_list is not None:
-            masks = None if all(m is None for m in masks_list) else np.concatenate([
-                np.ones((len(prep.roots), self.hyper.input_dim), self.dtype) if m is None else m
-                for prep, m in zip(prepared, masks_list)])
-        elif rng is None or self.hyper.dropout_rate == 0.0:
-            masks = None  # a zero rate draws nothing, so its all-ones masks are left out
-        else:
+        # A zero rate draws nothing, so its all-ones masks are left out.
+        if masks is None and rng is not None and self.hyper.dropout_rate != 0.0:
             masks = dropout_mask((sum(len(prep.roots) for prep in prepared), self.hyper.input_dim),
                                  self.hyper.dropout_rate, rng, dtype=self.dtype)
         enc = self._encode(prepared, masks)
@@ -1096,7 +1092,7 @@ class EncoderDecoder:
         return meta
 
     def save(self, path: str, extra: Mapping[str, object] | None = None) -> None:
-        save_checkpoint(path, dict(self.store.items()), sidecar=self.sidecar(extra))
+        save_checkpoint(path, self.store, sidecar=self.sidecar(extra))
 
     @classmethod
     def load(cls, path: str, vocab: Vocab) -> "EncoderDecoder":
@@ -1124,7 +1120,7 @@ class EncoderDecoder:
         store = _store(init_seed, [(name, shape, "empty") for name, shape, _ in specs])
         model = cls(hyper, vocab, pos_tags=meta["pos_tags"],
                     ner_tags=meta["ner_tags"], init_seed=init_seed, store=store)
-        weights = load_checkpoint(path, into=dict(store.items()))
+        weights = load_checkpoint(path, into=store)
         for name, shape, _init in specs:
             arr = weights.get(name)
             if arr is None:
@@ -1135,6 +1131,6 @@ class EncoderDecoder:
             store[name] = arr  # a no-op for a tensor read into its view
         if len(weights) > len(store):
             raise ParseError(f"checkpoint {path} has tensors the model lacks: "
-                             f"{sorted(set(weights) - set(store.names()))}")
+                             f"{sorted(set(weights) - set(store))}")
         check_sidecar(sidecar, path, weights, required=meta["format"] == checked)
         return model

@@ -16,11 +16,15 @@ along each row in memory order.  No kernel selects element by element
 with ``np.where``: ``sigmoid`` and the maxout forward take ``np.maximum``
 and the maxout backward multiplies by the winner masks, so a
 data-dependent mask costs no mispredicted branch.
-:class:`ParameterStore` allocates a model's tensors as views of one
-flat buffer in the order its caller lays out, which need not be the draw
-order; gradients (``zero_grads``) and :class:`Adam`'s moments share the
-layout, and assigning to a tensor writes into its view, so the layout
-never changes.  :class:`Adam` scales the gradients it is given, clips them and
+:class:`ParameterStore` is the one tensor container: a dict of named
+views of one flat buffer, in the order its caller lays out, which need
+not be the draw order.  A model's weights, its gradients
+(``zero_grads``), :class:`Adam`'s moments, the best dev weights and the
+float64 twin (``astype``) are all stores of one layout, and assigning to
+a tensor writes into its view, so the layout never changes.  A store is
+a mapping of name to array, so it goes straight to
+:func:`save_checkpoint`, :func:`load_checkpoint` and :func:`grad_check`.
+:class:`Adam` scales the gradients it is given, clips them and
 updates in place: each run of consecutive dense tensors as stretches of
 the flat buffers, in blocks through one scratch buffer, with the bits of
 a tensor-by-tensor update; a tensor given with a row set (the batch's
@@ -213,14 +217,19 @@ def scaled_uniform_init(rng: np.random.Generator, out: Array) -> Array:
     return uniform_init(rng, out, np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-class FlatTensors(dict):
-    """Named tensors that are consecutive views of one flat buffer.
+class ParameterStore(dict):
+    """Named tensors that are consecutive views of one flat buffer: a
+    model's weights, and its gradients, :class:`Adam`'s moments, the best
+    dev weights and the float64 twin alike.
 
     ``flat`` is the buffer and ``layout`` the ``(name, shape)`` of each
-    tensor in buffer order; :meth:`like` lays another buffer out the same
-    way.  Assigning ``tensors[name] = value`` writes ``value`` into the
-    tensor's view (the same shape, else ``ValueError``), so every tensor
-    stays a view of ``flat``; ``tensors[name] += x`` adds in place.
+    tensor in buffer order; :meth:`draw` makes seeded weights.  Assigning
+    ``store[name] = value`` writes ``value`` into the tensor's view (the
+    same shape, else ``ValueError``), so every tensor stays a view of
+    ``flat`` and the layout never changes; ``store[name] += x`` adds in
+    place.  :meth:`zero_grads` gives gradients in the same layout, and
+    :class:`Adam` keeps its moments in it, to update each run of tensors
+    in a few whole-block passes.
     """
 
     __slots__ = ("flat", "layout", "_bounds")
@@ -235,6 +244,39 @@ class FlatTensors(dict):
             self._bounds[name] = (start, end)
             start = end
 
+    @classmethod
+    def draw(cls, init_seed: int, specs: Iterable[tuple[str, tuple[int, ...], str]],
+             dtype=TRAIN_DTYPE, layout: Iterable[str] | None = None) -> "ParameterStore":
+        """A store of seeded weights.  ``specs`` gives each tensor's name,
+        shape and init scheme, in registration order: ``uniform``,
+        ``scaled`` (fan-scaled uniform), ``zeros``, or ``empty``, which
+        leaves the tensor for the caller to fill (a checkpoint load).
+        ``layout`` names them in buffer order (default: registration
+        order).  Each is drawn into its view in registration order from
+        one generator seeded by ``init_seed``, so that order, not the
+        buffer's, pins the values."""
+        specs = list(specs)
+        shapes: dict[str, tuple[int, ...]] = {}
+        for name, shape, init in specs:
+            if name in shapes:
+                raise ParseError(f"duplicate parameter name: {name!r}")
+            if init not in ("uniform", "scaled", "zeros", "empty"):
+                raise ValueError(f"unknown init scheme: {init!r}")
+            shapes[name] = tuple(shape)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        store = cls(np.empty(size, dtype=dtype),
+                    tuple((name, shapes[name]) for name in layout or shapes))
+        rng = np.random.default_rng(init_seed)
+        for name, _shape, init in specs:
+            arr = store[name]
+            if init == "uniform":
+                uniform_init(rng, arr)
+            elif init == "scaled":
+                scaled_uniform_init(rng, arr)
+            elif init == "zeros":
+                arr.fill(0)
+        return store
+
     def __setitem__(self, name: str, value) -> None:
         view = self[name]
         if value is not view:
@@ -244,12 +286,8 @@ class FlatTensors(dict):
             view[...] = value
 
     def __reduce__(self):
-        # A copy or pickle rebuilds the views over its own copy of ``flat``.
-        return FlatTensors, (self.flat, self.layout)
-
-    def like(self, flat: Array) -> "FlatTensors":
-        """``flat``, a buffer of ``self.flat``'s size, in the same layout."""
-        return FlatTensors(flat, self.layout)
+        # A deep copy or pickle rebuilds the views over its own copy of ``flat``.
+        return ParameterStore, (self.flat, self.layout)
 
     def stack(self, first: str, last: str) -> Array:
         """Tensors ``first`` to ``last``, alike but in their first axis, as one view."""
@@ -269,88 +307,20 @@ class FlatTensors(dict):
                 runs.append(slice(start, end))
         return runs
 
-
-class ParameterStore:
-    """Named parameter tensors, all views of one flat buffer, ``flat``.
-
-    ``specs`` gives each tensor's name, shape and init scheme, in
-    registration order: ``uniform``, ``scaled`` (fan-scaled uniform),
-    ``zeros``, or ``empty``, which leaves the tensor for the caller to fill
-    (a checkpoint load).  ``layout`` names them in buffer order (default:
-    registration order).  Each is drawn into its view in registration
-    order from one generator seeded by ``init_seed``, so that order, not
-    the buffer's, pins the values.  ``store[name] = value`` writes into
-    the tensor's view, so the layout never changes.  :meth:`zero_grads`
-    gives gradients in that layout, and :class:`Adam` keeps its moments
-    in it, to update each run of tensors in a few whole-block passes.
-    """
-
-    def __init__(self, init_seed: int,
-                 specs: Iterable[tuple[str, tuple[int, ...], str]],
-                 dtype=TRAIN_DTYPE, layout: Iterable[str] | None = None) -> None:
-        self.init_seed = init_seed
-        self.dtype = dtype
-        specs = list(specs)
-        shapes: dict[str, tuple[int, ...]] = {}
-        for name, shape, init in specs:
-            if name in shapes:
-                raise ParseError(f"duplicate parameter name: {name!r}")
-            if init not in ("uniform", "scaled", "zeros", "empty"):
-                raise ValueError(f"unknown init scheme: {init!r}")
-            shapes[name] = tuple(shape)
-        size = sum(math.prod(shape) for shape in shapes.values())
-        self._params = FlatTensors(np.empty(size, dtype=dtype),
-                                   tuple((name, shapes[name]) for name in layout or shapes))
-        rng = np.random.default_rng(init_seed)
-        for name, _shape, init in specs:
-            arr = self._params[name]
-            if init == "uniform":
-                uniform_init(rng, arr)
-            elif init == "scaled":
-                scaled_uniform_init(rng, arr)
-            elif init == "zeros":
-                arr.fill(0)
-
-    @property
-    def flat(self) -> Array:
-        """The one buffer that every tensor is a view of."""
-        return self._params.flat
-
-    def __getitem__(self, name: str) -> Array:
-        return self._params[name]
-
-    def __setitem__(self, name: str, value: Array) -> None:
-        self._params[name] = value
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self) -> Iterator[tuple[str, Array]]:
-        return iter(self._params.items())
-
-    def stack(self, first: str, last: str) -> Array:
-        return self._params.stack(first, last)
-
-    def zero_grads(self) -> FlatTensors:
-        """Zeroed gradient accumulators for every parameter: views of one
-        fresh flat buffer, laid out as the store's."""
-        return self._params.like(np.zeros(self.flat.size, dtype=self.dtype))
+    def zero_grads(self) -> "ParameterStore":
+        """Zeroed gradient accumulators for every tensor, laid out as the
+        store.  ``np.zeros``, not ``np.zeros_like``: the pages stay
+        untouched until a gradient is written to them."""
+        return ParameterStore(np.zeros(self.flat.size, dtype=self.flat.dtype), self.layout)
 
     def check_grads(self, grads, taker: str) -> None:
-        if not isinstance(grads, FlatTensors) or grads.layout != self._params.layout:
+        if not isinstance(grads, ParameterStore) or grads.layout != self.layout:
             raise TypeError(f"{taker} takes a zero_grads() buffer, got {type(grads).__name__}")
 
     def astype(self, dtype) -> "ParameterStore":
         """Copy of the store, its buffer cast to ``dtype`` in one pass and
         laid out the same (float64 for checking)."""
-        clone = ParameterStore(self.init_seed,
-                               [(name, shape, "empty") for name, shape in self._params.layout],
-                               dtype)
-        clone.flat[...] = self.flat
-        return clone
+        return ParameterStore(self.flat.astype(dtype), self.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +394,16 @@ ADAM_BLOCK = 1 << 16
 class Adam:
     """Adam optimiser over a :class:`ParameterStore` with gradient clipping.
 
-    The moments ``m`` and ``v`` are flat buffers laid out as the store's,
-    so each run of consecutive tensors that take a dense update is updated
-    as one stretch of the buffers, block by block."""
+    The moments ``m`` and ``v`` are the store's :meth:`~ParameterStore.zero_grads`,
+    so weights, gradients and moments share one layout, and each run of
+    consecutive tensors that take a dense update is updated as one
+    stretch of their flat buffers, block by block."""
 
     store: ParameterStore
     lr: float = 0.002
     clip_norm: float = 5.0
-    _m: FlatTensors = field(init=False)
-    _v: FlatTensors = field(init=False)
+    _m: ParameterStore = field(init=False)
+    _v: ParameterStore = field(init=False)
     _scratch: Array = field(init=False)
     _t: int = 0
 
@@ -445,15 +416,15 @@ class Adam:
         # the store is smaller.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
         size = max(size, 2 * min(ADAM_BLOCK, self.store.flat.size), 2)
-        self._scratch = np.empty(size, dtype=self.store.dtype)
+        self._scratch = np.empty(size, dtype=self.store.flat.dtype)
 
-    def step(self, grads: FlatTensors, scale: float = 1.0,
+    def step(self, grads: ParameterStore, scale: float = 1.0,
              rows: Mapping[str, Array] | None = None) -> float:
         """Apply one update to the gradients ``grads`` times ``scale`` (the
         trainer's 1/tokens); returns their pre-clip global norm.
 
-        ``grads`` is a buffer that :meth:`ParameterStore.zero_grads` laid
-        out (``TypeError`` otherwise).  The update runs in place through
+        ``grads`` is a :class:`ParameterStore` in the store's layout, as
+        :meth:`ParameterStore.zero_grads` makes (``TypeError`` otherwise).  The update runs in place through
         preallocated buffers, in the order ``g = grad * scale * clip``,
         ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``,
         then ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected
@@ -492,7 +463,7 @@ class Adam:
                     x[block] = updated
         return norm
 
-    def _global_norm(self, grads: FlatTensors, scale: float = 1.0,
+    def _global_norm(self, grads: ParameterStore, scale: float = 1.0,
                      rows: Mapping[str, Array] | None = None) -> float:
         """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
         in ``rows`` counts only those rows, which must hold all of its

@@ -9,13 +9,13 @@ averaged over every target token in the batch by the scale that
 :meth:`morphoqg.tensor.Adam.step` applies.  The ``emb/word`` table is
 updated lazily: the clip norm, the Adam update and the zeroing of its
 gradient buffer touch only the rows the batch reads, so a row no batch
-reads keeps its weights and moments.  The gradients are one flat buffer
-laid out as the model's parameters (``zero_grads``, allocated once per
-run), so Adam updates, and a step's end zeroes, every other tensor as
-one run of that buffer.  The best dev weights are kept as one copy of
-the parameter buffer and copied back at the end.  All randomness —
-example order and dropout — flows from a single seed, so runs are
-reproducible.
+reads keeps its weights and moments.  The weights, the gradients
+(``zero_grads``, allocated once per run), Adam's moments and the best
+dev weights are stores (:class:`morphoqg.tensor.ParameterStore`) of one
+layout, so Adam updates, and a step's end zeroes, every other tensor as
+one run of their flat buffers, and the best dev weights are copied back
+at the end in one pass.  All randomness — example order and dropout —
+flows from a single seed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def train(
                 log(f"step {step}: dev loss {dev_loss:.4f}")
             if dev_loss < result.best_eval_loss:
                 result.best_eval_loss = dev_loss
-                result.best_weights = model.store.astype(model.store.dtype)
+                result.best_weights = model.store.astype(model.dtype)
         if due and should_stop is not None and should_stop(step, model):
             result.stopped_early = True
             break

@@ -150,7 +150,7 @@ def test_criterion_3_full_loss_gradient_check():
     for dot_heads in (False, True):
         model, example = tiny_model_and_example(seed=11, dot_heads=dot_heads)
         check = model.to_check_precision()
-        reports += gradient_reports(check, [check.prepare(example)], [None])
+        reports += gradient_reports(check, [check.prepare(example)], None)
         failed = [r for r in reports if not r.passed]
         assert not failed, f"dot_heads={dot_heads}: {failed}"
     worst = max(reports, key=lambda r: r.rel_error)

@@ -857,7 +857,7 @@ class TestSequenceRecurrences:
         for m, mask_dtype in ((model, np.float32), (check, np.float64)):
             grads = m.zero_grads()
             loss, tokens = m.loss_and_grads([m.prepare(ex) for ex in examples], grads=grads,
-                                            masks_list=[k.astype(mask_dtype) for k in masks])
+                                            masks=np.concatenate(masks).astype(mask_dtype))
             assert tokens == 28
             results.append((loss, grads))
         (loss32, grads32), (loss64, grads64) = results
@@ -952,7 +952,7 @@ class TestGruStacks:
         rng = np.random.default_rng(19)
         draws = {"uniform": uniform_init, "scaled": scaled_uniform_init,
                  "zeros": lambda _rng, arr: arr.fill(0)}
-        assert sorted(name for name, *_ in specs) == sorted(model.store.names())
+        assert sorted(name for name, *_ in specs) == sorted(model.store)
         for name, shape, init in specs:
             want = np.empty(shape, np.float32)
             draws[init](rng, want)
@@ -966,7 +966,8 @@ class TestGruStacks:
         prep = model.prepare(flagship_example())
         plain = {name: np.zeros_like(arr) for name, arr in model.store.items()}
         specs = model._parameters(model.hyper, model.vocab, model.pos_tags, model.ner_tags)
-        gate_by_gate = ParameterStore(0, [(name, shape, "empty") for name, shape, _ in specs])
+        gate_by_gate = ParameterStore.draw(0, [(name, shape, "empty")
+                                               for name, shape, _ in specs])
         for grads in (plain, gate_by_gate.zero_grads()):
             with pytest.raises(TypeError, match="zero_grads"):
                 model.loss_and_grads([prep], grads=grads)
@@ -990,7 +991,7 @@ class TestFullLossGradients:
             mask_rng = np.random.default_rng(3)
             masks = dropout_mask((len(prep.roots), model.hyper.input_dim),
                                  model.hyper.dropout_rate, mask_rng, dtype=model.dtype)
-            reports = gradient_reports(model, [prep], [masks])
+            reports = gradient_reports(model, [prep], masks)
             failed = [r for r in reports if not r.passed]
             assert not failed, f"gradient mismatch in {prep.roots}: {failed}"
 
@@ -998,9 +999,9 @@ class TestFullLossGradients:
         model = tiny_model(seed=2).to_check_precision()
         prep = model.prepare(flagship_example())
         grads = model.zero_grads()
-        model.loss_and_grads([prep], grads=grads, masks_list=[None])
+        model.loss_and_grads([prep], grads=grads)
         touched = {name for name, g in grads.items() if np.any(g != 0.0)}
-        untouched = set(model.store.names()) - touched
+        untouched = set(model.store) - touched
         # Unused embedding rows aside, every tensor must receive gradient.
         assert untouched == set(), f"no gradient reached: {sorted(untouched)}"
 
@@ -1051,7 +1052,7 @@ class TestPaddedBatch:
         preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
                                                edge_case_examples()[0])]
         assert len({len(p.roots) for p in preps}) == len({len(p.targets) for p in preps}) == 3
-        reports = gradient_reports(model, preps, self._masks(model, preps))
+        reports = gradient_reports(model, preps, np.concatenate(self._masks(model, preps)))
         failed = [r for r in reports if not r.passed]
         assert not failed, f"gradient mismatch on a padded batch: {failed}"
 
@@ -1070,7 +1071,7 @@ class TestPaddedBatch:
         def run(preps):
             grads = model.zero_grads()
             loss, _ = model.loss_and_grads(preps, grads=grads,
-                                           masks_list=[masks[p] for p in preps])
+                                           masks=np.concatenate([masks[p] for p in preps]))
             return loss, grads
 
         loss_a, grads_a = run([flagship])
@@ -1317,7 +1318,7 @@ class TestTraining:
         masks[0][2] = 0.0
         assert [prep.word_ids.count(park) for prep in preps] == [1, 0]
         grads, rows = model.zero_grads(), {}
-        model.loss_and_grads(preps, grads=grads, masks_list=masks, rows=rows)
+        model.loss_and_grads(preps, grads=grads, masks=np.concatenate(masks), rows=rows)
         ids = rows["emb/word"]
         assert ids.tolist() == sorted(read)
         assert park in ids.tolist() and not grads["emb/word"][park].any()
@@ -1788,8 +1789,8 @@ class TestPersistence:
         model.save(path, extra={"note": "unit"})
         loaded = EncoderDecoder.load(path, tiny_vocab())
         # Registration order, which gradient norms sum in.
-        assert loaded.store.names() == model.store.names()
-        for name in model.store.names():
+        assert list(loaded.store) == list(model.store)
+        for name in model.store:
             np.testing.assert_array_equal(loaded.store[name], model.store[name])
         assert loaded.hyper == model.hyper
         assert loaded.pos_tags == model.pos_tags
@@ -1881,7 +1882,7 @@ class TestPersistence:
         with open(path + ".json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
         loaded = EncoderDecoder.load(path, tiny_vocab())
-        for name in model.store.names():
+        for name in model.store:
             np.testing.assert_array_equal(loaded.store[name], model.store[name])
         # The format of a checksummed sidecar requires the checksum.
         meta["format"] = "wt-additive+sha256"

@@ -7,6 +7,8 @@ import json
 import os
 import pickle
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -400,13 +402,13 @@ class TestParameterStore:
     order; the layout orders the buffer only."""
 
     def _build(self, seed, layout=None):
-        return ParameterStore(seed, [("recurrent", (4, 4), "uniform"),
-                                     ("projection", (4, 8), "scaled"),
-                                     ("bias", (4,), "zeros")], layout=layout)
+        return ParameterStore.draw(seed, [("recurrent", (4, 4), "uniform"),
+                                          ("projection", (4, 8), "scaled"),
+                                          ("bias", (4,), "zeros")], layout=layout)
 
     def test_same_seed_reproduces_values(self):
         a, b = self._build(42), self._build(42)
-        for name in a.names():
+        for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seed_changes_values(self):
@@ -422,26 +424,46 @@ class TestParameterStore:
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ParseError):
-            ParameterStore(0, [("w", (2, 2), "uniform"), ("w", (2, 2), "uniform")])
+            ParameterStore.draw(0, [("w", (2, 2), "uniform"), ("w", (2, 2), "uniform")])
 
     def test_zero_grads_match_shapes(self):
         store = self._build(1)
         grads = store.zero_grads()
-        assert set(grads) == set(store.names())
+        assert set(grads) == set(store)
         for name, g in grads.items():
             assert g.shape == store[name].shape
             assert np.all(g == 0.0)
 
+    def test_zero_grads_leave_their_pages_untouched(self):
+        """Three ``zero_grads()`` of a store holding one 64 MB tensor raise
+        the peak resident set by less than one buffer: the buffers are
+        allocated zeroed, so no page is written until a gradient is.  Run
+        in a fresh interpreter, whose peak is not this process's."""
+        code = (
+            "import resource\n"
+            "from morphoqg.tensor import ParameterStore\n"
+            "store = ParameterStore.draw(0, [('w', (16, 1 << 20), 'empty')])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "grads = [store.zero_grads() for _ in range(3)]\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        raised_kb = int(done.stdout)
+        assert raised_kb * 1024 < 64 << 20, f"peak RSS rose {raised_kb} KB"
+
     def test_astype_preserves_values(self):
         store = self._build(9)
         wide = store.astype(np.float64)
-        for name in store.names():
+        for name in store:
             np.testing.assert_allclose(wide[name], store[name])
             assert wide[name].dtype == np.float64
 
     def test_tensors_are_views_of_one_buffer_in_registration_order(self):
         store = self._build(3)
-        assert store.names() == ["recurrent", "projection", "bias"]
+        assert list(store) == ["recurrent", "projection", "bias"]
         assert_one_buffer(store.items(), store.flat)
         grads = store.zero_grads()
         assert_one_buffer(grads.items(), grads.flat)
@@ -466,7 +488,7 @@ class TestParameterStore:
     def test_a_copy_is_one_buffer_of_its_own(self):
         store = self._build(5)
         for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
-            assert copied.names() == store.names()
+            assert list(copied) == list(store)
             assert copied.flat.tobytes() == store.flat.tobytes()
             assert_one_buffer(copied.items(), copied.flat)
             copied["bias"] = np.ones(4)
@@ -487,13 +509,13 @@ class TestParameterStore:
         values are still drawn in registration order."""
         plain = self._build(42)
         store = self._build(42, layout=["bias", "recurrent", "projection"])
-        assert store.names() == ["bias", "recurrent", "projection"]
+        assert list(store) == ["bias", "recurrent", "projection"]
         assert_one_buffer(store.items(), store.flat)
-        for name in plain.names():
+        for name in plain:
             assert store[name].tobytes() == plain[name].tobytes(), name
         assert store.flat[:4].tolist() == [0.0] * 4
         for tensors in (store.zero_grads(), store.astype(np.float64).zero_grads()):
-            assert list(tensors) == store.names()
+            assert list(tensors) == list(store)
             assert_one_buffer(tensors.items(), tensors.flat)
 
     def test_stack_is_a_view_of_every_buffer(self):
@@ -501,8 +523,8 @@ class TestParameterStore:
         view of the store's buffer, of ``zero_grads()`` and of Adam's
         moments; assigning a tensor writes through to the stack, and the
         float64 copy stacks its own buffer."""
-        store = ParameterStore(7, [("a", (2, 3), "uniform"), ("b", (4, 3), "scaled"),
-                                   ("c", (1, 3), "uniform"), ("d", (5,), "uniform")])
+        store = ParameterStore.draw(7, [("a", (2, 3), "uniform"), ("b", (4, 3), "scaled"),
+                                        ("c", (1, 3), "uniform"), ("d", (5,), "uniform")])
         opt = Adam(store)
         opt.step(filled_grads(store, {name: np.ones(store[name].shape) for name in "abcd"}))
         for tensors in (store, store.zero_grads(), opt._m, opt._v, store.astype(np.float64)):
@@ -551,8 +573,8 @@ SPARSE_SHAPES = {"bias": (5,), "table": (20, 6), "dense": (4, 3)}
 
 def store_of(shapes, seed=0, dtype=np.float32):
     """A store of uniform tensors of the given shapes, in their order."""
-    return ParameterStore(seed, [(name, shape, "uniform") for name, shape in shapes.items()],
-                          dtype)
+    return ParameterStore.draw(seed, [(name, shape, "uniform")
+                                      for name, shape in shapes.items()], dtype)
 
 
 def filled_grads(store, values):
@@ -613,7 +635,7 @@ class TestAdam:
         assert opt.step(filled_grads(store, {"x": np.array([12.0])})) == pytest.approx(12.0)
 
     def test_global_norm(self):
-        store = ParameterStore(0, [("a", (2,), "zeros")])
+        store = ParameterStore.draw(0, [("a", (2,), "zeros")])
         grads = filled_grads(store, {"a": np.array([3.0, 4.0])})
         assert Adam(store)._global_norm(grads) == pytest.approx(5.0)
 
