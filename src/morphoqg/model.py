@@ -27,31 +27,36 @@ by one gather.
 
 The forward pass calls the array kernels of :mod:`morphoqg.tensor`
 (sigmoid, softmax, two-piece maxout, dropout mask, and ``linear`` and
-``affine`` for every weight product) and the backward pass
-is written out by hand around their backward halves; there is no autodiff
-graph.  One GRU cell, fed input projections taken beforehand, serves the
-encoder's tokens, the decoder's teacher-forced steps and the beam's live
-hypotheses.  Training runs a batch as one padded pass: each encoder GRU
-projects all tokens of the batch at once and then walks an (n, B, ·)
-stack, and the decoder's recurrent half (the GRU, then attention) walks
-the teacher-forced steps as (T, B, ·) rows.  Padding is exact: a padded
-encoder step keeps its state, a padded source position gets a ``-inf``
-attention (and dot-head copy) logit, and padded decoder steps come after
-the real ones and get no gradient.  The switch and the heads run once on
-the walk's (T, B, ·) stacks, forward and backward, padded steps seeded
-with zero, and so do the loss and its seeds.  Only the attention and the
-GRU carries walk the steps in reverse; they recompute each step's
-attention pre-activations instead of keeping them and store each step's
-gate gradients, so that every weight gradient is one matrix product over
-the batch's rows.  The input-row gradient goes into the word,
+``affine`` for every weight product) and the backward pass is written out
+by hand around their backward halves; there is no autodiff graph.  One GRU
+cell, fed input projections taken beforehand, serves the encoder's tokens,
+the decoder's teacher-forced steps and the beam's live hypotheses.
+Training runs a batch as one padded pass: the encoder projects all tokens
+of the batch for both directions at once and then walks both together,
+step ``i`` taking token ``i`` forward and token ``n-1-i`` backward as one
+(2, B, ·) pair of rows (the two GRUs' weights are (2, ·) views of the one
+buffer), and the decoder's recurrent half (the GRU, then attention) walks the
+teacher-forced steps as (T, B, ·) rows.  Each step pays the per-call cost
+of numpy and BLAS once for both directions, which at small sizes is most of
+its cost.  Padding is exact: a padded encoder step keeps its state, a
+padded source position gets a ``-inf`` attention (and dot-head copy) logit,
+and padded decoder steps come after the real ones and get no gradient.  The
+switch and the heads run once on the walk's (T, B, ·) stacks, forward and
+backward, padded steps seeded with zero, and so do the loss and its seeds.
+Only the attention and the GRU carries walk the steps in reverse; they
+recompute each step's attention pre-activations instead of keeping them and
+store each step's gate gradients, so that every weight gradient is one
+matrix product over the batch's rows; the encoder's pair stores the
+backward direction's rows in token order, the order whose sums give the
+bits of one walk per direction.  The input-row gradient goes into the word,
 answer-position, entity and POS tables with one ``np.add.at`` per table
 over the batch's rows in example-major order, the order that adds a
 repeated id's rows; the word ids it goes to are the row set of the
 optimiser's row-sparse ``emb/word`` update.  :meth:`EncoderDecoder.encode`
 is the batch of one, which beam search uses; beam search runs the decoder
 step on a (k, d_h) batch of all live hypotheses and mixes the three routes
-into one probability row per hypothesis.  :mod:`morphoqg.checks` holds
-the finite-difference gradient check of the complete loss and the
+into one probability row per hypothesis.  :mod:`morphoqg.checks` holds the
+finite-difference gradient check of the complete loss and the
 probability-mass check, which the test suite and ``selftest`` both run.
 
 Two output-layer regimes are provided: the default additive one (attention
@@ -114,8 +119,20 @@ def _step_mask(inputs: Sequence[Array]) -> Array:
 
 
 def _gru_stacks(tensors, prefix: str) -> tuple[Array, ...]:
-    """A GRU's stacks ``[W_z; W_r; W_n]``, ``[U_z; U_r; U_n]``, ``[b_z; b_r; b_n]``."""
-    return tuple(tensors.stack(f"{prefix}/{k}_z", f"{prefix}/{k}_n") for k in "WUb")
+    """A GRU's stacks ``[W_z; W_r; W_n]``, ``[U_z; U_r; U_n]``, ``[b_z; b_r; b_n]``.
+
+    ``"enc"`` gives both encoder directions' stacks at once, as (2, ·)
+    views whose first index is ``enc_fwd``, then ``enc_bwd``: the two GRUs
+    have one spec and their tensors lie as two alike blocks one after the
+    other (:func:`_store`), so each stack of the pair is one strided view."""
+    if prefix != "enc":
+        return tuple(tensors.stack(f"{prefix}/{k}_z", f"{prefix}/{k}_n") for k in "WUb")
+    pair = tensors.stack("enc_fwd/W_z", "enc_bwd/b_n", (2, -1))
+    stacks, start = [], 0
+    for stack in _gru_stacks(tensors, "enc_fwd"):
+        stacks.append(pair[:, start : start + stack.size].reshape((2,) + stack.shape))
+        start += stack.size
+    return tuple(stacks)
 
 
 def _store(init_seed: int, specs) -> ParameterStore:
@@ -305,7 +322,7 @@ class EncoderDecoder:
             store = _store(init_seed, self._parameters(hyper, vocab, pos_tags, ner_tags))
         self.store = store
         self.dtype = store.flat.dtype.type
-        self._gru = {prefix: _gru_stacks(store, prefix) for prefix in GRUS}
+        self._gru = {key: _gru_stacks(store, key) for key in ("enc", "dec")}
         # The list-word part of every OutcomeColumns: the words, the id of
         # each word, and the decoder input after each.
         quest = tuple(vocab.quest_vocab)
@@ -456,115 +473,149 @@ class EncoderDecoder:
                      for name, ids in (("emb/word", "word_ids"), ("emb/bio", "bio_ids"),
                                        ("emb/ner", "ner_ids"), ("emb/pos", "pos_ids")))
 
-    def _gru_inputs(self, prefix: str, X: Array) -> Array:
-        """The input projections ``[a_z | a_r | a_n] = X @ W.T + b`` of a row
-        or of stacked rows: one product with the stack ``W = [W_z; W_r; W_n]``."""
-        W, _U, b = self._gru[prefix]
-        return affine(W, b, X)
-
-    def _gru_cell(self, prefix: str, a: Array, h: Array):
-        """The one GRU update, on input projections ``a`` (see :meth:`_gru_inputs`)
-        and a state ``h`` of one row or a (k, ·) batch.  Returns the new state,
-        ``[z | r]`` and the candidate; ``[U_z; U_r]`` is one product."""
-        U = self._gru[prefix][1]
+    def _gru_cell(self, key: str, a: Array, h: Array):
+        """The one GRU update, on input projections ``a = [a_z | a_r | a_n]``,
+        one product with the stack ``W = [W_z; W_r; W_n]``, and a state ``h``:
+        the decoder's one row or (k, ·) batch, or the encoder's (2, B, ·)
+        pair of both directions' rows (:func:`_gru_stacks`).  Returns the
+        new state, ``[z | r]`` and the candidate; ``[U_z; U_r]`` is one
+        product."""
+        U = self._gru[key][1]
         d_h = h.shape[-1]
-        zr = sigmoid(a[..., : 2 * d_h] + linear(U[: 2 * d_h], h))
+        zr = sigmoid(a[..., : 2 * d_h] + linear(U[..., : 2 * d_h, :], h))
         z, r = zr[..., :d_h], zr[..., d_h:]
-        n = np.tanh(a[..., 2 * d_h :] + linear(U[2 * d_h :], r * h))
+        n = np.tanh(a[..., 2 * d_h :] + linear(U[..., 2 * d_h :, :], r * h))
         return z * h + (1.0 - z) * n, zr, n
 
-    def _gru_sequence(self, prefix: str, X: Array, valid: Array,
-                      order: range) -> tuple[Array, dict]:
-        """Run one GRU from a zero state over the steps of a padded (n, B, ·)
-        batch ``X`` in ``order``: the input projections of all n·B rows, then
-        one :meth:`_gru_cell` per step on its (B, ·) rows.  Where
-        ``valid[i, b]`` is False, row ``b`` is padding at step ``i`` and keeps
-        its state, so the reverse direction starts at each example's own last
-        token.  Step ``i`` of the returned (n, B, d_h) states, and of each
-        stacked cache entry (input, previous state, gates, candidate),
-        belongs to ``X[i]``; the cache keeps ``valid`` and ``order`` for the
-        backward walk."""
-        n, B = valid.shape
-        d_h = self.hyper.hidden_size
-        A = self._gru_inputs(prefix, X)
-        prev, zr, cand, states = (np.empty((n, B, width), dtype=self.dtype)
-                                  for width in (d_h, 2 * d_h, d_h, d_h))
-        h = np.zeros((B, d_h), dtype=self.dtype)
-        for i in order:
-            prev[i] = h
-            new, zr[i], cand[i] = self._gru_cell(prefix, A[i], h)
-            h = states[i] = np.where(valid[i, :, None], new, h)
-        return states, {"x": X, "h": prev, "z": zr[..., :d_h], "r": zr[..., d_h:], "n": cand,
-                        "valid": valid, "order": order}
+    def _gru_backward_steps(self, key: str, cache: dict):
+        """The per-step backward of a GRU run whose cache holds each step's
+        previous state ``h``, gates ``z`` and ``r`` and candidate ``n``,
+        stacked step by step with any batch axes after the step axis.
 
-    def _gru_backward_steps(self, prefix: str, cache: dict):
-        """The per-step backward of a GRU run whose cache entries are stacked
-        as :meth:`_gru_sequence` keeps them, with any batch axes after the
-        step axis.
-
-        Returns ``(DA, step)``.  ``step(i, dh)`` takes the gradient at the
+        Returns ``step``.  ``step(i, dh, da)`` takes the gradient at the
         state after step ``i``, writes that step's gate pre-activation
-        gradients ``[da_z | da_r | da_n]`` into ``DA[i]`` and returns the
+        gradients ``[da_z | da_r | da_n]`` into ``da`` and returns the
         gradient at the previous state: the step's elementwise gate
         derivatives, then products with ``U_n`` and ``[U_z; U_r]``.
         """
         d_h = self.hyper.hidden_size
-        U_zr, U_n = np.split(self._gru[prefix][1], [2 * d_h])
-        DA = np.empty(cache["h"].shape[:-1] + (3 * d_h,), dtype=self.dtype)
+        U = self._gru[key][1]
+        U_zr, U_n = U[..., : 2 * d_h, :], U[..., 2 * d_h :, :]
 
-        def step(i: int, dh: Array) -> Array:
-            h, z, r, n = (cache[key][i] for key in "hzrn")
-            da_z, da_r, da_n = DA[i][..., :d_h], DA[i][..., d_h : 2 * d_h], DA[i][..., 2 * d_h :]
+        def step(i: int, dh: Array, da: Array) -> Array:
+            h, z, r, n = (cache[name][i] for name in "hzrn")
+            da_z, da_r, da_n = da[..., :d_h], da[..., d_h : 2 * d_h], da[..., 2 * d_h :]
             np.multiply(dh, (1.0 - z) * (1.0 - n * n), out=da_n)
             drh = da_n @ U_n
             np.multiply(dh, (h - n) * z * (1.0 - z), out=da_z)
             np.multiply(drh, h * r * (1.0 - r), out=da_r)
-            return dh * z + drh * r + DA[i][..., : 2 * d_h] @ U_zr
+            return dh * z + drh * r + da[..., : 2 * d_h] @ U_zr
 
-        return DA, step
+        return step
 
-    def _gru_weight_grads(self, prefix: str, DA: Array, cache: dict, grads,
-                          x_cols: slice = slice(None)) -> Array:
-        """Add a GRU run's weight gradients to its stacks in ``grads``, one
-        product per stack (two for ``U``: ``U_n`` reads ``r * h``, taken
-        again here) over the rows of all its steps' gate gradients ``DA``.
-        Returns the gradient at the ``x_cols`` columns of its input rows."""
+    def _gru_weight_grads(self, prefix: str, D: Array, x: Array, h: Array, r: Array,
+                          grads) -> None:
+        """Add one GRU's weight gradients to its stacks in ``grads``, one
+        product per stack (two for ``U``: ``U_n`` reads ``r * h``) over the
+        rows of its gate gradients ``D``, against its input rows ``x``,
+        previous states ``h`` and reset gates ``r``, row for row."""
         dW, dU, db = _gru_stacks(grads, prefix)
-        D, h, k = _rows(DA), _rows(cache["h"]), 2 * self.hyper.hidden_size
-        dW += D.T @ _rows(cache["x"])
+        k = 2 * self.hyper.hidden_size
+        dW += D.T @ x
         dU[:k] += D[:, :k].T @ h
-        dU[k:] += D[:, k:].T @ (_rows(cache["r"]) * h)
+        dU[k:] += D[:, k:].T @ (r * h)
         db += D.sum(axis=0)
-        return D @ self._gru[prefix][0][:, x_cols]
 
-    def _gru_sequence_backward(self, prefix: str, cache: dict, dS: Array, carry: Array,
-                               grads) -> Array:
-        """Backward through :meth:`_gru_sequence`.
+    def _encoder_walk(self, X: Array, valid: Array) -> tuple[Array, Array, dict]:
+        """Run both encoder directions from a zero state over a padded
+        (n, B, ·) batch ``X`` of input rows, ``valid[i, b]`` False where row
+        ``b`` is padding at token ``i``.
 
-        ``dS[i]`` is the (B, d_h) gradient reaching the state after step
-        ``i`` from outside the recurrence, and ``carry`` the gradient at the
-        last state of the run.  Walks the steps in reverse order; a padded
-        row carries its gradient through the step unchanged and gets zero
-        gate gradients.  Then adds the weight gradients; returns the
-        gradient at ``X`` as its n·B rows.
+        The directions walk together, on (2, B, ·) pairs of rows through
+        the one :meth:`_gru_cell`: fused step ``i`` takes token ``i``
+        forward and token ``n-1-i`` backward, so n cells serve a source of
+        n tokens.  The input projections of both directions are one stacked
+        product, the backward direction's rows in reversed token order
+        (each row's projection has the bits it has in token order).  A
+        padded row keeps its state, so the backward direction starts at
+        each example's own last token.
+
+        Returns the token-major (n, B, d_h) sum of the two directions'
+        states, the backward direction's state at token 0, and the cache of
+        :meth:`_encoder_walk_backward`: the input rows, and each fused
+        step's validity, previous states, gates and candidates, step-major.
         """
-        DA, step = self._gru_backward_steps(prefix, cache)
-        valid = cache["valid"][..., None]
-        for i in reversed(cache["order"]):
-            dh = dS[i] + carry
-            carry = np.where(valid[i], step(i, np.where(valid[i], dh, 0)), dh)
-        return self._gru_weight_grads(prefix, DA, cache, grads)
+        n, B = valid.shape
+        d_h = self.hyper.hidden_size
+        W, _U, b = self._gru["enc"]
+        A = linear(W, np.stack((X, X[::-1])))
+        A += b[:, None, None]
+        # S[i] holds fused step i's previous states and S[i + 1] its new ones.
+        step_valid = np.stack((valid, valid[::-1]), axis=1)[..., None]
+        S = np.empty((n + 1, 2, B, d_h), dtype=self.dtype)
+        S[0] = 0
+        zr, cand = (np.empty((n, 2, B, width), dtype=self.dtype) for width in (2 * d_h, d_h))
+        h = S[0]
+        for i in range(n):
+            new, zr[i], cand[i] = self._gru_cell("enc", A[:, i], h)
+            h = S[i + 1] = np.where(step_valid[i], new, h)
+        # Token j's forward state is S[j + 1, 0], its backward one S[n - j, 1].
+        return S[1:, 0] + S[n:0:-1, 1], S[n, 1].copy(), {
+            "x": X, "valid": step_valid, "h": S[:-1], "z": zr[..., :d_h], "r": zr[..., d_h:],
+            "n": cand}
+
+    def _encoder_walk_backward(self, cache: dict, dS: Array, carry: Array, grads) -> Array:
+        """Backward through :meth:`_encoder_walk`.
+
+        ``dS[i]`` is the (B, d_h) gradient reaching token ``i``'s output
+        from outside the recurrence, and ``carry`` the gradient at the
+        backward direction's state at token 0.  Walks the fused steps in
+        reverse, both directions at once through one step backward; a
+        padded row carries its gradient through the step unchanged and
+        gets zero gate gradients.  Each step's gate gradients are written
+        to their tokens' rows, so both directions' rows lie in token order,
+        the order whose sums give each weight gradient the bits of a walk
+        per direction; so do the previous states and the reset gates
+        taken for them.  Each part of ``cache`` is freed once read.  Adds
+        the weight gradients, direction by direction: the products of both
+        at once would allocate both results together, at hidden 512 enough
+        to raise the peak resident memory of training by about 1%.  Returns
+        the (n, B, ·) gradient at ``X``, one stacked product.
+        """
+        n, B, d_h = dS.shape
+        valid = cache["valid"]
+        step = self._gru_backward_steps("enc", cache)
+        DA = np.empty((2, n, B, 3 * d_h), dtype=self.dtype)
+        da = np.empty((2, B, 3 * d_h), dtype=self.dtype)
+        # The gradient at each direction's state, carried back step by step.
+        back = np.zeros((2, B, d_h), dtype=self.dtype)
+        back[1] = carry
+        for i in range(n - 1, -1, -1):
+            back[0] += dS[i]
+            back[1] += dS[n - 1 - i]
+            back = np.where(valid[i], step(i, np.where(valid[i], back, 0), da), back)
+            DA[0, i], DA[1, n - 1 - i] = da
+        del step, cache["z"], cache["n"]
+        # Token j's previous states: S[j, 0] forward, S[n - 1 - j, 1] backward.
+        h = np.stack((cache["h"][:, 0], cache["h"][::-1, 1]))
+        del cache["h"]
+        r = np.stack((cache["r"][:, 0], cache["r"][::-1, 1]))
+        del cache["r"]
+        D, x = DA.reshape(2, n * B, -1), _rows(cache.pop("x"))
+        for d, prefix in enumerate(("enc_fwd", "enc_bwd")):
+            self._gru_weight_grads(prefix, D[d], x, _rows(h[d]), _rows(r[d]), grads)
+        dX = D @ self._gru["enc"][0]
+        return (dX[0] + dX[1]).reshape(n, B, -1)
 
     def _encode(self, prepared: Sequence[PreparedExample], masks: Array | None) -> dict:
-        """Run the bidirectional encoder on a batch of sources padded to the
-        longest, each direction walking one (n, B, ·) stack.  ``masks``,
-        when given, holds the dropout mask of every input row of the batch,
-        example-major.
+        """Run the bidirectional encoder (:meth:`_encoder_walk`) on a batch
+        of sources padded to the longest.  ``masks``, when given, holds the
+        dropout mask of every input row of the batch, example-major.
 
         Returns the example-major (B, n, d_h) outputs ``H`` and ``HA``, the
         (B, n) ``valid`` source mask, each example's answer vector
         ``v_answer`` and initial decoder state ``s0`` as (B, d_h) rows, and
-        the backward caches.  In the additive design it also returns
+        the backward cache.  In the additive design it also returns
         ``g2_answer``, g2's answer block ``v_answer @ W_g2[:, :d_h].T + b_g2``
         as (B, 2 d_h) rows: the part of g2's affine map that is the same at
         every step of a source, which :meth:`_heads` adds to the product
@@ -585,10 +636,8 @@ class EncoderDecoder:
         valid = np.arange(n) < lengths[:, None]
         X = np.zeros((n, B, self.hyper.input_dim), dtype=self.dtype)
         X.swapaxes(0, 1)[valid] = rows if masks is None else rows * masks
-        fwd_states, fwd_cache = self._gru_sequence("enc_fwd", X, valid.T, range(n))
-        bwd_states, bwd_cache = self._gru_sequence("enc_bwd", X, valid.T, range(n - 1, -1, -1))
-        H = (fwd_states + bwd_states).transpose(1, 0, 2).copy()
-        bwd0 = bwd_states[0].copy()
+        H, bwd0, cache = self._encoder_walk(X, valid.T)
+        H = H.transpose(1, 0, 2).copy()
         left, right = np.array([prep.span for prep in prepared]).T
         span = (left[:, None] <= np.arange(n)) & (np.arange(n) <= right[:, None])
         v_answer = H.sum(axis=1, where=span[..., None])
@@ -603,8 +652,7 @@ class EncoderDecoder:
             "v_answer": v_answer,
             "s0": np.tanh(affine(p["init/W"], p["init/b"], bwd0)),
             "bwd0": bwd0,
-            "fwd_cache": fwd_cache,
-            "bwd_cache": bwd_cache,
+            "cache": cache,
         }
         if not self.hyper.dot_heads:
             d_h = self.hyper.hidden_size
@@ -624,8 +672,8 @@ class EncoderDecoder:
                           ds0: Array, grads, word_ids: list) -> None:
         """Propagate the (B, n, ·) gradients at H and HA and the (B, ·) ones
         at v_answer and s0 back to the embeddings, and append the ids of the
-        ``emb/word`` rows they go to onto ``word_ids``.  Each direction's
-        cache leaves ``enc`` as its walk starts, and is freed when it ends."""
+        ``emb/word`` rows they go to onto ``word_ids``.  The walk's cache
+        leaves ``enc`` as :meth:`_encoder_walk_backward` starts."""
         p = self.store
         grads["att/A"] += _rows(dHA).T @ _rows(enc["H"])
         dH += (_rows(dHA) @ p["att/A"]).reshape(dH.shape)
@@ -636,15 +684,12 @@ class EncoderDecoder:
         da0 = ds0 * (1.0 - enc["s0"] * enc["s0"])
         grads["init/W"] += da0.T @ enc["bwd0"]
         grads["init/b"] += da0.sum(axis=0)
-        dS = dH.transpose(1, 0, 2)  # step-major, as the GRUs walk
-        # The backward-direction GRU ends at token 0, whose state also feeds s0.
-        dX = self._gru_sequence_backward("enc_fwd", enc.pop("fwd_cache"), dS,
-                                         np.zeros_like(da0), grads)
-        dX += self._gru_sequence_backward("enc_bwd", enc.pop("bwd_cache"), dS,
-                                          da0 @ p["init/W"], grads)
+        # The backward direction ends at token 0, whose state also feeds s0.
+        dX = self._encoder_walk_backward(enc.pop("cache"), dH.transpose(1, 0, 2),
+                                         da0 @ p["init/W"], grads)
         # Only the valid rows, example-major: np.add.at adds a repeated id's
         # rows one after another, in that order.
-        dX = dX.reshape(dS.shape[:2] + (-1,)).swapaxes(0, 1)[enc["valid"]]
+        dX = dX.swapaxes(0, 1)[enc["valid"]]
         if enc["masks"] is not None:
             dX = dX * enc["masks"]
         start = 0
@@ -690,12 +735,14 @@ class EncoderDecoder:
         of B sources with one state row each (:meth:`_encode`); a padded
         source position gets a ``-inf`` logit, so exactly zero weight.
         Returns ``s``, ``c`` and ``alpha`` beside the input ``x`` and the
-        gates under :meth:`_gru_sequence`'s keys.  ``Q`` is not kept: the
-        backward pass recomputes it (:meth:`_attention_q`)."""
+        gates ``z``, ``r`` and ``n`` that :meth:`_gru_backward_steps`
+        reads.  ``Q`` is not kept: the backward pass recomputes it
+        (:meth:`_attention_q`)."""
         p = self.store
         d_h = self.hyper.hidden_size
         x = np.concatenate([w, c_prev], axis=-1)
-        s, zr, n = self._gru_cell("dec", self._gru_inputs("dec", x), s_prev)
+        W, _U, b = self._gru["dec"]
+        s, zr, n = self._gru_cell("dec", affine(W, b, x), s_prev)
         alpha = softmax(np.where(enc["valid"], self._attention_q(enc, s) @ p["att/v"],
                                  -np.inf))
         H = enc["H"]
@@ -829,7 +876,8 @@ class EncoderDecoder:
         dQ_sum = np.empty_like(d["s"])
         dHA = np.zeros_like(H)
         dv = np.zeros_like(S[0])
-        DA, gru_step = self._gru_backward_steps("dec", walk)
+        gru_step = self._gru_backward_steps("dec", walk)
+        DA = np.empty(S.shape[:-1] + (3 * d_h,), dtype=self.dtype)
         W_c = self._gru["dec"][0][:, d_w:]
         ds_carry = np.zeros_like(S[0])
         dc_carry = np.zeros_like(S[0])
@@ -845,13 +893,15 @@ class EncoderDecoder:
             dQ_sum[t] = dq_sum = v * (de[:, None, :] @ dQ_dpre)[:, 0]
             dQ_dpre *= de[..., None]
             dHA += dQ_dpre
-            ds_carry = gru_step(t, d["s"][t] + ds_carry + dq_sum @ p["att/B"])
+            ds_carry = gru_step(t, d["s"][t] + ds_carry + dq_sum @ p["att/B"], DA[t])
             dc_carry = DA[t] @ W_c
         del gru_step, Q, dQ_dpre, walk["z"], walk["n"]
+        D = _rows(DA)
+        self._gru_weight_grads("dec", D, _rows(walk["x"]), _rows(walk["h"]), _rows(walk["r"]),
+                               grads)
         dW_in = d["w"]
-        dW_in += self._gru_weight_grads("dec", DA, walk, grads,
-                                        x_cols=slice(None, d_w)).reshape(dW_in.shape)
-        del DA, walk["x"], walk["r"]
+        dW_in += (D @ self._gru["dec"][0][:, :d_w]).reshape(dW_in.shape)
+        del D, DA, walk["x"], walk["r"]
         dHA *= v
         d["H"] += np.matmul(alpha.transpose(1, 2, 0), dC.transpose(1, 0, 2))
         grads["att/v"] += dv.sum(axis=0)

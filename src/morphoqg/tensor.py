@@ -85,15 +85,22 @@ def sigmoid(x: Array) -> Array:
 
 
 def softmax(x: Array) -> Array:
-    """Softmax over the last axis with max subtraction for stability."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=-1, keepdims=True)
+    """Softmax over the last axis with max subtraction for stability.
+
+    The max and the sum are the ufunc reductions ``np.maximum.reduce`` and
+    ``np.add.reduce`` that ``np.max`` and ``np.sum`` call: the same bits,
+    without those functions' Python wrappers, which cost about 3 µs a call
+    over the thousands of calls of a training pass and its beam searches."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    ex = np.exp(shifted, out=shifted)
+    ex /= np.add.reduce(ex, axis=-1, keepdims=True)
+    return ex
 
 
 def softmax_backward(out: Array, d_out: Array) -> Array:
-    """Gradient at the logits, given the softmax output and its gradient."""
-    return out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
+    """Gradient at the logits, given the softmax output and its gradient;
+    the sum is ``np.add.reduce``, as in :func:`softmax`."""
+    return out * (d_out - np.add.reduce(d_out * out, axis=-1, keepdims=True))
 
 
 def linear(W: Array, u: Array) -> Array:
@@ -105,9 +112,17 @@ def linear(W: Array, u: Array) -> Array:
     transposing it, which at a dozen rows runs up to twice as fast; on
     OpenBLAS the float32 bits are the same.  The rows come back
     C-contiguous, because a last-axis reduction of a transposed view
-    (``softmax``'s sum) adds in another order and changes the bits."""
-    rows = u.reshape(-1, u.shape[-1])
-    return np.ascontiguousarray((W @ rows.T).T).reshape(u.shape[:-1] + (-1,))
+    (``softmax``'s sum) adds in another order and changes the bits.
+    Rows that are already 2-D skip the two reshapes.
+
+    ``W`` may also be a (S, out, in) stack of S weights, one for each index
+    of ``u``'s first axis: each takes its rows as one product, as a
+    2-D ``W`` would, with the same bits."""
+    if u.ndim == 2 == W.ndim:
+        return np.ascontiguousarray((W @ u.T).T)
+    rows = u.reshape(u.shape[: W.ndim - 2] + (-1, u.shape[-1]))
+    out = np.ascontiguousarray((W @ rows.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return out.reshape(u.shape[:-1] + (-1,))
 
 
 def affine(W: Array, b: Array, u: Array) -> Array:
@@ -225,11 +240,15 @@ class ParameterStore(dict):
     ``flat`` is the buffer and ``layout`` the ``(name, shape)`` of each
     tensor in buffer order; :meth:`draw` makes seeded weights.  Assigning
     ``store[name] = value`` writes ``value`` into the tensor's view (the
-    same shape, else ``ValueError``), so every tensor stays a view of
-    ``flat`` and the layout never changes; ``store[name] += x`` adds in
-    place.  :meth:`zero_grads` gives gradients in the same layout, and
-    :class:`Adam` keeps its moments in it, to update each run of tensors
-    in a few whole-block passes.
+    same shape, else ``ValueError``), and so do ``update`` and ``|=``, so
+    every tensor stays a view of ``flat`` and the layout never changes;
+    ``store[name] += x`` adds in place.  No tensor can be added or removed
+    (``del``, ``pop``, ``popitem``, ``clear`` and ``setdefault`` raise
+    ``TypeError``), since the model's cached stacks are views that a
+    rebinding would leave stale.  A copy, shallow or deep, gets a buffer
+    of its own.  :meth:`zero_grads` gives gradients in the same layout,
+    and :class:`Adam` keeps its moments in it, to update each run of
+    tensors in a few whole-block passes.
     """
 
     __slots__ = ("flat", "layout", "_bounds")
@@ -285,14 +304,37 @@ class ParameterStore(dict):
                                  f"cannot assign shape {np.shape(value)}")
             view[...] = value
 
+    def update(self, other=(), /, **kwargs) -> None:
+        """Write each given tensor into its view, as ``store[name] = value``."""
+        for name, value in dict(other, **kwargs).items():
+            self[name] = value
+
+    def __ior__(self, other) -> "ParameterStore":
+        self.update(other)
+        return self
+
+    def _fixed_layout(self, *args, **kwargs):
+        raise TypeError("a ParameterStore's tensors are fixed views of its buffer: "
+                        "none can be added or removed")
+
+    __delitem__ = pop = popitem = clear = setdefault = _fixed_layout
+
+    def copy(self) -> "ParameterStore":
+        """A store of the same layout over a copy of ``flat``."""
+        return ParameterStore(self.flat.copy(), self.layout)
+
+    __copy__ = copy
+
     def __reduce__(self):
         # A deep copy or pickle rebuilds the views over its own copy of ``flat``.
         return ParameterStore, (self.flat, self.layout)
 
-    def stack(self, first: str, last: str) -> Array:
-        """Tensors ``first`` to ``last``, alike but in their first axis, as one view."""
+    def stack(self, first: str, last: str, shape: tuple[int, ...] | None = None) -> Array:
+        """Tensors ``first`` to ``last`` as one view of ``flat``, of ``shape``;
+        by default stacked along their first axis, in which alone they may
+        differ."""
         start, end = self._bounds[first][0], self._bounds[last][1]
-        return self.flat[start:end].reshape((-1,) + self[first].shape[1:])
+        return self.flat[start:end].reshape(shape or (-1,) + self[first].shape[1:])
 
     def runs(self, skip: Mapping[str, object]) -> list[slice]:
         """The slices of ``flat`` that hold each run of consecutive tensors

@@ -39,8 +39,8 @@ from morphoqg.model import (
     build_tag_list,
 )
 from morphoqg.morphology import ALL_TYPES, TransformationType, default_morphology
-from morphoqg.tensor import (CHECKSUM_KEY, Adam, ParameterStore, dropout_mask,
-                             scaled_uniform_init, uniform_init)
+from morphoqg.tensor import (CHECKSUM_KEY, Adam, ParameterStore, affine, dropout_mask, linear,
+                             scaled_uniform_init, sigmoid, uniform_init)
 from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, _batches, evaluate_mean_loss, train
 from test_tensor import assert_one_buffer, reference_step
@@ -805,43 +805,56 @@ class TestSequenceRecurrences:
         X = np.concatenate([model.store[name][ids] for name, ids in model._input_ids([prep])],
                            axis=1) * masks
         n, d_h = len(prep.roots), TINY.hidden_size
-        total = 0.0
+        wants, prevs = [], []
         for prefix, order in (("enc_fwd", range(n)), ("enc_bwd", range(n - 1, -1, -1))):
             want, prev, h = np.empty((n, d_h)), np.empty((n, d_h)), np.zeros(d_h)
             for i in order:
                 prev[i] = h
                 h = want[i] = reference_gru(model.store, prefix, X[i], h)
-            got, _cache = model._gru_sequence(prefix, X[:, None], np.ones((n, 1), bool), order)
-            np.testing.assert_allclose(got[:, 0], want, rtol=0,
-                                       atol=1e-12 * np.abs(want).max())
-            # The cell on an (n, ·) batch of (input, state) pairs gives the
-            # rows of n one-row updates.
-            batch, *_ = model._gru_cell(prefix, model._gru_inputs(prefix, X), prev)
-            np.testing.assert_allclose(batch, want, rtol=0, atol=1e-12 * np.abs(want).max())
-            total = total + want
-        H = model._encode([prep], masks)["H"][0]
-        np.testing.assert_allclose(H, total, rtol=0, atol=1e-12 * np.abs(total).max())
+            wants.append(want)
+            prevs.append(prev)
+        want, prev = np.stack(wants), np.stack(prevs)
+        atol = 1e-12 * np.abs(want).max()
+        enc = model._encode([prep], masks)
+        np.testing.assert_allclose(enc["H"][0], want[0] + want[1], rtol=0, atol=atol)
+        # Fused step i holds token i forward and token n-1-i backward.
+        states = enc["cache"]["h"][:, :, 0]
+        np.testing.assert_allclose(states[:, 0], prev[0], rtol=0, atol=atol)
+        np.testing.assert_allclose(states[::-1, 1], prev[1], rtol=0, atol=atol)
+        # The cell on a (2, n, ·) pair of (input, state) batches gives the
+        # rows of 2n one-row updates.
+        W, _U, b = model._gru["enc"]
+        batch, *_ = model._gru_cell("enc", linear(W, np.stack((X, X))) + b[:, None], prev)
+        np.testing.assert_allclose(batch, want, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("dot_heads", [False, True])
     def test_one_gru_cell_serves_encoder_training_and_beam(self, monkeypatch, dot_heads):
-        """An example of n tokens and T targets takes 2n cell calls in the
-        two encoder directions, then one per teacher-forced step in training
-        and one per step in beam search."""
+        """An example of n tokens and T targets takes n cell calls for the
+        two encoder directions, which walk together on (2, 1, d_h) pairs of
+        states, then one per teacher-forced step in training and one per
+        step in beam search."""
         model = tiny_model(dot_heads)
         prep = model.prepare(flagship_example())
         calls = {"_gru_cell": 0, "step": 0}
+        encoder_states = []
         for name in calls:
             def counted(*args, _name=name, _method=getattr(model, name), **kwargs):
                 calls[_name] += 1
+                if _name == "_gru_cell" and args[0] == "enc":
+                    encoder_states.append(args[2].shape)
                 return _method(*args, **kwargs)
             monkeypatch.setattr(model, name, counted)
         n, T = len(prep.roots), len(prep.targets)
+        pair = (2, 1, TINY.hidden_size)
         model.loss_and_grads([prep], grads=model.zero_grads())
-        assert calls == {"_gru_cell": 2 * n + T, "step": 0}
+        assert calls == {"_gru_cell": n + T, "step": 0}
+        assert encoder_states == [pair] * n
         calls.update(_gru_cell=0)
+        encoder_states.clear()
         beam_search(model, prep, beam_size=4)
         assert calls["step"] > 0
-        assert calls["_gru_cell"] == 2 * n + calls["step"]
+        assert calls["_gru_cell"] == n + calls["step"]
+        assert encoder_states == [pair] * n
 
     def test_float32_training_pass_matches_float64_at_full_scale(self):
         """Tolerance: the loss within 1e-6 relative and every gradient
@@ -867,6 +880,10 @@ class TestSequenceRecurrences:
             assert worst <= 1e-4 * float(np.abs(want).max()), name
 
 
+def address(arr) -> int:
+    return arr.__array_interface__["data"][0]
+
+
 def assert_gru_stacks(tensors, prefix):
     """Each of the GRU's stacks in ``tensors`` (a store or a buffer laid out
     as one) is a C-contiguous view of its buffer, starting at its ``z``
@@ -874,14 +891,26 @@ def assert_gru_stacks(tensors, prefix):
     for kind, stack in zip("WUb", _gru_stacks(tensors, prefix)):
         gates = [tensors[f"{prefix}/{kind}_{g}"] for g in "zrn"]
         assert stack.flags.c_contiguous and np.shares_memory(stack, tensors.flat)
-        assert stack.__array_interface__["data"][0] == gates[0].__array_interface__["data"][0]
+        assert address(stack) == address(gates[0])
         assert stack.tobytes() == np.concatenate(gates).tobytes(), (prefix, kind)
+
+
+def assert_encoder_pair(tensors):
+    """The encoder's (2, ·) stacks in ``tensors`` are views of its buffer
+    whose first index is each direction's stack, in place and in bytes."""
+    for pair, fwd, bwd in zip(*(_gru_stacks(tensors, key)
+                                for key in ("enc", "enc_fwd", "enc_bwd"))):
+        assert pair.shape == (2,) + fwd.shape and np.shares_memory(pair, tensors.flat)
+        for half, stack in zip(pair, (fwd, bwd)):
+            assert half.flags.c_contiguous and address(half) == address(stack)
+            assert half.tobytes() == stack.tobytes()
 
 
 class TestGruStacks:
     """Property: each GRU's ``[W_z; W_r; W_n]``, ``[U_z; U_r; U_n]`` and
     ``[b_z; b_r; b_n]`` is one stretch of the weights, of the gradients and
-    of Adam's moments, while a fresh model still draws gate by gate."""
+    of Adam's moments, and the two encoder directions' stacks are one
+    (2, ·) view of each, while a fresh model still draws gate by gate."""
 
     @pytest.mark.parametrize("dot_heads", [False, True])
     def test_stacks_are_views_of_every_buffer(self, dot_heads):
@@ -890,11 +919,14 @@ class TestGruStacks:
         model.loss_and_grads([model.prepare(flagship_example())], grads=grads)
         opt = Adam(model.store)
         opt.step(grads)  # nonzero moments, moved weights
-        for prefix in GRUS:
-            for tensors in (model.store, grads, opt._m, opt._v):
+        for tensors in (model.store, grads, opt._m, opt._v):
+            for prefix in GRUS:
                 assert_gru_stacks(tensors, prefix)
-            # The model's cached stacks are the store's.
-            for cached, stack in zip(model._gru[prefix], _gru_stacks(model.store, prefix)):
+            assert_encoder_pair(tensors)
+        # The model's cached stacks are the store's.
+        assert sorted(model._gru) == ["dec", "enc"]
+        for key, stacks in model._gru.items():
+            for cached, stack in zip(stacks, _gru_stacks(model.store, key)):
                 assert cached.__array_interface__ == stack.__array_interface__
 
     def test_assignment_writes_through_to_the_stacks(self):
@@ -903,9 +935,14 @@ class TestGruStacks:
         model.store["dec/U_r"] = np.full((d_h, d_h), 0.5)
         _W, U, _b = model._gru["dec"]
         assert (U[d_h : 2 * d_h] == 0.5).all() and not (U[:d_h] == 0.5).any()
+        model.store["enc_bwd/W_n"] = np.full((d_h, TINY.input_dim), 0.25)
+        W = model._gru["enc"][0]
+        assert (W[1, 2 * d_h :] == 0.25).all() and not (W[0] == 0.25).any()
         grads = model.zero_grads()
         grads["enc_fwd/b_n"] += 2.0
         assert _gru_stacks(grads, "enc_fwd")[2].tolist() == [0.0] * (2 * d_h) + [2.0] * d_h
+        assert _gru_stacks(grads, "enc")[2].tolist() == [[0.0] * (2 * d_h) + [2.0] * d_h,
+                                                         [0.0] * (3 * d_h)]
 
     @pytest.mark.parametrize("dot_heads", [False, True])
     def test_stacks_survive_astype_and_load(self, tmp_path, dot_heads):
@@ -920,7 +957,9 @@ class TestGruStacks:
             assert_one_buffer(other.store.items(), other.store.flat)
             for prefix in GRUS:
                 assert_gru_stacks(other.store, prefix)
-                for mine, theirs in zip(model._gru[prefix], other._gru[prefix]):
+            assert_encoder_pair(other.store)
+            for key in ("enc", "dec"):
+                for mine, theirs in zip(model._gru[key], other._gru[key]):
                     assert np.shares_memory(theirs, other.store.flat)
                     assert theirs.tobytes() == mine.astype(other.dtype).tobytes()
 
@@ -972,6 +1011,116 @@ class TestGruStacks:
             with pytest.raises(TypeError, match="zero_grads"):
                 model.loss_and_grads([prep], grads=grads)
             assert not any(g.any() for g in grads.values())
+
+
+def reference_encoder_walks(model):
+    """The encoder as one walk per direction, each over its own (n, B, ·)
+    stack in its own token order with its own 2-D stacks, and each weight
+    gradient as one product per direction: the reference that
+    ``_encoder_walk`` and ``_encoder_walk_backward`` must equal bit for
+    bit.  Returns stand-ins for the two."""
+    d_h = model.hyper.hidden_size
+    stacks = {prefix: _gru_stacks(model.store, prefix) for prefix in ("enc_fwd", "enc_bwd")}
+    orders = {"enc_fwd": lambda n: range(n), "enc_bwd": lambda n: range(n - 1, -1, -1)}
+
+    def walk(X, valid):
+        n, B = valid.shape
+        states, caches = {}, {}
+        for prefix, (W, U, b) in stacks.items():
+            A = affine(W, b, X)
+            cache = {key: np.empty((n, B, width), X.dtype)
+                     for key, width in (("h", d_h), ("zr", 2 * d_h), ("n", d_h))}
+            out = np.empty((n, B, d_h), X.dtype)
+            h = np.zeros((B, d_h), X.dtype)
+            for i in orders[prefix](n):
+                cache["h"][i] = h
+                zr = cache["zr"][i] = sigmoid(A[i, :, : 2 * d_h] + linear(U[: 2 * d_h], h))
+                z, r = zr[:, :d_h], zr[:, d_h:]
+                cand = cache["n"][i] = np.tanh(A[i, :, 2 * d_h :] + linear(U[2 * d_h :], r * h))
+                h = out[i] = np.where(valid[i, :, None], z * h + (1.0 - z) * cand, h)
+            states[prefix], caches[prefix] = out, cache
+        return (states["enc_fwd"] + states["enc_bwd"], states["enc_bwd"][0].copy(),
+                {"x": X, "valid": valid, **caches})
+
+    def walk_backward(cache, dS, carry, grads):
+        n, B, _ = dS.shape
+        X, valid = cache["x"], cache["valid"][..., None]
+        parts = []
+        for prefix, (W, U, _b) in stacks.items():
+            c = cache[prefix]
+            DA = np.empty((n, B, 3 * d_h), X.dtype)
+            back = carry if prefix == "enc_bwd" else np.zeros_like(carry)
+            for i in reversed(orders[prefix](n)):
+                dh = dS[i] + back
+                g = np.where(valid[i], dh, 0)
+                h, z, r, cand = c["h"][i], c["zr"][i, :, :d_h], c["zr"][i, :, d_h:], c["n"][i]
+                da = DA[i]
+                np.multiply(g, (1.0 - z) * (1.0 - cand * cand), out=da[:, 2 * d_h :])
+                drh = da[:, 2 * d_h :] @ U[2 * d_h :]
+                np.multiply(g, (h - cand) * z * (1.0 - z), out=da[:, :d_h])
+                np.multiply(drh, h * r * (1.0 - r), out=da[:, d_h : 2 * d_h])
+                back = np.where(valid[i], g * z + drh * r + da[:, : 2 * d_h] @ U[: 2 * d_h], dh)
+            dW, dU, db = _gru_stacks(grads, prefix)
+            D, h, x, r = (a.reshape(n * B, -1) for a in (DA, c["h"], X, c["zr"][..., d_h:]))
+            dW += D.T @ x
+            dU[: 2 * d_h] += D[:, : 2 * d_h].T @ h
+            dU[2 * d_h :] += D[:, 2 * d_h :].T @ (r * h)
+            db += D.sum(axis=0)
+            parts.append(D @ W)
+        return (parts[0] + parts[1]).reshape(n, B, -1)
+
+    return walk, walk_backward
+
+
+class TestFusedEncoderWalk:
+    """Property: the fused walk of both encoder directions, forward and
+    backward, is bit for bit a walk per direction."""
+
+    @pytest.mark.parametrize("check_precision", [False, True])
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_equals_a_walk_per_direction(self, monkeypatch, dot_heads, check_precision):
+        """A padded batch of three source lengths with dropout masks gives
+        the reference's ``H``, ``HA`` and ``s0``, loss and every gradient
+        byte for byte, in float32 and in float64."""
+        model = tiny_model(dot_heads=dot_heads, seed=11)
+        model = model.to_check_precision() if check_precision else model
+        # Biases start at zero; random ones make each direction's count.
+        bias_rng = np.random.default_rng(4)
+        for prefix in ("enc_fwd", "enc_bwd"):
+            for g in "zrn":
+                model.store[f"{prefix}/b_{g}"] = bias_rng.uniform(-0.5, 0.5, TINY.hidden_size)
+        preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
+                                               edge_case_examples()[0])]
+        assert len({len(p.roots) for p in preps}) == 3
+        masks = np.concatenate([dropout_mask((len(p.roots), model.hyper.input_dim), 0.3,
+                                             np.random.default_rng(i), dtype=model.dtype)
+                                for i, p in enumerate(preps)])
+        assert not masks.all()
+        seen = []
+        encode = model._encode
+
+        def recorded(prepared, m):
+            enc = encode(prepared, m)
+            seen.append({key: enc[key].copy() for key in ("H", "HA", "s0")})
+            return enc
+
+        monkeypatch.setattr(model, "_encode", recorded)
+        results = []
+        for reference in (False, True):
+            if reference:
+                walk, walk_backward = reference_encoder_walks(model)
+                monkeypatch.setattr(model, "_encoder_walk", walk)
+                monkeypatch.setattr(model, "_encoder_walk_backward", walk_backward)
+            grads = model.zero_grads()
+            loss, _tokens = model.loss_and_grads(preps, grads=grads, masks=masks)
+            results.append((loss, grads))
+        (loss, grads), (want_loss, want_grads) = results
+        assert loss == want_loss
+        got, want = seen
+        for key in ("H", "HA", "s0"):
+            assert got[key].dtype == model.dtype and got[key].tobytes() == want[key].tobytes()
+        for name, want_grad in want_grads.items():
+            assert grads[name].tobytes() == want_grad.tobytes(), name
 
 
 class TestFullLossGradients:
@@ -1122,21 +1271,24 @@ class TestPaddedBatch:
         assert calls == [("_heads", shape), ("_heads_backward", shape)]
 
     def test_batch_steps_each_position_once(self, monkeypatch):
-        """No per-example loop: B examples take 2·n cell calls for the
-        longest source of n tokens and T for the longest target."""
+        """No per-example loop and no walk per encoder direction: B examples
+        take n cell calls on (2, B, d_h) pairs of states for the longest
+        source of n tokens, then T on (B, d_h) states for the longest
+        target."""
         model = tiny_model()
         preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
                                                edge_case_examples()[0])]
         calls = []
         cell = model._gru_cell
 
-        def counted(prefix, a, h):
-            calls.append(h.shape)
-            return cell(prefix, a, h)
+        def counted(key, a, h):
+            calls.append((key, h.shape))
+            return cell(key, a, h)
 
         monkeypatch.setattr(model, "_gru_cell", counted)
         model.loss_and_grads(preps, grads=model.zero_grads())
-        assert calls == [(3, TINY.hidden_size)] * (2 * 6 + 9)
+        d_h = TINY.hidden_size
+        assert calls == [("enc", (2, 3, d_h))] * 6 + [("dec", (3, d_h))] * 9
 
     def test_working_set_of_a_toy_batch(self):
         """The tracemalloc peak of one training pass on 16 toy examples

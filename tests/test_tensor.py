@@ -139,6 +139,21 @@ class TestSoftmax:
         np.testing.assert_array_equal(softmax(x[0]), ex / np.sum(ex))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ufunc_reductions_keep_the_bits_of_max_and_sum(self, dtype):
+        """The kernels reduce with ``np.maximum.reduce`` and ``np.add.reduce``:
+        the bytes of the ``np.max``/``np.sum`` formulas, ``-inf`` logits
+        (padded positions) included."""
+        x = (RNG.standard_normal((3, 4, 9)) * 10.0).astype(dtype)
+        x[:, :, 6:] = -np.inf
+        ex = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        want = ex / np.sum(ex, axis=-1, keepdims=True)
+        out = softmax(x)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        d_out = RNG.standard_normal(x.shape).astype(dtype)
+        want = out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
+        assert softmax_backward(out, d_out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_batch_rows_match_1d_calls(self, dtype):
         out = softmax((RNG.standard_normal((5, 9)) * 10.0).astype(dtype))
         d_out = RNG.standard_normal((5, 9)).astype(dtype)
@@ -196,6 +211,26 @@ class TestLinear:
             assert out.shape == lead + (7,) and out.dtype == dtype
             assert out.flags.c_contiguous
             np.testing.assert_allclose(out, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_dimensional_rows_take_the_same_product(self, dtype):
+        W = RNG.standard_normal((7, 5)).astype(dtype)
+        u = RNG.standard_normal((6, 5)).astype(dtype)
+        out = linear(W, u)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == linear(W, u[None])[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(6,), (3, 4)])
+    def test_a_stack_of_weights_takes_each_its_own_rows(self, dtype, lead):
+        """A (2, out, in) stack gives, for each index of ``u``'s first axis,
+        the bytes of that weight's own product."""
+        W = RNG.standard_normal((2, 7, 5)).astype(dtype)
+        u = RNG.standard_normal((2,) + lead + (5,)).astype(dtype)
+        out = linear(W, u)
+        assert out.shape == (2,) + lead + (7,) and out.flags.c_contiguous
+        for s in range(2):
+            assert out[s].tobytes() == linear(W[s], u[s]).tobytes()
 
 
 class TestMaxout:
@@ -485,9 +520,43 @@ class TestParameterStore:
         with pytest.raises(KeyError):
             store["missing"] = np.zeros(2)
 
+    def test_update_writes_through(self):
+        """``update`` and ``|=`` write into the views as assignment does,
+        with its shape check, and never rebind a tensor."""
+        store = self._build(4)
+        views = dict(store.items())
+        store.update(projection=np.arange(32.0).reshape(4, 8))
+        store.update({"bias": np.full(4, 3.0)})
+        store |= {"recurrent": np.ones((4, 4))}
+        assert store.flat.tolist() == [1.0] * 16 + list(range(32)) + [3.0] * 4
+        assert all(store[name] is view for name, view in views.items())
+        with pytest.raises(ValueError, match="recurrent"):
+            store.update(recurrent=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="bias"):
+            store |= {"bias": np.ones(5)}
+        with pytest.raises(KeyError):
+            store.update(missing=np.zeros(2))
+        assert list(store) == ["recurrent", "projection", "bias"]
+        assert_one_buffer(store.items(), store.flat)
+
+    def test_no_tensor_is_added_or_removed(self):
+        store = self._build(4)
+        before = store.flat.copy()
+        for remove in (lambda: store.pop("bias"), lambda: store.pop("bias", None),
+                       store.popitem, store.clear, lambda: store.__delitem__("bias"),
+                       lambda: store.setdefault("extra", np.zeros(2)),
+                       lambda: store.setdefault("bias")):
+            with pytest.raises(TypeError, match="added or removed"):
+                remove()
+        assert list(store) == ["recurrent", "projection", "bias"]
+        assert store.flat.tobytes() == before.tobytes()
+        assert_one_buffer(store.items(), store.flat)
+
     def test_a_copy_is_one_buffer_of_its_own(self):
         store = self._build(5)
-        for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+        for copied in (copy.copy(store), store.copy(), copy.deepcopy(store),
+                       pickle.loads(pickle.dumps(store))):
+            assert type(copied) is ParameterStore and copied.layout == store.layout
             assert list(copied) == list(store)
             assert copied.flat.tobytes() == store.flat.tobytes()
             assert_one_buffer(copied.items(), copied.flat)
@@ -533,6 +602,9 @@ class TestParameterStore:
             assert stacked.__array_interface__["data"][0] == \
                 tensors.flat.__array_interface__["data"][0]
             assert stacked.tobytes() == np.concatenate([tensors[n] for n in "abc"]).tobytes()
+            halves = tensors.stack("a", "d", (2, -1))
+            assert halves.shape == (2, 13) and np.shares_memory(halves, tensors.flat)
+            assert halves.tobytes() == tensors.flat.tobytes()
         store["b"] = np.arange(12.0).reshape(4, 3)
         assert store.stack("a", "c")[2:6].ravel().tolist() == list(range(12))
 
