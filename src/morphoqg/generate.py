@@ -17,7 +17,15 @@ row of :meth:`EncoderDecoder.outcome_mass`.  A kept outcome's column gives
 both the action it appends and the next step's decoder input id, so the
 beam's next inputs are one index of :attr:`OutcomeColumns.inputs`.
 Log-probabilities are taken once per step with ``np.log`` and summed in
-float64.  Tie-break order: candidates with equal sums keep the rank of the
+float64.  The beam's state is arrays, as in OpenNMT's beam (Klein et al.
+2017, arXiv:1701.02810): each cut appends the kept rows' parent rows and
+columns and the step's copy probabilities, as back-pointers, and no action
+is built while the search runs.  At step ``t`` every live hypothesis has
+``t - 1`` actions, so the ``<eos>`` scores of a step are one array op, kept
+in record order.  Actions are built once, for the returned hypothesis only,
+by following its back-pointers (:meth:`OutcomeColumns.action`).
+
+Tie-break order: candidates with equal sums keep the rank of the
 hypothesis they extend, then the column order ``[source roots in
 first-occurrence order | other list words by id | tags]``; a root copies
 its most-attended source position, the first on ties; the final pick is
@@ -59,7 +67,7 @@ covers that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,6 +75,7 @@ import numpy as np
 from .codec import SOS_ID, EncodedExample, Vocab, realize
 from .model import EncoderDecoder, PreparedExample
 from .morphology import ALL_TYPES, Morphology
+from .tensor import Array
 
 _BLOCKED_WORDS = ("<pad>", "<sos>")
 _EOS_WORD = "<eos>"
@@ -110,55 +119,80 @@ def beam_search(
     # The live beam, best first: states as (k, d_h) rows, float64 log sums.
     s = enc["s0"][None, :]
     c = np.zeros((1, model.hyper.hidden_size), dtype=model.dtype)
-    actions: list[tuple] = [()]
     inputs = np.array([SOS_ID])
     log_sum = np.zeros(1)
     last_was_word = np.zeros(1, dtype=bool)
-    finished: list[BeamResult] = []
+    # Back-pointers of each cut: the kept rows' parent rows and columns, and
+    # the parents' copy probabilities, which name a root column's position.
+    parents: list[Array] = []
+    cols: list[Array] = []
+    p_copies: list[Array] = []
+    # The finished hypotheses in record order: per step that recorded some,
+    # the step, the rows that ended there and their scores.
+    ended: list[tuple[int, Array, Array]] = []
     best = -np.inf  # the best finished score so far
     # The most one log-mass can exceed 0 by, rounding included (see above).
     n_routes = len(prep.roots) + model.vocab.quest_size + len(ALL_TYPES)
     slack = 2 * (n_routes + 4) * np.finfo(model.dtype).eps + limit * 2.0 ** -40
 
-    for steps in range(1, limit + 1):
-        state = model.step(enc, s, c, inputs)
-        mass = model.outcome_mass(state, columns)
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for steps in range(1, limit + 1):
+            state = model.step(enc, s, c, inputs)
+            mass = model.outcome_mass(state, columns)
             scores = log_sum[:, None] + np.log(mass)
-        for h in np.flatnonzero(mass[:, eos_col] > 0.0).tolist():
-            finished.append(BeamResult(actions=actions[h], finished=True,
-                                       score=float(scores[h, eos_col]) / (len(actions[h]) + 1)))
-            best = max(best, finished[-1].score)
-        # No descendant of a live row can score above bound / limit.
-        bound = float(log_sum.max()) + slack * (limit - steps + 1)
-        if bound <= 0.0 and bound / limit < best:
-            break
-        open_ = extendable & (word_cols | last_was_word[:, None]) & (mass > 0.0)
-        flat = np.flatnonzero(open_)
-        if flat.size == 0:
-            break
-        cand = scores.ravel()[flat]
-        if k < flat.size:
-            # Only candidates at or above the k-th best score get sorted: a
-            # stable sort of every candidate costs far more than the cut.
-            top = cand >= np.partition(cand, flat.size - k)[flat.size - k]
-            flat, cand = flat[top], cand[top]
-        # Stable: equal scores keep hypothesis rank, then column order.
-        keep = np.argsort(-cand, kind="stable")[:k]
-        keep_hyp = flat[keep] // n_cols
-        keep_col = (flat[keep] % n_cols).tolist()
-        p_copy = state["p_copy"]
-        actions = [actions[h] + (columns.action(col, p_copy[h]),)
-                   for h, col in zip(keep_hyp.tolist(), keep_col)]
-        log_sum = cand[keep]
-        last_was_word = word_cols[keep_col]
-        inputs = columns.inputs[keep_col]
-        s, c = state["s"][keep_hyp], state["c"][keep_hyp]
+            # Every live row has steps - 1 actions, so <eos> is its steps-th outcome.
+            rows = (mass[:, eos_col] > 0.0).nonzero()[0]
+            if rows.size:
+                ended.append((steps, rows, scores[rows, eos_col] / steps))
+                best = max(best, float(ended[-1][2].max()))
+            # No descendant of a live row can score above bound / limit.
+            bound = float(log_sum.max()) + slack * (limit - steps + 1)
+            if bound <= 0.0 and bound / limit < best:
+                break
+            open_ = extendable & (word_cols | last_was_word[:, None]) & (mass > 0.0)
+            flat = open_.ravel().nonzero()[0]
+            if flat.size == 0:
+                break
+            cand = scores.ravel()[flat]
+            if k < flat.size:
+                # Only candidates at or above the k-th best score get sorted: a
+                # stable sort of every candidate costs far more than the cut.
+                top = cand >= np.partition(cand, flat.size - k)[flat.size - k]
+                flat, cand = flat[top], cand[top]
+            # Stable: equal scores keep hypothesis rank, then column order.
+            keep = np.argsort(-cand, kind="stable")[:k]
+            keep_hyp, keep_col = np.divmod(flat[keep], n_cols)
+            parents.append(keep_hyp)
+            cols.append(keep_col)
+            p_copies.append(state["p_copy"])
+            log_sum = cand[keep]
+            last_was_word = word_cols[keep_col]
+            inputs = columns.inputs[keep_col]
+            s, c = state["s"][keep_hyp], state["c"][keep_hyp]
 
-    for h, acts in enumerate(actions):
-        finished.append(BeamResult(
-            actions=acts, score=float(log_sum[h]) / max(len(acts), 1), finished=False))
-    return replace(max(finished, key=lambda r: (r.score, r.finished)), steps=steps)
+    # The pick: the highest score, a finished hypothesis over an unfinished
+    # one, then the earliest recorded; argmax takes the first of equals.
+    live = log_sum / max(len(cols), 1)
+    h = int(live.argmax())
+    score, length, finished = float(live[h]), len(cols), False
+    if ended:
+        done = np.concatenate([step_scores for _at, _rows, step_scores in ended])
+        i = int(done.argmax())
+        if done[i] >= score:
+            score, finished = float(done[i]), True
+            for at, rows, _scores in ended:
+                if i < rows.size:
+                    break
+                i -= rows.size
+            h, length = int(rows[i]), at - 1
+    # Follow the back-pointers from the pick's row at its last cut.
+    actions = []
+    for cut in range(length - 1, -1, -1):
+        parent = int(parents[cut][h])
+        actions.append(columns.action(int(cols[cut][h]), p_copies[cut][parent]))
+        h = parent
+    return BeamResult(actions=tuple(reversed(actions)), score=score, finished=finished,
+                      steps=steps)
 
 
 def decode_example(

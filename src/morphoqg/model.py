@@ -40,7 +40,9 @@ teacher-forced steps as (T, B, ·) rows.  Each step pays the per-call cost
 of numpy and BLAS once for both directions, which at small sizes is most of
 its cost.  Padding is exact: a padded encoder step keeps its state, a
 padded source position gets a ``-inf`` attention (and dot-head copy) logit,
-and padded decoder steps come after the real ones and get no gradient.  The
+and padded decoder steps come after the real ones and get no gradient.  A
+batch whose sources are all one length, and every beam source, skips the
+encoder's and the attention's masks, whose all-True form changes no bit.  The
 switch and the heads run once on the walk's (T, B, ·) stacks, forward and
 backward, padded steps seeded with zero, and so do the loss and its seeds.
 Only the attention and the GRU carries walk the steps in reverse; they
@@ -152,7 +154,7 @@ def _route_levels(counts: Array) -> tuple[Array, tuple[tuple[Array, Array], ...]
     first = np.cumsum(counts) - counts
     levels = []
     for depth in range(1, int(counts.max(initial=0))):
-        deeper = np.flatnonzero(counts > depth)
+        deeper = (counts > depth).nonzero()[0]
         levels.append((deeper, first[deeper] + depth))
     return first, tuple(levels)
 
@@ -323,6 +325,10 @@ class EncoderDecoder:
         self.store = store
         self.dtype = store.flat.dtype.type
         self._gru = {key: _gru_stacks(store, key) for key in ("enc", "dec")}
+        # Each GRU's [U_z; U_r] and U_n, the two products of a cell.
+        d_h = hyper.hidden_size
+        self._recurrent = {key: (U[..., : 2 * d_h, :], U[..., 2 * d_h :, :])
+                           for key, (_W, U, _b) in self._gru.items()}
         # The list-word part of every OutcomeColumns: the words, the id of
         # each word, and the decoder input after each.
         quest = tuple(vocab.quest_vocab)
@@ -480,11 +486,11 @@ class EncoderDecoder:
         pair of both directions' rows (:func:`_gru_stacks`).  Returns the
         new state, ``[z | r]`` and the candidate; ``[U_z; U_r]`` is one
         product."""
-        U = self._gru[key][1]
+        U_zr, U_n = self._recurrent[key]
         d_h = h.shape[-1]
-        zr = sigmoid(a[..., : 2 * d_h] + linear(U[..., : 2 * d_h, :], h))
+        zr = sigmoid(a[..., : 2 * d_h] + linear(U_zr, h))
         z, r = zr[..., :d_h], zr[..., d_h:]
-        n = np.tanh(a[..., 2 * d_h :] + linear(U[..., 2 * d_h :, :], r * h))
+        n = np.tanh(a[..., 2 * d_h :] + linear(U_n, r * h))
         return z * h + (1.0 - z) * n, zr, n
 
     def _gru_backward_steps(self, key: str, cache: dict):
@@ -499,8 +505,7 @@ class EncoderDecoder:
         derivatives, then products with ``U_n`` and ``[U_z; U_r]``.
         """
         d_h = self.hyper.hidden_size
-        U = self._gru[key][1]
-        U_zr, U_n = U[..., : 2 * d_h, :], U[..., 2 * d_h :, :]
+        U_zr, U_n = self._recurrent[key]
 
         def step(i: int, dh: Array, da: Array) -> Array:
             h, z, r, n = (cache[name][i] for name in "hzrn")
@@ -538,7 +543,9 @@ class EncoderDecoder:
         product, the backward direction's rows in reversed token order
         (each row's projection has the bits it has in token order).  A
         padded row keeps its state, so the backward direction starts at
-        each example's own last token.
+        each example's own last token.  The keep-state mask runs only when
+        some row is padded: ``np.where`` of an all-True mask is the new
+        state, so a batch without padding skips it with the same bits.
 
         Returns the token-major (n, B, d_h) sum of the two directions'
         states, the backward direction's state at token 0, and the cache of
@@ -547,6 +554,7 @@ class EncoderDecoder:
         """
         n, B = valid.shape
         d_h = self.hyper.hidden_size
+        padded = not valid.all()
         W, _U, b = self._gru["enc"]
         A = linear(W, np.stack((X, X[::-1])))
         A += b[:, None, None]
@@ -558,7 +566,7 @@ class EncoderDecoder:
         h = S[0]
         for i in range(n):
             new, zr[i], cand[i] = self._gru_cell("enc", A[:, i], h)
-            h = S[i + 1] = np.where(step_valid[i], new, h)
+            h = S[i + 1] = np.where(step_valid[i], new, h) if padded else new
         # Token j's forward state is S[j + 1, 0], its backward one S[n - j, 1].
         return S[1:, 0] + S[n:0:-1, 1], S[n, 1].copy(), {
             "x": X, "valid": step_valid, "h": S[:-1], "z": zr[..., :d_h], "r": zr[..., d_h:],
@@ -572,7 +580,8 @@ class EncoderDecoder:
         backward direction's state at token 0.  Walks the fused steps in
         reverse, both directions at once through one step backward; a
         padded row carries its gradient through the step unchanged and
-        gets zero gate gradients.  Each step's gate gradients are written
+        gets zero gate gradients; as in the forward walk, those masks run
+        only when some row is padded.  Each step's gate gradients are written
         to their tokens' rows, so both directions' rows lie in token order,
         the order whose sums give each weight gradient the bits of a walk
         per direction; so do the previous states and the reset gates
@@ -584,6 +593,7 @@ class EncoderDecoder:
         """
         n, B, d_h = dS.shape
         valid = cache["valid"]
+        padded = not valid.all()
         step = self._gru_backward_steps("enc", cache)
         DA = np.empty((2, n, B, 3 * d_h), dtype=self.dtype)
         da = np.empty((2, B, 3 * d_h), dtype=self.dtype)
@@ -593,7 +603,10 @@ class EncoderDecoder:
         for i in range(n - 1, -1, -1):
             back[0] += dS[i]
             back[1] += dS[n - 1 - i]
-            back = np.where(valid[i], step(i, np.where(valid[i], back, 0), da), back)
+            if padded:
+                back = np.where(valid[i], step(i, np.where(valid[i], back, 0), da), back)
+            else:
+                back = step(i, back, da)
             DA[0, i], DA[1, n - 1 - i] = da
         del step, cache["z"], cache["n"]
         # Token j's previous states: S[j, 0] forward, S[n - 1 - j, 1] backward.
@@ -613,7 +626,8 @@ class EncoderDecoder:
         dropout mask of every input row of the batch, example-major.
 
         Returns the example-major (B, n, d_h) outputs ``H`` and ``HA``, the
-        (B, n) ``valid`` source mask, each example's answer vector
+        (B, n) ``valid`` source mask and ``padded``, whether any of it is
+        False, each example's answer vector
         ``v_answer`` and initial decoder state ``s0`` as (B, d_h) rows, and
         the backward cache.  In the additive design it also returns
         ``g2_answer``, g2's answer block ``v_answer @ W_g2[:, :d_h].T + b_g2``
@@ -647,6 +661,7 @@ class EncoderDecoder:
             "masks": masks,
             "span": span,
             "valid": valid,
+            "padded": not valid.all(),
             "H": H,
             "HA": linear(p["att/A"], H),
             "v_answer": v_answer,
@@ -662,11 +677,13 @@ class EncoderDecoder:
     def encode(self, prep: PreparedExample) -> dict:
         """Encode one source without dropout: the batch-of-one
         :meth:`_encode`, as that example's ``H``, ``HA``, ``valid``,
-        ``v_answer`` and ``s0``, and in the additive design ``g2_answer``."""
+        ``v_answer`` and ``s0``, and in the additive design ``g2_answer``,
+        with the batch's ``padded`` flag (False: one source has no
+        padding)."""
         enc = self._encode([prep], None)
         keys = ("H", "HA", "valid", "v_answer", "s0") + (() if self.hyper.dot_heads
                                                          else ("g2_answer",))
-        return {key: enc[key][0] for key in keys}
+        return {"padded": enc["padded"], **{key: enc[key][0] for key in keys}}
 
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
                           ds0: Array, grads, word_ids: list) -> None:
@@ -733,7 +750,9 @@ class EncoderDecoder:
         projections of ``x = [w, c_prev]``, then attention.  ``enc`` is one
         source, which every state row attends (:meth:`encode`), or a batch
         of B sources with one state row each (:meth:`_encode`); a padded
-        source position gets a ``-inf`` logit, so exactly zero weight.
+        source position gets a ``-inf`` logit, so exactly zero weight.  The
+        mask runs only when ``enc["padded"]``: ``np.where`` of an all-True
+        mask is the logits themselves.
         Returns ``s``, ``c`` and ``alpha`` beside the input ``x`` and the
         gates ``z``, ``r`` and ``n`` that :meth:`_gru_backward_steps`
         reads.  ``Q`` is not kept: the backward pass recomputes it
@@ -743,8 +762,8 @@ class EncoderDecoder:
         x = np.concatenate([w, c_prev], axis=-1)
         W, _U, b = self._gru["dec"]
         s, zr, n = self._gru_cell("dec", affine(W, b, x), s_prev)
-        alpha = softmax(np.where(enc["valid"], self._attention_q(enc, s) @ p["att/v"],
-                                 -np.inf))
+        logits = self._attention_q(enc, s) @ p["att/v"]
+        alpha = softmax(np.where(enc["valid"], logits, -np.inf) if enc["padded"] else logits)
         H = enc["H"]
         c = alpha @ H if H.ndim == 2 else (alpha[:, None, :] @ H)[:, 0]
         return {"x": x, "z": zr[..., :d_h], "r": zr[..., d_h:], "n": n, "s": s, "alpha": alpha,
@@ -787,7 +806,9 @@ class EncoderDecoder:
             # Each row scores its own source; a padded position gets -inf.
             scores = (s @ H.T if H.ndim == 2
                       else (s.swapaxes(0, 1) @ H.swapaxes(1, 2)).swapaxes(0, 1))
-            state.update(p_copy=softmax(np.where(enc["valid"], scores, -np.inf)),
+            if enc["padded"]:
+                scores = np.where(enc["valid"], scores, -np.inf)
+            state.update(p_copy=softmax(scores),
                          p_trans=softmax(affine(p["dot/type_emb"], 0, s)),
                          p_quest=softmax(affine(p["dot/quest_emb"], 0, s)),
                          switch=softmax(affine(p["dot/switch_W"], p["dot/switch_b"], s)))
@@ -980,7 +1001,7 @@ class EncoderDecoder:
         copied[route_target[copy], index[copy]] = True
         widths = np.repeat([len(prep.roots) for prep in prepared], steps)
         for n in set(widths.tolist()):
-            same = np.flatnonzero(widths == n)
+            same = (widths == n).nonzero()[0]
             hit[same, SW_COPY] = np.where(copied[same, :n], p_copy[same, :n], 0).sum(axis=-1)
         seeds["switch"][t_of, b_of] = dP[:, None] * hit
         return total
@@ -1066,7 +1087,7 @@ class EncoderDecoder:
         runs = np.array(runs, dtype=np.intp)
         keep = np.ones(len(words), dtype=bool)  # the list-only columns
         keep[shared] = False
-        quest_ids = np.flatnonzero(keep)
+        quest_ids = keep.nonzero()[0]
         root_inputs = np.array([self.vocab.encoder_id(root) for root in positions], dtype=np.intp)
         return OutcomeColumns(
             words=tuple(positions) + tuple(compress(words, keep.tolist())),

@@ -452,9 +452,9 @@ _CANDIDATES = {
 class IrregularTable:
     """Bidirectional index over the irregular entries.
 
-    ``(inflected, type) -> root`` serves analysis and
-    ``(root, type) -> inflected`` serves generation; both directions must
-    be unambiguous, so duplicate keys on either side raise.
+    ``(root, type) -> inflected`` serves generation; :class:`Morphology`
+    builds its own ``inflected -> root`` map per type for analysis.  Both
+    directions must be unambiguous, so duplicate keys on either side raise.
     """
 
     def __init__(self, entries):
@@ -480,9 +480,6 @@ class IrregularTable:
 
     def __iter__(self) -> Iterator[IrregularEntry]:
         return iter(self._entries)
-
-    def root_for(self, inflected: str, t: TransformationType) -> Optional[str]:
-        return self._to_root.get((inflected, t))
 
     def inflected_for(self, root: str, t: TransformationType) -> Optional[str]:
         return self._to_inflected.get((root, t))

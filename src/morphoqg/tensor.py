@@ -447,15 +447,16 @@ class Adam:
     _m: ParameterStore = field(init=False)
     _v: ParameterStore = field(init=False)
     _scratch: Array = field(init=False)
+    _chunks: dict = field(init=False, default_factory=dict)  # see _norm_chunks
     _t: int = 0
 
     def __post_init__(self) -> None:
         self._m = self.store.zero_grads()
         self._v = self.store.zero_grads()
-        # One buffer shared by all: the norm squares a whole tensor (or its
-        # given rows) in it, and the update takes g and a temporary from its
-        # front for blocks of ADAM_BLOCK elements, or of half its size if
-        # the store is smaller.
+        # One buffer shared by all: the norm squares chunks no larger than
+        # the largest tensor (or a tensor's given rows) in it, and the
+        # update takes g and a temporary from its front for blocks of
+        # ADAM_BLOCK elements, or of half its size if the store is smaller.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
         size = max(size, 2 * min(ADAM_BLOCK, self.store.flat.size), 2)
         self._scratch = np.empty(size, dtype=self.store.flat.dtype)
@@ -509,20 +510,57 @@ class Adam:
                      rows: Mapping[str, Array] | None = None) -> float:
         """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
         in ``rows`` counts only those rows, which must hold all of its
-        nonzero gradient.  Each tensor's scaled square is taken in the
-        scratch buffer, so no temporary the size of a gradient is made per
-        tensor."""
+        nonzero gradient.  The scaled squares are taken in the scratch
+        buffer, so no temporary the size of a gradient is made: a row-sparse
+        tensor's rows alone, and consecutive dense tensors in chunks of the
+        flat buffer (:meth:`_norm_chunks`), two products a chunk.  Each
+        tensor's squares are then summed by one ``np.add.reduce`` over its
+        view, as ``np.sum`` would, and the sums added in layout order, so
+        the norm has the bits of squaring and summing tensor by tensor."""
         self.store.check_grads(grads, "Adam")
         rows = rows or {}
         total = 0.0
-        for name, g in grads.items():
-            if name in rows:
-                g = g[rows[name]]
-            sq = self._scratch[: g.size].reshape(g.shape)
-            np.multiply(g, scale, out=sq)
+        for chunk in self._norm_chunks(frozenset(rows)):
+            if isinstance(chunk, str):
+                g = grads[chunk][rows[chunk]]
+                sq = self._scratch[: g.size]
+                np.multiply(g, scale, out=sq.reshape(g.shape))
+                tensors = ((0, g.size, g.shape),)
+            else:
+                start, stop, tensors = chunk
+                sq = self._scratch[: stop - start]
+                np.multiply(grads.flat[start:stop], scale, out=sq)
             np.multiply(sq, sq, out=sq)
-            total += float(np.add.reduce(sq, axis=None))  # np.sum's reduction
+            for begin, end, shape in tensors:
+                total += float(np.add.reduce(sq[begin:end].reshape(shape), axis=None))
         return float(np.sqrt(total))
+
+    def _norm_chunks(self, sparse: frozenset) -> tuple:
+        """The order in which :meth:`_global_norm` squares the tensors: the
+        name of each tensor in ``sparse``, and for each chunk of
+        consecutive other tensors its ``(start, stop)`` in the flat buffer
+        and each tensor's ``(start, stop, shape)`` within it.  A chunk is
+        never larger than the largest of those tensors, so squaring it
+        touches no page of the scratch buffer that squaring that tensor
+        alone would not.  Cached per set of sparse names."""
+        cached = self._chunks.get(sparse)
+        if cached is not None:
+            return cached
+        bounds = self.store._bounds
+        cap = max((end - start for name, (start, end) in bounds.items() if name not in sparse),
+                  default=0)
+        chunks: list = []
+        for name, shape in self.store.layout:
+            start, end = bounds[name]
+            if name in sparse:
+                chunks.append(name)
+            elif chunks and not isinstance(chunks[-1], str) and end - chunks[-1][0] <= cap:
+                first, _stop, tensors = chunks[-1]
+                chunks[-1] = (first, end, tensors + ((start - first, end - first, shape),))
+            else:
+                chunks.append((start, end, ((0, end - start, shape),)))
+        self._chunks[sparse] = tuple(chunks)
+        return self._chunks[sparse]
 
     def _update(self, grad: Array, arr: Array, m: Array, v: Array,
                 scale: float, clip: float) -> None:

@@ -2,8 +2,10 @@
 
 ``tests/data/golden`` holds one small trained checkpoint per head design,
 with its sidecar, the vocabularies, a 12-record corpus and the questions
-that ``morphoqg generate`` wrote for it at beams 1, 4 and 12 when the
+that ``morphoqg generate`` wrote for it at beams 1, 4, 12 and 64 when the
 checkpoint was made (``tests/data/golden/README.md`` gives the recipe).
+Beam 64 is wider than a hidden-16 model's candidates at the first step,
+so it runs the search both with and without its partition cut.
 Any change to the forward pass that moves a float32 bit a decision rests
 on shows here as a changed question.  A change that moves forward bits
 on purpose regenerates these files and says so.
@@ -35,7 +37,7 @@ TRAIN_VARIANTS = {"dropout": ("--dropout", "0.3"),
                   "clip": ("--dropout", "0", "--clip-norm", "0.5")}
 
 
-@pytest.mark.parametrize("beam", [1, 4, 12])
+@pytest.mark.parametrize("beam", [1, 4, 12, 64])
 @pytest.mark.parametrize("heads", ["additive", "dot"])
 def test_golden_checkpoint_decodes_its_questions(tmp_path, heads, beam):
     out = tmp_path / "questions.txt"

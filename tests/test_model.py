@@ -1081,7 +1081,9 @@ class TestFusedEncoderWalk:
     def test_equals_a_walk_per_direction(self, monkeypatch, dot_heads, check_precision):
         """A padded batch of three source lengths with dropout masks gives
         the reference's ``H``, ``HA`` and ``s0``, loss and every gradient
-        byte for byte, in float32 and in float64."""
+        byte for byte, in float32 and in float64.  So does a batch of three
+        sources of one length, which has no padding: its walks skip their
+        masks, and the reference walks mask every step."""
         model = tiny_model(dot_heads=dot_heads, seed=11)
         model = model.to_check_precision() if check_precision else model
         # Biases start at zero; random ones make each direction's count.
@@ -1089,38 +1091,42 @@ class TestFusedEncoderWalk:
         for prefix in ("enc_fwd", "enc_bwd"):
             for g in "zrn":
                 model.store[f"{prefix}/b_{g}"] = bias_rng.uniform(-0.5, 0.5, TINY.hidden_size)
-        preps = [model.prepare(ex) for ex in (flagship_example(), longer_example(),
-                                               edge_case_examples()[0])]
-        assert len({len(p.roots) for p in preps}) == 3
-        masks = np.concatenate([dropout_mask((len(p.roots), model.hyper.input_dim), 0.3,
-                                             np.random.default_rng(i), dtype=model.dtype)
-                                for i, p in enumerate(preps)])
-        assert not masks.all()
-        seen = []
-        encode = model._encode
+        batches = {True: (flagship_example(), longer_example(), edge_case_examples()[0]),
+                   False: (flagship_example(), tiny_corpus()[1], edge_case_examples()[1])}
+        for padded, examples in batches.items():
+            preps = [model.prepare(ex) for ex in examples]
+            assert len({len(p.roots) for p in preps}) == (3 if padded else 1)
+            masks = np.concatenate([dropout_mask((len(p.roots), model.hyper.input_dim), 0.3,
+                                                 np.random.default_rng(i), dtype=model.dtype)
+                                    for i, p in enumerate(preps)])
+            assert not masks.all()
+            seen = []
+            encode = model._encode
 
-        def recorded(prepared, m):
-            enc = encode(prepared, m)
-            seen.append({key: enc[key].copy() for key in ("H", "HA", "s0")})
-            return enc
+            def recorded(prepared, m):
+                enc = encode(prepared, m)
+                assert enc["padded"] == padded
+                seen.append({key: enc[key].copy() for key in ("H", "HA", "s0")})
+                return enc
 
-        monkeypatch.setattr(model, "_encode", recorded)
-        results = []
-        for reference in (False, True):
-            if reference:
-                walk, walk_backward = reference_encoder_walks(model)
-                monkeypatch.setattr(model, "_encoder_walk", walk)
-                monkeypatch.setattr(model, "_encoder_walk_backward", walk_backward)
-            grads = model.zero_grads()
-            loss, _tokens = model.loss_and_grads(preps, grads=grads, masks=masks)
-            results.append((loss, grads))
-        (loss, grads), (want_loss, want_grads) = results
-        assert loss == want_loss
-        got, want = seen
-        for key in ("H", "HA", "s0"):
-            assert got[key].dtype == model.dtype and got[key].tobytes() == want[key].tobytes()
-        for name, want_grad in want_grads.items():
-            assert grads[name].tobytes() == want_grad.tobytes(), name
+            results = []
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_encode", recorded)
+                for reference in (False, True):
+                    if reference:
+                        walk, walk_backward = reference_encoder_walks(model)
+                        patch.setattr(model, "_encoder_walk", walk)
+                        patch.setattr(model, "_encoder_walk_backward", walk_backward)
+                    grads = model.zero_grads()
+                    loss, _tokens = model.loss_and_grads(preps, grads=grads, masks=masks)
+                    results.append((loss, grads))
+            (loss, grads), (want_loss, want_grads) = results
+            assert loss == want_loss
+            got, want = seen
+            for key in ("H", "HA", "s0"):
+                assert got[key].dtype == model.dtype and got[key].tobytes() == want[key].tobytes()
+            for name, want_grad in want_grads.items():
+                assert grads[name].tobytes() == want_grad.tobytes(), (padded, name)
 
 
 class TestFullLossGradients:
@@ -1633,6 +1639,27 @@ class TestDecoding:
                 walk += (columns.action(int(np.argmax(mass)), state["p_copy"][0]),)
                 s, c = state["s"], state["c"]
             assert result.actions == walk
+
+    @pytest.mark.parametrize("beam", [1, 4, 12])
+    def test_actions_are_built_for_the_returned_hypothesis_only(self, monkeypatch, beam):
+        """The search keeps back-pointers, not action tuples: it names an
+        action once per action of the hypothesis it returns."""
+        model, prepared = self._trained()
+        calls = []
+        action = OutcomeColumns.action
+
+        def counted(columns, col, p_copy):
+            calls.append(col)
+            return action(columns, col, p_copy)
+
+        monkeypatch.setattr(OutcomeColumns, "action", counted)
+        lengths = []
+        for prep in prepared:
+            calls.clear()
+            result = beam_search(model, prep, beam_size=beam)
+            assert len(calls) == len(result.actions)
+            lengths.append(len(result.actions))
+        assert min(lengths) > 0
 
     def test_wider_beam_never_scores_worse(self):
         # In float32 the same actions can score ~1e-8 apart through a 12-row

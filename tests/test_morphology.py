@@ -65,7 +65,8 @@ class TestIrregularTableParsing:
         text = "# comment\n\nwent\tgo\t##ed\nchildren\tchild\t##ns\n"
         table = load_irregular_table(io.StringIO(text))
         assert len(table) == 2
-        assert table.root_for("went", TransformationType.ED) == "go"
+        went = Morphology(table).analyze("went", TYPE_TO_POS_TAG[TransformationType.ED])
+        assert (went.root, went.transform) == ("go", TransformationType.ED)
         assert table.inflected_for("child", TransformationType.NS) == "children"
 
     def test_wrong_column_count_reports_line_number(self):
@@ -96,8 +97,10 @@ class TestIrregularTableParsing:
         """brought serves as both past and participle of bring."""
         text = "brought\tbring\t##ed\nbrought\tbring\t##edp\n"
         table = load_irregular_table(io.StringIO(text))
-        assert table.root_for("brought", TransformationType.ED) == "bring"
-        assert table.root_for("brought", TransformationType.EDP) == "bring"
+        morph = Morphology(table)
+        for t in (TransformationType.ED, TransformationType.EDP):
+            brought = morph.analyze("brought", TYPE_TO_POS_TAG[t])
+            assert (brought.root, brought.transform) == ("bring", t)
 
     def test_bundled_table_loads(self, morph):
         assert len(morph.table) >= 400

@@ -733,6 +733,67 @@ class TestAdam:
         assert peak < grads["big"].nbytes // 10
         assert opt.step(grads, scale=scale) == want
 
+    def test_chunked_norm_equals_a_norm_tensor_by_tensor(self):
+        """The norm, squared in chunks of consecutive dense tensors, equals
+        the one that scales, squares and sums each tensor alone, in layout
+        order, byte for byte: on a store whose row-sparse tensor lies
+        between two dense runs, the second of which a chunk boundary splits
+        (its first tensor is the largest dense one, a chunk of its own)."""
+        shapes = {"a": (30, 7), "b": (11,), "table": (50, 6), "c": (70, 9), "d": (5,),
+                  "e": (3, 4), "f": ()}
+        store = store_of(shapes)
+        grads = filled_grads(store, {name: (RNG.standard_normal(shape)
+                                            * 10.0 ** RNG.integers(-3, 4, shape)).astype(np.float32)
+                                     for name, shape in shapes.items()})
+        ids = np.array([1, 4, 5, 17, 30, 49])
+        opt = Adam(store, clip_norm=0.0)
+        def plan(sparse):
+            return [chunk if isinstance(chunk, str) else len(chunk[2])
+                    for chunk in opt._norm_chunks(frozenset(sparse))]
+
+        assert plan(()) == [3, 1, 3]  # [a b table] [c] [d e f]
+        assert plan({"table"}) == [2, "table", 1, 3]
+        scale = 1.0 / 37
+        for rows in ({}, {"table": ids}):
+            total = 0.0
+            for name, g in grads.items():
+                g = g[rows[name]] if name in rows else g
+                sq = np.multiply(g, scale)
+                total += float(np.add.reduce(sq * sq, axis=None))
+            assert opt._global_norm(grads, scale, rows) == float(np.sqrt(total))
+
+    def test_a_step_leaves_a_sparse_tensors_pages_untouched(self):
+        """One step on a store holding one 64 MB row-sparse tensor, given a
+        few of its rows, raises the peak resident set by less than half
+        that tensor: the norm squares those rows alone and chunks no larger
+        than the largest dense tensor, so it never writes the scratch
+        buffer's pages beyond them (squaring the whole tensor there would
+        write 64 MB).  The rows lie within 1 MB of each other, so that
+        transparent huge pages, where the kernel uses them, fault in no
+        more than a few MB of the weights and moments around them.  Run in
+        a fresh interpreter, whose peak is not this process's."""
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from morphoqg.tensor import Adam, ParameterStore\n"
+            "store = ParameterStore.draw(0, [('table', (1 << 14, 1 << 10), 'empty'),\n"
+            "                                ('dense', (64, 64), 'uniform')])\n"
+            "opt = Adam(store)\n"
+            "grads = store.zero_grads()\n"
+            "ids = np.arange(0, 256, 4)\n"
+            "grads['table'][ids] = 1.0\n"
+            "grads['dense'] += 1.0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "opt.step(grads, rows={'table': ids})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        raised_kb = int(done.stdout)
+        assert raised_kb * 1024 < 32 << 20, f"peak RSS rose {raised_kb} KB"
+
     def test_scale_fold_matches_scaling_the_gradients_first(self):
         """``step(grads, scale)`` writes the bytes of ``step`` on gradients
         already multiplied by ``scale``, with clipping on and off."""
