@@ -50,12 +50,14 @@ recompute each step's attention pre-activations instead of keeping them and
 store each step's gate gradients, so that every weight gradient is one
 matrix product over the batch's rows; the encoder's pair stores the
 backward direction's rows in token order, the order whose sums give the
-bits of one walk per direction.  The input-row gradient goes into the word,
+bits of one walk per direction.  The input-row gradient goes into the
 answer-position, entity and POS tables with one ``np.add.at`` per table
 over the batch's rows in example-major order, the order that adds a
-repeated id's rows; the word ids it goes to are the row set of the
-optimiser's row-sparse ``emb/word`` update.  :meth:`EncoderDecoder.encode`
-is the batch of one, which beam search uses; beam search runs the decoder
+repeated id's rows.  The word rows, the decoder's and then the
+encoder's, go by one ``np.add.at`` into a block of only the rows the batch
+reads, which the optimiser's row-sparse ``emb/word`` update takes in place
+of the table.  :meth:`EncoderDecoder.encode` is the batch of one, which
+beam search uses; beam search runs the decoder
 step on a (k, d_h) batch of all live hypotheses and mixes the three routes
 into one probability row per hypothesis.  :mod:`morphoqg.checks` holds the
 finite-difference gradient check of the complete loss and the
@@ -686,10 +688,11 @@ class EncoderDecoder:
         return {"padded": enc["padded"], **{key: enc[key][0] for key in keys}}
 
     def _encoder_backward(self, enc: dict, dH: Array, dHA: Array, dv_answer: Array,
-                          ds0: Array, grads, word_ids: list) -> None:
+                          ds0: Array, grads, word_rows: list) -> None:
         """Propagate the (B, n, ·) gradients at H and HA and the (B, ·) ones
-        at v_answer and s0 back to the embeddings, and append the ids of the
-        ``emb/word`` rows they go to onto ``word_ids``.  The walk's cache
+        at v_answer and s0 back to the embeddings, and append the word ids
+        and ``emb/word`` gradient rows of the valid tokens onto
+        ``word_rows`` (:meth:`_word_gradient` adds them).  The walk's cache
         leaves ``enc`` as :meth:`_encoder_walk_backward` starts."""
         p = self.store
         grads["att/A"] += _rows(dHA).T @ _rows(enc["H"])
@@ -712,9 +715,10 @@ class EncoderDecoder:
         start = 0
         for name, ids in enc["ids"]:
             width = p[name].shape[1]
-            np.add.at(grads[name], ids, dX[:, start : start + width])
             if name == "emb/word":
-                word_ids.append(ids)
+                word_rows.append((ids, dX[:, start : start + width]))
+            else:
+                np.add.at(grads[name], ids, dX[:, start : start + width])
             start += width
 
     # ------------------------------------------------------------------
@@ -875,7 +879,7 @@ class EncoderDecoder:
         return d
 
     def _recurrence_backward(self, enc: dict, walk: dict, inputs: Sequence[Array], d: dict,
-                             grads, word_ids: list) -> tuple[Array, Array]:
+                             grads, word_rows: list) -> tuple[Array, Array]:
         """Backward through a batch's teacher-forced walk (:meth:`_walk`).
 
         ``inputs`` are each example's input id arrays, and ``d`` holds the
@@ -884,10 +888,11 @@ class EncoderDecoder:
         and the GRU carry walk the steps, in reverse, on (B, ·) rows; each
         step's ``Q`` is recomputed from ``HA`` and ``s``, bit for bit as
         the forward pass had it.  Each weight then gets one matrix product
-        over all T·B rows, and the input rows go into ``emb/word`` and
-        ``emb/trans`` example-major, padded steps left out; the word ids are
-        appended onto ``word_ids``.  Returns the gradients at ``HA`` and at
-        ``s0``; the one at ``H`` is added to ``d["H"]``.
+        over all T·B rows.  The input rows, example-major and padded steps
+        left out, go into ``emb/trans``, and the word inputs' ids and rows
+        are appended onto ``word_rows`` (:meth:`_word_gradient` adds them).
+        Returns the gradients at ``HA`` and at ``s0``; the one at ``H`` is
+        added to ``d["H"]``.
         """
         p = self.store
         d_h, d_w = self.hyper.hidden_size, self.hyper.word_dim
@@ -930,12 +935,28 @@ class EncoderDecoder:
         grads["att/b"] += _rows(dQ_sum).sum(axis=0)
         rows = dW_in.swapaxes(0, 1)[_step_mask(inputs)]
         ids = np.concatenate(inputs)
-        n_words = len(grads["emb/word"])
+        n_words = len(p["emb/word"])
         is_word = ids < n_words
-        np.add.at(grads["emb/word"], ids[is_word], rows[is_word])
         np.add.at(grads["emb/trans"], ids[~is_word] - n_words, rows[~is_word])
-        word_ids.append(ids[is_word])
+        word_rows.append((ids[is_word], rows[is_word]))
         return dHA, ds_carry
+
+    def _word_gradient(self, word_rows: list) -> tuple[Array, Array]:
+        """The ``emb/word`` gradient of a batch as ``(ids, values)``: the
+        sorted unique ids of the rows it reads and a (len(ids), d_w) block
+        of their gradient rows.  ``word_rows`` holds (ids, rows) pairs, the
+        decoder's word inputs and then the encoder's valid tokens, each
+        example-major; one ``np.add.at`` adds them into the block from zero
+        in that order, which is the order, and so the bytes, of adding
+        them into the whole table.  Not ``np.unique``: numpy 2 imports
+        numpy.ma on its first call, 1.3 MB of resident memory."""
+        at = np.concatenate([ids for ids, _rows in word_rows])
+        ids = np.sort(at)
+        ids = ids[np.diff(ids, prepend=-1) != 0]
+        values = np.zeros((len(ids), self.hyper.word_dim), dtype=self.dtype)
+        np.add.at(values, np.searchsorted(ids, at),
+                  np.concatenate([rows for _ids, rows in word_rows]))
+        return ids, values
 
     # ------------------------------------------------------------------
     # Loss.
@@ -1027,11 +1048,17 @@ class EncoderDecoder:
         input rows, each example's rows in batch order; else masks are
         sampled from ``rng`` (training): one draw for the batch's rows,
         which is each example's draw in batch order, else dropout is off
-        (evaluation).  With ``grads``, ``rows`` (when given) gets
-        ``rows["emb/word"]``: the sorted unique ids of the ``emb/word`` rows
-        the batch reads, source words and decoder inputs, which hold all of
-        the gradient that table gets, for :meth:`morphoqg.tensor.Adam.step`.
-        A row is there even when dropout zeroed its gradient.
+        (evaluation).
+
+        The ``emb/word`` gradient is one block (:meth:`_word_gradient`):
+        the sorted unique ids of the rows the batch reads, source words and
+        decoder inputs, which hold all of the gradient that table gets, and
+        their gradient rows; a row is there even when dropout zeroed its
+        gradient.  With ``rows`` (training), ``rows["emb/word"]`` is set to
+        that ``(ids, values)`` pair, for :meth:`morphoqg.tensor.Adam.step`,
+        and ``grads["emb/word"]`` is not written, so its pages stay
+        untouched; without it (grad checks), the block is added into
+        ``grads["emb/word"]`` at ``ids``.
         """
         if grads is not None:
             self.store.check_grads(grads, "loss_and_grads")
@@ -1050,16 +1077,16 @@ class EncoderDecoder:
             return total, tokens
         d = self._heads_backward(enc, walk, seeds, grads)
         del seeds
-        word_ids: list = []
-        dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads, word_ids)
+        word_rows: list = []
+        dHA, ds0 = self._recurrence_backward(enc, walk, inputs, d, grads, word_rows)
         dH, dv_answer = d["H"], d["v_answer"]
         del walk, d
-        self._encoder_backward(enc, dH, dHA, dv_answer, ds0, grads, word_ids)
-        if rows is not None:
-            # Sorted unique ids.  Not np.unique: numpy 2 imports numpy.ma on
-            # its first call, 1.3 MB of resident memory.
-            ids = np.sort(np.concatenate(word_ids))
-            rows["emb/word"] = ids[np.diff(ids, prepend=-1) != 0]
+        self._encoder_backward(enc, dH, dHA, dv_answer, ds0, grads, word_rows)
+        ids, values = self._word_gradient(word_rows)
+        if rows is None:
+            grads["emb/word"][ids] += values
+        else:
+            rows["emb/word"] = (ids, values)
         return total, tokens
 
     # ------------------------------------------------------------------

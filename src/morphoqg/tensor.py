@@ -27,9 +27,11 @@ a mapping of name to array, so it goes straight to
 :class:`Adam` scales the gradients it is given, clips them and
 updates in place: each run of consecutive dense tensors as stretches of
 the flat buffers, in blocks through one scratch buffer, with the bits of
-a tensor-by-tensor update; a tensor given with a row set (the batch's
-rows of ``emb/word``) has only those rows read for the norm and updated,
-as a lazy sparse Adam.  Checkpoints carry a SHA-256 checksum that
+a tensor-by-tensor update.  A row-sparse tensor (``emb/word``) comes as
+its row ids and a block of their gradient rows, in place of its view of
+the gradient store, which is then never read: the block alone counts in
+the norm, and only those rows' weights and moments are updated, as a lazy
+sparse Adam.  Checkpoints carry a SHA-256 checksum that
 loading verifies, and loading can read each tensor straight into the
 array it belongs in.
 """
@@ -251,11 +253,11 @@ class ParameterStore(dict):
     tensors in a few whole-block passes.
     """
 
-    __slots__ = ("flat", "layout", "_bounds")
+    __slots__ = ("flat", "layout", "_bounds", "_runs")
 
     def __init__(self, flat: Array, layout: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
         super().__init__()
-        self.flat, self.layout, self._bounds = flat, layout, {}
+        self.flat, self.layout, self._bounds, self._runs = flat, layout, {}, {}
         start = 0
         for name, shape in layout:
             end = start + math.prod(shape)
@@ -336,9 +338,13 @@ class ParameterStore(dict):
         start, end = self._bounds[first][0], self._bounds[last][1]
         return self.flat[start:end].reshape(shape or (-1,) + self[first].shape[1:])
 
-    def runs(self, skip: Mapping[str, object]) -> list[slice]:
+    def runs(self, skip: Iterable[str]) -> tuple[slice, ...]:
         """The slices of ``flat`` that hold each run of consecutive tensors
-        not named in ``skip``."""
+        not named in ``skip``.  Cached per set of skipped names."""
+        skip = frozenset(skip)
+        cached = self._runs.get(skip)
+        if cached is not None:
+            return cached
         runs: list[slice] = []
         for name, (start, end) in self._bounds.items():
             if name in skip:
@@ -347,7 +353,8 @@ class ParameterStore(dict):
                 runs[-1] = slice(runs[-1].start, end)
             else:
                 runs.append(slice(start, end))
-        return runs
+        self._runs[skip] = tuple(runs)
+        return self._runs[skip]
 
     def zero_grads(self) -> "ParameterStore":
         """Zeroed gradient accumulators for every tensor, laid out as the
@@ -454,7 +461,7 @@ class Adam:
         self._m = self.store.zero_grads()
         self._v = self.store.zero_grads()
         # One buffer shared by all: the norm squares chunks no larger than
-        # the largest tensor (or a tensor's given rows) in it, and the
+        # the largest tensor (or a tensor's block of rows) in it, and the
         # update takes g and a temporary from its front for blocks of
         # ADAM_BLOCK elements, or of half its size if the store is smaller.
         size = max((arr.size for _name, arr in self.store.items()), default=0)
@@ -462,26 +469,31 @@ class Adam:
         self._scratch = np.empty(size, dtype=self.store.flat.dtype)
 
     def step(self, grads: ParameterStore, scale: float = 1.0,
-             rows: Mapping[str, Array] | None = None) -> float:
+             rows: Mapping[str, tuple[Array, Array]] | None = None) -> float:
         """Apply one update to the gradients ``grads`` times ``scale`` (the
         trainer's 1/tokens); returns their pre-clip global norm.
 
         ``grads`` is a :class:`ParameterStore` in the store's layout, as
-        :meth:`ParameterStore.zero_grads` makes (``TypeError`` otherwise).  The update runs in place through
-        preallocated buffers, in the order ``g = grad * scale * clip``,
-        ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``,
-        then ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected
+        :meth:`ParameterStore.zero_grads` makes (``TypeError`` otherwise).
+        The update runs in place through preallocated buffers, in the order
+        ``g = grad * scale * clip``, ``m += (1 - beta1) * (g - m)``,
+        ``v += (1 - beta2) * (g * g - v)``, then
+        ``lr * m_hat / (sqrt(v_hat) + eps)`` from the bias-corrected
         moments.  Each operation is elementwise, so each run of consecutive
         dense tensors is updated in blocks of the flat buffers with the
         bytes of a tensor-by-tensor update.  The clip factor comes from the
         norm of the scaled gradients.
 
-        ``rows`` maps a tensor name to the sorted unique ids of the rows
-        that hold all of its gradient.  Only those rows count in the norm,
-        and only their weights and moments are gathered, updated and
-        written back, bias-corrected by the global step count: the other
-        rows' moments do not decay and their weights do not move (the lazy
-        Adam of ``torch.optim.SparseAdam``).
+        ``rows`` maps the name of a row-sparse tensor to ``(ids, values)``:
+        the sorted unique ids of the rows that hold all of its gradient, and
+        a ``(len(ids),) + row shape`` block of those rows' gradients, which
+        take the place of the tensor's view in ``grads``; that view is
+        never read.  A bare id array raises ``TypeError``, a block of
+        another shape ``ValueError``.  Only the block counts in the norm,
+        and only the given rows' weights and moments are gathered, updated
+        and written back, bias-corrected by the global step count: the
+        other rows' moments do not decay and their weights do not move (the
+        lazy Adam of ``torch.optim.SparseAdam``).
         """
         rows = rows or {}
         norm = self._global_norm(grads, scale, rows)
@@ -495,34 +507,42 @@ class Adam:
             for start in range(run.start, run.stop, span):
                 block = slice(start, min(start + span, run.stop))
                 self._update(*(x[block] for x in flats), scale, clip)
-        for name, ids in rows.items():
-            tensors = (grads[name], self.store[name], self._m[name], self._v[name])
+        for name, (ids, values) in rows.items():
+            tensors = (self.store[name], self._m[name], self._v[name])
             per_block = max(1, span // tensors[0][0].size)
             for start in range(0, len(ids), per_block):
                 block = ids[start : start + per_block]
-                grad_b, arr, m, v = (x[block] for x in tensors)
-                self._update(grad_b, arr, m, v, scale, clip)
-                for x, updated in zip(tensors[1:], (arr, m, v)):
+                arr, m, v = (x[block] for x in tensors)
+                self._update(values[start : start + per_block], arr, m, v, scale, clip)
+                for x, updated in zip(tensors, (arr, m, v)):
                     x[block] = updated
         return norm
 
     def _global_norm(self, grads: ParameterStore, scale: float = 1.0,
-                     rows: Mapping[str, Array] | None = None) -> float:
-        """The L2 norm of all of ``grads`` times ``scale``.  A tensor named
-        in ``rows`` counts only those rows, which must hold all of its
-        nonzero gradient.  The scaled squares are taken in the scratch
+                     rows: Mapping[str, tuple[Array, Array]] | None = None) -> float:
+        """The L2 norm of all of ``grads`` times ``scale``, a tensor named
+        in ``rows`` counted by its ``(ids, values)`` block alone (checked
+        as :meth:`step` says).  The scaled squares are taken in the scratch
         buffer, so no temporary the size of a gradient is made: a row-sparse
-        tensor's rows alone, and consecutive dense tensors in chunks of the
-        flat buffer (:meth:`_norm_chunks`), two products a chunk.  Each
-        tensor's squares are then summed by one ``np.add.reduce`` over its
-        view, as ``np.sum`` would, and the sums added in layout order, so
-        the norm has the bits of squaring and summing tensor by tensor."""
+        tensor's block, and consecutive dense tensors in chunks of the flat
+        buffer (:meth:`_norm_chunks`), two products a chunk.  Each tensor's
+        squares are then summed by one ``np.add.reduce`` over its view, as
+        ``np.sum`` would, and the sums added in layout order, so the norm
+        has the bits of squaring and summing tensor by tensor."""
         self.store.check_grads(grads, "Adam")
         rows = rows or {}
+        for name, entry in rows.items():
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise TypeError(f"rows[{name!r}] must be an (ids, values) pair, "
+                                f"got {type(entry).__name__}")
+            want = (len(entry[0]),) + self.store[name].shape[1:]
+            if np.shape(entry[1]) != want:
+                raise ValueError(f"rows[{name!r}] has values of shape {np.shape(entry[1])} "
+                                 f"for {len(entry[0])} ids; expected {want}")
         total = 0.0
         for chunk in self._norm_chunks(frozenset(rows)):
             if isinstance(chunk, str):
-                g = grads[chunk][rows[chunk]]
+                g = rows[chunk][1]
                 sq = self._scratch[: g.size]
                 np.multiply(g, scale, out=sq.reshape(g.shape))
                 tensors = ((0, g.size, g.shape),)

@@ -7,14 +7,17 @@ the mixing of the three routes that beam search ranks.  Each batch, and
 each dev chunk of the same size, runs as one padded pass; gradients are
 averaged over every target token in the batch by the scale that
 :meth:`morphoqg.tensor.Adam.step` applies.  The ``emb/word`` table is
-updated lazily: the clip norm, the Adam update and the zeroing of its
-gradient buffer touch only the rows the batch reads, so a row no batch
-reads keeps its weights and moments.  The weights, the gradients
-(``zero_grads``, allocated once per run), Adam's moments and the best
-dev weights are stores (:class:`morphoqg.tensor.ParameterStore`) of one
-layout, so Adam updates, and a step's end zeroes, every other tensor as
-one run of their flat buffers, and the best dev weights are copied back
-at the end in one pass.  All randomness — example order and dropout —
+updated lazily: its gradient comes from ``loss_and_grads`` as a block of
+only the rows the batch reads, with their ids, and the clip norm and the
+Adam update read that block and touch only those rows, so a row no batch
+reads keeps its weights and moments.  The table's view of the gradient
+store is never written, so its pages stay unmapped: at hidden 512 and a
+30,000-word table that keeps 36 MB out of memory.  The weights, the
+gradients (``zero_grads``, allocated once per run), Adam's moments and
+the best dev weights are stores (:class:`morphoqg.tensor.ParameterStore`)
+of one layout, so Adam updates, and a step's end zeroes, every other
+tensor as one run of their flat buffers, and the best dev weights are
+copied back at the end in one pass.  All randomness — example order and dropout —
 flows from a single seed, so runs are reproducible.
 """
 
@@ -108,7 +111,7 @@ def train(
     result = TrainResult(steps=0)
     batch_stream = _batches(len(train_examples), config.batch_size, rng)
     grads = model.zero_grads()  # allocated once, zeroed in place after every step
-    rows: dict = {}  # the row set of each row-sparse gradient, per step
+    rows: dict = {}  # each row-sparse gradient as (ids, values), per step
 
     for step in range(1, config.max_steps + 1):
         indices = next(batch_stream)
@@ -120,8 +123,6 @@ def train(
             raise DivergenceError(
                 f"non-finite loss {mean_loss!r} at step {step}")
         norm = optimizer.step(grads, scale=1.0 / tokens, rows=rows)
-        for name, ids in rows.items():
-            grads[name][ids] = 0
         for run in grads.runs(rows):
             grads.flat[run].fill(0)
         result.steps = step

@@ -1431,9 +1431,11 @@ class TestTraining:
         assert len(calls) == 1
 
     def test_row_zeroing_leaves_no_gradient_between_steps(self, monkeypatch):
-        """``train()`` zeroes only the read rows of the ``emb/word`` buffer
-        after a step, yet every step's gradients are the bytes that the
-        same batch and dropout draws give in fresh buffers."""
+        """``train()`` zeroes only the dense gradients after a step, and
+        ``emb/word``'s comes as a block of rows, yet every step's gradients
+        are the bytes that the same batch and dropout draws give in fresh
+        buffers: the dense tensors as they are, ``emb/word`` scattered
+        from its ``(ids, values)`` block."""
         model = tiny_model(seed=21)
         prepared = [model.prepare(ex) for ex in tiny_corpus()]
         loss_and_grads = model.loss_and_grads
@@ -1444,8 +1446,10 @@ class TestTraining:
             loss_and_grads(batch, grads=fresh, rng=copy.deepcopy(rng))
             out = loss_and_grads(batch, grads=grads, rng=rng, rows=rows, **kwargs)
             if grads is not None:
-                row_sets.append(rows["emb/word"].tolist())
-                for name, grad in grads.items():
+                ids, values = rows["emb/word"]
+                row_sets.append(ids.tolist())
+                got = {**grads, "emb/word": scattered(grads["emb/word"].shape, ids, values)}
+                for name, grad in got.items():
                     assert grad.tobytes() == fresh[name].tobytes(), name
             return out
 
@@ -1477,12 +1481,52 @@ class TestTraining:
         assert [prep.word_ids.count(park) for prep in preps] == [1, 0]
         grads, rows = model.zero_grads(), {}
         model.loss_and_grads(preps, grads=grads, masks=np.concatenate(masks), rows=rows)
-        ids = rows["emb/word"]
+        ids, values = rows["emb/word"]
         assert ids.tolist() == sorted(read)
-        assert park in ids.tolist() and not grads["emb/word"][park].any()
-        nonzero = np.flatnonzero(grads["emb/word"].any(axis=1))
-        assert set(nonzero.tolist()) <= set(ids.tolist())
+        assert values.shape == (len(ids), model.hyper.word_dim)
+        assert park in ids.tolist() and not values[ids.tolist().index(park)].any()
+        nonzero = np.flatnonzero(values.any(axis=1))
         assert len(nonzero) == len(ids) - 1
+        assert grads["emb/word"].tobytes() == bytes(grads["emb/word"].nbytes)
+
+    def test_dense_word_gradient_is_never_written(self, monkeypatch):
+        """In ``train()`` the ``emb/word`` view of the gradient store holds
+        zero bytes at every ``Adam.step``, with dropout on and off: the
+        table's gradient reaches the optimiser only as its block of rows,
+        so the view's pages are never written."""
+        adam_step, calls = Adam.step, []
+
+        def checked(self, grads, *args, **kwargs):
+            calls.append(grads["emb/word"].tobytes() == bytes(grads["emb/word"].nbytes))
+            return adam_step(self, grads, *args, **kwargs)
+
+        monkeypatch.setattr(Adam, "step", checked)
+        for dropout in (0.0, 0.3):
+            model = tiny_model(seed=21, hyper=replace(TINY, dropout_rate=dropout))
+            prepared = [model.prepare(ex) for ex in tiny_corpus()]
+            train(model, prepared, TrainConfig(max_steps=8, batch_size=3, seed=5))
+        assert calls == [True] * 16
+
+    @pytest.mark.parametrize("check_precision", [False, True])
+    @pytest.mark.parametrize("dot_heads", [False, True])
+    def test_dense_word_gradient_is_the_scattered_block(self, dot_heads, check_precision):
+        """A call without ``rows`` adds into ``grads["emb/word"]`` the bytes
+        of scattering the ``(ids, values)`` block that a ``rows=`` call of
+        the same batch and dropout draws gives, and every other gradient
+        is the same bytes in both calls."""
+        model = tiny_model(dot_heads=dot_heads, seed=9)
+        model = model.to_check_precision() if check_precision else model
+        batch = [model.prepare(ex) for ex in tiny_corpus()[:5]]
+        rng = np.random.default_rng(4)
+        dense, sparse, rows = model.zero_grads(), model.zero_grads(), {}
+        model.loss_and_grads(batch, grads=dense, rng=copy.deepcopy(rng))
+        model.loss_and_grads(batch, grads=sparse, rng=rng, rows=rows)
+        ids, values = rows["emb/word"]
+        assert values.dtype == model.dtype and values.any()
+        assert sparse["emb/word"].tobytes() == bytes(sparse["emb/word"].nbytes)
+        got = {**sparse, "emb/word": scattered(sparse["emb/word"].shape, ids, values)}
+        for name, grad in got.items():
+            assert grad.tobytes() == dense[name].tobytes(), name
 
     def test_grad_norms_are_the_optimizer_norms(self, monkeypatch):
         """``TrainResult.grad_norms`` keeps the pre-clip norm that every
@@ -1574,6 +1618,14 @@ class TestTraining:
                     assert tensors[name].tobytes() == arr.tobytes(), (key, name)
 
 
+def scattered(shape, ids, values):
+    """Zeros of ``shape`` with rows ``ids`` set to ``values``: the dense
+    table of a row-sparse ``(ids, values)`` gradient."""
+    table = np.zeros(shape, dtype=values.dtype)
+    table[ids] = values
+    return table
+
+
 def reference_training(model, config):
     """``train()``'s steps on :func:`tiny_corpus`, written out with fresh
     gradient buffers copied into scaled dicts, the norm of those and
@@ -1590,8 +1642,8 @@ def reference_training(model, config):
         batch = [prepared[i] for i in next(batches)]
         grads, rows = model.zero_grads(), {}
         loss, tokens = model.loss_and_grads(batch, grads=grads, rng=dropout_rng, rows=rows)
-        ids = rows["emb/word"]
-        scaled = {name: (g[ids] if name == "emb/word" else g) * np.float32(1.0 / tokens)
+        ids, values = rows["emb/word"]
+        scaled = {name: (values if name == "emb/word" else g) * np.float32(1.0 / tokens)
                   for name, g in grads.items()}
         norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in scaled.values())))
         clip = config.clip_norm / norm if 0 < config.clip_norm < norm else 1.0

@@ -670,6 +670,16 @@ def sparse_store(seed=5):
     return store_of(SPARSE_SHAPES, seed)
 
 
+def row_sparse(grads, ids, name="table"):
+    """``grads`` as :meth:`Adam.step` takes them with ``name`` row-sparse:
+    a copy whose ``name`` view is NaN, which the step must never read, and
+    the ``rows`` entry of that tensor's ``(ids, values)`` block."""
+    block = grads[name][ids]
+    grads = grads.copy()
+    grads[name].fill(np.nan)
+    return grads, {name: (ids, block)}
+
+
 # The row sets of four steps; the first covers 14 of 20 rows, more than the
 # 10 rows of a block of SMALL_BLOCK elements, so with ADAM_BLOCK set to it
 # that set is updated in two blocks.
@@ -754,13 +764,13 @@ class TestAdam:
         assert plan(()) == [3, 1, 3]  # [a b table] [c] [d e f]
         assert plan({"table"}) == [2, "table", 1, 3]
         scale = 1.0 / 37
-        for rows in ({}, {"table": ids}):
+        for given, rows in ((grads, {}), row_sparse(grads, ids)):
             total = 0.0
             for name, g in grads.items():
-                g = g[rows[name]] if name in rows else g
+                g = g[ids] if name in rows else g
                 sq = np.multiply(g, scale)
                 total += float(np.add.reduce(sq * sq, axis=None))
-            assert opt._global_norm(grads, scale, rows) == float(np.sqrt(total))
+            assert opt._global_norm(given, scale, rows) == float(np.sqrt(total))
 
     def test_a_step_leaves_a_sparse_tensors_pages_untouched(self):
         """One step on a store holding one 64 MB row-sparse tensor, given a
@@ -781,10 +791,10 @@ class TestAdam:
             "opt = Adam(store)\n"
             "grads = store.zero_grads()\n"
             "ids = np.arange(0, 256, 4)\n"
-            "grads['table'][ids] = 1.0\n"
+            "values = np.ones((len(ids), 1 << 10), dtype=np.float32)\n"
             "grads['dense'] += 1.0\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "opt.step(grads, rows={'table': ids})\n"
+            "opt.step(grads, rows={'table': (ids, values)})\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
         src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -841,8 +851,9 @@ class TestAdam:
         same bytes on every row of the weights and both moments."""
         ids = ROW_SETS[0]
         grads = sparse_grads(ids, 1)
+        given, rows = row_sparse(grads, ids)
         lazy, dense = Adam(sparse_store(), clip_norm=0.0), Adam(sparse_store(), clip_norm=0.0)
-        assert lazy.step(grads, scale=0.25, rows={"table": ids}) == pytest.approx(
+        assert lazy.step(given, scale=0.25, rows=rows) == pytest.approx(
             dense.step(grads, scale=0.25), rel=1e-6)
         for name in SPARSE_SHAPES:
             for a, b in ((lazy.store, dense.store), (lazy._m, dense._m), (lazy._v, dense._v)):
@@ -855,7 +866,8 @@ class TestAdam:
         opt = Adam(sparse_store(), clip_norm=3.0)
         for t, ids in enumerate(ROW_SETS, start=1):
             before = [x["table"].copy() for x in (opt.store, opt._m, opt._v)]
-            opt.step(sparse_grads(ids, t), rows={"table": ids})
+            given, rows = row_sparse(sparse_grads(ids, t), ids)
+            opt.step(given, rows=rows)
             untouched = np.setdiff1d(np.arange(20), ids)
             for old, x in zip(before, (opt.store, opt._m, opt._v)):
                 assert old[untouched].tobytes() == x["table"][untouched].tobytes()
@@ -871,7 +883,8 @@ class TestAdam:
                  for key, x in (("w", opt.store), ("m", opt._m), ("v", opt._v))}
         for t, ids in enumerate(ROW_SETS, start=1):
             grads = sparse_grads(ids, t)
-            norm = opt.step(grads, rows={"table": ids})
+            given, row_block = row_sparse(grads, ids)
+            norm = opt.step(given, rows=row_block)
             rows = {key: {**x, "table": x["table"][ids]} for key, x in state.items()}
             reference_step(rows, {**grads, "table": grads["table"][ids]},
                            t, min(1.0, 3.0 / norm))
@@ -892,9 +905,9 @@ class TestAdam:
         grads["dense"][...] = RNG.standard_normal((40, 7))
         opt = Adam(store, clip_norm=0.0)
         dense = opt._global_norm(grads, 1.0 / 37)
-        assert opt._global_norm(grads, 1.0 / 37, {"table": ids}) == pytest.approx(dense, rel=1e-6)
-        assert opt.step(grads, scale=1.0 / 37, rows={"table": ids}) == pytest.approx(
-            dense, rel=1e-6)
+        given, rows = row_sparse(grads, ids)
+        assert opt._global_norm(given, 1.0 / 37, rows) == pytest.approx(dense, rel=1e-6)
+        assert opt.step(given, scale=1.0 / 37, rows=rows) == pytest.approx(dense, rel=1e-6)
 
 
     def test_moments_and_gradients_share_the_store_layout(self):
@@ -903,10 +916,45 @@ class TestAdam:
         for tensors in (opt._m, opt._v):
             assert_one_buffer(tensors.items(), tensors.flat)
             assert tensors.layout == store.zero_grads().layout
-        grads = sparse_grads(ROW_SETS[1], 1)
-        opt.step(grads, rows={"table": ROW_SETS[1]})
+        given, rows = row_sparse(sparse_grads(ROW_SETS[1], 1), ROW_SETS[1])
+        opt.step(given, rows=rows)
         for tensors in (store, opt._m, opt._v):
             assert_one_buffer(tensors.items(), tensors.flat)
+
+    def test_a_bare_id_array_is_rejected(self):
+        """A ``rows`` entry must be an ``(ids, values)`` pair: the ids alone
+        raise ``TypeError`` before anything is updated."""
+        store = sparse_store()
+        opt, before = Adam(store), store.flat.copy()
+        grads = sparse_grads(ROW_SETS[1], 1)
+        for entry in (ROW_SETS[1], np.array([3, 4]), [ROW_SETS[1], grads["table"][ROW_SETS[1]]]):
+            with pytest.raises(TypeError, match="table"):
+                opt.step(grads, rows={"table": entry})
+        assert opt._t == 0 and store.flat.tobytes() == before.tobytes()
+
+    def test_values_of_another_shape_are_rejected(self):
+        """A block whose shape is not ``(len(ids),)`` plus the tensor's row
+        shape raises ``ValueError`` before anything is updated."""
+        store = sparse_store()
+        opt, before = Adam(store), store.flat.copy()
+        ids = ROW_SETS[1]
+        for shape in ((len(ids) + 1, 6), (len(ids) - 1, 6), (len(ids), 5), (len(ids) * 6,),
+                      (len(ids), 6, 1)):
+            with pytest.raises(ValueError, match="table"):
+                opt.step(sparse_store().zero_grads(),
+                         rows={"table": (ids, np.ones(shape, np.float32))})
+        assert opt._t == 0 and store.flat.tobytes() == before.tobytes()
+
+    def test_runs_are_cached_per_set_of_names(self):
+        """``runs`` gives the same slices for the same set of skipped names,
+        however it is given, computed once; each set has its own."""
+        store = sparse_store()
+        runs = store.runs({"table": None})
+        assert runs == (slice(0, 5), slice(125, 137))
+        assert store.runs(["table"]) is runs and store.runs(frozenset({"table"})) is runs
+        assert store.runs(()) == (slice(0, 137),)
+        assert store.runs({"bias", "dense"}) == (slice(5, 125),)
+        assert store.copy().runs({"table"}) == runs
 
     def test_gradients_of_another_layout_rejected(self):
         opt = Adam(sparse_store())
