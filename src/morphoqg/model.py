@@ -1033,7 +1033,7 @@ class EncoderDecoder:
         grads: ParameterStore | None = None,
         masks: Array | None = None,
         rng: np.random.Generator | None = None,
-        rows: dict[str, Array] | None = None,
+        rows: dict[str, tuple[Array, Array]] | None = None,
     ) -> tuple[float, int]:
         """Total negative log-likelihood and token count over the examples.
 

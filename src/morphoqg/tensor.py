@@ -31,9 +31,11 @@ a tensor-by-tensor update.  A row-sparse tensor (``emb/word``) comes as
 its row ids and a block of their gradient rows, in place of its view of
 the gradient store, which is then never read: the block alone counts in
 the norm, and only those rows' weights and moments are updated, as a lazy
-sparse Adam.  Checkpoints carry a SHA-256 checksum that
-loading verifies, and loading can read each tensor straight into the
-array it belongs in.
+sparse Adam.  Its weights stay in id order; its moment rows are packed in
+the order steps first touch them, so the rows no step reads keep their
+moment pages, as well as their gradient pages, out of memory.
+Checkpoints carry a SHA-256 checksum that loading verifies, and loading
+can read each tensor straight into the array it belongs in.
 """
 
 from __future__ import annotations
@@ -250,7 +252,9 @@ class ParameterStore(dict):
     rebinding would leave stale.  A copy, shallow or deep, gets a buffer
     of its own.  :meth:`zero_grads` gives gradients in the same layout,
     and :class:`Adam` keeps its moments in it, to update each run of
-    tensors in a few whole-block passes.
+    tensors in a few whole-block passes; within a row-sparse tensor's
+    moment views the rows are packed in first-touch order, while its
+    weights stay in id order.
     """
 
     __slots__ = ("flat", "layout", "_bounds", "_runs")
@@ -446,7 +450,12 @@ class Adam:
     The moments ``m`` and ``v`` are the store's :meth:`~ParameterStore.zero_grads`,
     so weights, gradients and moments share one layout, and each run of
     consecutive tensors that take a dense update is updated as one
-    stretch of their flat buffers, block by block."""
+    stretch of their flat buffers, block by block.  A row-sparse tensor's
+    weights are in id order, but its moment rows in ``_m`` and ``_v`` are
+    packed in first-touch order: its slot map (``_slot_of``, one int per
+    row, -1 until a step first gives the row) says where each row's
+    moments lie, so the rows steps have written lie together at the front
+    of its moment views (see :meth:`_slots`)."""
 
     store: ParameterStore
     lr: float = 0.002
@@ -455,6 +464,8 @@ class Adam:
     _v: ParameterStore = field(init=False)
     _scratch: Array = field(init=False)
     _chunks: dict = field(init=False, default_factory=dict)  # see _norm_chunks
+    _slot_of: dict = field(init=False, default_factory=dict)  # see _slots
+    _slots_used: dict = field(init=False, default_factory=dict)
     _t: int = 0
 
     def __post_init__(self) -> None:
@@ -493,7 +504,10 @@ class Adam:
         and only the given rows' weights and moments are gathered, updated
         and written back, bias-corrected by the global step count: the
         other rows' moments do not decay and their weights do not move (the
-        lazy Adam of ``torch.optim.SparseAdam``).
+        lazy Adam of ``torch.optim.SparseAdam``).  The weights are read and
+        written at ``ids``, the moments at the ids' slots, which new ids
+        take in first-touch order (:meth:`_slots`); each value is the one
+        an id-ordered layout would give, only where the moments lie moves.
         """
         rows = rows or {}
         norm = self._global_norm(grads, scale, rows)
@@ -508,15 +522,30 @@ class Adam:
                 block = slice(start, min(start + span, run.stop))
                 self._update(*(x[block] for x in flats), scale, clip)
         for name, (ids, values) in rows.items():
-            tensors = (self.store[name], self._m[name], self._v[name])
-            per_block = max(1, span // tensors[0][0].size)
+            slots = self._slots(name, ids)
+            weights, m_rows, v_rows = self.store[name], self._m[name], self._v[name]
+            per_block = max(1, span // weights[0].size)
             for start in range(0, len(ids), per_block):
-                block = ids[start : start + per_block]
-                arr, m, v = (x[block] for x in tensors)
+                block, at = ids[start : start + per_block], slots[start : start + per_block]
+                arr, m, v = weights[block], m_rows[at], v_rows[at]
                 self._update(values[start : start + per_block], arr, m, v, scale, clip)
-                for x, updated in zip(tensors, (arr, m, v)):
-                    x[block] = updated
+                weights[block], m_rows[at], v_rows[at] = arr, m, v
         return norm
+
+    def _slots(self, name: str, ids: Array) -> Array:
+        """The slots, the moment rows, of row-sparse tensor ``name``'s rows
+        ``ids`` (sorted and unique); the ids without a slot take the next
+        free ones, in id order.  The tensor's slot map, made at its first
+        step, has an entry per row, -1 where a row has no slot yet."""
+        slot = self._slot_of.get(name)
+        if slot is None:
+            slot = self._slot_of[name] = np.full(len(self.store[name]), -1, dtype=np.intp)
+            self._slots_used[name] = 0
+        new = ids[slot[ids] < 0]
+        used = self._slots_used[name]
+        slot[new] = np.arange(used, used + len(new))
+        self._slots_used[name] = used + len(new)
+        return slot[ids]
 
     def _global_norm(self, grads: ParameterStore, scale: float = 1.0,
                      rows: Mapping[str, tuple[Array, Array]] | None = None) -> float:

@@ -12,13 +12,19 @@ only the rows the batch reads, with their ids, and the clip norm and the
 Adam update read that block and touch only those rows, so a row no batch
 reads keeps its weights and moments.  The table's view of the gradient
 store is never written, so its pages stay unmapped: at hidden 512 and a
-30,000-word table that keeps 36 MB out of memory.  The weights, the
-gradients (``zero_grads``, allocated once per run), Adam's moments and
-the best dev weights are stores (:class:`morphoqg.tensor.ParameterStore`)
-of one layout, so Adam updates, and a step's end zeroes, every other
-tensor as one run of their flat buffers, and the best dev weights are
-copied back at the end in one pass.  All randomness — example order and dropout —
-flows from a single seed, so runs are reproducible.
+30,000-word table that keeps 36 MB out of memory.  Adam packs the
+table's moment rows in the order batches first read them, so the rows no
+batch reads keep their moments, 72 MB of them at that size, out of
+memory too; only the table's weights, drawn or loaded whole, are
+resident in full.  The weights, the gradients (``zero_grads``, allocated
+once per run), Adam's moments and the best dev weights are stores
+(:class:`morphoqg.tensor.ParameterStore`) of one layout, so Adam updates,
+and a step's end zeroes, every other tensor as one run of their flat
+buffers.  The best dev weights get their buffer at the first dev
+improvement, and each later one is copied into it, so no second copy is
+made while the first lives; they are copied back at the end in one
+pass.  All randomness — example order and dropout — flows from a single
+seed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -140,7 +146,10 @@ def train(
                 log(f"step {step}: dev loss {dev_loss:.4f}")
             if dev_loss < result.best_eval_loss:
                 result.best_eval_loss = dev_loss
-                result.best_weights = model.store.astype(model.dtype)
+                if result.best_weights is None:
+                    result.best_weights = model.store.astype(model.dtype)
+                else:
+                    np.copyto(result.best_weights.flat, model.store.flat)
         if due and should_stop is not None and should_stop(step, model):
             result.stopped_early = True
             break

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from morphoqg import model as model_mod
+from morphoqg import train as train_mod
 from morphoqg.checks import gradient_reports, tiny_model_and_example
 from morphoqg.codec import (
     build_vocabs,
@@ -43,7 +44,7 @@ from morphoqg.tensor import (CHECKSUM_KEY, Adam, ParameterStore, affine, dropout
                              scaled_uniform_init, sigmoid, uniform_init)
 from morphoqg.toydata import make_overfit_corpus
 from morphoqg.train import TrainConfig, _batches, evaluate_mean_loss, train
-from test_tensor import assert_one_buffer, reference_step
+from test_tensor import assert_one_buffer, moments_in_id_order, reference_step
 
 RESERVED = ["<pad>", "<unk>", "<sos>", "<eos>"]
 ENC_WORDS = RESERVED + ["he", "visit", "park", "the", "met", "her", "open", "door"]
@@ -1590,6 +1591,36 @@ class TestTraining:
         assert_one_buffer(model.store.items(), model.store.flat)
         assert evaluate_mean_loss(model, dev) == pytest.approx(result.best_eval_loss, rel=1e-6)
 
+    def test_later_improvements_copy_into_the_first_copy(self, monkeypatch):
+        """The best dev weights get a buffer at the first improvement only:
+        over three improvements (dev losses scripted 3, 2, 2.5, 1, 1.5) the
+        store is copied once, each later improvement is written into that
+        copy, and it ends with the store's bytes at the best evaluation,
+        which the restore writes back."""
+        scripted, seen = iter([3.0, 2.0, 2.5, 1.0, 1.5]), []
+
+        def scripted_loss(model, examples, batch_size):
+            seen.append(model.store.flat.copy())
+            return next(scripted)
+
+        astype, copies = ParameterStore.astype, []
+
+        def recorded(self, dtype):
+            copies.append(astype(self, dtype))
+            return copies[-1]
+
+        monkeypatch.setattr(train_mod, "evaluate_mean_loss", scripted_loss)
+        monkeypatch.setattr(ParameterStore, "astype", recorded)
+        model = tiny_model(seed=13)
+        prepared = [model.prepare(ex) for ex in tiny_corpus()]
+        config = TrainConfig(max_steps=5, batch_size=4, seed=1, eval_every=1)
+        result = train(model, prepared, config, dev_examples=prepared[:2])
+        assert [loss for _step, loss in result.eval_losses] == [3.0, 2.0, 2.5, 1.0, 1.5]
+        assert len(copies) == 1 and result.best_weights is copies[0]
+        assert result.best_weights.flat is not model.store.flat
+        assert result.best_weights.flat.tobytes() == seen[3].tobytes() != seen[4].tobytes()
+        assert model.store.flat.tobytes() == seen[3].tobytes()
+
     def test_steps_equal_the_reference_update(self, monkeypatch):
         """150 steps of ``train()``, at a clip norm that never clips and at
         one that clips, give the losses, pre-clip norms, weights and Adam
@@ -1612,8 +1643,8 @@ class TestTraining:
             assert result.train_losses == losses
             assert result.grad_norms == norms
             assert (max(norms) > clip_norm) == (clip_norm == 0.5)
-            for key, tensors in (("w", model.store), ("m", optimizers[-1]._m),
-                                 ("v", optimizers[-1]._v)):
+            m, v = moments_in_id_order(optimizers[-1])
+            for key, tensors in (("w", model.store), ("m", m), ("v", v)):
                 for name, arr in state[key].items():
                     assert tensors[name].tobytes() == arr.tobytes(), (key, name)
 

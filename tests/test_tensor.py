@@ -670,6 +670,40 @@ def sparse_store(seed=5):
     return store_of(SPARSE_SHAPES, seed)
 
 
+def moments_in_id_order(opt):
+    """``opt``'s moments ``m`` and ``v``, each as name -> array with rows in
+    id order: a row-sparse tensor's moment rows, which the optimiser packs
+    in first-touch order, unpacked through its slot map, a row that never
+    had a slot reading as zeros; a dense tensor's moments as they are."""
+    unpacked = []
+    for moments in (opt._m, opt._v):
+        by_id = dict(moments)
+        for name, slot in opt._slot_of.items():
+            by_id[name] = np.zeros_like(moments[name])
+            has = slot >= 0
+            by_id[name][has] = moments[name][slot[has]]
+        unpacked.append(by_id)
+    return tuple(unpacked)
+
+
+def peak_rise_kb(code):
+    """How far ``code`` raises the peak resident set, in KB, run in a fresh
+    interpreter, whose peak is not this process's: ``code`` has ``np``,
+    :class:`Adam` and :class:`ParameterStore` at hand, sets ``before =
+    peak()`` where the measurement starts, and runs to its end."""
+    prelude = ("import resource\n"
+               "import numpy as np\n"
+               "from morphoqg.tensor import Adam, ParameterStore\n"
+               "def peak():\n"
+               "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n")
+    src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", prelude + code + "print(peak() - before)\n"],
+                          env=env, check=True, capture_output=True, text=True)
+    return int(done.stdout)
+
+
 def row_sparse(grads, ids, name="table"):
     """``grads`` as :meth:`Adam.step` takes them with ``name`` row-sparse:
     a copy whose ``name`` view is NaN, which the step must never read, and
@@ -780,12 +814,9 @@ class TestAdam:
         buffer's pages beyond them (squaring the whole tensor there would
         write 64 MB).  The rows lie within 1 MB of each other, so that
         transparent huge pages, where the kernel uses them, fault in no
-        more than a few MB of the weights and moments around them.  Run in
-        a fresh interpreter, whose peak is not this process's."""
-        code = (
-            "import resource\n"
-            "import numpy as np\n"
-            "from morphoqg.tensor import Adam, ParameterStore\n"
+        more than a few MB of the weights around them; the moment rows lie
+        together whatever the ids (see the scattered-row test)."""
+        raised_kb = peak_rise_kb(
             "store = ParameterStore.draw(0, [('table', (1 << 14, 1 << 10), 'empty'),\n"
             "                                ('dense', (64, 64), 'uniform')])\n"
             "opt = Adam(store)\n"
@@ -793,16 +824,30 @@ class TestAdam:
             "ids = np.arange(0, 256, 4)\n"
             "values = np.ones((len(ids), 1 << 10), dtype=np.float32)\n"
             "grads['dense'] += 1.0\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "opt.step(grads, rows={'table': (ids, values)})\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-        src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True)
-        raised_kb = int(done.stdout)
+            "before = peak()\n"
+            "opt.step(grads, rows={'table': (ids, values)})\n")
         assert raised_kb * 1024 < 32 << 20, f"peak RSS rose {raised_kb} KB"
+
+    def test_scattered_rows_keep_the_moments_pages_untouched(self):
+        """Three steps on a 64 MB row-sparse tensor whose weights are
+        resident, as a drawn table's are in training, each on 64 rows spread
+        256 rows (1 MB) apart, raise the peak resident set by less than
+        16 MB: the moment rows are packed in first-touch order, so the
+        192 rows' moments fill the front of ``_m`` and ``_v`` instead of
+        faulting in a page, a 2 MB huge page where numpy advises them,
+        around every row of each.  Addressed by id, the moments would
+        become resident almost whole: about 126 MB."""
+        raised_kb = peak_rise_kb(
+            "store = ParameterStore.draw(0, [('table', (1 << 14, 1 << 10), 'uniform'),\n"
+            "                                ('dense', (64, 64), 'uniform')])\n"
+            "opt = Adam(store)\n"
+            "grads = store.zero_grads()\n"
+            "values = np.ones((64, 1 << 10), dtype=np.float32)\n"
+            "grads['dense'] += 1.0\n"
+            "before = peak()\n"
+            "for k in range(3):\n"
+            "    opt.step(grads, rows={'table': (np.arange(0, 1 << 14, 256) + k, values)})\n")
+        assert raised_kb * 1024 < 16 << 20, f"peak RSS rose {raised_kb} KB"
 
     def test_scale_fold_matches_scaling_the_gradients_first(self):
         """``step(grads, scale)`` writes the bytes of ``step`` on gradients
@@ -865,11 +910,11 @@ class TestAdam:
         monkeypatch.setattr(tensor_mod, "ADAM_BLOCK", SMALL_BLOCK)
         opt = Adam(sparse_store(), clip_norm=3.0)
         for t, ids in enumerate(ROW_SETS, start=1):
-            before = [x["table"].copy() for x in (opt.store, opt._m, opt._v)]
+            before = [x["table"].copy() for x in (opt.store, *moments_in_id_order(opt))]
             given, rows = row_sparse(sparse_grads(ids, t), ids)
             opt.step(given, rows=rows)
             untouched = np.setdiff1d(np.arange(20), ids)
-            for old, x in zip(before, (opt.store, opt._m, opt._v)):
+            for old, x in zip(before, (opt.store, *moments_in_id_order(opt))):
                 assert old[untouched].tobytes() == x["table"][untouched].tobytes()
                 assert old[ids].tobytes() != x["table"][ids].tobytes()
 
@@ -890,10 +935,11 @@ class TestAdam:
                            t, min(1.0, 3.0 / norm))
             for key, x in state.items():
                 x["table"][ids] = rows[key]["table"]
+            m, v = moments_in_id_order(opt)
             for name in SPARSE_SHAPES:
                 assert opt.store[name].tobytes() == state["w"][name].tobytes()
-                assert opt._m[name].tobytes() == state["m"][name].tobytes()
-                assert opt._v[name].tobytes() == state["v"][name].tobytes()
+                assert m[name].tobytes() == state["m"][name].tobytes()
+                assert v[name].tobytes() == state["v"][name].tobytes()
 
     def test_row_norm_equals_the_dense_norm(self):
         """The norm over the row set equals the norm over all rows when the
