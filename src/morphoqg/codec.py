@@ -1,7 +1,8 @@
-"""Action-sequence codec between tagged examples and model targets.
+"""Action-sequence codec between corpus records and model targets.
 
 Source side: every token is replaced by its root (1:1, so the answer
-span indices carry over).  Target side: each question word becomes a
+span indices carry over), and each keeps its POS and NER tags beside
+the answer span's B/I/O mark.  Target side: each question word becomes a
 Copy action (pointing at a source position), or a Quest action (an id in
 the question-word vocabulary), optionally followed by a Trans action
 naming the transformation that restores the surface form.  ``realize``
@@ -35,14 +36,6 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<sos>", "<eos>")
 DEFAULT_ENCODER_CAP = 30000
 DEFAULT_QUEST_CAP = 1000
 DEFAULT_CUTOFF = 128
-
-
-@dataclass(frozen=True)
-class TaggedToken:
-    word: str
-    pos: str = ""
-    ner: str = "O"
-    answer_bio: str = "O"
 
 
 @dataclass(frozen=True)
@@ -144,49 +137,41 @@ def check_answer_span(span: Tuple[int, int], n_tokens: int, line: Optional[int] 
         raise ParseError(f"answer_span [{left}, {right}] outside {n_tokens} tokens", line=line)
 
 
-def _answer_span_from_bio(tokens: Sequence[TaggedToken]) -> Tuple[int, int]:
-    marks = [t.answer_bio for t in tokens]
-    if marks.count("B") != 1:
-        raise ParseError(f"expected exactly one B answer mark, got {marks.count('B')}")
-    span = (marks.index("B"), marks.index("B") + marks.count("I"))
-    if marks != answer_marks(len(marks), span):
-        raise ParseError("answer I marks must be contiguous after B, and the others O")
-    return span
-
-
 def encode_source(
-    tokens: Sequence[TaggedToken],
+    raw: "CorpusExample",
     morphology: Optional[Morphology] = None,
     cutoff: int = DEFAULT_CUTOFF,
     truncate: bool = False,
 ):
-    """Rewrite source tokens to their roots, carrying features and span.
+    """Rewrite a record's source tokens to their roots, carrying its tags
+    and answer span.
 
-    Root rewriting is 1:1, so the answer span is unchanged.  Inputs
-    longer than ``cutoff`` raise unless ``truncate`` is set, and even
-    then the whole answer span must survive the cut (else ParseError).
+    Returns the roots, each token's ``(pos, ner, answer_bio)`` features
+    and the span.  Root rewriting is 1:1, so the span is unchanged.
+    A span outside the source is a ParseError.  Inputs longer than
+    ``cutoff`` raise unless ``truncate`` is set, and even then the whole
+    answer span must survive the cut (else ParseError).
     """
-    if not tokens:
+    n_tokens = len(raw.tokens)
+    if not n_tokens:
         raise EmptyInputError("source token sequence is empty")
-    if len(tokens) > cutoff and not truncate:
-        raise CutoffExceeded(
-            f"source has {len(tokens)} tokens, cutoff is {cutoff}")
-    left, right = _answer_span_from_bio(tokens)
+    if n_tokens > cutoff and not truncate:
+        raise CutoffExceeded(f"source has {n_tokens} tokens, cutoff is {cutoff}")
+    span = (raw.answer_start, raw.answer_end)
+    check_answer_span(span, n_tokens)
+    left, right = span
     if right >= cutoff:
         raise ParseError(
             f"answer span {left}..{right} does not fit the cutoff of {cutoff} tokens")
-    tokens = tokens[:cutoff]
+    kept = min(n_tokens, cutoff)
     morphology = morphology or default_morphology()
-    roots = [morphology.analyze(t.word, t.pos).root for t in tokens]
-    features = [(t.pos, t.ner, t.answer_bio) for t in tokens]
-    return roots, features, (left, right)
+    roots = [morphology.analyze(word, pos).root
+             for word, pos in zip(raw.tokens[:kept], raw.pos)]
+    features = list(zip(raw.pos[:kept], raw.ner, answer_marks(kept, span)))
+    return roots, features, span
 
 
-def _best_source_index(
-    occurrences: List[int], answer_span: Optional[Tuple[int, int]]
-) -> int:
-    if answer_span is None:
-        return occurrences[0]
+def _best_source_index(occurrences: List[int], answer_span: Tuple[int, int]) -> int:
     left, right = answer_span
     # Nearest to the answer span (distance 0 inside it); leftmost wins ties.
     return min(occurrences, key=lambda i: (max(left - i, i - right, 0), i))
@@ -202,26 +187,30 @@ def root_positions(roots: Sequence[str]) -> Dict[str, List[int]]:
 
 
 def encode_target(
-    question: Sequence[TaggedToken],
+    words: Sequence[str],
+    tags: Sequence[str],
     source_roots: Sequence[str],
     vocab: Vocab,
     morphology: Optional[Morphology] = None,
-    answer_span: Optional[Tuple[int, int]] = None,
+    *,
+    answer_span: Tuple[int, int],
 ) -> List[TargetAction]:
     """Greedy left-to-right alignment of question words to actions.
 
-    Each word analyzes to (root, type); the root becomes Copy when it
-    occurs in the source (occurrence nearest the answer span, leftmost
-    on ties), else Quest of its list id (UNK off the list); a present
-    type appends Trans.
+    Each word analyzes, under its POS tag, to (root, type); the root
+    becomes Copy when it occurs in the source (occurrence nearest
+    ``answer_span``, leftmost on ties), else Quest of its list id (UNK
+    off the list); a present type appends Trans.
     """
-    if not question:
+    if not words:
         raise EmptyInputError("question token sequence is empty")
+    if len(words) != len(tags):
+        raise LengthMismatch(f"question/question_pos lengths differ: {len(words)}/{len(tags)}")
     morphology = morphology or default_morphology()
     positions = root_positions(source_roots)
     actions: List[TargetAction] = []
-    for tok in question:
-        analysis = morphology.analyze(tok.word, tok.pos)
+    for word, tag in zip(words, tags):
+        analysis = morphology.analyze(word, tag)
         root = analysis.root
         if root in positions:
             actions.append(Copy(_best_source_index(positions[root], answer_span)))
@@ -323,13 +312,6 @@ class CorpusExample:
     question: List[str]
     question_pos: List[str]
 
-    def source_tagged(self) -> List[TaggedToken]:
-        marks = answer_marks(len(self.tokens), (self.answer_start, self.answer_end))
-        return [TaggedToken(*token) for token in zip(self.tokens, self.pos, self.ner, marks)]
-
-    def question_tagged(self) -> List[TaggedToken]:
-        return [TaggedToken(w, p) for w, p in zip(self.question, self.question_pos)]
-
 
 def _strings(obj: dict, key: str) -> List[str]:
     """``obj[key]`` itself, which must be a list of strings (TypeError otherwise)."""
@@ -421,10 +403,9 @@ def encode_example(
     truncate: bool = False,
 ) -> EncodedExample:
     morphology = morphology or default_morphology()
-    roots, features, span = encode_source(
-        raw.source_tagged(), morphology, cutoff=cutoff, truncate=truncate)
-    actions = encode_target(
-        raw.question_tagged(), roots, vocab, morphology, answer_span=span)
+    roots, features, span = encode_source(raw, morphology, cutoff=cutoff, truncate=truncate)
+    actions = encode_target(raw.question, raw.question_pos, roots, vocab, morphology,
+                            answer_span=span)
     return EncodedExample(
         source_roots=roots, source_features=features, answer_span=span,
         target_actions=actions, reference_question=list(raw.question))

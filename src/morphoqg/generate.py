@@ -72,13 +72,10 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import SOS_ID, EncodedExample, Vocab, realize
+from .codec import EOS_ID, PAD_ID, SOS_ID, EncodedExample, Vocab, realize
 from .model import EncoderDecoder, PreparedExample
 from .morphology import ALL_TYPES, Morphology
 from .tensor import Array
-
-_BLOCKED_WORDS = ("<pad>", "<sos>")
-_EOS_WORD = "<eos>"
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,12 @@ def beam_search(
     columns = model.outcome_columns(prep.roots)
     n_words = len(columns.words)
     n_cols = n_words + len(ALL_TYPES)
-    eos_col = columns.words.index(_EOS_WORD)
+    # A column's decoder input is a reserved id only for that reserved word:
+    # other words map to their encoder ids or UNK_ID, tags past the vocabulary.
+    eos_col = int(np.flatnonzero(columns.inputs == EOS_ID)[0])
     # Outcomes a hypothesis may extend with, before the tag rule; <eos>
     # ends it instead.
-    extendable = np.array([w not in _BLOCKED_WORDS and w != _EOS_WORD
-                           for w in columns.words] + [True] * len(ALL_TYPES))
+    extendable = ~np.isin(columns.inputs, (PAD_ID, SOS_ID, EOS_ID))
     word_cols = np.arange(n_cols) < n_words
 
     # The live beam, best first: states as (k, d_h) rows, float64 log sums.

@@ -16,6 +16,7 @@ from .errors import read_text
 from .morphology import (
     ALL_TYPES,
     TYPE_TO_POS_TAG,
+    VOWELS,
     Morphology,
     TransformationType,
     default_morphology,
@@ -26,8 +27,6 @@ NO_INFLECT_WORDS = frozenset("""
 a an as at by despite during his hers its ours perhaps thus theirs this
 those these us versus whereas whose yours always besides
 """.split())
-
-_VOWELS = set("aeiouy")
 
 
 def guess_analysis(word: str, morphology: Optional[Morphology] = None):
@@ -45,7 +44,7 @@ def guess_analysis(word: str, morphology: Optional[Morphology] = None):
         if analysis.transform is None:
             continue
         root = analysis.root
-        if not _VOWELS.intersection(root):
+        if set(root).isdisjoint(VOWELS):
             continue
         if t in (TransformationType.NS, TransformationType.VS) \
                 and len(w) - len(root) == 1 and len(root) < 3:

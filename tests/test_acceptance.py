@@ -33,7 +33,6 @@ from morphoqg.checks import (
 )
 from morphoqg.codec import (
     Trans,
-    TaggedToken,
     build_vocabs,
     encode_example,
     encode_target,
@@ -105,7 +104,7 @@ def test_criterion_2_codec_round_trip_and_tag_adjacency():
     with_tags = 0
     for _ in range(10_000):
         roots = [_random_word(rng) for _ in range(rng.randint(1, 6))]
-        question = []
+        question, tags = [], []
         for _ in range(rng.randint(1, 10)):
             draw = rng.random()
             if draw < 0.35 and roots:
@@ -113,18 +112,19 @@ def test_criterion_2_codec_round_trip_and_tag_adjacency():
                 word = rng.choice(roots)
                 if rng.random() < 0.5:
                     ttype = rng.choice(list(TransformationType))
-                    word = morph.apply_transform(word, ttype)
-                    question.append(TaggedToken(word, TYPE_TO_POS_TAG[ttype]))
+                    question.append(morph.apply_transform(word, ttype))
+                    tags.append(TYPE_TO_POS_TAG[ttype])
                     continue
-                question.append(TaggedToken(word, rng.choice(plain_pos)))
+                question.append(word)
+                tags.append(rng.choice(plain_pos))
             elif draw < 0.6:
                 root, ttype, inflected = rng.choice(lexicon)
-                question.append(TaggedToken(inflected, TYPE_TO_POS_TAG[ttype]))
+                question.append(inflected)
+                tags.append(TYPE_TO_POS_TAG[ttype])
             else:
-                question.append(TaggedToken(
-                    _random_word(rng),
-                    rng.choice(inflectable_pos + plain_pos)))
-        actions = encode_target(question, roots, vocab, morph)
+                question.append(_random_word(rng))
+                tags.append(rng.choice(inflectable_pos + plain_pos))
+        actions = encode_target(question, tags, roots, vocab, morph, answer_span=(0, 0))
         previous_was_tag = True  # a tag may not open the sequence
         for action in actions:
             is_tag = isinstance(action, Trans)

@@ -34,7 +34,6 @@ from morphoqg.codec import (
     load_encoded_jsonl,
     realize,
     root_positions,
-    TaggedToken,
 )
 from morphoqg.errors import (
     CutoffExceeded,
@@ -60,58 +59,59 @@ def toy_vocab(toy):
     return build_vocabs(toy)
 
 
-def _tok(word, pos="NN", ner="O", bio="O"):
-    return TaggedToken(word, pos, ner, bio)
+def _source(words, pos=None, ner=None, span=(0, 0)):
+    """A corpus record with these source tokens and answer span, and no question."""
+    n = len(words)
+    return CorpusExample(tokens=list(words), pos=list(pos or ["NN"] * n),
+                         ner=list(ner or ["O"] * n), answer_start=span[0],
+                         answer_end=span[1], question=[], question_pos=[])
 
 
 class TestEncodeSource:
     def test_roots_replace_inflected_words(self):
-        tokens = [_tok("He", "PRP", bio="B"), _tok("succeeded", "VBD"),
-                  _tok("Kennedy", "NNP", "PERSON")]
-        roots, features, span = encode_source(tokens)
+        raw = _source(["He", "succeeded", "Kennedy"], ["PRP", "VBD", "NNP"],
+                      ["O", "O", "PERSON"])
+        roots, features, span = encode_source(raw)
         assert roots == ["he", "succeed", "kennedy"]
         assert span == (0, 0)
         assert features[1] == ("VBD", "O", "O")
 
     def test_root_form_input_is_a_fixed_point(self):
-        tokens = [_tok("the", "DT", bio="B"), _tok("dog", "NN"), _tok("runs", "VBZ")]
-        roots, _, _ = encode_source(tokens)
-        roots2, _, _ = encode_source(
-            [_tok(r, p.pos, bio=p.answer_bio) for r, p in zip(roots, tokens)])
+        pos = ["DT", "NN", "VBZ"]
+        roots, _, _ = encode_source(_source(["the", "dog", "runs"], pos))
+        roots2, _, _ = encode_source(_source(roots, pos))
         assert roots2 == roots
 
     def test_length_is_preserved(self, toy):
         for ex in toy[:50]:
-            roots, features, _ = encode_source(ex.source_tagged())
+            roots, features, _ = encode_source(ex)
             assert len(roots) == len(ex.tokens)
             assert len(features) == len(ex.tokens)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
-            encode_source([])
+            encode_source(_source([]))
 
     def test_cutoff_enforced(self):
-        tokens = [_tok("word", bio="B" if i == 0 else "O") for i in range(129)]
+        raw = _source(["word"] * 129)
         with pytest.raises(CutoffExceeded):
-            encode_source(tokens, cutoff=128)
-        roots, _, _ = encode_source(tokens, cutoff=128, truncate=True)
+            encode_source(raw, cutoff=128)
+        roots, _, _ = encode_source(raw, cutoff=128, truncate=True)
         assert len(roots) == 128
 
     def test_truncation_must_keep_the_answer(self):
-        cut_off = [_tok("word") for _ in range(128)] + [_tok("key", bio="B")]
-        cut_through = ([_tok("word") for _ in range(6)] + [_tok("key", bio="B")]
-                       + [_tok("key", bio="I") for _ in range(3)] + [_tok("word")])
-        for tokens, cutoff, span in [(cut_off, 128, "128..128"), (cut_through, 8, "6..9")]:
+        cut_off = _source(["word"] * 128 + ["key"], span=(128, 128))
+        cut_through = _source(["word"] * 6 + ["key"] * 4 + ["word"], span=(6, 9))
+        for raw, cutoff, span in [(cut_off, 128, "128..128"), (cut_through, 8, "6..9")]:
             with pytest.raises(ParseError, match=f"answer span {span} .* cutoff of {cutoff} "):
-                encode_source(tokens, cutoff=cutoff, truncate=True)
+                encode_source(raw, cutoff=cutoff, truncate=True)
 
-    def test_malformed_answer_marks_rejected(self):
-        with pytest.raises(ParseError):
-            encode_source([_tok("a"), _tok("b")])  # no B at all
-        with pytest.raises(ParseError):
-            encode_source([_tok("a", bio="B"), _tok("b"), _tok("c", bio="I")])
-        with pytest.raises(ParseError):  # the encoded-file reader would refuse it
-            encode_source([_tok("a", bio="B"), _tok("b", bio="X")])
+    def test_span_past_the_tokens_rejected(self):
+        raw = CorpusExample(tokens=["a", "b", "c"], pos=["NN"] * 3, ner=["O"] * 3,
+                            answer_start=1, answer_end=5, question=["a", "?"],
+                            question_pos=["NN", "."])
+        with pytest.raises(ParseError, match=r"answer_span \[1, 5\] outside 3 tokens"):
+            encode_example(raw, Vocab(list(RESERVED_TOKENS), list(RESERVED_TOKENS)))
 
 
 class TestEncodeTarget:
@@ -125,9 +125,9 @@ class TestEncodeTarget:
         vocab = Vocab(list(RESERVED_TOKENS) + ["he", "succeed", "kennedy"],
                       list(RESERVED_TOKENS) + ["?", "do", "when"])
         source_roots = ["he", "succeed", "kennedy"]
-        question = [_tok("when", "WRB"), _tok("did", "VBD"), _tok("he", "PRP"),
-                    _tok("succeed", "VB"), _tok("?", ".")]
-        actions = encode_target(question, source_roots, vocab)
+        actions = encode_target(["when", "did", "he", "succeed", "?"],
+                                ["WRB", "VBD", "PRP", "VB", "."], source_roots, vocab,
+                                answer_span=(0, 0))
         assert actions == [
             Quest(vocab.quest_id("when")),
             Quest(vocab.quest_id("do")), Trans(TransformationType.ED),
@@ -137,36 +137,41 @@ class TestEncodeTarget:
 
     def test_all_source_words_become_copies(self, toy_vocab):
         source_roots = ["what", "is", "love"]
-        question = [_tok("what", "WP"), _tok("love", "NN")]
-        actions = encode_target(question, source_roots, toy_vocab)
+        actions = encode_target(["what", "love"], ["WP", "NN"], source_roots, toy_vocab,
+                                answer_span=(0, 0))
         assert actions == [Copy(0), Copy(2)]
 
     def test_unknown_words_become_unk(self):
         vocab = Vocab(list(RESERVED_TOKENS), list(RESERVED_TOKENS))
-        actions = encode_target([_tok("zyzzyva", "NN")], ["other"], vocab)
+        actions = encode_target(["zyzzyva"], ["NN"], ["other"], vocab, answer_span=(0, 0))
         assert actions == [Quest(UNK_ID)]
 
     def test_copy_prefers_occurrence_nearest_answer(self):
         vocab = Vocab(list(RESERVED_TOKENS), list(RESERVED_TOKENS))
         roots = ["he", "met", "her", "and", "he", "left"]
-        actions = encode_target([_tok("he", "PRP")], roots, vocab,
-                                answer_span=(5, 5))
+        actions = encode_target(["he"], ["PRP"], roots, vocab, answer_span=(5, 5))
         assert actions == [Copy(4)]
-        actions = encode_target([_tok("he", "PRP")], roots, vocab,
-                                answer_span=(2, 2))
+        actions = encode_target(["he"], ["PRP"], roots, vocab, answer_span=(2, 2))
         assert actions == [Copy(0)]  # both occurrences 2 away; leftmost wins
-        actions = encode_target([_tok("he", "PRP")], roots, vocab)
-        assert actions == [Copy(0)]  # no span: first occurrence
+        actions = encode_target(["he"], ["PRP"], roots, vocab, answer_span=(0, 0))
+        assert actions == [Copy(0)]  # span at the start: first occurrence
+
+    def test_words_and_tags_must_align(self):
+        vocab = Vocab(list(RESERVED_TOKENS), list(RESERVED_TOKENS))
+        for tags in ([], ["WP"]):
+            with pytest.raises(LengthMismatch, match=f"lengths differ: 2/{len(tags)}"):
+                encode_target(["what", "?"], tags, ["other"], vocab, answer_span=(0, 0))
 
     def test_inflected_question_word_copies_root_then_transforms(self, toy_vocab):
         source_roots = ["lincoln", "open", "the", "museum"]
-        actions = encode_target([_tok("opened", "VBD")], source_roots, toy_vocab)
+        actions = encode_target(["opened"], ["VBD"], source_roots, toy_vocab,
+                                answer_span=(0, 0))
         assert actions == [Copy(1), Trans(TransformationType.ED)]
 
     def test_trans_adjacency_invariant(self, toy, toy_vocab):
         for ex in toy:
-            roots, _, span = encode_source(ex.source_tagged())
-            actions = encode_target(ex.question_tagged(), roots, toy_vocab,
+            roots, _, span = encode_source(ex)
+            actions = encode_target(ex.question, ex.question_pos, roots, toy_vocab,
                                     answer_span=span)
             prev_trans = True  # treat position -1 as forbidden
             for a in actions:
@@ -250,8 +255,7 @@ class TestRealize:
             st.sampled_from(words), min_size=1, max_size=6))
         vocab = Vocab(list(RESERVED_TOKENS) + sorted(set(source)),
                       list(RESERVED_TOKENS) + sorted(set(words)))
-        question = [TaggedToken(w, p) for w, p in zip(words, tags)]
-        actions = encode_target(question, source, vocab)
+        actions = encode_target(words, tags, source, vocab, answer_span=(0, 0))
         prev_trans = True
         for a in actions:
             if isinstance(a, Trans):

@@ -10,11 +10,13 @@ Any change to the forward pass that moves a float32 bit a decision rests
 on shows here as a changed question.  A change that moves forward bits
 on purpose regenerates these files and says so.
 
-Training bits are pinned too: the same recipe's models, trained once with
-dropout and once with a clip norm that clips, must end on the weights
-whose SHA-256 ``tests/data/golden/train.sha256`` holds, as ``store.flat``
-and as the checkpoint's bytes.  A change that moves training bits on
-purpose updates those hashes and says so.
+The encoder's bytes are pinned too: the recipe's ``encode --split`` must
+write the train and dev files whose SHA-256 ``tests/data/golden/encode.sha256``
+holds.  Training bits are pinned as well: the same recipe's models,
+trained once with dropout and once with a clip norm that clips, must end
+on the weights whose SHA-256 ``tests/data/golden/train.sha256`` holds, as
+``store.flat`` and as the checkpoint's bytes.  A change that moves
+encoded or training bits on purpose updates those hashes and says so.
 """
 
 import hashlib
@@ -58,9 +60,9 @@ def test_golden_questions_differ_by_beam_and_design():
     assert len(texts) >= 4
 
 
-def pinned_hashes() -> dict[str, str]:
-    """``train.sha256``, a ``sha256sum -c`` file: name to hex digest."""
-    lines = (GOLDEN / "train.sha256").read_text().splitlines()
+def pinned_hashes(name: str = "train.sha256") -> dict[str, str]:
+    """A ``sha256sum -c`` file in ``tests/data/golden``: name to hex digest."""
+    lines = (GOLDEN / name).read_text().splitlines()
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 
@@ -74,6 +76,13 @@ def encoded(tmp_path_factory):
                      "--encoder-vocab", str(GOLDEN / "enc.vocab"),
                      "--quest-vocab", str(GOLDEN / "q.vocab")]) == 0
     return root
+
+
+def test_encoding_writes_pinned_bytes(encoded):
+    pinned = pinned_hashes("encode.sha256")
+    assert sorted(pinned) == ["encoded.dev.jsonl", "encoded.train.jsonl"]
+    for name, digest in pinned.items():
+        assert hashlib.sha256((encoded / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("variant", sorted(TRAIN_VARIANTS))
